@@ -43,6 +43,8 @@ from .errors import (
 from .instance_gd import (
     GdDataset,
     GdParams,
+    draw_gd_dataset,
+    empirical_loss_gd,
     good_event_gd,
     grad_gd,
     grad_gd_batch,

@@ -23,6 +23,7 @@ from .errors import OutOfRange
 from .instance_gd import (
     GdParams,
     _step_blocks,
+    empirical_loss_gd,
     loss_gd,
     grad_gd,
     sample_gd_dataset,
@@ -408,10 +409,7 @@ def _smooth_gd_setup():
     traj = run_gd(codebook, dataset, params, mode="reference")
 
     def loss(w):
-        total = 0.0
-        for s in zip(dataset.masks, dataset.slots):
-            total = total + loss_gd(w, s, params, codebook, mode="reference")
-        return total / dataset.n
+        return empirical_loss_gd(w, dataset, params, codebook, mode="reference")
 
     points = [traj.iterate(t) for t in range(1, 9)]
     points += [suffix_average(traj, m) for m in (2, 3)]

@@ -36,9 +36,9 @@ from .errors import GengapError, OutOfRange
 from .instance_gd import (
     GdDataset,
     GdParams,
+    draw_gd_dataset,
+    empirical_loss_gd,
     good_event_gd,
-    loss_gd,
-    sample_gd_dataset,
 )
 from .instance_sgd import (
     SgdDataset,
@@ -276,20 +276,8 @@ def _make_dataset(cfg, params, seed):
     if cfg.family == "smallstep":
         return None, None, 0
     if cfg.family == "gd":
-        if cfg.policy == "reject-until-E":
-            # child-seeded redraw loop so the rejection count is part of the
-            # report (the library sampler rejects inside one private stream)
-            rng = np.random.default_rng(seed)
-            rejections = 0
-            while True:
-                child = int(rng.integers(0, 2**62))
-                ds = sample_gd_dataset(params, child, policy="unconditioned")
-                event = good_event_gd(ds, params)
-                if event:
-                    return ds, event, rejections
-                rejections += 1
-        ds = sample_gd_dataset(params, seed, policy="unconditioned")
-        return ds, good_event_gd(ds, params), 0
+        ds, rejections = draw_gd_dataset(params, seed, policy=cfg.policy)
+        return ds, good_event_gd(ds, params), rejections
     if cfg.policy == "force":
         ds = force_good_event_sgd(params, seed)
     else:
@@ -338,10 +326,7 @@ def _empirical_loss_closure(cfg, params, codebook, dataset):
     """Batched training-risk closure for smoothing checks."""
     if cfg.family == "gd":
         def loss(w):
-            total = 0.0
-            for s in zip(dataset.masks, dataset.slots):
-                total = total + loss_gd(w, s, params, codebook, mode=cfg.mode)
-            return total / dataset.n
+            return empirical_loss_gd(w, dataset, params, codebook, mode=cfg.mode)
     elif cfg.family == "sgd":
         def loss(w):
             total = 0.0

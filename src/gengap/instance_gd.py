@@ -198,29 +198,35 @@ class GdDataset:
             return cls.from_json(json.load(fh))
 
 
-def sample_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
-    """Draw a training set from the GD hard distribution.
+def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
+    """Draw a training set from the GD hard distribution: (dataset, rejections).
 
     Each sample is an independent uniform subset of the N directions (every
     direction included with probability 1/2) paired with a uniform slot in
-    [n^2].  With policy="reject-until-E" whole datasets are redrawn until
-    the good event holds (union of the subsets misses at least one
-    direction AND all slots are distinct).
+    [n^2].  With policy="reject-until-E" whole datasets are redrawn from
+    the same stream until the good event holds (union of the subsets misses
+    at least one direction AND all slots are distinct); rejections counts
+    the discarded draws.
     """
     if policy not in ("unconditioned", "reject-until-E"):
         raise OutOfRange(f"unknown sampling policy {policy!r}")
     rng = np.random.default_rng(seed)
     m = subset_count(params.n_directions)
     n_slots = params.n * params.n
-    for _ in range(max_tries):
+    for rejections in range(max_tries):
         masks = tuple(int(v) for v in rng.integers(0, m, size=params.n, dtype=np.int64))
         slots = tuple(int(s) for s in rng.integers(1, n_slots + 1, size=params.n))
         ds = GdDataset(masks=masks, slots=slots, seed=int(seed))
         if policy == "unconditioned" or good_event_gd(ds, params):
-            return ds
+            return ds, rejections
     raise AttemptsExhausted(
         f"no dataset satisfied the good event in {max_tries} draws"
     )
+
+
+def sample_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
+    """The dataset of draw_gd_dataset, without its rejection count."""
+    return draw_gd_dataset(params, seed, policy, max_tries)[0]
 
 
 @dataclass(frozen=True)
@@ -254,9 +260,11 @@ def good_event_gd(dataset, params):
 # loss terms
 #
 # Every term accepts w of shape (d,) or (B, d) and returns () or (B,)
-# accordingly.  The heavy lifting is plain numpy; per-sample python loops
-# only appear in the oracle decode path, which is one point at a time on
-# trajectories anyway.
+# accordingly.  Terms 3 and 4 do not depend on the sample, so the
+# many-sample paths (loss_gd_samples, empirical_loss_gd) evaluate them once
+# per batch of points.  The heavy lifting is plain numpy; per-row python
+# loops only appear in the oracle decode path, which is one point at a time
+# on trajectories anyway.
 # ---------------------------------------------------------------------------
 
 
@@ -339,6 +347,21 @@ def _reference_table_gd(n, n_directions):
     return psi_rows, alpha_idx
 
 
+@lru_cache(maxsize=8)
+def _reference_groups_gd(n, n_directions):
+    """The reference table regrouped by uncovered direction.
+
+    Returns (Psi, starts, alphas): the Psi rows stably sorted by alpha
+    index, the first row of each group, and each group's alpha index.  The
+    gradient keeps reading _reference_table_gd, whose enumeration order
+    breaks its argmax ties.
+    """
+    psi, alpha_idx = _reference_table_gd(n, n_directions)
+    order = np.argsort(alpha_idx, kind="stable")
+    alphas, starts = np.unique(alpha_idx[order], return_index=True)
+    return psi[order], starts, alphas
+
+
 def _decode_training_set(w0, params):
     """Decode the slot blocks of a single encoding-subspace vector.
 
@@ -370,10 +393,13 @@ def _l3_gd(w, params, codebook, mode):
     w0 = lay.encoding(w)
     w1 = lay.block(w, 1)
     if mode == "reference":
-        psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
-        u_alpha = codebook.vectors[alpha_idx - 1]  # (K, dprime)
-        vals = w0 @ psi.T - params.beta * (w1 @ u_alpha.T)  # (..., K)
-        return np.maximum(params.delta1, vals.max(axis=-1))
+        psi, starts, alphas = _reference_groups_gd(params.n, params.n_directions)
+        # max over each group's rows first, then subtract the group's shared
+        # movement term: rounding is monotone, so this equals the max of the
+        # per-row differences bitwise
+        reads = np.maximum.reduceat(w0 @ psi.T, starts, axis=-1)  # (..., G)
+        moves = params.beta * (w1 @ codebook.vectors[alphas - 1].T)  # (..., G)
+        return np.maximum(params.delta1, (reads - moves).max(axis=-1))
     if mode != "oracle":
         raise OutOfRange(f"unknown loss mode {mode!r}")
     if w.ndim == 1:
@@ -400,6 +426,25 @@ def loss_gd(w, sample, params, codebook, mode="oracle"):
         + _l3_gd(w, params, codebook, mode)
         + _l4_gd(w, params, codebook)
     )
+
+
+def empirical_loss_gd(w, dataset, params, codebook, mode="oracle"):
+    """Mean loss over the training set at w; w may be a batch (B, d).
+
+    Terms 3 and 4 are evaluated once for all samples.  Each sample's value
+    keeps loss_gd's summation order and the samples are accumulated in
+    dataset order, so the result equals the mean of loss_gd bitwise.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    l3 = _l3_gd(w, params, codebook, mode)
+    l4 = _l4_gd(w, params, codebook)
+    total = 0.0
+    for mask, slot in zip(dataset.masks, dataset.slots):
+        total = total + (
+            _l1_gd(w, mask, params, codebook) + _l2_gd(w, mask, slot, params)
+            + l3 + l4
+        )
+    return total / dataset.n
 
 
 def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):

@@ -523,15 +523,20 @@ def loss_sgd(w, mask, params, codebook, mode="oracle"):
 def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     """Loss of many samples at one fixed w; returns shape (B,).
 
-    The candidate table of the prefix-shift term is sample-independent
-    except for its per-k coupling to the sample codepoint, so the table is
-    built once and only the coupling column varies across samples.
+    At inclusion probability 1/(4n^2) a Monte-Carlo chunk holds few
+    distinct masks (most of them empty), so each distinct mask is evaluated
+    once and gathered back into sample order; rows are computed
+    independently, so this equals the row-by-row evaluation bitwise.  The
+    candidate table of the prefix-shift term is mask-independent except for
+    its per-k coupling to the sample codepoint, so the table is built once
+    and only the coupling column varies across masks.
     """
     w = np.asarray(w, dtype=np.float64)
-    masks = np.asarray(masks, dtype=np.int64)
+    masks, inverse = np.unique(np.asarray(masks, dtype=np.int64),
+                               return_inverse=True)
     n, nd = params.n, params.n_directions
 
-    # term 1 per sample
+    # term 1 per mask
     blocks = _step_blocks(w, params)
     proj = codebook.vectors @ blocks.T  # (N, n)
     member = (masks[:, None] >> np.arange(nd)[None, :] & 1).astype(bool)
@@ -539,7 +544,7 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     h = np.maximum(params.l1_floor, inner[:, 1:])
     l1 = np.sqrt((h * h).sum(axis=1))
 
-    # term 3 per sample
+    # term 3 per mask
     m_mod = subset_count(nd)
     angle = TWO_PI * (masks / m_mod)
     first_block = params.layout.encoding(w)[0:2]
@@ -549,7 +554,7 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
 
     # term 2: sample-free part of each k-column, then the coupling
     if n == 1:
-        return l1 + params.delta1 + l3
+        return (l1 + params.delta1 + l3)[inverse]
     if mode == "oracle":
         info = _l2_decode_info(w, params)
         table = _l2_table_point(w, 0, params, codebook, info)  # mask 0: no coupling yet
@@ -557,7 +562,7 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
         table = _reference_point_table(w, params, codebook)
     else:
         raise OutOfRange(f"unknown loss mode {mode!r}")
-    # undo the mask-0 coupling folded into the table, then add per-sample ones
+    # undo the mask-0 coupling folded into the table, then add per-mask ones
     point0 = circle_point(0, nd)
     couple = np.empty((len(masks), n - 1))
     for k in range(1, n):
@@ -569,7 +574,7 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
         ) - couple0
     col_best = table.max(axis=0)  # (n-1,) over directions
     l2 = np.maximum(params.delta1, (col_best[None, :] + couple).max(axis=1))
-    return l1 + l2 + l3
+    return (l1 + l2 + l3)[inverse]
 
 
 def _reference_point_table(w, params, codebook):

@@ -195,7 +195,12 @@ def verify_trajectory_preservation(codebook, dataset, params, cfg, steps=None,
     family's good event; raises EventViolated otherwise.
     """
     from . import verify as _verify
-    from .instance_gd import GdParams, good_event_gd, grad_gd_batch, loss_gd
+    from .instance_gd import (
+        GdParams,
+        empirical_loss_gd,
+        good_event_gd,
+        grad_gd_batch,
+    )
     from .instance_sgd import SgdParams, good_event_sgd, grad_sgd, loss_sgd
     from .instance_smallstep import (
         SmallstepParams,
@@ -216,13 +221,8 @@ def verify_trajectory_preservation(codebook, dataset, params, cfg, steps=None,
         }
 
         def loss_at(t):
-            def f(w):
-                total = 0.0
-                for s in zip(dataset.masks, dataset.slots):
-                    total = total + loss_gd(w, s, params, codebook, mode=mode)
-                return total / dataset.n
-
-            return f
+            return lambda w: empirical_loss_gd(w, dataset, params, codebook,
+                                               mode=mode)
 
         def grad_at(t, w):
             return grad_gd_batch(w, dataset, params, codebook, mode=mode)

@@ -6,6 +6,7 @@ import pytest
 
 from gengap.cli import main
 from gengap.codebook import load_codebook
+from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
 
 _GD_TINY = [
     "--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
@@ -77,6 +78,19 @@ def test_gd_run_artifacts_record_the_event_policy(tmp_path):
     table = (tmp_path / "gd-risk.csv").read_text().splitlines()
     assert table[0].startswith("seed,family,suffix_length,")
     assert len(table) == 3  # header + one row per requested suffix length
+
+
+def test_gd_rejection_run_draws_the_library_dataset(tmp_path):
+    # seed 0 of this instance is rejected three times before the event holds
+    want, rejections = draw_gd_dataset(GdParams(2, 4, 8, dprime=8), 0,
+                                       policy="reject-until-E")
+    assert rejections > 0
+    code = main(["run", *_GD_TINY, "--policy", "reject-until-E",
+                 "--seeds", "0", "--mc-samples", "200", "--out", str(tmp_path)])
+    assert code == 0
+    assert GdDataset.load(tmp_path / "gd-s0-dataset.json") == want
+    report = json.loads((tmp_path / "gd-s0-verify.json").read_text())
+    assert report["rejections"] == rejections
 
 
 def test_verify_subcommand_reads_back_a_checkpoint(tmp_path, capsys):

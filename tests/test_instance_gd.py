@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gengap.acceptance import _smooth_gd_setup
 from gengap.codebook import generate_codebook
 from gengap.encoding import margin_eps
 from gengap.errors import (
@@ -17,6 +18,9 @@ from gengap.errors import (
 from gengap.instance_gd import (
     GdDataset,
     GdParams,
+    _l3_gd,
+    _reference_table_gd,
+    empirical_loss_gd,
     good_event_gd,
     grad_gd,
     grad_gd_batch,
@@ -26,6 +30,7 @@ from gengap.instance_gd import (
     theorem_step_size,
 )
 from gengap.optim import run_gd
+from gengap.smoothing import CHUNK, ball_sample
 from gengap.verify import expected_gd_iterate
 
 
@@ -119,6 +124,38 @@ def test_loss_many_samples_matches_singles(small):
     for mk, sl, val in zip(masks, slots, vals):
         assert math.isclose(loss_gd(w, (int(mk), int(sl)), params, codebook),
                             val, rel_tol=1e-12)
+
+
+def test_grouped_reference_readout_equals_the_ungrouped_max():
+    # the grouped form takes narrower matrix products than this one, so a
+    # BLAS that rounded them differently would show up here
+    params, codebook, _, _, points, _ = _smooth_gd_setup()
+    psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
+    u_alpha = codebook.vectors[alpha_idx - 1]
+    rng = np.random.default_rng(5)
+    lay = params.layout
+    for point in points:
+        batch = point + params.smoothing_delta * ball_sample(params.dim, rng,
+                                                             size=CHUNK)
+        vals = lay.encoding(batch) @ psi.T
+        vals -= params.beta * (lay.block(batch, 1) @ u_alpha.T)
+        want = np.maximum(params.delta1, vals.max(axis=-1))
+        assert np.array_equal(_l3_gd(batch, params, codebook, "reference"), want)
+
+
+@pytest.mark.parametrize("mode", ["oracle", "reference"])
+def test_empirical_loss_equals_the_per_sample_sum(small, mode):
+    params, codebook, dataset = small
+    traj = run_gd(codebook, dataset, params)
+    rng = np.random.default_rng(3)
+    batch = traj.iterate(5) + 1e-6 * rng.normal(size=(16, params.dim))
+    for w in [traj.iterate(t) for t in range(1, params.steps + 1)] + [batch]:
+        total = 0.0
+        for sample in zip(dataset.masks, dataset.slots):
+            total = total + loss_gd(w, sample, params, codebook, mode=mode)
+        want = total / dataset.n
+        got = empirical_loss_gd(w, dataset, params, codebook, mode=mode)
+        assert np.array_equal(got, want)
 
 
 def test_gradient_is_a_subgradient_and_bounded(small):

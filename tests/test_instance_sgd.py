@@ -129,6 +129,28 @@ def test_loss_many_samples_matches_singles(small):
                             rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["oracle", "reference"])
+def test_loss_samples_with_repeated_masks_equal_row_by_row(mode):
+    params = SgdParams(3, 3, dprime=8)
+    codebook = generate_codebook(3, 8, seed=9)
+    dataset = SgdDataset(masks=(0b110, 0b100, 0b000), seed=0)
+    w = run_sgd(codebook, dataset, params).iterate(2)
+    masks = np.array([0, 5, 0, 0, 7, 5, 2, 0, 7, 1], dtype=np.int64)
+    vals = loss_sgd_samples(w, masks, params, codebook, mode=mode)
+    rows = np.concatenate([
+        loss_sgd_samples(w, masks[i:i + 1], params, codebook, mode=mode)
+        for i in range(len(masks))
+    ])
+    assert np.array_equal(vals, rows)
+
+
+def test_loss_samples_of_no_masks_is_empty(small):
+    params, codebook, _ = small
+    vals = loss_sgd_samples(np.zeros(params.dim), np.array([], dtype=np.int64),
+                            params, codebook)
+    assert vals.shape == (0,)
+
+
 def test_gradient_is_a_subgradient_and_bounded():
     # the exhaustive reference only fits at a tiny scale, which is where
     # arbitrary (non-decodable) probe points can be checked

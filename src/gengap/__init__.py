@@ -55,6 +55,7 @@ from .instance_gd import (
 from .instance_sgd import (
     SgdDataset,
     SgdParams,
+    empirical_loss_sgd,
     event_state_sgd,
     force_good_event_sgd,
     good_event_sgd,
@@ -97,11 +98,11 @@ from .verify import (
     check_norm_bound,
     check_trajectory,
     expected_gd_iterate,
-    expected_gd_suffix,
     expected_gd_update,
+    expected_iterate,
     expected_sgd_iterate,
-    expected_sgd_suffix,
     expected_smallstep_iterate,
+    expected_suffix,
     wilson_interval,
 )
 from .acceptance import run_all, run_suite

@@ -22,7 +22,6 @@ from .encoding import alpha_gd, circle_point
 from .errors import OutOfRange
 from .instance_gd import (
     GdParams,
-    _step_blocks,
     empirical_loss_gd,
     loss_gd,
     grad_gd,
@@ -53,7 +52,7 @@ from .verify import (
     check_margins,
     check_norm_bound,
     check_trajectory,
-    expected_sgd_suffix,
+    expected_suffix,
 )
 
 # ---------------------------------------------------------------------------
@@ -165,10 +164,10 @@ def suite_smallstep_exact():
     traj = run_smallstep(params)
     checks = [Check("dimension is 100", params.dim == 100, str(params.dim))]
 
-    rep = check_trajectory(traj, "smallstep", params, None, None)
+    rep = check_trajectory(traj, params, None, None)
     checks.append(Check("iterates match the round-robin closed form", rep.ok))
 
-    target = min(0.25, 1.0 / (20.0 * params.eta * params.steps))
+    target = params.risk_threshold
     for m in (1, 10, 100):
         val = float(loss_smallstep(suffix_average(traj, m), params))
         checks.append(
@@ -186,7 +185,7 @@ def suite_smallstep_exact():
               top <= bound, f"max {top}")
     )
 
-    margins = check_margins(traj, "smallstep", params)
+    margins = check_margins(traj, params)
     checks.append(Check("argmax margins exceed eta/(8d) at every step", margins.ok))
 
     again = run_smallstep(params)
@@ -201,7 +200,7 @@ def suite_gd_trajectory():
     """Full-batch run matches its closed form step by step."""
     params, codebook, dataset = _gd_big()
     traj = run_gd(codebook, dataset, params)
-    rep = check_trajectory(traj, "gd", params, dataset, codebook)
+    rep = check_trajectory(traj, params, dataset, codebook)
     worst_main = max(r.max_main for r in rep.steps)
     worst_strict = max(r.max_strict for r in rep.steps)
     checks = [
@@ -221,7 +220,7 @@ def suite_gd_trajectory():
         Check("projected and unprojected runs are bitwise identical",
               bool(np.array_equal(traj.iterates, projected.iterates)))
     )
-    margins = check_margins(traj, "gd", params, dataset, codebook)
+    margins = check_margins(traj, params, dataset, codebook)
     checks.append(Check("ratchet argmax margins exceed eta/64 from step 4 on",
                         margins.ok))
     return checks
@@ -242,12 +241,10 @@ def suite_gd_suffix():
     params, codebook, dataset = _gd_big()
     traj = run_gd(codebook, dataset, params)
     u0 = codebook.vectors[alpha_gd(dataset.masks, params.n_directions) - 1]
-    from .verify import expected_gd_suffix
-
     checks = []
     for m in (1, 4, 16, 32):
         s = suffix_average(traj, m)
-        blocks = _step_blocks(s, params)
+        blocks = params.layout.step_blocks(s)
         worst = 0.0
         for k in range(2, params.steps + 1):
             want = _gd_suffix_coefficient(k, m, params)
@@ -257,7 +254,7 @@ def suite_gd_suffix():
                   "times the pinned direction within 1e-9",
                   worst <= 1e-9, f"worst {worst:.2e}")
         )
-        dev = float(np.abs(s - expected_gd_suffix(m, params, dataset, codebook)).max())
+        dev = float(np.abs(s - expected_suffix(m, params, dataset, codebook)).max())
         checks.append(
             Check(f"m={m}: full vector (block 1 and encoding included) matches "
                   "the closed-form window mean within 1e-9",
@@ -328,7 +325,7 @@ def suite_sgd_trajectory():
     """One-pass run matches its closed form and decodes its own prefix."""
     params, codebook, dataset = _sgd_big()
     traj = run_sgd(codebook, dataset, params)
-    rep = check_trajectory(traj, "sgd", params, dataset, codebook)
+    rep = check_trajectory(traj, params, dataset, codebook)
     checks = [
         Check("all steps 2..n are checked", len(rep.steps) == params.n - 1),
         Check("step-scale coordinates match within 1e-9",
@@ -352,7 +349,7 @@ def suite_sgd_trajectory():
     norms = check_norm_bound(traj)
     checks.append(Check("every iterate stays strictly inside the unit ball",
                         norms.ok, f"max norm {norms.max_norm:.4f}"))
-    margins = check_margins(traj, "sgd", params, dataset, codebook)
+    margins = check_margins(traj, params, dataset, codebook)
     checks.append(
         Check("decoded-prefix argmax margins reach eta*eps/(16 n^2) at every "
               "consuming step", margins.ok)
@@ -371,7 +368,7 @@ def suite_sgd_risk():
     for m in range(1, params.n + 1):
         direct = empirical_risk(suffix_average(traj, m), dataset, params, codebook)
         predicted = empirical_risk(
-            expected_sgd_suffix(m, params, dataset, codebook),
+            expected_suffix(m, params, dataset, codebook),
             dataset, params, codebook,
         )
         worst = max(worst, abs(direct - predicted))
@@ -413,7 +410,7 @@ def _smooth_gd_setup():
 
     points = [traj.iterate(t) for t in range(1, 9)]
     points += [suffix_average(traj, m) for m in (2, 3)]
-    return params, codebook, dataset, loss, points, 5.0
+    return params, codebook, dataset, loss, points, params.lipschitz
 
 
 def _smooth_sgd_setup():
@@ -433,7 +430,7 @@ def _smooth_sgd_setup():
     # there; every other point keeps a full occupancy margin
     points = [traj.iterate(t) for t in range(1, 7)]
     points += [suffix_average(traj, m) for m in (3, 4, 5, 6)]
-    return params, codebook, dataset, loss, points, 4.0
+    return params, codebook, dataset, loss, points, params.lipschitz
 
 
 def _smooth_smallstep_setup():
@@ -444,7 +441,7 @@ def _smooth_smallstep_setup():
         return loss_smallstep(w, params)
 
     points = [traj.iterate(t) for t in range(1, 11)]
-    return params, None, None, loss, points, 1.0
+    return params, None, None, loss, points, params.lipschitz
 
 
 def suite_smoothing():
@@ -532,7 +529,7 @@ def suite_properties():
         lambda w: loss_gd(w, gd_sample, gd_params, gd_cb, mode="reference"),
         lambda w: grad_gd(w, gd_sample, gd_params, gd_cb, mode="reference"),
         lambda rng: rng.normal(size=gd_params.dim) * gd_scale,
-        5.0, trials=1_000, seed=4,
+        gd_params.lipschitz, trials=1_000, seed=4,
     )
     checks.append(
         Check("full-batch loss: convex, 5-Lipschitz, subgradient-consistent "
@@ -549,7 +546,7 @@ def suite_properties():
         lambda w: loss_sgd(w, 0b110, sgd_params, sgd_cb, mode="reference"),
         lambda w: grad_sgd(w, 0b110, sgd_params, sgd_cb, mode="reference"),
         lambda rng: rng.normal(size=sgd_params.dim) * sgd_scale,
-        4.0, trials=1_000, seed=4,
+        sgd_params.lipschitz, trials=1_000, seed=4,
     )
     checks.append(
         Check("one-pass loss: convex, 4-Lipschitz, subgradient-consistent "
@@ -563,7 +560,7 @@ def suite_properties():
         lambda w: loss_smallstep(w, ss_params),
         lambda w: grad_smallstep(w, ss_params),
         lambda rng: rng.normal(size=ss_params.dim) * 0.1,
-        1.0, trials=1_000, seed=4,
+        ss_params.lipschitz, trials=1_000, seed=4,
     )
     checks.append(
         Check("deterministic loss: convex, 1-Lipschitz, subgradient-consistent "

@@ -21,7 +21,6 @@ configuration or usage.
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -37,18 +36,17 @@ from .instance_gd import (
     GdDataset,
     GdParams,
     draw_gd_dataset,
-    empirical_loss_gd,
     good_event_gd,
+    theorem_step_size,
 )
 from .instance_sgd import (
     SgdDataset,
     SgdParams,
     force_good_event_sgd,
     good_event_sgd,
-    loss_sgd,
     sample_sgd_dataset,
 )
-from .instance_smallstep import SmallstepParams, loss_smallstep
+from .instance_smallstep import SmallstepParams
 from .optim import load_trajectory, run_gd, run_sgd, run_smallstep, save_trajectory
 from .risk import RiskReport, gap_report
 from .smoothing import SmoothingConfig, smoothed_value
@@ -56,7 +54,6 @@ from .verify import check_margins, check_norm_bound, check_trajectory
 
 FAMILIES = ("gd", "sgd", "smallstep")
 POLICIES = ("unconditioned", "reject-until-E", "force")
-LIPSCHITZ = {"gd": 5.0, "sgd": 4.0, "smallstep": 1.0}
 
 
 def _jsonable(obj):
@@ -168,8 +165,8 @@ class ExperimentConfig:
                 f"got N={self.directions}, n={self.n}"
             )
         if self.eta is not None and self.theorem_mode:
-            horizon = self.steps if self.family == "gd" else self.n
-            cap = 1.0 / (5.0 * math.sqrt(horizon))
+            horizon = dataclasses.replace(self, eta=None).build_params().horizon
+            cap = theorem_step_size(horizon)
             if self.eta > cap * (1.0 + 1e-12):
                 raise OutOfRange(
                     f"theorem mode caps eta at 1/(5*sqrt({horizon})) = {cap:.6g}; "
@@ -307,8 +304,8 @@ def _verify_one(cfg, params, codebook, dataset, traj, event):
     checks_passed = True
     on_event = event is None or bool(event)
     if on_event:
-        rep = check_trajectory(traj, cfg.family, params, dataset, codebook)
-        margins = check_margins(traj, cfg.family, params, dataset, codebook)
+        rep = check_trajectory(traj, params, dataset, codebook)
+        margins = check_margins(traj, params, dataset, codebook)
         payload["trajectory"] = _jsonable(rep)
         payload["margins"] = _jsonable(margins)
         checks_passed &= rep.ok and margins.ok
@@ -322,32 +319,18 @@ def _verify_one(cfg, params, codebook, dataset, traj, event):
     return payload, bool(checks_passed)
 
 
-def _empirical_loss_closure(cfg, params, codebook, dataset):
-    """Batched training-risk closure for smoothing checks."""
-    if cfg.family == "gd":
-        def loss(w):
-            return empirical_loss_gd(w, dataset, params, codebook, mode=cfg.mode)
-    elif cfg.family == "sgd":
-        def loss(w):
-            total = 0.0
-            for mask in dataset.masks:
-                total = total + loss_sgd(w, mask, params, codebook, mode=cfg.mode)
-            return total / dataset.n
-    else:
-        def loss(w):
-            return loss_smallstep(w, params)
-    return loss
-
-
 def _smoothing_check(cfg, params, codebook, dataset, traj):
     """Smoothed training risk at w_T agrees with the plain value."""
-    loss = _empirical_loss_closure(cfg, params, codebook, dataset)
+
+    def loss(w):
+        return params.empirical_loss(w, dataset, codebook, cfg.mode)
+
     w = traj.iterate(traj.steps)
     scfg = SmoothingConfig(params.smoothing_delta, cfg.smoothing_samples,
                            seed=cfg.smoothing_seed)
     val, stderr = smoothed_value(loss, w, scfg)
     plain = float(loss(w))
-    bound = LIPSCHITZ[cfg.family] * scfg.delta + 3.0 * stderr
+    bound = params.lipschitz * scfg.delta + 3.0 * stderr
     ok = abs(val - plain) <= bound
     return {
         "delta": scfg.delta,

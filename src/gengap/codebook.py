@@ -173,8 +173,3 @@ def load_codebook(path):
     vectors = signs * (1.0 / math.sqrt(dim))
     return Codebook(vectors=vectors, dim=dim, seed=int(payload["seed"]))
 
-
-if __name__ == "__main__":
-    cb = generate_codebook(8, seed=1)
-    print(f"generated {cb.n_vectors} directions in R^{cb.dim}, "
-          f"coherence={coherence(cb):.4f}")

@@ -211,3 +211,8 @@ class EncodingLayout:
             raise OutOfRange(f"block {k} not in [1, {self.n_blocks}]")
         lo = self.encoding_dim + self.block_dim * (k - 1)
         return w[..., lo: lo + self.block_dim]
+
+    def step_blocks(self, w):
+        """View of all step blocks as (..., n_blocks, block_dim)."""
+        core = w[..., self.encoding_dim:]
+        return core.reshape(core.shape[:-1] + (self.n_blocks, self.block_dim))

@@ -47,6 +47,7 @@ from .encoding import (
     encode_gd,
     full_mask,
     margin_eps,
+    mask_members,
     subset_count,
 )
 from .errors import (
@@ -62,9 +63,25 @@ REFERENCE_BUDGET = 100_000
 L1_FLOOR_COEF = 3.0 / 32.0  # the per-block hinge floor is (3/32) * eta
 
 
-def theorem_step_size(steps):
-    """Step size the guarantees are stated for: eta = 1/(5*sqrt(T))."""
-    return 1.0 / (5.0 * math.sqrt(steps))
+def theorem_step_size(horizon):
+    """Step size the guarantees are stated for: eta = 1/(5*sqrt(horizon))."""
+    return 1.0 / (5.0 * math.sqrt(horizon))
+
+
+def _fill_defaults(params):
+    """Default eta to theorem_step_size(horizon), warning when a given eta
+    exceeds it, and dprime to default_dim(n_directions)."""
+    cap = theorem_step_size(params.horizon)
+    if params.eta is None:
+        object.__setattr__(params, "eta", cap)
+    elif params.eta > cap * (1 + 1e-12):
+        warnings.warn(
+            f"eta={params.eta:.4g} exceeds 1/(5*sqrt({params.horizon}))={cap:.4g}; "
+            "closed-form trajectory guarantees need the smaller step",
+            stacklevel=4,
+        )
+    if params.dprime is None:
+        object.__setattr__(params, "dprime", default_dim(params.n_directions))
 
 
 @dataclass(frozen=True)
@@ -93,29 +110,28 @@ class GdParams:
     eta: float = None
     dprime: int = None
 
+    family = "gd"
+    lipschitz = 5.0
+
     def __post_init__(self):
         if self.n < 1 or self.steps < 2 or self.n_directions < 1:
             raise OutOfRange(
                 f"need n >= 1, steps >= 2, n_directions >= 1; got "
                 f"n={self.n}, steps={self.steps}, n_directions={self.n_directions}"
             )
-        if self.eta is None:
-            object.__setattr__(self, "eta", theorem_step_size(self.steps))
-        elif self.eta > theorem_step_size(self.steps) * (1 + 1e-12):
-            warnings.warn(
-                f"eta={self.eta:.4g} exceeds 1/(5*sqrt(T))={theorem_step_size(self.steps):.4g}; "
-                "closed-form trajectory guarantees need the smaller step",
-                stacklevel=2,
-            )
-        if self.dprime is None:
-            object.__setattr__(self, "dprime", default_dim(self.n_directions))
+        _fill_defaults(self)
+
+    @property
+    def horizon(self):
+        """Iterate count of the step-size rule and the closed forms: T."""
+        return self.steps
 
     @property
     def layout(self):
         return EncodingLayout(
             encoding_dim=2 * self.n * self.n,
             block_dim=self.dprime,
-            n_blocks=self.steps,
+            n_blocks=self.horizon,
         )
 
     @property
@@ -149,12 +165,47 @@ class GdParams:
 
     @property
     def l1_floor(self):
+        """Floor of the per-block hinge term: (3/32) * eta."""
         return L1_FLOOR_COEF * self.eta
 
     @property
     def codepoint_magnitude(self):
         """Norm of one slot block of the on-trajectory iterate: eta/n."""
         return self.eta / self.n
+
+    @property
+    def gap_targets(self):
+        """Designed excess-risk targets: (name, target, RiskReport field)."""
+        a = self.eta * math.sqrt(self.steps)
+        return (
+            ("population-excess-last-iterate", a / 128.0, "excess_population"),
+            ("population-excess-any-suffix", a / 3200.0, "excess_population"),
+        )
+
+    def draw_samples(self, rng, count):
+        """The sampling law: (masks, slots) of count independent samples,
+        each a uniform subset of the N directions (every direction included
+        with probability 1/2) and a uniform slot in [n^2]."""
+        masks = rng.integers(0, subset_count(self.n_directions), size=count,
+                             dtype=np.int64)
+        return masks, rng.integers(1, self.n * self.n + 1, size=count)
+
+    def sample_losses(self, w, samples, codebook, mode):
+        """Loss of each sample of a (masks, slots) pair at one point w."""
+        masks, slots = samples
+        return loss_gd_samples(w, masks, slots, self, codebook, mode=mode)
+
+    def empirical_loss(self, w, dataset, codebook, mode):
+        """Training risk at w; w may be a batch (B, d)."""
+        return empirical_loss_gd(w, dataset, self, codebook, mode=mode)
+
+    def step_grad(self, w, t, dataset, codebook, mode):
+        """The full-batch step's gradient (the same at every step t)."""
+        return grad_gd_batch(w, dataset, self, codebook, mode)
+
+    def step_loss(self, t, dataset, codebook, mode):
+        """The loss whose subgradient step_grad takes: the training risk."""
+        return lambda w: self.empirical_loss(w, dataset, codebook, mode)
 
 
 @dataclass(frozen=True)
@@ -168,6 +219,11 @@ class GdDataset:
     @property
     def n(self):
         return len(self.masks)
+
+    @property
+    def samples(self):
+        """The training set as a GdParams.sample_losses (masks, slots) pair."""
+        return self.masks, self.slots
 
     def to_json(self):
         return {
@@ -201,22 +257,19 @@ class GdDataset:
 def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
     """Draw a training set from the GD hard distribution: (dataset, rejections).
 
-    Each sample is an independent uniform subset of the N directions (every
-    direction included with probability 1/2) paired with a uniform slot in
-    [n^2].  With policy="reject-until-E" whole datasets are redrawn from
-    the same stream until the good event holds (union of the subsets misses
-    at least one direction AND all slots are distinct); rejections counts
-    the discarded draws.
+    The samples follow GdParams.draw_samples.  With
+    policy="reject-until-E" whole datasets are redrawn from the same stream
+    until the good event holds (union of the subsets misses at least one
+    direction AND all slots are distinct); rejections counts the discarded
+    draws.
     """
     if policy not in ("unconditioned", "reject-until-E"):
         raise OutOfRange(f"unknown sampling policy {policy!r}")
     rng = np.random.default_rng(seed)
-    m = subset_count(params.n_directions)
-    n_slots = params.n * params.n
     for rejections in range(max_tries):
-        masks = tuple(int(v) for v in rng.integers(0, m, size=params.n, dtype=np.int64))
-        slots = tuple(int(s) for s in rng.integers(1, n_slots + 1, size=params.n))
-        ds = GdDataset(masks=masks, slots=slots, seed=int(seed))
+        masks, slots = params.draw_samples(rng, params.n)
+        ds = GdDataset(masks=tuple(int(v) for v in masks),
+                       slots=tuple(int(s) for s in slots), seed=int(seed))
         if policy == "unconditioned" or good_event_gd(ds, params):
             return ds, rejections
     raise AttemptsExhausted(
@@ -268,30 +321,56 @@ def good_event_gd(dataset, params):
 # ---------------------------------------------------------------------------
 
 
-def _step_blocks(w, params):
-    """View of the step blocks as (..., T, dprime)."""
-    lay = params.layout
-    core = w[..., lay.encoding_dim:]
-    return core.reshape(core.shape[:-1] + (params.steps, params.dprime))
+def hinge_term(w, mask, params, codebook):
+    """Term 1, shared by the full-batch and one-pass families.
 
-
-def _member_rows(mask, n_directions):
-    """0-based codebook rows present in the mask."""
-    return [r for r in range(n_directions) if mask >> r & 1]
-
-
-def _l1_gd(w, mask, params, codebook):
-    blocks = _step_blocks(w, params)  # (..., T, dprime)
-    rows = _member_rows(mask, params.n_directions)
-    floor = params.l1_floor
+    The L2 norm over step blocks k >= 2 of max(floor, max over the mask's
+    directions u of <u, w^(k)>); w may be a batch of rows.
+    """
+    blocks = params.layout.step_blocks(w)  # (..., T, dprime)
+    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
     if rows:
         # inner products of every member direction with every step block
         vals = blocks @ codebook.vectors[rows].T  # (..., T, |V|)
         inner = vals.max(axis=-1)
     else:
         inner = np.full(blocks.shape[:-1], -np.inf)
-    h = np.maximum(floor, inner[..., 1:])  # blocks k = 2..T
+    h = np.maximum(params.l1_floor, inner[..., 1:])  # blocks k = 2..T
     return np.sqrt((h * h).sum(axis=-1))
+
+
+def hinge_terms(w, masks, params, codebook):
+    """hinge_term of every mask of an int64 array at one point w, shape (B,)."""
+    blocks = params.layout.step_blocks(w)  # (T, dprime)
+    proj = codebook.vectors @ blocks.T  # (N, T)
+    member = (
+        masks[:, None] >> np.arange(params.n_directions)[None, :] & 1
+    ).astype(bool)  # (B, N)
+    inner = np.where(member[:, :, None], proj[None, :, :], -np.inf).max(axis=1)
+    h = np.maximum(params.l1_floor, inner[:, 1:])
+    return np.sqrt((h * h).sum(axis=1))
+
+
+def add_hinge_grad(g, w, mask, params, codebook):
+    """Add hinge_term's subgradient at a single point w into g.
+
+    Each block above its floor gets its argmax direction, weighted by the
+    block's share of the norm; ties go to the lowest codebook index.
+    """
+    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
+    if not rows:
+        return
+    lay = params.layout
+    vals = lay.step_blocks(w) @ codebook.vectors[rows].T  # (T, |V|)
+    inner = vals.max(axis=1)
+    floor = params.l1_floor
+    h = np.maximum(floor, inner[1:])
+    l1 = math.sqrt(float((h * h).sum()))
+    if l1 > 0.0:
+        for k in range(2, lay.n_blocks + 1):
+            if inner[k - 1] > floor:
+                star = rows[int(np.argmax(vals[k - 1]))]
+                lay.block(g, k)[:] += (h[k - 2] / l1) * codebook.vectors[star]
 
 
 def _l2_gd(w, mask, slot, params):
@@ -303,7 +382,7 @@ def _l2_gd(w, mask, slot, params):
 
 def _l4_candidates(w, params, codebook):
     """Ratchet candidates (3/8)<u,w^(k)> - (1/2)<u,w^(k+1)>, shape (..., N, T-1)."""
-    blocks = _step_blocks(w, params)
+    blocks = params.layout.step_blocks(w)
     proj = blocks @ codebook.vectors.T  # (..., T, N)
     proj = np.swapaxes(proj, -1, -2)  # (..., N, T)
     return 0.375 * proj[..., :-1] - 0.5 * proj[..., 1:]
@@ -421,7 +500,7 @@ def loss_gd(w, sample, params, codebook, mode="oracle"):
     mask, slot = sample
     w = np.asarray(w, dtype=np.float64)
     return (
-        _l1_gd(w, mask, params, codebook)
+        hinge_term(w, mask, params, codebook)
         + _l2_gd(w, mask, slot, params)
         + _l3_gd(w, params, codebook, mode)
         + _l4_gd(w, params, codebook)
@@ -441,7 +520,7 @@ def empirical_loss_gd(w, dataset, params, codebook, mode="oracle"):
     total = 0.0
     for mask, slot in zip(dataset.masks, dataset.slots):
         total = total + (
-            _l1_gd(w, mask, params, codebook) + _l2_gd(w, mask, slot, params)
+            hinge_term(w, mask, params, codebook) + _l2_gd(w, mask, slot, params)
             + l3 + l4
         )
     return total / dataset.n
@@ -461,15 +540,7 @@ def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
         _l4_gd(w, params, codebook)
     )
 
-    # term 1 for every mask: masked max over the direction/block products
-    blocks = _step_blocks(w, params)  # (T, dprime)
-    proj = codebook.vectors @ blocks.T  # (N, T)
-    member = (
-        masks[:, None] >> np.arange(params.n_directions)[None, :] & 1
-    ).astype(bool)  # (B, N)
-    inner = np.where(member[:, :, None], proj[None, :, :], -np.inf).max(axis=1)
-    h = np.maximum(params.l1_floor, inner[:, 1:])
-    l1 = np.sqrt((h * h).sum(axis=1))
+    l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
 
     # term 2: minus the slot block read off at each sample's codepoint
     lay = params.layout
@@ -497,18 +568,7 @@ def grad_gd(w, sample, params, codebook, mode="oracle"):
     g = np.zeros_like(w)
 
     # term 1: weighted argmax directions where the hinge is above floor
-    rows = _member_rows(mask, params.n_directions)
-    if rows:
-        blocks = _step_blocks(w, params)
-        vals = blocks @ codebook.vectors[rows].T  # (T, |V|)
-        inner = vals.max(axis=1)
-        h = np.maximum(params.l1_floor, inner[1:])
-        l1 = math.sqrt(float((h * h).sum()))
-        if l1 > 0.0:
-            for k in range(2, params.steps + 1):
-                if inner[k - 1] > params.l1_floor:
-                    star = rows[int(np.argmax(vals[k - 1]))]
-                    lay.block(g, k)[:] += (h[k - 2] / l1) * codebook.vectors[star]
+    add_hinge_grad(g, w, mask, params, codebook)
 
     # term 2: linear
     lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_point(

@@ -36,22 +36,18 @@ block index.
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .codebook import default_dim
 from .encoding import (
     TWO_PI,
-    EncodingLayout,
     alpha_sgd,
     circle_point,
     decode_blocks,
     encode_sgd,
     full_mask,
-    margin_eps,
     subset_count,
 )
 from .errors import (
@@ -61,11 +57,15 @@ from .errors import (
     OutOfRange,
     ReferenceTooLarge,
 )
-from .instance_gd import EventReport
-
-REFERENCE_BUDGET = 100_000
-
-L1_FLOOR_COEF = 3.0 / 32.0
+from .instance_gd import (
+    REFERENCE_BUDGET,
+    EventReport,
+    GdParams,
+    _fill_defaults,
+    add_hinge_grad,
+    hinge_term,
+    hinge_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ class SgdParams:
     Parameters
     ----------
     n : int
-        Training-set size; the run makes n-1 updates producing w_1 .. w_n.
+        Training-set size, at least 2; the run makes n-1 updates producing
+        w_1 .. w_n.
     n_directions : int
         Codebook size N.
     eta : float, optional
@@ -89,43 +90,33 @@ class SgdParams:
     eta: float = None
     dprime: int = None
 
+    family = "sgd"
+    lipschitz = 4.0
+
+    # the encoding layout and the hinge floor are the full-batch family's
+    layout = GdParams.layout
+    dim = GdParams.dim
+    eps = GdParams.eps
+    l1_floor = GdParams.l1_floor
+
     def __post_init__(self):
-        if self.n < 1 or self.n_directions < 1:
+        # a one-sample pass makes no update
+        if self.n < 2 or self.n_directions < 1:
             raise OutOfRange(
-                f"need n >= 1 and n_directions >= 1; got "
+                f"need n >= 2 and n_directions >= 1; got "
                 f"n={self.n}, n_directions={self.n_directions}"
             )
-        if self.eta is None:
-            object.__setattr__(self, "eta", 1.0 / (5.0 * math.sqrt(self.n)))
-        elif self.eta > (1.0 / (5.0 * math.sqrt(self.n))) * (1 + 1e-12):
-            warnings.warn(
-                f"eta={self.eta:.4g} exceeds 1/(5*sqrt(n)); closed-form "
-                "trajectory guarantees need the smaller step",
-                stacklevel=2,
-            )
-        if self.dprime is None:
-            object.__setattr__(self, "dprime", default_dim(self.n_directions))
+        _fill_defaults(self)
 
     @property
-    def layout(self):
-        return EncodingLayout(
-            encoding_dim=2 * self.n * self.n,
-            block_dim=self.dprime,
-            n_blocks=self.n,
-        )
-
-    @property
-    def dim(self):
-        return self.layout.total_dim
+    def horizon(self):
+        """Iterate count of the step-size rule and the closed forms: n."""
+        return self.n
 
     @property
     def inclusion_probability(self):
         """Per-direction sampling probability: 1/(4 n^2)."""
         return 1.0 / (4.0 * self.n * self.n)
-
-    @property
-    def eps(self):
-        return margin_eps(self.n, self.n_directions)
 
     @property
     def delta1(self):
@@ -138,13 +129,15 @@ class SgdParams:
         return self.eta * self.eps / (32.0 * self.n**3)
 
     @property
-    def l1_floor(self):
-        return L1_FLOOR_COEF * self.eta
-
-    @property
     def group_codepoint_magnitude(self):
         """Norm of one occupied position block on trajectory: eta/(4 n^2)."""
         return self.eta / (4.0 * self.n * self.n)
+
+    @property
+    def gap_targets(self):
+        """Designed excess-risk target: (name, target, RiskReport field)."""
+        a = self.eta * math.sqrt(self.n) / 64000.0
+        return (("empirical-excess-any-suffix", a, "excess_empirical"),)
 
     def group(self, w, r):
         """View of encoding group r (1-based), a 2n-dim slice of w."""
@@ -152,6 +145,34 @@ class SgdParams:
             raise OutOfRange(f"group {r} not in [1, {self.n}]")
         lo = 2 * self.n * (r - 1)
         return w[..., lo: lo + 2 * self.n]
+
+    def draw_samples(self, rng, count):
+        """The sampling law: int64 masks of count independent subsets, each
+        direction included with probability 1/(4 n^2)."""
+        bits = rng.random((count, self.n_directions)) < self.inclusion_probability
+        return bits @ (np.int64(1) << np.arange(self.n_directions, dtype=np.int64))
+
+    def sample_losses(self, w, samples, codebook, mode):
+        """Loss of each sample of a masks sequence at one point w."""
+        return loss_sgd_samples(w, samples, self, codebook, mode=mode)
+
+    def empirical_loss(self, w, dataset, codebook, mode):
+        """Training risk at w; w may be a batch (B, d)."""
+        return empirical_loss_sgd(w, dataset, self, codebook, mode=mode)
+
+    def step_sample(self, t, dataset):
+        """The mask step t consumes; the final iterate, which consumes none,
+        is paired with the last sample."""
+        return dataset.masks[min(t, dataset.n) - 1]
+
+    def step_grad(self, w, t, dataset, codebook, mode):
+        """The one-pass step's gradient: the loss of the sample step t consumes."""
+        return grad_sgd(w, self.step_sample(t, dataset), self, codebook, mode)
+
+    def step_loss(self, t, dataset, codebook, mode):
+        """The loss whose subgradient step_grad takes."""
+        mask = self.step_sample(t, dataset)
+        return lambda w: loss_sgd(w, mask, self, codebook, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -164,6 +185,11 @@ class SgdDataset:
     @property
     def n(self):
         return len(self.masks)
+
+    @property
+    def samples(self):
+        """The training set as a SgdParams.sample_losses masks sequence."""
+        return self.masks
 
     def to_json(self):
         return {"seed": self.seed, "n": self.n, "masks": [int(m) for m in self.masks]}
@@ -183,12 +209,10 @@ class SgdDataset:
 
 
 def sample_sgd_dataset(params, seed):
-    """Draw n subsets, each direction included with probability 1/(4 n^2)."""
-    rng = np.random.default_rng(seed)
-    p = params.inclusion_probability
-    bits = rng.random((params.n, params.n_directions)) < p
-    masks = tuple(int(sum(1 << r for r in range(params.n_directions) if row[r])) for row in bits)
-    return SgdDataset(masks=masks, seed=int(seed))
+    """Draw n subsets, each direction included with probability 1/(4 n^2)
+    (SgdParams.draw_samples)."""
+    masks = params.draw_samples(np.random.default_rng(seed), params.n)
+    return SgdDataset(masks=tuple(int(m) for m in masks), seed=int(seed))
 
 
 def force_good_event_sgd(params, seed, max_tries=1000):
@@ -286,28 +310,6 @@ def good_event_sgd(dataset, params):
 # ---------------------------------------------------------------------------
 
 
-def _step_blocks(w, params):
-    lay = params.layout
-    core = w[..., lay.encoding_dim:]
-    return core.reshape(core.shape[:-1] + (params.n, params.dprime))
-
-
-def _member_rows(mask, n_directions):
-    return [r for r in range(n_directions) if mask >> r & 1]
-
-
-def _l1_sgd(w, mask, params, codebook):
-    blocks = _step_blocks(w, params)
-    rows = _member_rows(mask, params.n_directions)
-    if rows:
-        vals = blocks @ codebook.vectors[rows].T
-        inner = vals.max(axis=-1)
-    else:
-        inner = np.full(blocks.shape[:-1], -np.inf)
-    h = np.maximum(params.l1_floor, inner[..., 1:])  # blocks 2..n
-    return np.sqrt((h * h).sum(axis=-1))
-
-
 def _l3_sgd(w, mask, params, codebook):
     lay = params.layout
     point = circle_point(mask, params.n_directions)
@@ -352,7 +354,7 @@ def _l2_decode_info(w, params):
 def _l2_table_point(w, mask, params, codebook, info):
     """Candidate values over (direction, k) for a single point, shape (N, n-1)."""
     n = params.n
-    blocks = _step_blocks(w, params)  # (n, dprime)
+    blocks = params.layout.step_blocks(w)  # (n, dprime)
     proj = blocks @ codebook.vectors.T  # (n, N)
     point = circle_point(mask, params.n_directions)
     table = np.empty((params.n_directions, n - 1))
@@ -381,7 +383,7 @@ def _l2_values_batch(w2, mask, params, codebook):
     b = w2.shape[0]
     m_mod = subset_count(nd)
     exp = params.group_codepoint_magnitude
-    blocks = _step_blocks(w2, params)
+    blocks = params.layout.step_blocks(w2)
     proj = blocks @ codebook.vectors.T  # (B, n, N)
     groups = params.layout.encoding(w2).reshape(b, n, n, 2)
     norms = np.hypot(groups[..., 0], groups[..., 1])  # (B, group, position)
@@ -391,8 +393,6 @@ def _l2_values_batch(w2, mask, params, codebook):
     codes = np.round(angles / TWO_PI * m_mod).astype(np.int64) % m_mod
     point = circle_point(mask, nd)
 
-    if n == 1:
-        return np.full(b, params.delta1)
     best = np.full(b, -np.inf)
     for k in range(1, n):
         gk = groups[:, k - 1]
@@ -463,13 +463,9 @@ def _l2_reference(w, mask, params, codebook, return_argmax=False):
     """
     n, nd = params.n, params.n_directions
     tables = _reference_tables_sgd(n, nd)
-    blocks = _step_blocks(w, params)
+    blocks = params.layout.step_blocks(w)
     proj = blocks @ codebook.vectors.T  # (..., n, N)
     point = circle_point(mask, nd)
-    if n == 1:
-        val = np.maximum(params.delta1, np.full(w.shape[:-1], -np.inf))
-        return (val, None) if return_argmax else val
-
     per_k_best = []
     per_k_row = []
     for k in range(1, n):
@@ -501,23 +497,31 @@ def _l2_reference(w, mask, params, codebook, return_argmax=False):
 def loss_sgd(w, mask, params, codebook, mode="oracle"):
     """Loss of one sample (a subset mask) at w; w may be a batch (B, d)."""
     w = np.asarray(w, dtype=np.float64)
-    l1 = _l1_sgd(w, mask, params, codebook)
+    l1 = hinge_term(w, mask, params, codebook)
     l3 = _l3_sgd(w, mask, params, codebook)
     if mode == "reference":
         l2 = _l2_reference(w, mask, params, codebook)
     elif mode == "oracle":
         if w.ndim == 1:
-            if params.n == 1:
-                l2 = params.delta1
-            else:
-                info = _l2_decode_info(w, params)
-                table = _l2_table_point(w, mask, params, codebook, info)
-                l2 = max(params.delta1, float(table.max()))
+            info = _l2_decode_info(w, params)
+            table = _l2_table_point(w, mask, params, codebook, info)
+            l2 = max(params.delta1, float(table.max()))
         else:
             l2 = _l2_values_batch(w, mask, params, codebook)
     else:
         raise OutOfRange(f"unknown loss mode {mode!r}")
     return l1 + l2 + l3
+
+
+def empirical_loss_sgd(w, dataset, params, codebook, mode="oracle"):
+    """Mean loss over the training set at w; w may be a batch (B, d).
+
+    Samples are accumulated in dataset order.
+    """
+    total = 0.0
+    for mask in dataset.masks:
+        total = total + loss_sgd(w, mask, params, codebook, mode=mode)
+    return total / dataset.n
 
 
 def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
@@ -536,13 +540,7 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
                                return_inverse=True)
     n, nd = params.n, params.n_directions
 
-    # term 1 per mask
-    blocks = _step_blocks(w, params)
-    proj = codebook.vectors @ blocks.T  # (N, n)
-    member = (masks[:, None] >> np.arange(nd)[None, :] & 1).astype(bool)
-    inner = np.where(member[:, :, None], proj[None, :, :], -np.inf).max(axis=1)
-    h = np.maximum(params.l1_floor, inner[:, 1:])
-    l1 = np.sqrt((h * h).sum(axis=1))
+    l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
 
     # term 3 per mask
     m_mod = subset_count(nd)
@@ -553,8 +551,6 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     ) - float(params.layout.block(w, 1) @ codebook.vectors[0]) / n**3
 
     # term 2: sample-free part of each k-column, then the coupling
-    if n == 1:
-        return (l1 + params.delta1 + l3)[inverse]
     if mode == "oracle":
         info = _l2_decode_info(w, params)
         table = _l2_table_point(w, 0, params, codebook, info)  # mask 0: no coupling yet
@@ -581,7 +577,7 @@ def _reference_point_table(w, params, codebook):
     """(N, n-1) reference-mode candidate table at a single point (mask 0)."""
     n = params.n
     tables = _reference_tables_sgd(n, params.n_directions)
-    blocks = _step_blocks(w, params)
+    blocks = params.layout.step_blocks(w)
     proj = blocks @ codebook.vectors.T
     point0 = circle_point(0, params.n_directions)
     out = np.empty((params.n_directions, n - 1))
@@ -611,42 +607,30 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
     g = np.zeros_like(w)
 
     # term 1
-    rows = _member_rows(mask, nd)
-    if rows:
-        blocks = _step_blocks(w, params)
-        vals = blocks @ codebook.vectors[rows].T
-        inner = vals.max(axis=1)
-        h = np.maximum(params.l1_floor, inner[1:])
-        l1 = math.sqrt(float((h * h).sum()))
-        if l1 > 0.0:
-            for k in range(2, n + 1):
-                if inner[k - 1] > params.l1_floor:
-                    star = rows[int(np.argmax(vals[k - 1]))]
-                    lay.block(g, k)[:] += (h[k - 2] / l1) * codebook.vectors[star]
+    add_hinge_grad(g, w, mask, params, codebook)
 
     # term 2
-    if n > 1:
-        if mode == "oracle":
-            info = _l2_decode_info(w, params)
-            table = _l2_table_point(w, mask, params, codebook, info)
-            flat = int(np.argmax(table))
-            u_star, k_star = divmod(flat, n - 1)
-            k = k_star + 1
-            if table[u_star, k_star] > params.delta1:
-                psi, _, alpha = info[k_star]
-                _apply_l2_grad(g, k, u_star, alpha, psi, mask, params, codebook)
-        elif mode == "reference":
-            val, argmax = _l2_reference(w, mask, params, codebook, return_argmax=True)
-            k, u_idx, row = argmax
-            tables = _reference_tables_sgd(n, nd)
-            rows_k, alphas_k = tables[k - 1]
-            if float(val) > params.delta1:
-                _apply_l2_grad(
-                    g, k, u_idx - 1, int(alphas_k[row]), rows_k[row], mask, params,
-                    codebook,
-                )
-        else:
-            raise OutOfRange(f"unknown loss mode {mode!r}")
+    if mode == "oracle":
+        info = _l2_decode_info(w, params)
+        table = _l2_table_point(w, mask, params, codebook, info)
+        flat = int(np.argmax(table))
+        u_star, k_star = divmod(flat, n - 1)
+        k = k_star + 1
+        if table[u_star, k_star] > params.delta1:
+            psi, _, alpha = info[k_star]
+            _apply_l2_grad(g, k, u_star, alpha, psi, mask, params, codebook)
+    elif mode == "reference":
+        val, argmax = _l2_reference(w, mask, params, codebook, return_argmax=True)
+        k, u_idx, row = argmax
+        tables = _reference_tables_sgd(n, nd)
+        rows_k, alphas_k = tables[k - 1]
+        if float(val) > params.delta1:
+            _apply_l2_grad(
+                g, k, u_idx - 1, int(alphas_k[row]), rows_k[row], mask, params,
+                codebook,
+            )
+    else:
+        raise OutOfRange(f"unknown loss mode {mode!r}")
 
     # term 3 (constant)
     lay.encoding(g)[0:2] -= circle_point(mask, nd) / (4.0 * n * n)

@@ -40,6 +40,9 @@ class SmallstepParams:
     steps: int
     dim: int = None
 
+    family = "smallstep"
+    lipschitz = 1.0
+
     def __post_init__(self):
         if self.eta <= 0 or self.steps < 1:
             raise OutOfRange(
@@ -53,14 +56,14 @@ class SmallstepParams:
             raise OutOfRange(f"dim must be positive; got {self.dim}")
 
     @property
+    def horizon(self):
+        """Iterate count of the closed form: T."""
+        return self.steps
+
+    @property
     def smoothing_delta(self):
         """Smoothing radius the argmax gap tolerates: eta/(16 d)."""
         return self.eta / (16.0 * self.dim)
-
-    @property
-    def argmax_margin(self):
-        """Designed value gap between the best and runner-up coordinate."""
-        return self.eta / (4.0 * self.dim)
 
     @property
     def risk_threshold(self):
@@ -68,9 +71,29 @@ class SmallstepParams:
         return min(0.25, 1.0 / (20.0 * self.eta * self.steps))
 
     @property
+    def gap_targets(self):
+        """Designed value target: (name, target, RiskReport field)."""
+        return (("value-any-suffix", self.risk_threshold, "population"),)
+
+    @property
     def tilts(self):
         """Per-coordinate offsets eta*i/(4d), i = 1..d."""
         return self.eta * np.arange(1, self.dim + 1) / (4.0 * self.dim)
+
+    def sample_losses(self, w, samples, codebook, mode):
+        """The loss at w; w may be a batch.  The distribution is a point
+        mass, so the samples carry nothing and codebook and mode are unused."""
+        return loss_smallstep(w, self)
+
+    empirical_loss = sample_losses  # the training risk is the loss itself
+
+    def step_grad(self, w, t, dataset, codebook, mode):
+        """The step's gradient (full-batch and one-pass steps agree)."""
+        return grad_smallstep(w, self)
+
+    def step_loss(self, t, dataset, codebook, mode):
+        """The loss whose subgradient step_grad takes."""
+        return lambda w: self.empirical_loss(w, dataset, codebook, mode)
 
 
 def loss_smallstep(w, params):
@@ -95,11 +118,3 @@ def grad_smallstep(w, params):
         g[j] = -1.0
     return g
 
-
-if __name__ == "__main__":
-    params = SmallstepParams(eta=0.02, steps=100)
-    w = np.zeros(params.dim)
-    for _ in range(params.steps - 1):
-        w = w - params.eta * grad_smallstep(w, params)
-    print(f"d={params.dim}  f(w_T)={loss_smallstep(w, params):.6f}  "
-          f"threshold={params.risk_threshold}")

@@ -13,9 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OracleDomain, OutOfRange
-from .instance_gd import grad_gd_batch
-from .instance_sgd import grad_sgd
-from .instance_smallstep import grad_smallstep
 
 
 def project_ball(w):
@@ -92,13 +89,7 @@ def gradient_descent(grad_fn, dim, steps, eta, projected=False, record=True):
 
 def run_gd(codebook, dataset, params, mode="oracle", projected=False, record=True):
     """Full-batch subgradient descent on the GD instance's empirical risk."""
-
-    def grad(t, w):
-        return grad_gd_batch(w, dataset, params, codebook, mode)
-
-    return gradient_descent(
-        grad, params.dim, params.steps, params.eta, projected=projected, record=record
-    )
+    return _run(params, dataset, codebook, mode, projected, record)
 
 
 def run_sgd(codebook, dataset, params, mode="oracle", projected=False, record=True):
@@ -111,24 +102,22 @@ def run_sgd(codebook, dataset, params, mode="oracle", projected=False, record=Tr
         raise OutOfRange(
             f"dataset holds {dataset.n} samples; params.n={params.n}"
         )
-
-    def grad(t, w):
-        return grad_sgd(w, dataset.masks[t - 1], params, codebook, mode)
-
-    return gradient_descent(
-        grad, params.dim, params.n, params.eta, projected=projected, record=record
-    )
+    return _run(params, dataset, codebook, mode, projected, record)
 
 
 def run_smallstep(params, projected=False, record=True):
     """Descent on the deterministic hinge (full-batch and one-pass agree)."""
+    return _run(params, None, None, None, projected, record)
+
+
+def _run(params, dataset, codebook, mode, projected, record):
+    """Descent along the family's step gradient over its horizon."""
 
     def grad(t, w):
-        return grad_smallstep(w, params)
+        return params.step_grad(w, t, dataset, codebook, mode)
 
-    return gradient_descent(
-        grad, params.dim, params.steps, params.eta, projected=projected, record=record
-    )
+    return gradient_descent(grad, params.dim, params.horizon, params.eta,
+                            projected=projected, record=record)
 
 
 def save_trajectory(trajectory, basepath):

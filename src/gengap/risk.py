@@ -19,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidClosedForm, OutOfRange
-from .instance_gd import GdParams, loss_gd_samples
-from .instance_sgd import SgdParams, loss_sgd_samples
-from .instance_smallstep import SmallstepParams, loss_smallstep
 from .optim import suffix_average
 from .verify import _gd_block_coefficients
 
@@ -35,45 +32,22 @@ def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
     The deterministic family ignores dataset (its loss has no sample);
     pass None.
     """
-    if isinstance(params, SmallstepParams):
-        return float(loss_smallstep(w, params))
-    if isinstance(params, GdParams):
-        masks = np.asarray(dataset.masks)
-        slots = np.asarray(dataset.slots)
-        vals = loss_gd_samples(w, masks, slots, params, codebook, mode=mode)
-    elif isinstance(params, SgdParams):
-        vals = loss_sgd_samples(w, np.asarray(dataset.masks), params, codebook,
-                                mode=mode)
-    else:
-        raise OutOfRange(f"unknown params type {type(params).__name__}")
-    return float(np.mean(vals))
-
-
-def _draw_gd(rng, count, params):
-    masks = rng.integers(0, 1 << params.n_directions, size=count)
-    slots = rng.integers(1, params.n * params.n + 1, size=count)
-    return masks, slots
-
-
-def _draw_sgd(rng, count, params):
-    bits = rng.random((count, params.n_directions)) < params.inclusion_probability
-    weights = np.int64(1) << np.arange(params.n_directions, dtype=np.int64)
-    return bits @ weights
+    samples = None if dataset is None else dataset.samples
+    return float(np.mean(params.sample_losses(w, samples, codebook, mode)))
 
 
 def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
                        seed=0, mode="oracle"):
     """Monte-Carlo population risk: (estimate, stderr).
 
-    Fresh samples follow the family's sampling law (uniform subset and slot
-    for the full-batch instance; sparse independent inclusions for the
-    one-pass instance).  Values are accumulated centered on the first draw
-    so near-constant losses do not lose their variance to cancellation.
-    The deterministic family has no sample: its exact value and stderr 0.0
-    come back regardless of n_samples.
+    Fresh samples follow the family's sampling law (params.draw_samples).
+    Values are accumulated centered on the first draw so near-constant
+    losses do not lose their variance to cancellation.  The deterministic
+    family has no sample: its exact value and stderr 0.0 come back
+    regardless of n_samples.
     """
-    if isinstance(params, SmallstepParams):
-        return float(loss_smallstep(w, params)), 0.0
+    if params.family == "smallstep":  # a point mass: the risk is the loss
+        return empirical_risk(w, None, params), 0.0
     if n_samples < 2:
         raise OutOfRange(f"need n_samples >= 2; got {n_samples}")
     n_chunks = -(-n_samples // CHUNK)
@@ -84,15 +58,8 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
     done = 0
     for child in seeds:
         count = min(CHUNK, n_samples - done)
-        rng = np.random.default_rng(child)
-        if isinstance(params, GdParams):
-            masks, slots = _draw_gd(rng, count, params)
-            vals = loss_gd_samples(w, masks, slots, params, codebook, mode=mode)
-        elif isinstance(params, SgdParams):
-            masks = _draw_sgd(rng, count, params)
-            vals = loss_sgd_samples(w, masks, params, codebook, mode=mode)
-        else:
-            raise OutOfRange(f"unknown params type {type(params).__name__}")
+        samples = params.draw_samples(np.random.default_rng(child), count)
+        vals = params.sample_losses(w, samples, codebook, mode)
         if base is None:
             base = float(vals[0])
         centered = vals - base
@@ -104,7 +71,7 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
     return base + mean_c, math.sqrt(var / n_samples)
 
 
-def population_risk_closed_gd(point, params, u0_index=None):
+def population_risk_closed_gd(point, params):
     """Exact population risk of a closed-form full-batch point.
 
     point is an iterate index t (0 or 1 give the zero vector; the per-step
@@ -114,8 +81,7 @@ def population_risk_closed_gd(point, params, u0_index=None):
     whether its subset contains the direction the training set missed, so
     the expectation is the mean of two branch values plus the
     sample-independent terms.  The value does not depend on which direction
-    that is; u0_index is accepted for interface symmetry and validated
-    only.
+    that is.
 
     Suffix windows are accepted while the pinned direction's ratchet
     candidates provably outbid every other direction regardless of the
@@ -124,8 +90,6 @@ def population_risk_closed_gd(point, params, u0_index=None):
     T = params.steps
     if T < 8:
         raise InvalidClosedForm(f"per-step closed form needs steps >= 8; got {T}")
-    if u0_index is not None and not 1 <= u0_index <= params.n_directions:
-        raise OutOfRange(f"u0_index {u0_index} not in [1, {params.n_directions}]")
     if isinstance(point, tuple):
         tag, m = point
         if tag != "suffix":
@@ -240,24 +204,12 @@ class RiskReport:
         )
 
 
-def _family_thresholds(params, excess_pop, excess_emp, value):
-    if isinstance(params, GdParams):
-        a = params.eta * math.sqrt(params.steps)
-        return (
-            ThresholdRecord("population-excess-last-iterate", a / 128.0,
-                            excess_pop, bool(excess_pop >= a / 128.0)),
-            ThresholdRecord("population-excess-any-suffix", a / 3200.0,
-                            excess_pop, bool(excess_pop >= a / 3200.0)),
-        )
-    if isinstance(params, SgdParams):
-        a = params.eta * math.sqrt(params.n) / 64000.0
-        return (
-            ThresholdRecord("empirical-excess-any-suffix", a,
-                            excess_emp, bool(excess_emp >= a)),
-        )
-    a = min(0.25, 1.0 / (20.0 * params.eta * params.steps))
-    return (
-        ThresholdRecord("value-any-suffix", a, value, bool(value >= a)),
+def _thresholds(params, **observed):
+    """The family's designed targets against the report fields they bound."""
+    return tuple(
+        ThresholdRecord(name, target, observed[field],
+                        bool(observed[field] >= target))
+        for name, target, field in params.gap_targets
     )
 
 
@@ -266,20 +218,14 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     """Risk report for each requested suffix length of a recorded run.
 
     Baselines are the risks of the zero vector: exact for the full-batch
-    population (closed form) and the one-pass loss (sample-independent at
-    zero); targets are recorded with pass flags, never asserted.
+    population (closed form), and the training risk otherwise (the
+    one-pass loss is sample-independent at zero, and the deterministic loss
+    has no sample); targets are recorded with pass flags, never asserted.
     """
-    family = (
-        "gd" if isinstance(params, GdParams)
-        else "sgd" if isinstance(params, SgdParams)
-        else "smallstep"
-    )
     zero = np.zeros(traj.dim)
     base_emp = empirical_risk(zero, dataset, params, codebook, mode=mode)
-    if family == "gd":
+    if params.family == "gd":
         base_pop = population_risk_closed_gd(0, params)
-    elif family == "sgd":
-        base_pop = base_emp  # the one-pass loss is constant at the origin
     else:
         base_pop = base_emp
 
@@ -294,17 +240,19 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
         excess_emp = emp - base_emp
         reports.append(
             RiskReport(
-                family=family,
+                family=params.family,
                 suffix_length=m,
                 empirical=emp,
                 population=pop,
                 population_stderr=stderr,
-                n_samples=(0 if family == "smallstep" else n_samples),
+                n_samples=(0 if params.family == "smallstep" else n_samples),
                 baseline_empirical=base_emp,
                 baseline_population=base_pop,
                 excess_empirical=excess_emp,
                 excess_population=excess_pop,
-                thresholds=_family_thresholds(params, excess_pop, excess_emp, pop),
+                thresholds=_thresholds(params, excess_population=excess_pop,
+                                       excess_empirical=excess_emp,
+                                       population=pop),
             )
         )
     return reports

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDraw, EventViolated, OutOfRange
+from .errors import DegenerateDraw, OutOfRange
+from .verify import expected_iterate
 
 CHUNK = 8192
 
@@ -188,83 +189,20 @@ def verify_trajectory_preservation(codebook, dataset, params, cfg, steps=None,
     every checked step) is the statistical evidence that descent on the
     smoothed loss reproduces the nonsmooth trajectory at this radius.
 
-    Dispatches on the params type.  For the full-batch family the gradient
-    is the empirical-risk gradient; for the one-pass family, step t is
-    checked against the sample it consumes (the final iterate, which
-    consumes nothing, is checked against the last sample).  Requires the
-    family's good event; raises EventViolated otherwise.
+    Step t (default: every step up to the family's horizon) is checked at
+    the closed-form iterate w_t against the gradient the optimizer takes
+    there: the empirical-risk gradient for the full-batch family, the
+    gradient of the sample step t consumes for the one-pass family (the
+    final iterate, which consumes nothing, is checked against the last
+    sample).  The closed forms past w_1 require the family's good event
+    and raise EventViolated otherwise.
     """
-    from . import verify as _verify
-    from .instance_gd import (
-        GdParams,
-        empirical_loss_gd,
-        good_event_gd,
-        grad_gd_batch,
-    )
-    from .instance_sgd import SgdParams, good_event_sgd, grad_sgd, loss_sgd
-    from .instance_smallstep import (
-        SmallstepParams,
-        grad_smallstep,
-        loss_smallstep,
-    )
-    from .optim import run_smallstep
-
-    if isinstance(params, GdParams):
-        report = good_event_gd(dataset, params)
-        if not report:
-            raise EventViolated(f"good event fails: {report.reason}")
-        all_steps = range(1, params.steps + 1)
-        points = {
-            t: (np.zeros(params.dim) if t == 1
-                else _verify.expected_gd_iterate(t, params, dataset, codebook))
-            for t in (steps or all_steps)
-        }
-
-        def loss_at(t):
-            return lambda w: empirical_loss_gd(w, dataset, params, codebook,
-                                               mode=mode)
-
-        def grad_at(t, w):
-            return grad_gd_batch(w, dataset, params, codebook, mode=mode)
-
-    elif isinstance(params, SgdParams):
-        report = good_event_sgd(dataset, params)
-        if not report:
-            raise EventViolated(f"good event fails: {report.reason}")
-        all_steps = range(1, params.n + 1)
-        points = {
-            t: (np.zeros(params.dim) if t == 1
-                else _verify.expected_sgd_iterate(t, params, dataset, codebook))
-            for t in (steps or all_steps)
-        }
-
-        def loss_at(t):
-            mask = dataset.masks[min(t, dataset.n) - 1]
-            return lambda w: loss_sgd(w, mask, params, codebook, mode=mode)
-
-        def grad_at(t, w):
-            mask = dataset.masks[min(t, dataset.n) - 1]
-            return grad_sgd(w, mask, params, codebook, mode=mode)
-
-    elif isinstance(params, SmallstepParams):
-        traj = run_smallstep(params)
-        all_steps = range(1, params.steps + 1)
-        points = {t: traj.iterate(t) for t in (steps or all_steps)}
-
-        def loss_at(t):
-            return lambda w: loss_smallstep(w, params)
-
-        def grad_at(t, w):
-            return grad_smallstep(w, params)
-
-    else:
-        raise OutOfRange(f"unrecognized params type: {type(params).__name__}")
-
     records = []
-    for t in sorted(points):
-        w = points[t]
-        exact = grad_at(t, w)
-        est, stderr = smoothed_grad(loss_at(t), w, cfg)
+    for t in sorted(set(steps or range(1, params.horizon + 1))):
+        w = expected_iterate(t, params, dataset, codebook)
+        exact = params.step_grad(w, t, dataset, codebook, mode)
+        loss = params.step_loss(t, dataset, codebook, mode)
+        est, stderr = smoothed_grad(loss, w, cfg)
         diff = np.abs(est - exact)
         # a coordinate with zero spread must match outright
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -26,6 +26,7 @@ from .instance_sgd import (
     event_state_sgd,
     good_event_sgd,
 )
+
 # two-sided 95% normal quantile, frozen to full double precision
 WILSON_Z = 1.959963984540054
 
@@ -96,27 +97,9 @@ def expected_gd_update(t, params, dataset, codebook):
     """Closed-form full-batch gradient used at step t: (w_t - w_{t+1})/eta."""
     if not 1 <= t <= params.steps - 1:
         raise InvalidClosedForm(f"update {t} outside [1, {params.steps - 1}]")
-    w_now = (
-        np.zeros(params.dim)
-        if t == 1
-        else expected_gd_iterate(t, params, dataset, codebook)
-    )
+    w_now = expected_iterate(t, params, dataset, codebook)
     w_next = expected_gd_iterate(t + 1, params, dataset, codebook)
     return (w_now - w_next) / params.eta
-
-
-def expected_gd_suffix(m, params, dataset, codebook):
-    """Mean of the last m closed-form iterates (w_1 = 0 when the window
-    reaches it), averaged with the same reduction suffix_average uses."""
-    if not 1 <= m <= params.steps:
-        raise OutOfRange(f"suffix length {m} not in [1, {params.steps}]")
-    rows = []
-    for t in range(params.steps - m + 1, params.steps + 1):
-        if t == 1:
-            rows.append(np.zeros(params.dim))
-        else:
-            rows.append(expected_gd_iterate(t, params, dataset, codebook))
-    return np.stack(rows).mean(axis=0)
 
 
 def expected_sgd_iterate(t, params, dataset, codebook):
@@ -162,19 +145,6 @@ def expected_sgd_iterate(t, params, dataset, codebook):
     return w
 
 
-def expected_sgd_suffix(m, params, dataset, codebook):
-    """Mean of the last m closed-form one-pass iterates (w_1 = 0 included)."""
-    if not 1 <= m <= params.n:
-        raise OutOfRange(f"suffix length {m} not in [1, {params.n}]")
-    rows = []
-    for t in range(params.n - m + 1, params.n + 1):
-        if t == 1:
-            rows.append(np.zeros(params.dim))
-        else:
-            rows.append(expected_sgd_iterate(t, params, dataset, codebook))
-    return np.stack(rows).mean(axis=0)
-
-
 def expected_smallstep_iterate(t, params):
     """Round-robin closed form: w_t = eta on coordinates 1..t-1.
 
@@ -192,6 +162,28 @@ def expected_smallstep_iterate(t, params):
     w = np.zeros(params.dim)
     w[: t - 1] = params.eta
     return w
+
+
+def expected_iterate(t, params, dataset, codebook):
+    """Closed-form iterate w_t of the params' family; w_1 is the origin."""
+    if params.family == "smallstep":
+        return expected_smallstep_iterate(t, params)
+    if t == 1:
+        return np.zeros(params.dim)
+    if params.family == "gd":
+        return expected_gd_iterate(t, params, dataset, codebook)
+    return expected_sgd_iterate(t, params, dataset, codebook)
+
+
+def expected_suffix(m, params, dataset, codebook):
+    """Mean of the last m closed-form iterates (w_1 = 0 when the window
+    reaches it), averaged with the same reduction suffix_average uses."""
+    T = params.horizon
+    if not 1 <= m <= T:
+        raise OutOfRange(f"suffix length {m} not in [1, {T}]")
+    rows = [expected_iterate(t, params, dataset, codebook)
+            for t in range(T - m + 1, T + 1)]
+    return np.stack(rows).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,42 +207,25 @@ class TrajectoryReport:
     ok: bool
 
 
-def check_trajectory(traj, family, params, dataset, codebook,
+def check_trajectory(traj, params, dataset, codebook,
                      tol_main=TOL_MAIN, tol_strict=TOL_STRICT):
     """Compare recorded iterates with the closed forms at split tolerances.
 
-    Coordinates the closed form leaves at exactly zero -- and, for the
-    full-batch family, the first step block, where the large parts of run
-    and closed form cancel and only correction-scale content remains -- are
-    held to tol_strict; everything else to tol_main.  Both are absolute.
+    The closed forms are checked from the first update on (the
+    deterministic family from w_1) up to the family's horizon.  Coordinates
+    the closed form leaves at exactly zero -- and, for the full-batch
+    family, the first step block, where the large parts of run and closed
+    form cancel and only correction-scale content remains -- are held to
+    tol_strict; everything else to tol_main.  Both are absolute.
     """
     records = []
-    lay = getattr(params, "layout", None)
-    if family == "gd":
-        valid = range(2, params.steps + 1)
-    elif family == "sgd":
-        valid = range(2, params.n + 1)
-    elif family == "smallstep":
-        valid = range(1, params.steps + 1)
-    else:
-        raise OutOfRange(f"unknown family {family!r}")
-
-    for t in valid:
-        if t > traj.steps:
-            break
-        if family == "gd":
-            expected = expected_gd_iterate(t, params, dataset, codebook)
-        elif family == "sgd":
-            expected = expected_sgd_iterate(t, params, dataset, codebook)
-        else:
-            expected = expected_smallstep_iterate(t, params)
+    first = 1 if params.family == "smallstep" else 2
+    for t in range(first, min(params.horizon, traj.steps) + 1):
+        expected = expected_iterate(t, params, dataset, codebook)
         dev = np.abs(traj.iterate(t) - expected)
         strict_mask = expected == 0.0
-        if family == "gd" and lay is not None:
-            block1 = np.zeros(params.dim, dtype=bool)
-            lo = lay.encoding_dim
-            block1[lo: lo + lay.block_dim] = True
-            strict_mask = strict_mask | block1
+        if params.family == "gd":
+            params.layout.block(strict_mask, 1)[:] = True
         max_strict = float(dev[strict_mask].max()) if strict_mask.any() else 0.0
         main_mask = ~strict_mask
         max_main = float(dev[main_mask].max()) if main_mask.any() else 0.0
@@ -397,13 +372,11 @@ def _margins_sgd(w, t, mask, params, codebook):
     # margin the construction promises is exactly eta*eps/(16 n^2)
     _, masks_k, _ = info[k_star]
     if masks_k is not None:
-        from .instance_sgd import _step_blocks
-
         m_mod = subset_count(params.n_directions)
         gk = params.group(w, k)
         gk1 = params.group(w, k + 1)
         point = circle_point(mask, params.n_directions)
-        proj = _step_blocks(w, params) @ codebook.vectors.T
+        proj = params.layout.step_blocks(w) @ codebook.vectors.T
         for pos in range(len(masks_k)):
             for delta in (-1, 1):
                 shifted = list(masks_k)
@@ -460,7 +433,7 @@ def _margins_smallstep(w, t, params):
     )
 
 
-def check_margins(traj, family, params, dataset=None, codebook=None):
+def check_margins(traj, params, dataset=None, codebook=None):
     """Recompute the enumerable argmax tables at every recorded iterate and
     report best-vs-second-best and best-vs-floor gaps against the family's
     designed slack (eta/64, eta*eps/(16 n^2), eta/(8 d)).
@@ -472,15 +445,13 @@ def check_margins(traj, family, params, dataset=None, codebook=None):
     records = []
     for t in range(1, traj.steps + 1):
         w = traj.iterate(t)
-        if family == "gd":
+        if params.family == "gd":
             records.append(_margins_gd(w, t, params, codebook))
-        elif family == "sgd":
-            mask = dataset.masks[min(t, dataset.n) - 1]
+        elif params.family == "sgd":
+            mask = params.step_sample(t, dataset)
             records.append(_margins_sgd(w, t, mask, params, codebook))
-        elif family == "smallstep":
-            records.append(_margins_smallstep(w, t, params))
         else:
-            raise OutOfRange(f"unknown family {family!r}")
+            records.append(_margins_smallstep(w, t, params))
     return MarginReport(steps=tuple(records), ok=all(r.ok for r in records))
 
 

@@ -7,10 +7,14 @@ import pytest
 from gengap.cli import main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
+from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
 
 _GD_TINY = [
     "--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
     "--dprime", "8",
+]
+_SGD_TINY = [
+    "--family", "sgd", "--n", "4", "--directions", "8", "--dprime", "16",
 ]
 
 
@@ -91,6 +95,41 @@ def test_gd_rejection_run_draws_the_library_dataset(tmp_path):
     assert GdDataset.load(tmp_path / "gd-s0-dataset.json") == want
     report = json.loads((tmp_path / "gd-s0-verify.json").read_text())
     assert report["rejections"] == rejections
+
+
+def test_sgd_force_run_draws_the_library_dataset(tmp_path):
+    want = force_good_event_sgd(SgdParams(4, 8, dprime=16), 5)
+    code = main(["run", *_SGD_TINY, "--policy", "force", "--seeds", "5",
+                 "--mc-samples", "200", "--out", str(tmp_path)])
+    assert code == 0
+    assert SgdDataset.load(tmp_path / "sgd-s5-dataset.json") == want
+
+
+def test_a_one_sample_pass_is_a_configuration_error(tmp_path, capsys):
+    code = main(["run", "--family", "sgd", "--n", "1", "--directions", "4",
+                 "--policy", "force", "--seeds", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, lipschitz", [
+    ([*_GD_TINY, "--policy", "reject-until-E", "--mode", "reference"], 5.0),
+    ([*_SGD_TINY, "--policy", "force"], 4.0),
+    (["--family", "smallstep", "--eta", "0.1", "--steps", "10"], 1.0),
+], ids=["gd", "sgd", "smallstep"])
+def test_run_checks_the_smoothed_training_risk(tmp_path, argv, lipschitz):
+    code = main(["run", *argv, "--seeds", "1", "--mc-samples", "200",
+                 "--smoothing", "--smoothing-samples", "2000",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    (summary,) = tmp_path.glob("*-run-summary.json")
+    (result,) = json.loads(summary.read_text())["results"]
+    smoothing = result["smoothing"]
+    assert smoothing["passed"] is True
+    assert smoothing["samples"] == 2000
+    # the bound is the family's Lipschitz constant times the radius plus
+    # three standard errors
+    assert smoothing["bound"] >= lipschitz * smoothing["delta"]
 
 
 def test_verify_subcommand_reads_back_a_checkpoint(tmp_path, capsys):

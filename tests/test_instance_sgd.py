@@ -7,7 +7,7 @@ import pytest
 
 from gengap.codebook import generate_codebook
 from gengap.encoding import margin_eps
-from gengap.errors import InfeasibleForcing, InvalidClosedForm
+from gengap.errors import InfeasibleForcing, InvalidClosedForm, OutOfRange
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
@@ -43,6 +43,13 @@ def test_dimension_and_derived_constants():
                         rel_tol=1e-12)
     assert math.isclose(p.smoothing_delta, p.eta * p.eps / (32 * n**3),
                         rel_tol=1e-12)
+
+
+def test_a_one_sample_pass_is_refused():
+    # one sample makes no update, so there is no one-pass run to study
+    with pytest.raises(OutOfRange):
+        SgdParams(1, 4)
+    assert SgdParams(2, 4).horizon == 2
 
 
 def test_group_views_tile_the_encoding():

@@ -113,8 +113,6 @@ def test_closed_form_point_domain(gd_setup):
     for t in (2, 3, 4):
         with pytest.raises(InvalidClosedForm):
             population_risk_closed_gd(t, params)
-    with pytest.raises(OutOfRange):
-        population_risk_closed_gd(params.steps, params, u0_index=99)
     short = GdParams(2, 4, 4, dprime=8)
     with pytest.raises(InvalidClosedForm):
         population_risk_closed_gd(0, short)

@@ -68,8 +68,8 @@ def test_round_robin_dynamics():
 def test_trajectory_checker_and_margins_pass():
     p = SmallstepParams(eta=0.02, steps=100)
     traj = run_smallstep(p)
-    assert check_trajectory(traj, "smallstep", p, None, None).ok
-    rep = check_margins(traj, "smallstep", p)
+    assert check_trajectory(traj, p, None, None).ok
+    rep = check_margins(traj, p)
     assert rep.ok
     assert all(s.threshold == p.eta / (8 * p.dim) for s in rep.steps
                if s.applicable)

@@ -57,7 +57,7 @@ def test_wilson_interval_tightens_with_more_trials():
 
 def test_trajectory_checker_passes_a_real_run(gd_setup):
     params, codebook, dataset, traj = gd_setup
-    rep = check_trajectory(traj, "gd", params, dataset, codebook)
+    rep = check_trajectory(traj, params, dataset, codebook)
     assert rep.ok
     assert [s.step for s in rep.steps] == list(range(2, params.steps + 1))
 
@@ -66,7 +66,7 @@ def test_trajectory_checker_catches_a_step_scale_fault(gd_setup):
     params, codebook, dataset, traj = gd_setup
     bad = traj.iterates.copy()
     bad[4] += 1e-6  # nudge every coordinate of w_5
-    rep = check_trajectory(Trajectory(iterates=bad), "gd", params, dataset,
+    rep = check_trajectory(Trajectory(iterates=bad), params, dataset,
                            codebook)
     assert not rep.ok
     assert not rep.steps[3].ok  # step 5 is the fourth checked step
@@ -79,7 +79,7 @@ def test_trajectory_checker_catches_a_correction_scale_fault(gd_setup):
     bad = traj.iterates.copy()
     last_coord = params.dim - 1  # block T is all zeros on every iterate
     bad[2, last_coord] += 1e-12
-    rep = check_trajectory(Trajectory(iterates=bad), "gd", params, dataset,
+    rep = check_trajectory(Trajectory(iterates=bad), params, dataset,
                            codebook)
     assert not rep.ok
     flagged = rep.steps[1]  # iterate 3
@@ -108,7 +108,7 @@ def test_norm_bound_checker(gd_setup):
 
 def test_gd_margins_applicability_window(gd_setup):
     params, codebook, dataset, traj = gd_setup
-    rep = check_margins(traj, "gd", params, dataset, codebook)
+    rep = check_margins(traj, params, dataset, codebook)
     assert rep.ok
     by_step = {s.step: s for s in rep.steps}
     assert not by_step[2].applicable and not by_step[3].applicable
@@ -169,13 +169,13 @@ def test_loss_properties_flag_a_wrong_gradient():
 def test_smallstep_margin_checker_flags_a_shrunken_lead():
     p = SmallstepParams(eta=0.1, steps=10)
     traj = run_smallstep(p)
-    assert check_margins(traj, "smallstep", p).ok
+    assert check_margins(traj, p).ok
     # At iterate 6 the leader beats the runner-up (coordinate 7) by one tilt
     # increment, eta/(4 dim).  A small negative weight on the runner-up lifts
     # its value and eats most of that lead, dropping the gap below threshold.
     bad = traj.iterates.copy()
     bad[5, 6] = -p.eta / (6 * p.dim)
-    rep = check_margins(Trajectory(iterates=bad), "smallstep", p)
+    rep = check_margins(Trajectory(iterates=bad), p)
     assert not rep.ok
     broken = [s for s in rep.steps if not s.ok]
     assert broken and broken[0].gap_second < broken[0].threshold

@@ -31,29 +31,19 @@ import yaml
 
 from . import acceptance as _acceptance
 from .codebook import generate_codebook, load_codebook, save_codebook
-from .errors import GengapError, OutOfRange
-from .instance_gd import (
-    GdDataset,
-    GdParams,
-    draw_gd_dataset,
-    good_event_gd,
-    theorem_step_size,
-)
-from .instance_sgd import (
-    SgdDataset,
-    SgdParams,
-    force_good_event_sgd,
-    good_event_sgd,
-    sample_sgd_dataset,
-)
+from .errors import GengapError, OracleDomain, OutOfRange
+from .instance_gd import GdParams, theorem_step_size
+from .instance_sgd import SgdParams
 from .instance_smallstep import SmallstepParams
 from .optim import load_trajectory, run_gd, run_sgd, run_smallstep, save_trajectory
 from .risk import RiskReport, gap_report
 from .smoothing import SmoothingConfig, smoothed_value
 from .verify import check_margins, check_norm_bound, check_trajectory
 
-FAMILIES = ("gd", "sgd", "smallstep")
-POLICIES = ("unconditioned", "reject-until-E", "force")
+_PARAMS = {"gd": GdParams, "sgd": SgdParams, "smallstep": SmallstepParams}
+_CONFIG_KEY = {"n_directions": "directions"}  # params fields named otherwise
+FAMILIES = tuple(_PARAMS)
+POLICIES = tuple(dict.fromkeys(p for cls in _PARAMS.values() for p in cls.policies))
 
 
 def _jsonable(obj):
@@ -69,10 +59,6 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, (range,)):
-        return list(obj)
-    if isinstance(obj, Path):
-        return str(obj)
     return obj
 
 
@@ -80,38 +66,19 @@ def _default_out():
     return Path(os.environ.get("GENGAP_OUT", "."))
 
 
+def _required(cls):
+    """The fields a dataclass has no default for."""
+    return [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_DEFAULTS = dict(
-    family=None,
-    n=None,
-    directions=None,
-    steps=None,
-    eta=None,
-    theorem_mode=True,
-    dprime=None,
-    dim=None,
-    seeds=(0,),
-    policy=None,
-    projected=False,
-    suffix=(1,),
-    mc_samples=20_000,
-    mc_seed=0,
-    mode="oracle",
-    smoothing=False,
-    smoothing_samples=20_000,
-    smoothing_seed=0,
-    codebook=None,
-    codebook_seed=0,
-    out=None,
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """One resolved experiment: family, sizes, seeds, policies, budgets."""
+    """One resolved experiment; every field is a YAML key and a `run` flag."""
 
     family: str
     n: int = None
@@ -142,53 +109,40 @@ class ExperimentConfig:
             raise OutOfRange(f"mode must be 'oracle' or 'reference', got {self.mode!r}")
         if not self.seeds:
             raise OutOfRange("seeds must be non-empty")
-        if self.family == "smallstep":
-            if self.eta is None or self.steps is None:
-                raise OutOfRange("smallstep needs explicit eta and steps")
-            return
-        if self.n is None or self.directions is None:
-            raise OutOfRange(f"{self.family} needs n and directions")
-        if self.family == "gd" and self.steps is None:
-            raise OutOfRange("gd needs steps")
-        if self.policy is None:
+        # a params class that defaults eta uses the theorem rule, which then
+        # caps an explicit eta; probing with eta unset never warns
+        capped = "eta" not in _required(_PARAMS[self.family])
+        params = (dataclasses.replace(self, eta=None) if capped else self).build_params()
+        if params.policies and self.policy not in params.policies:
             raise OutOfRange(
-                "dataset policy must be stated explicitly: "
-                "unconditioned, reject-until-E (gd), or force (sgd)"
+                f"{self.family} needs an explicit dataset policy, --policy "
+                f"{' or '.join(params.policies)}; got {self.policy!r}"
             )
-        if self.family == "gd" and self.policy not in ("unconditioned", "reject-until-E"):
-            raise OutOfRange(f"gd policy must be unconditioned or reject-until-E, got {self.policy!r}")
-        if self.family == "sgd" and self.policy not in ("unconditioned", "force"):
-            raise OutOfRange(f"sgd policy must be unconditioned or force, got {self.policy!r}")
-        if self.family == "sgd" and self.policy == "force" and self.directions < self.n + 1:
-            raise OutOfRange(
-                f"forcing the one-pass good event needs directions >= n+1; "
-                f"got N={self.directions}, n={self.n}"
-            )
-        if self.eta is not None and self.theorem_mode:
-            horizon = dataclasses.replace(self, eta=None).build_params().horizon
-            cap = theorem_step_size(horizon)
+        if capped and self.eta is not None and self.theorem_mode:
+            cap = theorem_step_size(params.horizon)
             if self.eta > cap * (1.0 + 1e-12):
                 raise OutOfRange(
-                    f"theorem mode caps eta at 1/(5*sqrt({horizon})) = {cap:.6g}; "
+                    f"theorem mode caps eta at 1/(5*sqrt({params.horizon})) = {cap:.6g}; "
                     f"got {self.eta}; pass theorem_mode: false to override"
                 )
 
     def build_params(self):
-        if self.family == "gd":
-            return GdParams(n=self.n, n_directions=self.directions,
-                            steps=self.steps, eta=self.eta, dprime=self.dprime)
-        if self.family == "sgd":
-            return SgdParams(n=self.n, n_directions=self.directions,
-                             eta=self.eta, dprime=self.dprime)
-        return SmallstepParams(eta=self.eta, steps=self.steps, dim=self.dim)
+        """The family's params class, filled from the same-named fields; a
+        field the class has no default for needs its flag."""
+        cls = _PARAMS[self.family]
+        values = {f.name: getattr(self, _CONFIG_KEY.get(f.name, f.name))
+                  for f in dataclasses.fields(cls)}
+        missing = [f"--{_CONFIG_KEY.get(name, name)}" for name in _required(cls)
+                   if values[name] is None]
+        if missing:
+            raise OutOfRange(f"{self.family} needs {' and '.join(missing)}")
+        return cls(**values)
 
     def resolved(self, params):
         """Plain dict with defaults filled in, for artifact provenance."""
         d = _jsonable(self)
-        d["eta"] = params.eta
-        d["dim"] = params.dim
-        if self.family != "smallstep":
-            d["dprime"] = params.dprime
+        for key in ("eta", "dim", "dprime"):
+            d[key] = getattr(params, key, d[key])
         return d
 
 
@@ -197,7 +151,7 @@ def load_config(path):
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise OutOfRange(f"config {path} must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - set(_CONFIG_DEFAULTS)
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise OutOfRange(f"unknown config keys: {sorted(unknown)}")
     return raw
@@ -230,16 +184,18 @@ def _parse_suffix(value):
 
 
 def config_from_args(args):
-    """File values first, then command-line overrides, then validation."""
-    merged = dict(_CONFIG_DEFAULTS)
+    """Field defaults, then file values, then flags, then validation."""
+    defaults = {f.name: None if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(ExperimentConfig)}
+    merged = dict(defaults)
     if getattr(args, "config", None):
         merged.update(load_config(args.config))
-    for key in _CONFIG_DEFAULTS:
+    for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    merged["seeds"] = _parse_seeds(merged["seeds"]) or (0,)
-    merged["suffix"] = _parse_suffix(merged["suffix"]) or (1,)
+    merged["seeds"] = _parse_seeds(merged["seeds"]) or defaults["seeds"]
+    merged["suffix"] = _parse_suffix(merged["suffix"]) or defaults["suffix"]
     cfg = ExperimentConfig(**merged)
     cfg.validate()
     return cfg
@@ -251,7 +207,7 @@ def config_from_args(args):
 
 
 def _get_codebook(cfg, params, outdir=None):
-    if cfg.family == "smallstep":
+    if not hasattr(params, "n_directions"):  # a family without directions
         return None
     if cfg.codebook:
         cb = load_codebook(cfg.codebook)
@@ -268,28 +224,43 @@ def _get_codebook(cfg, params, outdir=None):
     return cb
 
 
-def _make_dataset(cfg, params, seed):
-    """Returns (dataset, event_report, rejections); smallstep -> (None, None, 0)."""
-    if cfg.family == "smallstep":
-        return None, None, 0
-    if cfg.family == "gd":
-        ds, rejections = draw_gd_dataset(params, seed, policy=cfg.policy)
-        return ds, good_event_gd(ds, params), rejections
-    if cfg.policy == "force":
-        ds = force_good_event_sgd(params, seed)
+def _seed_inputs(cfg, args, params, codebook, seed):
+    """One seed's (dataset, event, rejections, trajectory): drawn and run,
+    or read from --dataset and --trajectory.  The oracle read-out is defined
+    only on the designed trajectory, so an off-event run may leave its
+    domain: that seed's trajectory is then the OracleDomain it raised."""
+    if getattr(args, "dataset", None):
+        dataset, rejections = params.load_dataset(args.dataset), 0
     else:
-        ds = sample_sgd_dataset(params, seed)
-    return ds, good_event_sgd(ds, params), 0
-
-
-def _run_optimizer(cfg, params, codebook, dataset):
-    if cfg.family == "gd":
-        return run_gd(codebook, dataset, params, mode=cfg.mode,
-                      projected=cfg.projected)
-    if cfg.family == "sgd":
-        return run_sgd(codebook, dataset, params, mode=cfg.mode,
+        dataset, rejections = params.draw_dataset(seed, cfg.policy)
+    event = params.good_event(dataset)
+    if getattr(args, "trajectory", None):
+        traj = load_trajectory(args.trajectory)
+        if traj.dim != params.dim:
+            raise OutOfRange(
+                f"checkpoint dimension {traj.dim} does not match the "
+                f"configured instance ({params.dim})"
+            )
+    elif dataset is None:
+        traj = run_smallstep(params, projected=cfg.projected)
+    else:
+        # run_gd/run_sgd are read as module globals on every call
+        run = run_gd if cfg.family == "gd" else run_sgd
+        try:
+            traj = run(codebook, dataset, params, mode=cfg.mode,
                        projected=cfg.projected)
-    return run_smallstep(params, projected=cfg.projected)
+        except OracleDomain as exc:
+            if event:
+                raise
+            traj = exc
+    return dataset, event, rejections, traj
+
+
+def _verify_text(cfg, params, seed, rejections, payload):
+    """One seed's verify artifact: config, seed and draw, then the checks."""
+    return json.dumps({"config": cfg.resolved(params), "seed": seed,
+                       "policy": cfg.policy, "rejections": rejections,
+                       **payload}, indent=2)
 
 
 def _verify_one(cfg, params, codebook, dataset, traj, event):
@@ -300,23 +271,19 @@ def _verify_one(cfg, params, codebook, dataset, traj, event):
     checks — the designed dynamics are conditional on the event — and the
     report says so rather than failing the run.
     """
-    payload = {"event": None if event is None else _jsonable(event)}
-    checks_passed = True
-    on_event = event is None or bool(event)
-    if on_event:
+    payload = {"event": _jsonable(event)}
+    passed = True
+    if event is None or event:
         rep = check_trajectory(traj, params, dataset, codebook)
         margins = check_margins(traj, params, dataset, codebook)
-        payload["trajectory"] = _jsonable(rep)
-        payload["margins"] = _jsonable(margins)
-        checks_passed &= rep.ok and margins.ok
+        payload["trajectory"], payload["margins"] = _jsonable(rep), _jsonable(margins)
+        passed = rep.ok and margins.ok
     else:
-        payload["trajectory"] = "skipped: dataset is off-event"
-        payload["margins"] = "skipped: dataset is off-event"
+        payload["trajectory"] = payload["margins"] = "skipped: dataset is off-event"
     norms = check_norm_bound(traj)
     payload["norms"] = _jsonable(norms)
-    checks_passed &= norms.ok
-    payload["passed"] = bool(checks_passed)
-    return payload, bool(checks_passed)
+    payload["passed"] = passed = bool(passed and norms.ok)
+    return payload, passed
 
 
 def _smoothing_check(cfg, params, codebook, dataset, traj):
@@ -370,26 +337,30 @@ def cmd_run(args):
     outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.build_params()
     codebook = _get_codebook(cfg, params, outdir)
-    resolved = cfg.resolved(params)
 
     all_passed = True
     per_seed = []
     risk_rows = []
     for seed in cfg.seeds:
         t0 = time.perf_counter()
-        dataset, event, rejections = _make_dataset(cfg, params, seed)
-        traj = _run_optimizer(cfg, params, codebook, dataset)
+        dataset, event, rejections, traj = _seed_inputs(
+            cfg, args, params, codebook, seed)
         stem = f"{cfg.family}-s{seed}"
-        save_trajectory(traj, outdir / f"{stem}-trajectory")
         if dataset is not None:
             dataset.save(outdir / f"{stem}-dataset.json")
-
-        verify_payload, verify_ok = _verify_one(
-            cfg, params, codebook, dataset, traj, event)
-        reports = gap_report(traj, dataset, params, codebook,
-                             suffix_lengths=cfg.suffix,
-                             n_samples=cfg.mc_samples, seed=cfg.mc_seed,
-                             mode=cfg.mode)
+        skipped = isinstance(traj, OracleDomain)
+        if skipped:
+            verify_payload = {"event": _jsonable(event), "passed": True,
+                              "skipped": f"off-event oracle run: {traj}"}
+            passed, reports = True, []
+        else:
+            save_trajectory(traj, outdir / f"{stem}-trajectory")
+            verify_payload, passed = _verify_one(
+                cfg, params, codebook, dataset, traj, event)
+            reports = gap_report(traj, dataset, params, codebook,
+                                 suffix_lengths=cfg.suffix,
+                                 n_samples=cfg.mc_samples, seed=cfg.mc_seed,
+                                 mode=cfg.mode)
         risk_rows += [f"{seed},{r.to_csv_row()}" for r in reports]
 
         seed_result = {
@@ -400,8 +371,7 @@ def cmd_run(args):
             "risk": [json.loads(r.to_json()) for r in reports],
             "elapsed_seconds": time.perf_counter() - t0,
         }
-        passed = verify_ok
-        if cfg.smoothing:
+        if cfg.smoothing and not skipped:
             smooth_payload, smooth_ok = _smoothing_check(
                 cfg, params, codebook, dataset, traj)
             seed_result["smoothing"] = smooth_payload
@@ -410,20 +380,18 @@ def cmd_run(args):
         all_passed &= passed
         per_seed.append(seed_result)
 
-        verify_artifact = {"config": resolved, "seed": seed,
-                           "policy": cfg.policy, "rejections": rejections}
-        verify_artifact.update(verify_payload)
         (outdir / f"{stem}-verify.json").write_text(
-            json.dumps(verify_artifact, indent=2))
+            _verify_text(cfg, params, seed, rejections, verify_payload))
         if rejections:
             print(f"seed {seed}: {rejections} dataset draws rejected before "
                   "the good event")
-        print(f"seed {seed}: {'pass' if passed else 'FAIL'} "
-              f"({seed_result['elapsed_seconds']:.1f}s)")
+        outcome = "skipped" if skipped else "pass" if passed else "FAIL"
+        print(f"seed {seed}: {outcome} ({seed_result['elapsed_seconds']:.1f}s)")
 
     (outdir / f"{cfg.family}-risk.csv").write_text(
         "seed," + RiskReport.CSV_HEADER + "\n" + "\n".join(risk_rows) + "\n")
-    summary = {"config": resolved, "results": per_seed, "passed": bool(all_passed)}
+    summary = {"config": cfg.resolved(params), "results": per_seed,
+               "passed": bool(all_passed)}
     (outdir / f"{cfg.family}-run-summary.json").write_text(
         json.dumps(summary, indent=2))
     print(f"artifacts in {outdir}; overall: {'pass' if all_passed else 'FAIL'}")
@@ -431,26 +399,13 @@ def cmd_run(args):
 
 
 def _load_inputs_for_check(cfg, args, params):
+    """The first seed's inputs; verify and risk have nothing to check when
+    an off-event oracle run left no trajectory."""
     codebook = _get_codebook(cfg, params)
-    if getattr(args, "dataset", None) and cfg.family != "smallstep":
-        cls = GdDataset if cfg.family == "gd" else SgdDataset
-        dataset = cls.load(args.dataset)
-        if cfg.family == "gd":
-            event = good_event_gd(dataset, params)
-        else:
-            event = good_event_sgd(dataset, params)
-        rejections = 0
-    else:
-        dataset, event, rejections = _make_dataset(cfg, params, cfg.seeds[0])
-    if getattr(args, "trajectory", None):
-        traj = load_trajectory(args.trajectory)
-        if traj.dim != params.dim:
-            raise OutOfRange(
-                f"checkpoint dimension {traj.dim} does not match the "
-                f"configured instance ({params.dim})"
-            )
-    else:
-        traj = _run_optimizer(cfg, params, codebook, dataset)
+    dataset, event, rejections, traj = _seed_inputs(
+        cfg, args, params, codebook, cfg.seeds[0])
+    if isinstance(traj, OracleDomain):
+        raise traj
     return codebook, dataset, event, rejections, traj
 
 
@@ -460,10 +415,7 @@ def cmd_verify(args):
     codebook, dataset, event, rejections, traj = _load_inputs_for_check(
         cfg, args, params)
     payload, passed = _verify_one(cfg, params, codebook, dataset, traj, event)
-    artifact = {"config": cfg.resolved(params), "seed": cfg.seeds[0],
-                "policy": cfg.policy, "rejections": rejections}
-    artifact.update(payload)
-    text = json.dumps(artifact, indent=2)
+    text = _verify_text(cfg, params, cfg.seeds[0], rejections, payload)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}: {'pass' if passed else 'FAIL'}")

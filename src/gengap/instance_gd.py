@@ -112,6 +112,7 @@ class GdParams:
 
     family = "gd"
     lipschitz = 5.0
+    policies = ("unconditioned", "reject-until-E")
 
     def __post_init__(self):
         if self.n < 1 or self.steps < 2 or self.n_directions < 1:
@@ -207,18 +208,46 @@ class GdParams:
         """The loss whose subgradient step_grad takes: the training risk."""
         return lambda w: self.empirical_loss(w, dataset, codebook, mode)
 
+    def draw_dataset(self, seed, policy):
+        """A training set under one of the policies: (dataset, rejections)."""
+        return draw_gd_dataset(self, seed, policy)
+
+    def good_event(self, dataset):
+        return good_event_gd(dataset, self)
+
+    def load_dataset(self, path):
+        """A saved training set, refused unless it fits this instance."""
+        dataset = _check_dataset(GdDataset.load(path), self)
+        if not all(1 <= s <= self.n * self.n for s in dataset.slots):
+            raise OutOfRange(f"dataset slots must lie in [1, {self.n * self.n}]")
+        return dataset
+
+
+class _Dataset:
+    """What both sample-based training sets share: the sample count n and
+    the JSON file round trip of to_json/from_json."""
+
+    @property
+    def n(self):
+        return len(self.masks)
+
+    def save(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.to_json(), fh)
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_json(json.load(fh))
+
 
 @dataclass(frozen=True)
-class GdDataset:
+class GdDataset(_Dataset):
     """A training set: subset masks V_i and slot indices j_i (1-based)."""
 
     masks: tuple
     slots: tuple
     seed: int = None
-
-    @property
-    def n(self):
-        return len(self.masks)
 
     @property
     def samples(self):
@@ -244,15 +273,6 @@ class GdDataset:
             seed=payload.get("seed"),
         )
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
     """Draw a training set from the GD hard distribution: (dataset, rejections).
@@ -263,7 +283,7 @@ def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
     direction AND all slots are distinct); rejections counts the discarded
     draws.
     """
-    if policy not in ("unconditioned", "reject-until-E"):
+    if policy not in params.policies:
         raise OutOfRange(f"unknown sampling policy {policy!r}")
     rng = np.random.default_rng(seed)
     for rejections in range(max_tries):
@@ -280,6 +300,18 @@ def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
 def sample_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
     """The dataset of draw_gd_dataset, without its rejection count."""
     return draw_gd_dataset(params, seed, policy, max_tries)[0]
+
+
+def _check_dataset(dataset, params):
+    """Refuse a training set of another size n or with a mask outside
+    [0, 2^N); returns the dataset."""
+    if dataset.n != params.n:
+        raise OutOfRange(f"dataset holds {dataset.n} samples; "
+                         f"the instance has n={params.n}")
+    m = subset_count(params.n_directions)
+    if not all(0 <= mask < m for mask in dataset.masks):
+        raise OutOfRange(f"dataset masks must lie in [0, {m}) for N={params.n_directions}")
+    return dataset
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ block index.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,6 +60,8 @@ from .instance_gd import (
     REFERENCE_BUDGET,
     EventReport,
     GdParams,
+    _check_dataset,
+    _Dataset,
     _fill_defaults,
     add_hinge_grad,
     hinge_term,
@@ -92,6 +93,7 @@ class SgdParams:
 
     family = "sgd"
     lipschitz = 4.0
+    policies = ("unconditioned", "force")
 
     # the encoding layout and the hinge floor are the full-batch family's
     layout = GdParams.layout
@@ -174,17 +176,28 @@ class SgdParams:
         mask = self.step_sample(t, dataset)
         return lambda w: loss_sgd(w, mask, self, codebook, mode=mode)
 
+    def draw_dataset(self, seed, policy):
+        """A training set under one of the policies: (dataset, 0), since
+        neither policy rejects a draw."""
+        if policy not in self.policies:
+            raise OutOfRange(f"unknown sampling policy {policy!r}")
+        draw = force_good_event_sgd if policy == "force" else sample_sgd_dataset
+        return draw(self, seed), 0
+
+    def good_event(self, dataset):
+        return good_event_sgd(dataset, self)
+
+    def load_dataset(self, path):
+        """A saved training set, refused unless it fits this instance."""
+        return _check_dataset(SgdDataset.load(path), self)
+
 
 @dataclass(frozen=True)
-class SgdDataset:
+class SgdDataset(_Dataset):
     """A training set: one subset mask per sample position."""
 
     masks: tuple
     seed: int = None
-
-    @property
-    def n(self):
-        return len(self.masks)
 
     @property
     def samples(self):
@@ -197,15 +210,6 @@ class SgdDataset:
     @classmethod
     def from_json(cls, payload):
         return cls(masks=tuple(int(m) for m in payload["masks"]), seed=payload.get("seed"))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def sample_sgd_dataset(params, seed):
@@ -293,9 +297,8 @@ def event_state_sgd(masks, n_directions):
 def good_event_sgd(dataset, params):
     """Check the SGD good event: for every t, P_t is nonempty and no set
     from step t on contains J_t.  The report's reason lists failing steps."""
-    masks = dataset.masks if hasattr(dataset, "masks") else tuple(dataset)
     bad = []
-    for st in event_state_sgd(masks, params.n_directions):
+    for st in event_state_sgd(dataset.masks, params.n_directions):
         if st.p_mask == 0:
             bad.append(f"step {st.step}: empty intersection")
         elif not st.s_mask >> (st.j - 1) & 1:

@@ -42,6 +42,7 @@ class SmallstepParams:
 
     family = "smallstep"
     lipschitz = 1.0
+    policies = ()  # no training set: nothing to draw, load or condition on
 
     def __post_init__(self):
         if self.eta <= 0 or self.steps < 1:
@@ -94,6 +95,15 @@ class SmallstepParams:
     def step_loss(self, t, dataset, codebook, mode):
         """The loss whose subgradient step_grad takes."""
         return lambda w: self.empirical_loss(w, dataset, codebook, mode)
+
+    def draw_dataset(self, seed, policy):
+        return None, 0
+
+    def good_event(self, dataset):
+        return None
+
+    def load_dataset(self, path):
+        raise OutOfRange("the smallstep family has no training set to load")
 
 
 def loss_smallstep(w, params):

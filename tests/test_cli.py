@@ -1,10 +1,11 @@
 """End-to-end command-line checks: validation, artifacts, reproducibility."""
 
+import dataclasses
 import json
 
 import pytest
 
-from gengap.cli import main
+from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
 from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
@@ -132,6 +133,96 @@ def test_run_checks_the_smoothed_training_risk(tmp_path, argv, lipschitz):
     assert smoothing["bound"] >= lipschitz * smoothing["delta"]
 
 
+def test_an_off_event_oracle_seed_is_skipped_not_fatal(tmp_path, capsys):
+    # seeds 1 and 3 are off-event, and the oracle read-out leaves its domain
+    # at iterate 2 of both runs
+    argv = [*_GD_TINY, "--policy", "unconditioned", "--mc-samples", "200"]
+    assert main(["run", *argv, "--seeds", "0..5", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "gd-run-summary.json").read_text())
+    results = {r["seed"]: r for r in summary["results"]}
+    assert sorted(results) == [0, 1, 2, 3, 4]
+    for seed in (1, 3):
+        report = json.loads((tmp_path / f"gd-s{seed}-verify.json").read_text())
+        assert report["event"]["ok"] is False
+        assert "iterate 2" in report["skipped"]
+        assert results[seed]["verify"] == {
+            k: v for k, v in report.items()
+            if k not in ("config", "seed", "policy", "rejections")}
+        assert results[seed]["risk"] == []
+        assert not (tmp_path / f"gd-s{seed}-trajectory.bin").exists()
+    assert "skipped" not in results[0]["verify"]
+    rows = (tmp_path / "gd-risk.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "2", "4"]
+    assert "seed 1: skipped" in capsys.readouterr().out
+
+    # verify and risk have nothing to check without a trajectory
+    for command in ("verify", "risk"):
+        assert main([command, *argv, "--seeds", "1"]) == 2
+        assert "iterate 2" in capsys.readouterr().err
+
+
+# a dataset read from a file records no rejected draws, so the gd seed is
+# one whose reject-until-E draw is accepted at once
+@pytest.mark.parametrize("argv, seed", [
+    ([*_GD_TINY, "--policy", "reject-until-E", "--mode", "reference"], 2),
+    ([*_SGD_TINY, "--policy", "force"], 5),
+], ids=["gd", "sgd"])
+def test_saved_artifacts_reproduce_the_run_reports(tmp_path, argv, seed):
+    argv = [*argv, "--seeds", str(seed), "--suffix", "1,2", "--mc-samples", "500"]
+    stem = f"{argv[1]}-s{seed}"
+    rundir = tmp_path / "run"
+    assert main(["run", *argv, "--out", str(rundir)]) == 0
+    saved = ["--dataset", str(rundir / f"{stem}-dataset.json"),
+             "--trajectory", str(rundir / f"{stem}-trajectory")]
+
+    risk = tmp_path / "risk.csv"
+    assert main(["risk", *argv, *saved, "--out", str(risk)]) == 0
+    (table,) = rundir.glob("*-risk.csv")
+    assert risk.read_bytes() == table.read_bytes()
+
+    verify = tmp_path / "verify.json"
+    assert main(["verify", *argv, *saved, "--out", str(verify)]) == 0
+    want = json.loads((rundir / f"{stem}-verify.json").read_text())
+    got = json.loads(verify.read_text())
+    assert got["config"].pop("out") == str(verify)
+    want["config"].pop("out")
+    assert got == want
+
+
+def test_a_dataset_file_must_fit_the_instance(tmp_path, capsys):
+    rundir = tmp_path / "run"
+    gd3 = ["--family", "gd", "--n", "3", "--directions", "4", "--steps", "8",
+           "--dprime", "8", "--policy", "reject-until-E"]
+    assert main(["run", *gd3, "--seeds", "0", "--mc-samples", "200",
+                 "--out", str(rundir)]) == 0
+    dataset = rundir / "gd-s0-dataset.json"
+
+    code = main(["verify", *_GD_TINY, "--policy", "reject-until-E",
+                 "--dataset", str(dataset)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "holds 3 samples" in err and "n=2" in err
+
+    for key, value, message in (("mask", 16, "masks"), ("slot", 10, "slots")):
+        bad = json.loads(dataset.read_text())
+        bad["samples"][0][key] = value
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["verify", *gd3, "--dataset", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    # the smallstep family has no training set, so a file is refused
+    assert main(["verify", "--family", "smallstep", "--eta", "0.1",
+                 "--steps", "10", "--dataset", str(dataset)]) == 2
+    assert "no training set" in capsys.readouterr().err
+
+
+def test_every_config_field_has_a_run_flag():
+    flags = set(vars(build_parser().parse_args(["run"])))
+    flags -= {"command", "func", "config"}
+    assert flags == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 def test_verify_subcommand_reads_back_a_checkpoint(tmp_path, capsys):
     rundir = tmp_path / "run"
     argv = ["--family", "smallstep", "--eta", "0.1", "--steps", "10",
@@ -193,8 +284,3 @@ def test_acceptance_command_reports_a_suite(tmp_path, capsys):
     assert payload[0]["suite"] == "gd-event"
     assert payload[0]["passed"] is True
     assert payload[0]["elapsed_seconds"] <= payload[0]["budget_seconds"]
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(["risk", "--family", "smallstep", "--eta", "0.1",
-                           "--steps", "8", "--suffix", "1,2,4"]))

@@ -87,7 +87,9 @@ from .smoothing import (
     SmoothingConfig,
     ball_sample,
     smoothed_grad,
+    smoothed_grads,
     smoothed_value,
+    smoothed_values,
     sphere_sample,
     verify_trajectory_preservation,
 )

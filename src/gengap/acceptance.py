@@ -44,7 +44,7 @@ from .risk import (
     population_risk_closed_gd,
     population_risk_mc,
 )
-from .smoothing import SmoothingConfig, smoothed_grad, smoothed_value, \
+from .smoothing import SmoothingConfig, smoothed_grad, smoothed_values, \
     verify_trajectory_preservation
 from .verify import (
     check_event_probability_gd,
@@ -460,8 +460,8 @@ def suite_smoothing():
         cfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES, seed=0)
         worst_slack = -np.inf
         ok = True
-        for w in points:
-            val, stderr = smoothed_value(loss, w, cfg)
+        values = smoothed_values([(loss, w) for w in points], cfg)
+        for w, (val, stderr) in zip(points, values):
             slack = abs(val - float(loss(w))) - (lipschitz * cfg.delta + 3.0 * stderr)
             worst_slack = max(worst_slack, slack)
             ok &= slack <= 0.0

@@ -230,7 +230,9 @@ def _seed_inputs(cfg, args, params, codebook, seed):
     only on the designed trajectory, so an off-event run may leave its
     domain: that seed's trajectory is then the OracleDomain it raised."""
     if getattr(args, "dataset", None):
-        dataset, rejections = params.load_dataset(args.dataset), 0
+        dataset = params.load_dataset(args.dataset)
+        # run records its count; a file without one reports null
+        rejections = json.loads(Path(args.dataset).read_text()).get("rejections")
     else:
         dataset, rejections = params.draw_dataset(seed, cfg.policy)
     event = params.good_event(dataset)
@@ -347,7 +349,8 @@ def cmd_run(args):
             cfg, args, params, codebook, seed)
         stem = f"{cfg.family}-s{seed}"
         if dataset is not None:
-            dataset.save(outdir / f"{stem}-dataset.json")
+            (outdir / f"{stem}-dataset.json").write_text(json.dumps(
+                {**dataset.to_json(), "rejections": rejections}))
         skipped = isinstance(traj, OracleDomain)
         if skipped:
             verify_payload = {"event": _jsonable(event), "passed": True,

@@ -60,6 +60,11 @@ from .errors import (
 
 REFERENCE_BUDGET = 100_000
 
+# rows per block of the batched reference read-out: on 8192-row smoothing
+# chunks, blocks of 64 to 128 rows ran about 3x faster than one unblocked
+# product (the (rows, |Psi|) temporary stays in cache); 64 is the smallest
+_READ_ROWS = 64
+
 L1_FLOOR_COEF = 3.0 / 32.0  # the per-block hinge floor is (3/32) * eta
 
 
@@ -508,7 +513,18 @@ def _l3_gd(w, params, codebook, mode):
         # max over each group's rows first, then subtract the group's shared
         # movement term: rounding is monotone, so this equals the max of the
         # per-row differences bitwise
-        reads = np.maximum.reduceat(w0 @ psi.T, starts, axis=-1)  # (..., G)
+        if w0.ndim == 1:
+            reads = np.maximum.reduceat(w0 @ psi.T, starts)
+        else:
+            # equal blocks of at most _READ_ROWS rows keep the (rows, |Psi|)
+            # product in cache.  A batch of two or more rows never gets a
+            # one-row block, which BLAS would round as a vector product, so
+            # each row's reads equal one product's bitwise
+            reads = np.empty((w0.shape[0], starts.size))
+            n_blocks = -(-w0.shape[0] // _READ_ROWS)
+            for out, rows in zip(np.array_split(reads, n_blocks),
+                                 np.array_split(w0, n_blocks)):
+                out[...] = np.maximum.reduceat(rows @ psi.T, starts, axis=-1)
         moves = params.beta * (w1 @ codebook.vectors[alphas - 1].T)  # (..., G)
         return np.maximum(params.delta1, (reads - moves).max(axis=-1))
     if mode != "oracle":

@@ -15,7 +15,10 @@ the subgradient the optimizer uses, which is what
 verify_trajectory_preservation spot-checks statistically.
 
 Sampling is chunked with per-chunk seeds spawned from the config seed, so
-estimates are reproducible and independent of how many chunks run.
+estimates are reproducible and independent of how many chunks run.  Points
+that share a config share their draws: smoothed_values and smoothed_grads
+draw each chunk once and evaluate it at every point, and each point's
+estimate equals its one-point estimate bitwise.
 """
 
 from dataclasses import dataclass
@@ -78,8 +81,8 @@ def sphere_sample(dim, rng, size=None):
         norms[bad] = np.linalg.norm(x[bad], axis=1)
     else:
         raise DegenerateDraw("sphere draw kept underflowing after 100 redraws")
-    y = x / norms[:, None]
-    return y[0] if size is None else y
+    x /= norms[:, None]
+    return x[0] if size is None else x
 
 
 def ball_sample(dim, rng, size=None):
@@ -91,79 +94,109 @@ def ball_sample(dim, rng, size=None):
     count = 1 if size is None else int(size)
     y = sphere_sample(dim, rng, size=count)
     r = rng.random(count) ** (1.0 / dim)
-    out = y * r[:, None]
-    return out[0] if size is None else out
+    y *= r[:, None]
+    return y[0] if size is None else y
 
 
-def _chunk_seeds(seed, n_chunks):
-    return np.random.SeedSequence(seed).spawn(n_chunks)
+def _chunks(seed, count):
+    """(rows, rng) per chunk of count draws: chunk i draws from the i-th
+    seed spawned from seed."""
+    seeds = np.random.SeedSequence(seed).spawn(-(-count // CHUNK))
+    for i, chunk_seed in enumerate(seeds):
+        yield min(CHUNK, count - i * CHUNK), np.random.default_rng(chunk_seed)
+
+
+def _points(jobs):
+    """The jobs' points as float64 vectors, and the dimension they share."""
+    points = [np.asarray(w, dtype=np.float64) for _, w in jobs]
+    dims = {w.size for w in points}
+    if len(dims) != 1:
+        raise OutOfRange(f"points sharing draws need one dimension; got {dims}")
+    return points, dims.pop()
+
+
+def smoothed_values(jobs, cfg):
+    """Monte-Carlo ball averages of loss around w for each (loss, w) job:
+    a list of (estimate, stderr).
+
+    Each loss must accept both a single point (d,) and a batch (B, d).
+    Each chunk of ball samples is drawn once and evaluated at every job;
+    a job's sums run in chunk order, so its estimate is the one-point
+    estimate bitwise.  The accumulation is centered at loss(w), which
+    changes no estimate in exact arithmetic but keeps the variance sums
+    fully precise when the perturbations are tiny (a constant loss reports
+    stderr exactly 0).
+    """
+    points, dim = _points(jobs)
+    bases = [float(loss(w)) for (loss, _), w in zip(jobs, points)]
+    m = cfg.samples
+    sums = [[0.0, 0.0] for _ in jobs]  # per job: values, squared values
+    for b, rng in _chunks(cfg.seed, m):
+        v = ball_sample(dim, rng, size=b)
+        for (loss, _), w, base, acc in zip(jobs, points, bases, sums):
+            vals = np.asarray(loss(w[None, :] + cfg.delta * v),
+                              dtype=np.float64) - base
+            acc[0] += float(vals.sum())
+            acc[1] += float((vals * vals).sum())
+    out = []
+    for base, (total, total_sq) in zip(bases, sums):
+        mean = total / m
+        var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
+        out.append((base + mean, float(np.sqrt(var / m))))
+    return out
 
 
 def smoothed_value(loss, w, cfg):
-    """Monte-Carlo ball average of loss around w: (estimate, stderr).
-
-    loss must accept both a single point (d,) and a batch (B, d).  The
-    accumulation is centered at loss(w), which changes no estimate in exact
-    arithmetic but keeps the variance sums fully precise when the
-    perturbations are tiny (a constant loss reports stderr exactly 0).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    base = float(loss(w))
-    m = cfg.samples
-    n_chunks = -(-m // CHUNK)
-    seeds = _chunk_seeds(cfg.seed, n_chunks)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for i in range(n_chunks):
-        b = min(CHUNK, m - done)
-        rng = np.random.default_rng(seeds[i])
-        v = ball_sample(w.size, rng, size=b)
-        vals = np.asarray(loss(w[None, :] + cfg.delta * v), dtype=np.float64) - base
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / m
-    var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
-    return base + mean, float(np.sqrt(var / m))
+    """Monte-Carlo ball average of loss around w: (estimate, stderr); see
+    smoothed_values."""
+    return smoothed_values([(loss, w)], cfg)[0]
 
 
-def smoothed_grad(loss, w, cfg):
-    """Zeroth-order gradient estimate: (vector estimate, per-coordinate stderr).
+def smoothed_grads(jobs, cfg):
+    """Zeroth-order gradient estimates for each (loss, w) job: a list of
+    (vector estimate, per-coordinate stderr).
 
     Averages (dim/delta) * loss(w + delta*a) * a over sphere draws.  With
     antithetic pairing each pair (a, -a) contributes
     (dim/delta) * (loss(w+delta*a) - loss(w-delta*a))/2 * a, so the sample
-    count covers samples//2 pairs (an odd trailing draw is dropped).
+    count covers samples//2 pairs (an odd trailing draw is dropped).  As in
+    smoothed_values, each chunk is drawn once for all jobs and each job's
+    estimate is its one-point estimate bitwise.
     """
-    w = np.asarray(w, dtype=np.float64)
-    dim = w.size
-    scale = dim / cfg.delta
     count = cfg.samples // 2 if cfg.antithetic else cfg.samples
     if count < 2:
         raise OutOfRange("too few samples for a variance estimate")
-    n_chunks = -(-count // CHUNK)
-    seeds = _chunk_seeds(cfg.seed, n_chunks)
-    total = np.zeros(dim)
-    total_sq = np.zeros(dim)
-    done = 0
-    for i in range(n_chunks):
-        b = min(CHUNK, count - done)
-        rng = np.random.default_rng(seeds[i])
+    points, dim = _points(jobs)
+    scale = dim / cfg.delta
+    sums = [(np.zeros(dim), np.zeros(dim)) for _ in jobs]
+    for b, rng in _chunks(cfg.seed, count):
         a = sphere_sample(dim, rng, size=b)
-        if cfg.antithetic:
-            f_plus = np.asarray(loss(w[None, :] + cfg.delta * a), dtype=np.float64)
-            f_minus = np.asarray(loss(w[None, :] - cfg.delta * a), dtype=np.float64)
-            contrib = (0.5 * scale * (f_plus - f_minus))[:, None] * a
-        else:
-            vals = np.asarray(loss(w[None, :] + cfg.delta * a), dtype=np.float64)
-            contrib = (scale * vals)[:, None] * a
-        total += contrib.sum(axis=0)
-        total_sq += (contrib * contrib).sum(axis=0)
-        done += b
-    est = total / count
-    var = np.maximum(total_sq - count * est * est, 0.0) / (count - 1)
-    return est, np.sqrt(var / count)
+        for (loss, _), w, (total, total_sq) in zip(jobs, points, sums):
+            if cfg.antithetic:
+                f_plus = np.asarray(loss(w[None, :] + cfg.delta * a),
+                                    dtype=np.float64)
+                f_minus = np.asarray(loss(w[None, :] - cfg.delta * a),
+                                     dtype=np.float64)
+                contrib = (0.5 * scale * (f_plus - f_minus))[:, None] * a
+            else:
+                vals = np.asarray(loss(w[None, :] + cfg.delta * a),
+                                  dtype=np.float64)
+                contrib = (scale * vals)[:, None] * a
+            total += contrib.sum(axis=0)
+            total_sq += (contrib * contrib).sum(axis=0)
+            del contrib  # a chunk-sized array: free it before the next job
+    out = []
+    for total, total_sq in sums:
+        est = total / count
+        var = np.maximum(total_sq - count * est * est, 0.0) / (count - 1)
+        out.append((est, np.sqrt(var / count)))
+    return out
+
+
+def smoothed_grad(loss, w, cfg):
+    """Zeroth-order gradient estimate at w: (vector estimate, per-coordinate
+    stderr); see smoothed_grads."""
+    return smoothed_grads([(loss, w)], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -197,12 +230,15 @@ def verify_trajectory_preservation(codebook, dataset, params, cfg, steps=None,
     sample).  The closed forms past w_1 require the family's good event
     and raise EventViolated otherwise.
     """
+    steps = sorted(set(steps or range(1, params.horizon + 1)))
+    points = [expected_iterate(t, params, dataset, codebook) for t in steps]
+    exacts = [params.step_grad(w, t, dataset, codebook, mode)
+              for t, w in zip(steps, points)]
+    losses = [params.step_loss(t, dataset, codebook, mode) for t in steps]
+    # every step's estimate from the same draws, one chunk at a time
+    estimates = smoothed_grads(list(zip(losses, points)), cfg)
     records = []
-    for t in sorted(set(steps or range(1, params.horizon + 1))):
-        w = expected_iterate(t, params, dataset, codebook)
-        exact = params.step_grad(w, t, dataset, codebook, mode)
-        loss = params.step_loss(t, dataset, codebook, mode)
-        est, stderr = smoothed_grad(loss, w, cfg)
+    for t, exact, (est, stderr) in zip(steps, exacts, estimates):
         diff = np.abs(est - exact)
         # a coordinate with zero spread must match outright
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -161,12 +161,13 @@ def test_an_off_event_oracle_seed_is_skipped_not_fatal(tmp_path, capsys):
         assert "iterate 2" in capsys.readouterr().err
 
 
-# a dataset read from a file records no rejected draws, so the gd seed is
-# one whose reject-until-E draw is accepted at once
+# gd seed 2's reject-until-E draw is accepted at once; seed 1's is accepted
+# after 2 rejections, a count the dataset file must carry to verify
 @pytest.mark.parametrize("argv, seed", [
     ([*_GD_TINY, "--policy", "reject-until-E", "--mode", "reference"], 2),
     ([*_SGD_TINY, "--policy", "force"], 5),
-], ids=["gd", "sgd"])
+    ([*_GD_TINY, "--policy", "reject-until-E", "--mode", "reference"], 1),
+], ids=["gd", "sgd", "gd-rejected"])
 def test_saved_artifacts_reproduce_the_run_reports(tmp_path, argv, seed):
     argv = [*argv, "--seeds", str(seed), "--suffix", "1,2", "--mc-samples", "500"]
     stem = f"{argv[1]}-s{seed}"
@@ -187,6 +188,21 @@ def test_saved_artifacts_reproduce_the_run_reports(tmp_path, argv, seed):
     assert got["config"].pop("out") == str(verify)
     want["config"].pop("out")
     assert got == want
+
+
+def test_a_dataset_file_without_a_count_reports_null_rejections(tmp_path):
+    argv = [*_GD_TINY, "--policy", "reject-until-E", "--seeds", "1"]
+    rundir = tmp_path / "run"
+    assert main(["run", *argv, "--suffix", "1", "--mc-samples", "200",
+                 "--out", str(rundir)]) == 0
+    payload = json.loads((rundir / "gd-s1-dataset.json").read_text())
+    assert payload.pop("rejections") == 2
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(payload))
+    out = tmp_path / "verify.json"
+    assert main(["verify", *argv, "--dataset", str(older),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rejections"] is None
 
 
 def test_a_dataset_file_must_fit_the_instance(tmp_path, capsys):

@@ -18,7 +18,9 @@ from gengap.errors import (
 from gengap.instance_gd import (
     GdDataset,
     GdParams,
+    _READ_ROWS,
     _l3_gd,
+    _reference_groups_gd,
     _reference_table_gd,
     empirical_loss_gd,
     good_event_gd,
@@ -141,6 +143,29 @@ def test_grouped_reference_readout_equals_the_ungrouped_max():
         vals -= params.beta * (lay.block(batch, 1) @ u_alpha.T)
         want = np.maximum(params.delta1, vals.max(axis=-1))
         assert np.array_equal(_l3_gd(batch, params, codebook, "reference"), want)
+
+
+def test_blocked_reference_readout_equals_one_product():
+    # the read-out as one (B, |Psi|) product, before it was blocked by rows
+    params, codebook, _, _, points, _ = _smooth_gd_setup()
+    psi, starts, alphas = _reference_groups_gd(params.n, params.n_directions)
+    lay = params.layout
+
+    def unblocked(w):
+        reads = np.maximum.reduceat(lay.encoding(w) @ psi.T, starts, axis=-1)
+        moves = params.beta * (lay.block(w, 1) @ codebook.vectors[alphas - 1].T)
+        return np.maximum(params.delta1, (reads - moves).max(axis=-1))
+
+    rng = np.random.default_rng(6)
+    for rows in (1, _READ_ROWS - 1, _READ_ROWS, _READ_ROWS + 1, CHUNK - 1):
+        batch = points[-1] + params.smoothing_delta * ball_sample(
+            params.dim, rng, size=rows)
+        got = _l3_gd(batch, params, codebook, "reference")
+        assert got.shape == (rows,)
+        assert np.array_equal(got, unblocked(batch))
+    point = points[-1]
+    assert np.array_equal(_l3_gd(point, params, codebook, "reference"),
+                          unblocked(point))
 
 
 @pytest.mark.parametrize("mode", ["oracle", "reference"])

@@ -40,3 +40,10 @@ def test_tiny_traced_run_reports_the_declared_layers(workload):
     checks_passed = (result["attempted"] - result["failed"]) / result["attempted"]
     assert checks_passed == 1.0
     assert set(result["metrics"]) == _declared("per_layer")
+    if workload == "smoothing":
+        # the one-point value estimator and the samplers stay traced
+        for name in ("smoothing.gd.value_s_per_chunk",
+                     "smoothing.sgd.value_s_per_chunk",
+                     "smoothing.smallstep.value_s_per_chunk",
+                     "smoothing.sample_s_per_chunk"):
+            assert result["metrics"][name]["value"] > 0, name

@@ -6,14 +6,20 @@ import pytest
 from gengap.errors import OutOfRange
 from gengap.instance_smallstep import SmallstepParams, grad_smallstep, \
     loss_smallstep
+from gengap.acceptance import _smooth_gd_setup, _smooth_sgd_setup
 from gengap.smoothing import (
+    CHUNK,
+    PreservationStep,
     SmoothingConfig,
     ball_sample,
     smoothed_grad,
+    smoothed_grads,
     smoothed_value,
+    smoothed_values,
     sphere_sample,
     verify_trajectory_preservation,
 )
+from gengap.verify import expected_iterate
 
 
 def test_sphere_samples_have_unit_norm():
@@ -30,6 +36,20 @@ def test_ball_samples_stay_inside_and_fill_the_ball():
     assert r.max() <= 1.0 + 1e-12
     # mean radius of a uniform ball draw is d/(d+1)
     assert abs(r.mean() - 4.0 / 5.0) < 0.01
+
+
+def test_in_place_samplers_match_the_copying_forms():
+    for size in (None, 1, 1000):
+        count = 1 if size is None else size
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((count, 6))
+        sphere = x / np.linalg.norm(x, axis=1)[:, None]
+        ball = sphere * (rng.random(count) ** (1.0 / 6))[:, None]
+        want = (sphere, ball) if size else (sphere[0], ball[0])
+        assert np.array_equal(sphere_sample(6, np.random.default_rng(9), size),
+                              want[0])
+        assert np.array_equal(ball_sample(6, np.random.default_rng(9), size),
+                              want[1])
 
 
 def test_sphere_mean_is_near_zero():
@@ -102,6 +122,107 @@ def test_estimates_are_reproducible_per_seed():
     g1, s1 = smoothed_grad(loss, np.ones(3), cfg)
     g2, s2 = smoothed_grad(loss, np.ones(3), cfg)
     assert np.array_equal(g1, g2) and np.array_equal(s1, s2)
+
+
+def _one_point_value(loss, w, cfg):
+    # the one-point estimator before draws were shared between points
+    seeds = np.random.SeedSequence(cfg.seed).spawn(-(-cfg.samples // CHUNK))
+    base = float(loss(w))
+    total = total_sq = 0.0
+    done = 0
+    for seed in seeds:
+        b = min(CHUNK, cfg.samples - done)
+        v = ball_sample(w.size, np.random.default_rng(seed), size=b)
+        vals = np.asarray(loss(w[None, :] + cfg.delta * v)) - base
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += b
+    m = cfg.samples
+    mean = total / m
+    var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
+    return base + mean, float(np.sqrt(var / m))
+
+
+def _one_point_grad(loss, w, cfg):
+    count = cfg.samples // 2 if cfg.antithetic else cfg.samples
+    seeds = np.random.SeedSequence(cfg.seed).spawn(-(-count // CHUNK))
+    scale = w.size / cfg.delta
+    total = np.zeros(w.size)
+    total_sq = np.zeros(w.size)
+    done = 0
+    for seed in seeds:
+        b = min(CHUNK, count - done)
+        a = sphere_sample(w.size, np.random.default_rng(seed), size=b)
+        if cfg.antithetic:
+            f_plus = loss(w[None, :] + cfg.delta * a)
+            f_minus = loss(w[None, :] - cfg.delta * a)
+            contrib = (0.5 * scale * (f_plus - f_minus))[:, None] * a
+        else:
+            contrib = (scale * loss(w[None, :] + cfg.delta * a))[:, None] * a
+        total += contrib.sum(axis=0)
+        total_sq += (contrib * contrib).sum(axis=0)
+        done += b
+    est = total / count
+    var = np.maximum(total_sq - count * est * est, 0.0) / (count - 1)
+    return est, np.sqrt(var / count)
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_shared_draws_give_each_point_its_one_point_estimate(antithetic):
+    # three points, each with its own loss, over two full chunks and a
+    # partial third (and an odd trailing draw in antithetic mode)
+    rng = np.random.default_rng(8)
+    points = [rng.normal(size=5) for _ in range(3)]
+    losses = [lambda v: np.abs(v).sum(axis=-1),
+              lambda v: np.maximum(0.0, v.max(axis=-1)),
+              lambda v: (v * v).sum(axis=-1)]
+    jobs = list(zip(losses, points))
+    pairs = 2 * CHUNK + 100
+    cfg = SmoothingConfig(0.1, 2 * pairs + 1 if antithetic else pairs,
+                          seed=3, antithetic=antithetic)
+    for (loss, w), got in zip(jobs, smoothed_values(jobs, cfg)):
+        assert got == _one_point_value(loss, w, cfg)
+        assert got == smoothed_value(loss, w, cfg)
+    for (loss, w), (est, stderr) in zip(jobs, smoothed_grads(jobs, cfg)):
+        want_est, want_stderr = _one_point_grad(loss, w, cfg)
+        assert np.array_equal(est, want_est)
+        assert np.array_equal(stderr, want_stderr)
+
+
+def test_shared_draws_need_points_of_one_dimension():
+    loss = lambda v: v.sum(axis=-1)
+    cfg = SmoothingConfig(0.1, 100)
+    with pytest.raises(OutOfRange):
+        smoothed_values([(loss, np.zeros(2)), (loss, np.zeros(3))], cfg)
+    with pytest.raises(OutOfRange):
+        smoothed_grads([], cfg)
+
+
+@pytest.mark.parametrize("family", ["gd", "sgd", "smallstep"])
+def test_preservation_equals_a_per_step_smoothed_grad_loop(family):
+    if family == "smallstep":
+        params, codebook, dataset = SmallstepParams(eta=0.1, steps=10), None, None
+    else:
+        setup = _smooth_gd_setup if family == "gd" else _smooth_sgd_setup
+        params, codebook, dataset = setup()[:3]
+    mode = "reference" if family == "gd" else "oracle"
+    cfg = SmoothingConfig(params.smoothing_delta, 2 * CHUNK + 10, seed=2)
+    steps = (2, 3, 4)
+    want = []
+    for t in steps:
+        w = expected_iterate(t, params, dataset, codebook)
+        exact = params.step_grad(w, t, dataset, codebook, mode)
+        loss = params.step_loss(t, dataset, codebook, mode)
+        est, stderr = smoothed_grad(loss, w, cfg)
+        diff = np.abs(est - exact)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma = np.where(stderr > 0, diff / stderr,
+                             np.where(diff > 0, np.inf, 0.0))
+        want.append(PreservationStep(t, float(diff.max()), float(sigma.max()),
+                                     bool((sigma <= 3.0).all())))
+    rep = verify_trajectory_preservation(codebook, dataset, params, cfg,
+                                         steps=steps, mode=mode)
+    assert rep.steps == tuple(want)
 
 
 def test_smallstep_value_agrees_below_the_designed_radius():

@@ -1,0 +1,175 @@
+"""Byte-identity sweep: run two source trees on the same fixed-seed commands
+and report every output that differs.
+
+    python scripts/identity.py OLD_TREE NEW_TREE
+
+Each tree's ``src`` runs ``gengap acceptance --json`` and five ``gengap run``
+sweeps (each with the smoothed-risk check), then ``gengap verify`` and
+``gengap risk`` on every dataset/trajectory pair a sweep saved.  JSON files
+are compared without their ``elapsed_seconds`` and ``out`` keys, other files
+byte for byte, stdout and stderr with timings and paths masked, and exit
+codes as they are.  Prints each difference and exits 1 if there is any.
+Standard library only; a full sweep takes about a minute per tree on two
+cores, most of it the acceptance suites.
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_GD = ["--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
+       "--dprime", "8"]
+_SMOOTH = ["--smoothing", "--smoothing-samples", "3000"]
+
+# name -> the config flags shared by the sweep's run, verify and risk calls
+SWEEPS = {
+    "gd-reject-reference": _GD + ["--policy", "reject-until-E",
+                                  "--mode", "reference"],
+    "gd-unconditioned-oracle": _GD + ["--policy", "unconditioned"],
+    "sgd-force": ["--family", "sgd", "--n", "6", "--directions", "9",
+                  "--policy", "force"],
+    "sgd-unconditioned-reference": ["--family", "sgd", "--n", "3",
+                                    "--directions", "3",
+                                    "--policy", "unconditioned",
+                                    "--mode", "reference"],
+    "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100"],
+}
+SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6"}
+
+_TIMING = re.compile(r"\d+\.\d+s\b")
+_DROPPED_KEYS = ("elapsed_seconds", "out")
+
+
+def _gengap(tree, argv, cwd):
+    """(exit code, stdout, stderr) of ``python -m gengap.cli argv`` on the
+    tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gengap.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _mask(text, tree, workdir):
+    text = text.replace(str(workdir), "<out>")
+    text = text.replace(str(Path(tree).resolve()), "<tree>")
+    return _TIMING.sub("<t>s", text)
+
+
+def sweep(tree, workdir):
+    """Run every command on one tree; returns {output name: (kind, value)}
+    where kind is "json", "bytes" or "text"."""
+    outputs = {}
+
+    def call(name, argv):
+        code, out, err = _gengap(tree, argv, workdir)
+        outputs[f"{name} exit"] = ("text", str(code))
+        outputs[f"{name} stdout"] = ("text", _mask(out, tree, workdir))
+        outputs[f"{name} stderr"] = ("text", _mask(err, tree, workdir))
+
+    call("acceptance", ["acceptance", "--json", str(workdir / "acceptance.json")])
+    for name, flags in SWEEPS.items():
+        out = workdir / name
+        seeds = ["--seeds", SEEDS.get(name, "0..2")]
+        call(f"{name} run", ["run", *flags, *seeds, *_SMOOTH, "--out", str(out)])
+        for traj in sorted(out.glob("*-trajectory.json")):
+            stem = traj.name[: -len("-trajectory.json")]
+            seed = stem.rsplit("-s", 1)[1]
+            inputs = ["--seeds", seed, "--trajectory", str(traj.with_suffix(""))]
+            dataset = out / f"{stem}-dataset.json"
+            if dataset.exists():
+                inputs += ["--dataset", str(dataset)]
+            checks = workdir / f"{name}-checks"
+            checks.mkdir(exist_ok=True)
+            for command, suffix in (("verify", "verify.json"), ("risk", "risk.csv")):
+                call(f"{name} {command} {stem}",
+                     [command, *flags, *inputs, "--out",
+                      str(checks / f"{stem}-{suffix}")])
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            key = str(path.relative_to(workdir))
+            if path.suffix == ".json":
+                outputs[key] = ("json", _strip(json.loads(path.read_text())))
+            else:
+                outputs[key] = ("bytes", path.read_bytes())
+    return outputs
+
+
+def _strip(obj):
+    """obj without the keys that legitimately differ between runs."""
+    if isinstance(obj, dict):
+        return {k: _strip(v) for k, v in obj.items() if k not in _DROPPED_KEYS}
+    if isinstance(obj, list):
+        return [_strip(v) for v in obj]
+    return obj
+
+
+def _first_difference(a, b, path=""):
+    """Path and values of the first place two JSON values differ."""
+    if type(a) is not type(b):
+        return path, a, b
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b), key=str):
+            if key not in a or key not in b:
+                return f"{path}/{key}", a.get(key, "<missing>"), b.get(key, "<missing>")
+            found = _first_difference(a[key], b[key], f"{path}/{key}")
+            if found:
+                return found
+        return None
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return f"{path} (length)", len(a), len(b)
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    return None if a == b else (path, a, b)
+
+
+def compare(old, new):
+    """One line per difference between two sweeps' outputs."""
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        if key not in old or key not in new:
+            lines.append(f"{key}: only in the {'new' if key in new else 'old'} tree")
+            continue
+        (kind, a), (_, b) = old[key], new[key]
+        if a == b:
+            continue
+        if kind == "json":
+            where, x, y = _first_difference(a, b)
+            lines.append(f"{key}: differs at {where or '/'}: {x!r} != {y!r}")
+        elif kind == "text":
+            lines.append(f"{key}:\n  old: {a!r}\n  new: {b!r}")
+        else:
+            lines.append(f"{key}: bytes differ ({len(a)} vs {len(b)} bytes)")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_tree")
+    parser.add_argument("new_tree")
+    args = parser.parse_args(argv)
+    results = []
+    with tempfile.TemporaryDirectory(prefix="gengap-identity-") as tmp:
+        for tree in (args.old_tree, args.new_tree):
+            # both trees write under the same path, so paths never differ
+            workdir = Path(tmp) / "work"
+            workdir.mkdir()
+            results.append(sweep(tree, workdir))
+            os.rename(workdir, Path(tmp) / f"done-{len(results)}")
+    lines = compare(*results)
+    for line in lines:
+        print(line)
+    print(f"{len(results[0])} outputs compared; {len(lines)} differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -45,11 +45,13 @@ from .instance_gd import (
     GdParams,
     draw_gd_dataset,
     empirical_loss_gd,
+    expected_gd_iterate,
     good_event_gd,
     grad_gd,
     grad_gd_batch,
     loss_gd,
     loss_gd_samples,
+    population_risk_closed_gd,
     sample_gd_dataset,
 )
 from .instance_sgd import (
@@ -57,6 +59,7 @@ from .instance_sgd import (
     SgdParams,
     empirical_loss_sgd,
     event_state_sgd,
+    expected_sgd_iterate,
     force_good_event_sgd,
     good_event_sgd,
     grad_sgd,
@@ -64,7 +67,12 @@ from .instance_sgd import (
     loss_sgd_samples,
     sample_sgd_dataset,
 )
-from .instance_smallstep import SmallstepParams, grad_smallstep, loss_smallstep
+from .instance_smallstep import (
+    SmallstepParams,
+    expected_smallstep_iterate,
+    grad_smallstep,
+    loss_smallstep,
+)
 from .optim import (
     Trajectory,
     gradient_descent,
@@ -80,7 +88,6 @@ from .risk import (
     RiskReport,
     empirical_risk,
     gap_report,
-    population_risk_closed_gd,
     population_risk_mc,
 )
 from .smoothing import (
@@ -99,11 +106,7 @@ from .verify import (
     check_margins,
     check_norm_bound,
     check_trajectory,
-    expected_gd_iterate,
     expected_gd_update,
-    expected_iterate,
-    expected_sgd_iterate,
-    expected_smallstep_iterate,
     expected_suffix,
     wilson_interval,
 )

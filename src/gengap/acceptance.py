@@ -444,18 +444,19 @@ def _smooth_smallstep_setup():
     return params, None, None, loss, points, params.lipschitz
 
 
+# family: (setup, preservation steps, loss mode); the full-batch instance is
+# small enough for the exhaustive reference read-out
+_SMOOTH_FAMILIES = {
+    "gd": (_smooth_gd_setup, range(2, 7), "reference"),
+    "sgd": (_smooth_sgd_setup, range(2, 7), "oracle"),
+    "smallstep": (_smooth_smallstep_setup, range(1, 6), "oracle"),
+}
+
+
 def suite_smoothing():
     """Ball-average values hug the loss; smoothed gradients preserve steps."""
     checks = []
-    setups = {
-        "gd": _smooth_gd_setup,
-        "sgd": _smooth_sgd_setup,
-        "smallstep": _smooth_smallstep_setup,
-    }
-    preserve_steps = {
-        "gd": range(2, 7), "sgd": range(2, 7), "smallstep": range(1, 6)
-    }
-    for family, build in setups.items():
+    for family, (build, preserve_steps, mode) in _SMOOTH_FAMILIES.items():
         params, codebook, dataset, loss, points, lipschitz = build()
         cfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES, seed=0)
         worst_slack = -np.inf
@@ -473,9 +474,7 @@ def suite_smoothing():
         pcfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES,
                                seed=_SMOOTH_SEEDS[family])
         rep = verify_trajectory_preservation(
-            codebook, dataset, params, pcfg, steps=preserve_steps[family],
-            mode="reference" if family == "gd" else "oracle",
-        )
+            codebook, dataset, params, pcfg, steps=preserve_steps, mode=mode)
         worst = max(r.max_sigma for r in rep.steps)
         checks.append(
             Check(f"{family}: every coordinate of the smoothed gradient is "

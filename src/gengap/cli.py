@@ -226,9 +226,11 @@ def _get_codebook(cfg, params, outdir=None):
 
 def _seed_inputs(cfg, args, params, codebook, seed):
     """One seed's (dataset, event, rejections, trajectory): drawn and run,
-    or read from --dataset and --trajectory.  The oracle read-out is defined
-    only on the designed trajectory, so an off-event run may leave its
-    domain: that seed's trajectory is then the OracleDomain it raised."""
+    or read from --dataset and --trajectory.  A checkpoint must match the
+    instance's dimension and hold its horizon of iterates.  The oracle
+    read-out is defined only on the designed trajectory, so an off-event run
+    may leave its domain: that seed's trajectory is then the OracleDomain it
+    raised."""
     if getattr(args, "dataset", None):
         dataset = params.load_dataset(args.dataset)
         # run records its count; a file without one reports null
@@ -242,6 +244,11 @@ def _seed_inputs(cfg, args, params, codebook, seed):
             raise OutOfRange(
                 f"checkpoint dimension {traj.dim} does not match the "
                 f"configured instance ({params.dim})"
+            )
+        if traj.steps != params.horizon:
+            raise OutOfRange(
+                f"checkpoint holds {traj.steps} iterates; the configured "
+                f"instance has {params.horizon}"
             )
     elif dataset is None:
         traj = run_smallstep(params, projected=cfg.projected)

@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +53,8 @@ from .encoding import (
 from .errors import (
     AmbiguousBlock,
     AttemptsExhausted,
+    EventViolated,
+    InvalidClosedForm,
     OracleDomain,
     OutOfRange,
     ReferenceTooLarge,
@@ -118,6 +120,10 @@ class GdParams:
     family = "gd"
     lipschitz = 5.0
     policies = ("unconditioned", "reject-until-E")
+    first_checked_step = 2  # w_1 is the origin for every run
+    # block 1's large parts cancel between run and closed form, leaving
+    # only correction-scale content, so it is held to the strict tolerance
+    strict_blocks = (1,)
 
     def __post_init__(self):
         if self.n < 1 or self.steps < 2 or self.n_directions < 1:
@@ -212,6 +218,27 @@ class GdParams:
     def step_loss(self, t, dataset, codebook, mode):
         """The loss whose subgradient step_grad takes: the training risk."""
         return lambda w: self.empirical_loss(w, dataset, codebook, mode)
+
+    def expected_iterate(self, t, dataset, codebook):
+        """Closed-form iterate w_t; w_1 is the origin."""
+        if t == 1:
+            return np.zeros(self.dim)
+        return expected_gd_iterate(t, self, dataset, codebook)
+
+    def margins(self, w, t, dataset, codebook):
+        """The ratchet argmax at w_t against the floor delta2, with slack
+        eta/64; the table has spread from step 4 on."""
+        best, second = _second_excluding_argmax(_l4_candidates(w, self, codebook))
+        thr = self.eta / 64.0
+        applicable = t >= 4
+        ok = (not applicable) or (best - second > thr and best - self.delta2 > thr)
+        return MarginStep(step=t, best=best, second_best=second,
+                          floor=self.delta2, threshold=thr,
+                          applicable=applicable, ok=bool(ok))
+
+    def baseline_population(self, baseline_empirical):
+        """Population risk of the zero vector: the exact closed form."""
+        return population_risk_closed_gd(0, self)
 
     def draw_dataset(self, seed, policy):
         """A training set under one of the policies: (dataset, rejections)."""
@@ -328,6 +355,34 @@ class EventReport:
 
     def __bool__(self):
         return self.ok
+
+
+@dataclass(frozen=True)
+class MarginStep:
+    """One step's argmax table: the best candidate against the second best
+    and against the floor; the gaps are derived from them."""
+
+    step: int
+    best: float
+    second_best: float
+    floor: float
+    gap_second: float = field(init=False)
+    gap_floor: float = field(init=False)
+    threshold: float
+    applicable: bool
+    ok: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "gap_second", self.best - self.second_best)
+        object.__setattr__(self, "gap_floor", self.best - self.floor)
+
+
+def _second_excluding_argmax(table):
+    """The largest entry of table and the largest of the others."""
+    flat = table.ravel()
+    top = int(np.argmax(flat))
+    rest = np.delete(flat, top)
+    return float(flat[top]), (float(rest.max()) if rest.size else -np.inf)
 
 
 def good_event_gd(dataset, params):
@@ -662,3 +717,128 @@ def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
     for mask, slot in zip(dataset.masks, dataset.slots):
         g += grad_gd(w, (mask, slot), params, codebook, mode=mode)
     return g / dataset.n
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
+
+
+def _gd_block_coefficients(t, params):
+    """Scalar coefficient of the pinned direction in each step block of w_t."""
+    coef = np.zeros(params.steps + 1)  # 1-based
+    if t == 2:
+        return coef
+    coef[1] = (t - 2) * params.eta * params.beta
+    if t >= 4:
+        coef[1] -= 0.375 * params.eta
+        coef[t - 2] = 0.5 * params.eta
+    for k in range(2, t - 2):
+        coef[k] = params.eta / 8.0
+    return coef
+
+
+def expected_gd_iterate(t, params, dataset, codebook):
+    """Exact full-batch iterate w_t under the good event.
+
+    w^(0) is eta/n times the summed training-set encoding; every step block
+    is a scalar times the direction the training set misses.  The general
+    per-step table needs T >= 8 to keep its warm-up and steady-state ranges
+    from overlapping, so smaller horizons are refused outright.
+
+    Raises
+    ------
+    EventViolated
+        If the dataset fails the good event.
+    InvalidClosedForm
+        If t is outside [2, T] or T < 8.
+    """
+    if params.steps < 8:
+        raise InvalidClosedForm(
+            f"per-step closed form needs steps >= 8; got {params.steps}"
+        )
+    if not 2 <= t <= params.steps:
+        raise InvalidClosedForm(f"iterate {t} outside closed-form range [2, {params.steps}]")
+    report = good_event_gd(dataset, params)
+    if not report:
+        raise EventViolated(f"good event fails: {report.reason}")
+
+    lay = params.layout
+    w = np.zeros(params.dim)
+    enc = np.zeros(lay.encoding_dim)
+    for mask, slot in zip(dataset.masks, dataset.slots):
+        enc += encode_gd(mask, slot, params.n, params.n_directions)
+    lay.encoding(w)[:] = (params.eta / params.n) * enc
+
+    u0 = codebook.vectors[alpha_gd(dataset.masks, params.n_directions) - 1]
+    coef = _gd_block_coefficients(t, params)
+    for k in range(1, params.steps + 1):
+        if coef[k] != 0.0:
+            lay.block(w, k)[:] = coef[k] * u0
+    return w
+
+
+def population_risk_closed_gd(point, params):
+    """Exact population risk of a closed-form full-batch point.
+
+    point is an iterate index t (0 or 1 give the zero vector; the per-step
+    form is stated from t = 5, so 2 <= t < 5 is refused) or ("suffix", m)
+    for the mean of the last m closed-form iterates.  Conditioned on the
+    training set's good event, a fresh sample moves the loss only through
+    whether its subset contains the direction the training set missed, so
+    the expectation is the mean of two branch values plus the
+    sample-independent terms.  The value does not depend on which direction
+    that is.
+
+    Suffix windows are accepted while the pinned direction's ratchet
+    candidates provably outbid every other direction regardless of the
+    codebook; longer windows raise InvalidClosedForm.
+    """
+    T = params.steps
+    if T < 8:
+        raise InvalidClosedForm(f"per-step closed form needs steps >= 8; got {T}")
+    if isinstance(point, tuple):
+        tag, m = point
+        if tag != "suffix":
+            raise OutOfRange(f"unknown point tag {tag!r}")
+        if not 1 <= m <= T:
+            raise OutOfRange(f"suffix length {m} not in [1, {T}]")
+        window = range(T - m + 1, T + 1)
+    else:
+        t = int(point)
+        if t in (0, 1):
+            window = ()
+        elif 5 <= t <= T:
+            window = (t,)
+        else:
+            raise InvalidClosedForm(
+                f"iterate {t} outside the closed-form risk range ({{0, 1}} or [5, {T}])"
+            )
+
+    m = max(len(window), 1)
+    coefs = np.zeros(T + 1)
+    rho_hits = 0
+    for t in window:
+        if t >= 2:
+            coefs += _gd_block_coefficients(t, params)
+            rho_hits += 1
+    coefs /= m
+    rho = rho_hits / m
+
+    floor = params.l1_floor
+    h_in = np.maximum(floor, coefs[2:])
+    branch_in = math.sqrt(float(h_in @ h_in))
+    branch_out = floor * math.sqrt(T - 1)
+    l1 = 0.5 * (branch_in + branch_out)
+
+    l3 = max(params.delta1, rho * params.eta / params.n - params.beta * coefs[1])
+
+    cand = 0.375 * coefs[1:T] - 0.5 * coefs[2: T + 1]
+    best = float(cand.max()) if cand.size else 0.0
+    if cand.size and best < float(np.abs(cand).max()) / 8.0:
+        raise InvalidClosedForm(
+            "suffix window too long: a coherence-bounded direction could "
+            "outbid the pinned one, so no codebook-free value exists"
+        )
+    l4 = max(params.delta2, best)
+    return l1 + l3 + l4

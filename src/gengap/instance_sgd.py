@@ -52,7 +52,9 @@ from .encoding import (
 from .errors import (
     AmbiguousBlock,
     AttemptsExhausted,
+    EventViolated,
     InfeasibleForcing,
+    InvalidClosedForm,
     OutOfRange,
     ReferenceTooLarge,
 )
@@ -60,9 +62,11 @@ from .instance_gd import (
     REFERENCE_BUDGET,
     EventReport,
     GdParams,
+    MarginStep,
     _check_dataset,
     _Dataset,
     _fill_defaults,
+    _second_excluding_argmax,
     add_hinge_grad,
     hinge_term,
     hinge_terms,
@@ -94,6 +98,8 @@ class SgdParams:
     family = "sgd"
     lipschitz = 4.0
     policies = ("unconditioned", "force")
+    first_checked_step = 2  # w_1 is the origin for every run
+    strict_blocks = ()
 
     # the encoding layout and the hinge floor are the full-batch family's
     layout = GdParams.layout
@@ -175,6 +181,65 @@ class SgdParams:
         """The loss whose subgradient step_grad takes."""
         mask = self.step_sample(t, dataset)
         return lambda w: loss_sgd(w, mask, self, codebook, mode=mode)
+
+    def expected_iterate(self, t, dataset, codebook):
+        """Closed-form iterate w_t; w_1 is the origin."""
+        if t == 1:
+            return np.zeros(self.dim)
+        return expected_sgd_iterate(t, self, dataset, codebook)
+
+    def margins(self, w, t, dataset, codebook):
+        """The decoded-prefix argmax at w_t, for the sample step t consumes,
+        against the floor delta1 with slack eta*eps/(16 n^2)."""
+        n = self.n
+        mask = self.step_sample(t, dataset)
+        info = _l2_decode_info(w, self)
+        table = _l2_table_point(w, mask, self, codebook, info)
+        best, second = _second_excluding_argmax(table)
+        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
+        k = k_star + 1
+
+        # candidates one codepoint step away from the decoded prefix: the
+        # decode margin the construction promises is exactly eta*eps/(16 n^2)
+        _, masks_k, _ = info[k_star]
+        if masks_k is not None:
+            m_mod = subset_count(self.n_directions)
+            gk = self.group(w, k)
+            gk1 = self.group(w, k + 1)
+            point = circle_point(mask, self.n_directions)
+            proj = self.layout.step_blocks(w) @ codebook.vectors.T
+            for pos in range(len(masks_k)):
+                for delta in (-1, 1):
+                    shifted = list(masks_k)
+                    shifted[pos] = (shifted[pos] + delta) % m_mod
+                    acc = np.zeros(2 * n)
+                    for i, mm in enumerate(shifted, start=1):
+                        acc += encode_sgd(mm, i, n, self.n_directions)
+                    psi_adj = acc / n
+                    alpha_adj = alpha_sgd(shifted, self.n_directions)
+                    val = (
+                        0.375 * proj[k - 1, u_star]
+                        - 0.5 * proj[k, alpha_adj - 1]
+                        + (gk @ psi_adj - gk1 @ psi_adj) / (4.0 * n)
+                        - (gk1[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
+                    )
+                    second = max(second, float(val))
+
+        thr = self.eta * self.eps / (16.0 * n * n)
+        # the adjacent-codepoint gap meets thr with equality by construction,
+        # so allow rounding slack at the scale of the cancelled candidates
+        slack = thr - 64.0 * np.finfo(float).eps * abs(best)
+        applicable = t >= 2
+        ok = (not applicable) or (best - second >= slack
+                                  and best - self.delta1 >= slack)
+        return MarginStep(step=t, best=best, second_best=second,
+                          floor=self.delta1, threshold=thr,
+                          applicable=applicable, ok=bool(ok))
+
+    def baseline_population(self, baseline_empirical):
+        """Population risk of the zero vector: its training risk, since the
+        loss at the origin does not depend on the sample."""
+        return baseline_empirical
 
     def draw_dataset(self, seed, policy):
         """A training set under one of the policies: (dataset, 0), since
@@ -457,13 +522,11 @@ def _reference_tables_sgd(n, n_directions):
     return tables
 
 
-def _l2_reference(w, mask, params, codebook, return_argmax=False):
-    """Exact prefix-shift term by enumeration; w may be batched.
-
-    With return_argmax (single point only) also returns (k, u_index, row)
-    of the attaining candidate, ties broken toward the lowest direction
-    index, then the lowest k, then enumeration order of the prefix rows.
-    """
+def _l2_reference_table(w, mask, params, codebook):
+    """Reference-mode candidate values over (direction, k), shape
+    (..., N, n-1), and for each k the index of its attaining prefix row
+    (the first in enumeration order on ties), shape (n-1, ...); w may be
+    batched."""
     n, nd = params.n, params.n_directions
     tables = _reference_tables_sgd(n, nd)
     blocks = params.layout.step_blocks(w)
@@ -481,20 +544,20 @@ def _l2_reference(w, mask, params, codebook, return_argmax=False):
             (gk - gk1) @ rows.T / (4.0 * n)
             - 0.5 * (wk1 @ u_alpha.T)
         )  # (..., R)
-        row_best = row_vals.max(axis=-1)
+        row = row_vals.argmax(axis=-1)
+        row_best = np.take_along_axis(row_vals, row[..., None], axis=-1)[..., 0]
         phi_term = -(gk1[..., 2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
         per_k_best.append(row_best + phi_term)  # (...,)
-        if return_argmax:
-            per_k_row.append(int(np.argmax(row_vals)))
+        per_k_row.append(row)
     stacked = np.stack(per_k_best, axis=-1)  # (..., n-1)
     table = 0.375 * np.swapaxes(proj, -1, -2)[..., :-1] + stacked[..., None, :]
-    best = table.max(axis=(-2, -1))
-    val = np.maximum(params.delta1, best)
-    if not return_argmax:
-        return val
-    flat = int(np.argmax(table))
-    u_star, k_star = divmod(flat, n - 1)
-    return val, (k_star + 1, u_star + 1, per_k_row[k_star])
+    return table, per_k_row
+
+
+def _l2_reference(w, mask, params, codebook):
+    """Exact prefix-shift term by enumeration; w may be batched."""
+    table, _ = _l2_reference_table(w, mask, params, codebook)
+    return np.maximum(params.delta1, table.max(axis=(-2, -1)))
 
 
 def loss_sgd(w, mask, params, codebook, mode="oracle"):
@@ -558,7 +621,7 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
         info = _l2_decode_info(w, params)
         table = _l2_table_point(w, 0, params, codebook, info)  # mask 0: no coupling yet
     elif mode == "reference":
-        table = _reference_point_table(w, params, codebook)
+        table, _ = _l2_reference_table(w, 0, params, codebook)
     else:
         raise OutOfRange(f"unknown loss mode {mode!r}")
     # undo the mask-0 coupling folded into the table, then add per-mask ones
@@ -574,26 +637,6 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     col_best = table.max(axis=0)  # (n-1,) over directions
     l2 = np.maximum(params.delta1, (col_best[None, :] + couple).max(axis=1))
     return (l1 + l2 + l3)[inverse]
-
-
-def _reference_point_table(w, params, codebook):
-    """(N, n-1) reference-mode candidate table at a single point (mask 0)."""
-    n = params.n
-    tables = _reference_tables_sgd(n, params.n_directions)
-    blocks = params.layout.step_blocks(w)
-    proj = blocks @ codebook.vectors.T
-    point0 = circle_point(0, params.n_directions)
-    out = np.empty((params.n_directions, n - 1))
-    for k in range(1, n):
-        rows, alphas = tables[k - 1]
-        gk = params.group(w, k)
-        gk1 = params.group(w, k + 1)
-        u_alpha = codebook.vectors[alphas - 1]
-        wk1 = params.layout.block(w, k + 1)
-        row_vals = (gk - gk1) @ rows.T / (4.0 * n) - 0.5 * (wk1 @ u_alpha.T)
-        base = row_vals.max() - (gk1[2 * k: 2 * k + 2] @ point0) / (4.0 * n * n)
-        out[:, k - 1] = 0.375 * proj[k - 1, :] + base
-    return out
 
 
 def grad_sgd(w, mask, params, codebook, mode="oracle"):
@@ -612,26 +655,23 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
     # term 1
     add_hinge_grad(g, w, mask, params, codebook)
 
-    # term 2
+    # term 2: ties go to the lowest direction, then the lowest k
     if mode == "oracle":
         info = _l2_decode_info(w, params)
         table = _l2_table_point(w, mask, params, codebook, info)
-        flat = int(np.argmax(table))
-        u_star, k_star = divmod(flat, n - 1)
-        k = k_star + 1
+        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
         if table[u_star, k_star] > params.delta1:
             psi, _, alpha = info[k_star]
-            _apply_l2_grad(g, k, u_star, alpha, psi, mask, params, codebook)
+            _apply_l2_grad(g, k_star + 1, u_star, alpha, psi, mask, params,
+                           codebook)
     elif mode == "reference":
-        val, argmax = _l2_reference(w, mask, params, codebook, return_argmax=True)
-        k, u_idx, row = argmax
-        tables = _reference_tables_sgd(n, nd)
-        rows_k, alphas_k = tables[k - 1]
-        if float(val) > params.delta1:
-            _apply_l2_grad(
-                g, k, u_idx - 1, int(alphas_k[row]), rows_k[row], mask, params,
-                codebook,
-            )
+        table, rows = _l2_reference_table(w, mask, params, codebook)
+        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
+        if table[u_star, k_star] > params.delta1:
+            psi_rows, alphas = _reference_tables_sgd(n, nd)[k_star]
+            row = rows[k_star]
+            _apply_l2_grad(g, k_star + 1, u_star, int(alphas[row]),
+                           psi_rows[row], mask, params, codebook)
     else:
         raise OutOfRange(f"unknown loss mode {mode!r}")
 
@@ -652,3 +692,51 @@ def _apply_l2_grad(g, k, u_row, alpha, psi, mask, params, codebook):
     params.group(g, k + 1)[2 * k: 2 * k + 2] -= circle_point(
         mask, params.n_directions
     ) / (4.0 * n * n)
+
+
+# ---------------------------------------------------------------------------
+# closed form
+# ---------------------------------------------------------------------------
+
+
+def expected_sgd_iterate(t, params, dataset, codebook):
+    """Exact one-pass iterate w_t under the forced/checked good event.
+
+    Step block k >= 2 carries the direction still common to the first k-1
+    samples; the encoding holds the marched prefix in group t-1 and the
+    accumulated position-1 leftovers in group 1.  Group contents reproduce
+    the optimizer's per-sample products bit for bit when n is a power of
+    two (the decode-sensitive part); step blocks are built from their
+    scalar coefficients.
+    """
+    if not 2 <= t <= params.n:
+        raise InvalidClosedForm(f"iterate {t} outside closed-form range [2, {params.n}]")
+    report = good_event_sgd(dataset, params)
+    if not report:
+        raise EventViolated(f"good event fails: {report.reason}")
+
+    n = params.n
+    lay = params.layout
+    states = event_state_sgd(dataset.masks, params.n_directions)
+    w = np.zeros(params.dim)
+
+    scale = 4.0 * n * n
+    for i in range(1, t):  # prefix group: samples 1..t-1 at their positions
+        enc = encode_sgd(dataset.masks[i - 1], i, n, params.n_directions)
+        params.group(w, t - 1)[:] += params.eta * (enc / scale)
+    if t >= 3:
+        for i in range(2, t):  # group 1 keeps collecting position-1 writes
+            enc = encode_sgd(dataset.masks[i - 1], 1, n, params.n_directions)
+            params.group(w, 1)[:] += params.eta * (enc / scale)
+
+    c1 = (t - 1) * (params.eta / n**3)
+    if t >= 3:
+        c1 -= 0.375 * params.eta
+    lay.block(w, 1)[:] = c1 * codebook.vectors[0]
+    if t >= 3:
+        u_last = codebook.vectors[states[t - 2].j - 1]  # J_{t-1}
+        lay.block(w, t - 1)[:] = 0.5 * params.eta * u_last
+    for k in range(2, t - 1):
+        u_k = codebook.vectors[states[k - 1].j - 1]  # J_k
+        lay.block(w, k)[:] = (params.eta / 8.0) * u_k
+    return w

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import InvalidClosedForm, OutOfRange
+from .instance_gd import MarginStep, _second_excluding_argmax
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class SmallstepParams:
     family = "smallstep"
     lipschitz = 1.0
     policies = ()  # no training set: nothing to draw, load or condition on
+    draw_samples = None  # a point mass: the population risk is the loss
+    first_checked_step = 1  # w_1 = 0 is the closed form's first iterate
+    strict_blocks = ()
 
     def __post_init__(self):
         if self.eta <= 0 or self.steps < 1:
@@ -96,6 +100,26 @@ class SmallstepParams:
         """The loss whose subgradient step_grad takes."""
         return lambda w: self.empirical_loss(w, dataset, codebook, mode)
 
+    def expected_iterate(self, t, dataset, codebook):
+        """Closed-form iterate w_t; dataset and codebook are unused."""
+        return expected_smallstep_iterate(t, self)
+
+    def margins(self, w, t, dataset, codebook):
+        """The hinge argmax at w_t against the floor 0, with slack eta/(8 d);
+        a one-coordinate hinge has no second candidate."""
+        vals = 1.0 / math.sqrt(self.dim) - w - self.tilts
+        best, second = _second_excluding_argmax(vals)
+        thr = self.eta / (8.0 * self.dim)
+        applicable = self.dim >= 2
+        ok = (not applicable) or (best - second > thr and best > thr)
+        return MarginStep(step=t, best=best, second_best=second, floor=0.0,
+                          threshold=thr, applicable=applicable, ok=bool(ok))
+
+    def baseline_population(self, baseline_empirical):
+        """Population risk of the zero vector: the loss there, as for every
+        point of a point mass."""
+        return baseline_empirical
+
     def draw_dataset(self, seed, policy):
         return None, 0
 
@@ -128,3 +152,21 @@ def grad_smallstep(w, params):
         g[j] = -1.0
     return g
 
+
+def expected_smallstep_iterate(t, params):
+    """Round-robin closed form: w_t = eta on coordinates 1..t-1.
+
+    Valid while fresh coordinates remain and the hinge stays active, which
+    the default dimension guarantees for t <= T.
+    """
+    if not 1 <= t <= params.steps:
+        raise InvalidClosedForm(f"iterate {t} outside [1, {params.steps}]")
+    if t - 1 > params.dim:
+        raise InvalidClosedForm(
+            f"round-robin exhausts {params.dim} coordinates before step {t}"
+        )
+    if params.eta * t >= 4.0 * math.sqrt(params.dim):
+        raise InvalidClosedForm("hinge deactivates before the requested step")
+    w = np.zeros(params.dim)
+    w[: t - 1] = params.eta
+    return w

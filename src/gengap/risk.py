@@ -2,10 +2,11 @@
 
 Population risks are plain Monte-Carlo means over fresh samples with a
 deterministic chunked RNG layout (the estimate for a given seed does not
-depend on chunk boundaries or platform).  For the full-batch family the
-on-trajectory population risk also has an exact two-branch closed form --
-the only randomness that survives the argmax structure is whether the fresh
-sample's subset contains the direction the training set missed -- which the
+depend on chunk boundaries or platform).  Each family's params carry its
+sampling law (draw_samples; None for a point mass, whose risk is the loss)
+and the population risk of the zero vector (baseline_population).  For the
+full-batch family the on-trajectory population risk also has an exact
+two-branch closed form, population_risk_closed_gd in instance_gd, which the
 estimator is tested against.
 
 Gap reports record the designed excess-risk targets next to the measured
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidClosedForm, OutOfRange
+from .errors import OutOfRange
+# the full-batch closed form stays importable from this module
+from .instance_gd import population_risk_closed_gd
 from .optim import suffix_average
-from .verify import _gd_block_coefficients
 
 CHUNK = 8192
 DEFAULT_SAMPLES = 20_000
@@ -42,11 +44,11 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
 
     Fresh samples follow the family's sampling law (params.draw_samples).
     Values are accumulated centered on the first draw so near-constant
-    losses do not lose their variance to cancellation.  The deterministic
-    family has no sample: its exact value and stderr 0.0 come back
+    losses do not lose their variance to cancellation.  A family without a
+    sampling law is a point mass: its exact value and stderr 0.0 come back
     regardless of n_samples.
     """
-    if params.family == "smallstep":  # a point mass: the risk is the loss
+    if params.draw_samples is None:
         return empirical_risk(w, None, params), 0.0
     if n_samples < 2:
         raise OutOfRange(f"need n_samples >= 2; got {n_samples}")
@@ -69,72 +71,6 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
     mean_c = total / n_samples
     var = max(total_sq - n_samples * mean_c * mean_c, 0.0) / (n_samples - 1)
     return base + mean_c, math.sqrt(var / n_samples)
-
-
-def population_risk_closed_gd(point, params):
-    """Exact population risk of a closed-form full-batch point.
-
-    point is an iterate index t (0 or 1 give the zero vector; the per-step
-    form is stated from t = 5, so 2 <= t < 5 is refused) or ("suffix", m)
-    for the mean of the last m closed-form iterates.  Conditioned on the
-    training set's good event, a fresh sample moves the loss only through
-    whether its subset contains the direction the training set missed, so
-    the expectation is the mean of two branch values plus the
-    sample-independent terms.  The value does not depend on which direction
-    that is.
-
-    Suffix windows are accepted while the pinned direction's ratchet
-    candidates provably outbid every other direction regardless of the
-    codebook; longer windows raise InvalidClosedForm.
-    """
-    T = params.steps
-    if T < 8:
-        raise InvalidClosedForm(f"per-step closed form needs steps >= 8; got {T}")
-    if isinstance(point, tuple):
-        tag, m = point
-        if tag != "suffix":
-            raise OutOfRange(f"unknown point tag {tag!r}")
-        if not 1 <= m <= T:
-            raise OutOfRange(f"suffix length {m} not in [1, {T}]")
-        window = range(T - m + 1, T + 1)
-    else:
-        t = int(point)
-        if t in (0, 1):
-            window = ()
-        elif 5 <= t <= T:
-            window = (t,)
-        else:
-            raise InvalidClosedForm(
-                f"iterate {t} outside the closed-form risk range ({{0, 1}} or [5, {T}])"
-            )
-
-    m = max(len(window), 1)
-    coefs = np.zeros(T + 1)
-    rho_hits = 0
-    for t in window:
-        if t >= 2:
-            coefs += _gd_block_coefficients(t, params)
-            rho_hits += 1
-    coefs /= m
-    rho = rho_hits / m
-
-    floor = params.l1_floor
-    h_in = np.maximum(floor, coefs[2:])
-    branch_in = math.sqrt(float(h_in @ h_in))
-    branch_out = floor * math.sqrt(T - 1)
-    l1 = 0.5 * (branch_in + branch_out)
-
-    l3 = max(params.delta1, rho * params.eta / params.n - params.beta * coefs[1])
-
-    cand = 0.375 * coefs[1:T] - 0.5 * coefs[2: T + 1]
-    best = float(cand.max()) if cand.size else 0.0
-    if cand.size and best < float(np.abs(cand).max()) / 8.0:
-        raise InvalidClosedForm(
-            "suffix window too long: a coherence-bounded direction could "
-            "outbid the pinned one, so no codebook-free value exists"
-        )
-    l4 = max(params.delta2, best)
-    return l1 + l3 + l4
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +153,14 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
                n_samples=DEFAULT_SAMPLES, seed=0, mode="oracle"):
     """Risk report for each requested suffix length of a recorded run.
 
-    Baselines are the risks of the zero vector: exact for the full-batch
-    population (closed form), and the training risk otherwise (the
-    one-pass loss is sample-independent at zero, and the deterministic loss
-    has no sample); targets are recorded with pass flags, never asserted.
+    Baselines are the risks of the zero vector: the training risk, and the
+    population risk the family's params derive from it
+    (baseline_population); targets are recorded with pass flags, never
+    asserted.
     """
     zero = np.zeros(traj.dim)
     base_emp = empirical_risk(zero, dataset, params, codebook, mode=mode)
-    if params.family == "gd":
-        base_pop = population_risk_closed_gd(0, params)
-    else:
-        base_pop = base_emp
+    base_pop = params.baseline_population(base_emp)
 
     reports = []
     for m in suffix_lengths:
@@ -245,7 +178,7 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
                 empirical=emp,
                 population=pop,
                 population_stderr=stderr,
-                n_samples=(0 if params.family == "smallstep" else n_samples),
+                n_samples=(0 if params.draw_samples is None else n_samples),
                 baseline_empirical=base_emp,
                 baseline_population=base_pop,
                 excess_empirical=excess_emp,

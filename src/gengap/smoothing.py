@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDraw, OutOfRange
-from .verify import expected_iterate
 
 CHUNK = 8192
 
@@ -231,7 +230,7 @@ def verify_trajectory_preservation(codebook, dataset, params, cfg, steps=None,
     and raise EventViolated otherwise.
     """
     steps = sorted(set(steps or range(1, params.horizon + 1)))
-    points = [expected_iterate(t, params, dataset, codebook) for t in steps]
+    points = [params.expected_iterate(t, dataset, codebook) for t in steps]
     exacts = [params.step_grad(w, t, dataset, codebook, mode)
               for t, w in zip(steps, points)]
     losses = [params.step_loss(t, dataset, codebook, mode) for t in steps]

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
 from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
+from gengap.optim import Trajectory, save_trajectory
 
 _GD_TINY = [
     "--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
@@ -83,6 +85,21 @@ def test_gd_run_artifacts_record_the_event_policy(tmp_path):
     table = (tmp_path / "gd-risk.csv").read_text().splitlines()
     assert table[0].startswith("seed,family,suffix_length,")
     assert len(table) == 3  # header + one row per requested suffix length
+
+
+@pytest.mark.parametrize("command", ["verify", "risk"])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_a_checkpoint_with_the_wrong_iterate_count_is_refused(
+        tmp_path, capsys, command, rows):
+    # a one-row checkpoint would leave every closed-form step unchecked
+    dim = GdParams(2, 4, 8, dprime=8).dim
+    save_trajectory(Trajectory(np.full((rows, dim), 0.01)), tmp_path / "ckpt")
+    code = main([command, *_GD_TINY, "--policy", "reject-until-E",
+                 "--seeds", "1", "--mc-samples", "200",
+                 "--trajectory", str(tmp_path / "ckpt")])
+    assert code == 2
+    assert f"checkpoint holds {rows} iterates; the configured instance " \
+        "has 8" in capsys.readouterr().err
 
 
 def test_gd_rejection_run_draws_the_library_dataset(tmp_path):

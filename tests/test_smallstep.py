@@ -8,12 +8,12 @@ import pytest
 from gengap.errors import InvalidClosedForm, OutOfRange
 from gengap.instance_smallstep import (
     SmallstepParams,
+    expected_smallstep_iterate,
     grad_smallstep,
     loss_smallstep,
 )
 from gengap.optim import run_smallstep, suffix_average
-from gengap.verify import check_margins, check_trajectory, \
-    expected_smallstep_iterate
+from gengap.verify import check_margins, check_trajectory
 
 
 def test_params_validation():

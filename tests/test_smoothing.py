@@ -19,7 +19,6 @@ from gengap.smoothing import (
     sphere_sample,
     verify_trajectory_preservation,
 )
-from gengap.verify import expected_iterate
 
 
 def test_sphere_samples_have_unit_norm():
@@ -210,7 +209,7 @@ def test_preservation_equals_a_per_step_smoothed_grad_loop(family):
     steps = (2, 3, 4)
     want = []
     for t in steps:
-        w = expected_iterate(t, params, dataset, codebook)
+        w = params.expected_iterate(t, dataset, codebook)
         exact = params.step_grad(w, t, dataset, codebook, mode)
         loss = params.step_loss(t, dataset, codebook, mode)
         est, stderr = smoothed_grad(loss, w, cfg)

@@ -44,8 +44,8 @@ from .risk import (
     population_risk_closed_gd,
     population_risk_mc,
 )
-from .smoothing import SmoothingConfig, smoothed_grad, smoothed_values, \
-    verify_trajectory_preservation
+from .smoothing import SIGMAS, SmoothingConfig, smoothed_grad, \
+    smoothed_value_checks, verify_trajectory_preservation, z_scores
 from .verify import (
     check_event_probability_gd,
     check_loss_properties,
@@ -459,17 +459,13 @@ def suite_smoothing():
     for family, (build, preserve_steps, mode) in _SMOOTH_FAMILIES.items():
         params, codebook, dataset, loss, points, lipschitz = build()
         cfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES, seed=0)
-        worst_slack = -np.inf
-        ok = True
-        values = smoothed_values([(loss, w) for w in points], cfg)
-        for w, (val, stderr) in zip(points, values):
-            slack = abs(val - float(loss(w))) - (lipschitz * cfg.delta + 3.0 * stderr)
-            worst_slack = max(worst_slack, slack)
-            ok &= slack <= 0.0
+        slacks = [abs(val - plain) - bound for val, _, plain, bound in
+                  smoothed_value_checks([(loss, w) for w in points], cfg,
+                                        lipschitz)]
         checks.append(
             Check(f"{family}: smoothed value stays within L*delta plus three "
                   f"standard errors of the loss at {len(points)} points",
-                  bool(ok), f"worst slack {worst_slack:.2e}")
+                  all(s <= 0.0 for s in slacks), f"worst slack {max(slacks):.2e}")
         )
         pcfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES,
                                seed=_SMOOTH_SEEDS[family])
@@ -487,15 +483,10 @@ def suite_smoothing():
     w = np.zeros(params.dim)
     big = SmoothingConfig(0.3, _SMOOTH_SAMPLES, seed=0)
     est, stderr = smoothed_grad(lambda v: loss_smallstep(v, params), w, big)
-    exact = grad_smallstep(w, params)
-    diff = np.abs(est - exact)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(stderr > 0, diff / stderr,
-                         np.where(diff > 0, np.inf, 0.0))
+    z = float(z_scores(est, grad_smallstep(w, params), stderr).max())
     checks.append(
         Check("negative control: an oversized radius visibly breaks gradient "
-              "agreement", float(sigma.max()) > 3.0,
-              f"max z {float(sigma.max()):.1f}")
+              "agreement", z > SIGMAS, f"max z {z:.1f}")
     )
     return checks
 

@@ -37,8 +37,9 @@ from .instance_sgd import SgdParams
 from .instance_smallstep import SmallstepParams
 from .optim import load_trajectory, run_gd, run_sgd, run_smallstep, save_trajectory
 from .risk import RiskReport, gap_report
-from .smoothing import SmoothingConfig, smoothed_value
-from .verify import check_margins, check_norm_bound, check_trajectory
+from .smoothing import SmoothingConfig, smoothed_value_checks
+from .verify import check_margins, check_norm_bound, check_trajectory, \
+    require_horizon
 
 _PARAMS = {"gd": GdParams, "sgd": SgdParams, "smallstep": SmallstepParams}
 _CONFIG_KEY = {"n_directions": "directions"}  # params fields named otherwise
@@ -245,11 +246,7 @@ def _seed_inputs(cfg, args, params, codebook, seed):
                 f"checkpoint dimension {traj.dim} does not match the "
                 f"configured instance ({params.dim})"
             )
-        if traj.steps != params.horizon:
-            raise OutOfRange(
-                f"checkpoint holds {traj.steps} iterates; the configured "
-                f"instance has {params.horizon}"
-            )
+        require_horizon(traj, params)
     elif dataset is None:
         traj = run_smallstep(params, projected=cfg.projected)
     else:
@@ -301,12 +298,10 @@ def _smoothing_check(cfg, params, codebook, dataset, traj):
     def loss(w):
         return params.empirical_loss(w, dataset, codebook, cfg.mode)
 
-    w = traj.iterate(traj.steps)
     scfg = SmoothingConfig(params.smoothing_delta, cfg.smoothing_samples,
                            seed=cfg.smoothing_seed)
-    val, stderr = smoothed_value(loss, w, scfg)
-    plain = float(loss(w))
-    bound = params.lipschitz * scfg.delta + 3.0 * stderr
+    [(val, _, plain, bound)] = smoothed_value_checks(
+        [(loss, traj.iterate(traj.steps))], scfg, params.lipschitz)
     ok = abs(val - plain) <= bound
     return {
         "delta": scfg.delta,
@@ -378,7 +373,7 @@ def cmd_run(args):
             "policy": cfg.policy,
             "rejections": rejections,
             "verify": verify_payload,
-            "risk": [json.loads(r.to_json()) for r in reports],
+            "risk": _jsonable(reports),
             "elapsed_seconds": time.perf_counter() - t0,
         }
         if cfg.smoothing and not skipped:

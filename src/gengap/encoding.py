@@ -16,10 +16,10 @@ Two encoders place codepoints inside a larger encoding subspace:
 - encode_gd: one 2-dim block per slot j in [n^2]  -> vector in R^{2 n^2}
 - encode_sgd: one 2-dim block per position t in [n] -> vector in R^{2 n}
 
-A block is "occupied" when its norm clears an occupancy threshold; an
-occupied block whose norm is not within 50% of the magnitude a single
-codepoint would have is refused as ambiguous (it usually holds a
-superposition of several codepoints).
+A block is "occupied" when its norm exceeds half the magnitude a single
+codepoint would have; an occupied block whose norm is not within 50% of
+that magnitude is refused as ambiguous (it usually holds a superposition
+of several codepoints).
 """
 
 import math
@@ -107,7 +107,7 @@ def encode_sgd(mask, position, n, n_directions):
     return out
 
 
-def decode_blocks(vec, n_directions, expected_magnitude, occupancy_threshold=None):
+def decode_blocks(vec, n_directions, expected_magnitude):
     """Decode every occupied 2-dim block of an encoding-subspace vector.
 
     Parameters
@@ -118,10 +118,8 @@ def decode_blocks(vec, n_directions, expected_magnitude, occupancy_threshold=Non
         Codebook size N; codepoints live on the circle with M = 2^N points.
     expected_magnitude : float
         Norm a block holding exactly one codepoint should have (e.g. eta/n
-        for the GD iterate's encoding subspace).
-    occupancy_threshold : float, optional
-        Blocks with norm <= this are treated as empty.  Defaults to half of
-        expected_magnitude.
+        for the GD iterate's encoding subspace).  Blocks with norm at
+        most half of it are treated as empty.
 
     Returns
     -------
@@ -135,13 +133,11 @@ def decode_blocks(vec, n_directions, expected_magnitude, occupancy_threshold=Non
         than 50% -- the usual symptom of several codepoints superposed in
         one block.
     """
-    if occupancy_threshold is None:
-        occupancy_threshold = 0.5 * expected_magnitude
     blocks = np.asarray(vec, dtype=np.float64).reshape(-1, 2)
     norms = np.hypot(blocks[:, 0], blocks[:, 1])
     m = subset_count(n_directions)
     out = []
-    for b in np.nonzero(norms > occupancy_threshold)[0]:
+    for b in np.nonzero(norms > 0.5 * expected_magnitude)[0]:
         norm = norms[b]
         if abs(norm - expected_magnitude) > 0.5 * expected_magnitude:
             raise AmbiguousBlock(

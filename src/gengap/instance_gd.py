@@ -61,6 +61,7 @@ from .errors import (
 )
 
 REFERENCE_BUDGET = 100_000
+MAX_DATASET_DRAWS = 100_000  # reject-until-E gives up after this many draws
 
 # rows per block of the batched reference read-out: on 8192-row smoothing
 # chunks, blocks of 64 to 128 rows ran about 3x faster than one unblocked
@@ -306,7 +307,7 @@ class GdDataset(_Dataset):
         )
 
 
-def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
+def draw_gd_dataset(params, seed, policy="unconditioned"):
     """Draw a training set from the GD hard distribution: (dataset, rejections).
 
     The samples follow GdParams.draw_samples.  With
@@ -318,20 +319,20 @@ def draw_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
     if policy not in params.policies:
         raise OutOfRange(f"unknown sampling policy {policy!r}")
     rng = np.random.default_rng(seed)
-    for rejections in range(max_tries):
+    for rejections in range(MAX_DATASET_DRAWS):
         masks, slots = params.draw_samples(rng, params.n)
         ds = GdDataset(masks=tuple(int(v) for v in masks),
                        slots=tuple(int(s) for s in slots), seed=int(seed))
         if policy == "unconditioned" or good_event_gd(ds, params):
             return ds, rejections
     raise AttemptsExhausted(
-        f"no dataset satisfied the good event in {max_tries} draws"
+        f"no dataset satisfied the good event in {MAX_DATASET_DRAWS} draws"
     )
 
 
-def sample_gd_dataset(params, seed, policy="unconditioned", max_tries=100_000):
+def sample_gd_dataset(params, seed, policy="unconditioned"):
     """The dataset of draw_gd_dataset, without its rejection count."""
-    return draw_gd_dataset(params, seed, policy, max_tries)[0]
+    return draw_gd_dataset(params, seed, policy)[0]
 
 
 def _check_dataset(dataset, params):

@@ -72,6 +72,8 @@ from .instance_gd import (
     hinge_terms,
 )
 
+MAX_FORCING_TRIES = 1000  # force_good_event_sgd gives up after this many
+
 
 @dataclass(frozen=True)
 class SgdParams:
@@ -284,7 +286,7 @@ def sample_sgd_dataset(params, seed):
     return SgdDataset(masks=tuple(int(m) for m in masks), seed=int(seed))
 
 
-def force_good_event_sgd(params, seed, max_tries=1000):
+def force_good_event_sgd(params, seed):
     """Construct a dataset on which the SGD good event provably holds.
 
     Picks increasing direction indices c_2 < ... < c_n from {2..N} and wires
@@ -303,7 +305,7 @@ def force_good_event_sgd(params, seed, max_tries=1000):
         )
     rng = np.random.default_rng(seed)
     p = params.inclusion_probability
-    for _ in range(max_tries):
+    for _ in range(MAX_FORCING_TRIES):
         anchors = np.sort(rng.choice(np.arange(2, nd + 1), size=n - 1, replace=False))
         taken = set(int(a) for a in anchors)
         free = [r for r in range(2, nd + 1) if r not in taken]
@@ -322,7 +324,7 @@ def force_good_event_sgd(params, seed, max_tries=1000):
         if good_event_sgd(ds, params):
             return ds
     raise AttemptsExhausted(
-        f"forcing failed to produce the good event in {max_tries} tries"
+        f"forcing failed to produce the good event in {MAX_FORCING_TRIES} tries"
     )
 
 

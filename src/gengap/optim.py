@@ -63,15 +63,16 @@ def suffix_average(trajectory, m):
     return trajectory.iterates[trajectory.steps - m:].mean(axis=0)
 
 
-def gradient_descent(grad_fn, dim, steps, eta, projected=False, record=True):
+def gradient_descent(grad_fn, dim, steps, eta, projected=False):
     """Run steps-1 updates of w <- w - eta * grad_fn(t, w) from w = 0.
 
     grad_fn receives the 1-based step index t and the current iterate.
-    Returns a Trajectory when record is true, else only the final iterate.
-    Oracle-domain failures are re-raised with the step index attached.
+    Returns the Trajectory of all steps iterates, written into one
+    preallocated (steps, dim) array.  Oracle-domain failures are re-raised
+    with the step index attached.
     """
+    iterates = np.zeros((steps, dim))
     w = np.zeros(dim)
-    iterates = [w.copy()] if record else None
     for t in range(1, steps):
         try:
             g = grad_fn(t, w)
@@ -80,19 +81,16 @@ def gradient_descent(grad_fn, dim, steps, eta, projected=False, record=True):
         w = w - eta * g
         if projected:
             w = project_ball(w)
-        if record:
-            iterates.append(w.copy())
-    if record:
-        return Trajectory(iterates=np.array(iterates))
-    return w
+        iterates[t] = w
+    return Trajectory(iterates=iterates)
 
 
-def run_gd(codebook, dataset, params, mode="oracle", projected=False, record=True):
+def run_gd(codebook, dataset, params, mode="oracle", projected=False):
     """Full-batch subgradient descent on the GD instance's empirical risk."""
-    return _run(params, dataset, codebook, mode, projected, record)
+    return _run(params, dataset, codebook, mode, projected)
 
 
-def run_sgd(codebook, dataset, params, mode="oracle", projected=False, record=True):
+def run_sgd(codebook, dataset, params, mode="oracle", projected=False):
     """One-pass SGD on the sparse instance: update t consumes sample t.
 
     The pass makes n-1 updates, so the last sample is never consumed by the
@@ -102,22 +100,22 @@ def run_sgd(codebook, dataset, params, mode="oracle", projected=False, record=Tr
         raise OutOfRange(
             f"dataset holds {dataset.n} samples; params.n={params.n}"
         )
-    return _run(params, dataset, codebook, mode, projected, record)
+    return _run(params, dataset, codebook, mode, projected)
 
 
-def run_smallstep(params, projected=False, record=True):
+def run_smallstep(params, projected=False):
     """Descent on the deterministic hinge (full-batch and one-pass agree)."""
-    return _run(params, None, None, None, projected, record)
+    return _run(params, None, None, None, projected)
 
 
-def _run(params, dataset, codebook, mode, projected, record):
+def _run(params, dataset, codebook, mode, projected):
     """Descent along the family's step gradient over its horizon."""
 
     def grad(t, w):
         return params.step_grad(w, t, dataset, codebook, mode)
 
     return gradient_descent(grad, params.dim, params.horizon, params.eta,
-                            projected=projected, record=record)
+                            projected=projected)
 
 
 def save_trajectory(trajectory, basepath):

@@ -1,30 +1,29 @@
 """Empirical and population risk, Monte-Carlo and closed-form.
 
-Population risks are plain Monte-Carlo means over fresh samples with a
-deterministic chunked RNG layout (the estimate for a given seed does not
-depend on chunk boundaries or platform).  Each family's params carry its
-sampling law (draw_samples; None for a point mass, whose risk is the loss)
-and the population risk of the zero vector (baseline_population).  For the
-full-batch family the on-trajectory population risk also has an exact
-two-branch closed form, population_risk_closed_gd in instance_gd, which the
-estimator is tested against.
+Population risks are Monte-Carlo means over fresh samples from the one
+chunked estimator, smoothing.mc_means, whose seed-per-chunk layout makes
+the estimate for a given seed independent of platform.  Each family's
+params carry its sampling law (draw_samples; None for a point mass, whose
+risk is the loss) and the population risk of the zero vector
+(baseline_population).  For the full-batch family the on-trajectory
+population risk also has an exact two-branch closed form,
+population_risk_closed_gd in instance_gd, which the estimator is tested
+against.
 
 Gap reports record the designed excess-risk targets next to the measured
 numbers; they never assert them.
 """
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
 # the full-batch closed form stays importable from this module
 from .instance_gd import population_risk_closed_gd
 from .optim import suffix_average
+from .smoothing import mc_means
 
-CHUNK = 8192
 DEFAULT_SAMPLES = 20_000
 
 
@@ -50,27 +49,17 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
     """
     if params.draw_samples is None:
         return empirical_risk(w, None, params), 0.0
-    if n_samples < 2:
-        raise OutOfRange(f"need n_samples >= 2; got {n_samples}")
-    n_chunks = -(-n_samples // CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     base = None
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for child in seeds:
-        count = min(CHUNK, n_samples - done)
-        samples = params.draw_samples(np.random.default_rng(child), count)
+
+    def centered(samples):
+        nonlocal base
         vals = params.sample_losses(w, samples, codebook, mode)
         if base is None:
             base = float(vals[0])
-        centered = vals - base
-        total += float(centered.sum())
-        total_sq += float((centered * centered).sum())
-        done += count
-    mean_c = total / n_samples
-    var = max(total_sq - n_samples * mean_c * mean_c, 0.0) / (n_samples - 1)
-    return base + mean_c, math.sqrt(var / n_samples)
+        return vals - base
+
+    [(mean, stderr)] = mc_means(seed, n_samples, params.draw_samples, [centered])
+    return base + mean, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -102,42 +91,17 @@ class RiskReport:
     excess_population: float
     thresholds: tuple
 
-    def to_json(self):
-        payload = {
-            "family": self.family,
-            "suffix_length": self.suffix_length,
-            "empirical": self.empirical,
-            "population": self.population,
-            "population_stderr": self.population_stderr,
-            "n_samples": self.n_samples,
-            "baseline_empirical": self.baseline_empirical,
-            "baseline_population": self.baseline_population,
-            "excess_empirical": self.excess_empirical,
-            "excess_population": self.excess_population,
-            "thresholds": [
-                {
-                    "name": rec.name,
-                    "target": rec.target,
-                    "observed": rec.observed,
-                    "satisfied": rec.satisfied,
-                }
-                for rec in self.thresholds
-            ],
-        }
-        return json.dumps(payload, indent=2)
+    # the CSV columns in order; a Python float prints as its shortest repr
+    CSV_COLUMNS = ("family", "suffix_length", "empirical", "population",
+                   "population_stderr", "baseline_population",
+                   "excess_population", "excess_empirical")
+    CSV_HEADER = ",".join(CSV_COLUMNS)
 
-    CSV_HEADER = (
-        "family,suffix_length,empirical,population,population_stderr,"
-        "baseline_population,excess_population,excess_empirical"
-    )
+    def to_json(self):
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv_row(self):
-        return (
-            f"{self.family},{self.suffix_length},{self.empirical!r},"
-            f"{self.population!r},{self.population_stderr!r},"
-            f"{self.baseline_population!r},{self.excess_population!r},"
-            f"{self.excess_empirical!r}"
-        )
+        return ",".join(str(getattr(self, col)) for col in self.CSV_COLUMNS)
 
 
 def _thresholds(params, **observed):

@@ -14,11 +14,15 @@ radius stays below every argmax margin, the smoothed gradient agrees with
 the subgradient the optimizer uses, which is what
 verify_trajectory_preservation spot-checks statistically.
 
-Sampling is chunked with per-chunk seeds spawned from the config seed, so
-estimates are reproducible and independent of how many chunks run.  Points
-that share a config share their draws: smoothed_values and smoothed_grads
-draw each chunk once and evaluate it at every point, and each point's
-estimate equals its one-point estimate bitwise.
+mc_means is the one chunked Monte-Carlo estimator behind every such
+number here and in risk.population_risk_mc: per-chunk seeds spawned from
+the config seed make estimates reproducible and independent of how many
+chunks run, and each chunk is drawn once for every point that shares the
+config, so smoothed_values and smoothed_grads give each point its one-point
+estimate bitwise.  The checks share one three-sigma rule (SIGMAS): a
+smoothed value within L*delta + 3 stderr of the loss
+(smoothed_value_checks), and every gradient coordinate's z-score
+(z_scores) at most 3.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,7 @@ import numpy as np
 from .errors import DegenerateDraw, OutOfRange
 
 CHUNK = 8192
+SIGMAS = 3.0  # the three-sigma rule: an estimate passes within 3 stderr
 
 _MIN_NORM = 1e-150
 _MAX_REDRAWS = 100
@@ -97,12 +102,40 @@ def ball_sample(dim, rng, size=None):
     return y[0] if size is None else y
 
 
-def _chunks(seed, count):
-    """(rows, rng) per chunk of count draws: chunk i draws from the i-th
-    seed spawned from seed."""
+def mc_means(seed, count, draw, terms):
+    """The chunked Monte-Carlo estimator: (mean, stderr) of each term over
+    count draws.
+
+    Chunk i holds up to CHUNK draws, draw(rng, rows) with the rng of the
+    i-th seed spawned from seed, and is drawn once for every term.  A term
+    maps one chunk's draws to a fresh array of its centered values, shape
+    (rows,) for a scalar or (rows, d) per coordinate, which the estimator
+    then overwrites; its values and their squares are summed in chunk
+    order, so a term's estimate does not depend on the other terms.  The
+    mean is that of the centered values (the caller adds its center back);
+    scalar terms give Python floats.
+    """
+    if count < 2:
+        raise OutOfRange(f"need at least 2 draws for a variance estimate; "
+                         f"got {count}")
+    sums = [[0.0, 0.0] for _ in terms]  # per term: values, squared values
     seeds = np.random.SeedSequence(seed).spawn(-(-count // CHUNK))
     for i, chunk_seed in enumerate(seeds):
-        yield min(CHUNK, count - i * CHUNK), np.random.default_rng(chunk_seed)
+        x = draw(np.random.default_rng(chunk_seed), min(CHUNK, count - i * CHUNK))
+        for term, acc in zip(terms, sums):
+            vals = term(x)
+            acc[0] += vals.sum(axis=0)
+            # squared in place: no second chunk-sized array
+            acc[1] += np.multiply(vals, vals, out=vals).sum(axis=0)
+            del vals  # free the chunk-sized array before the next term
+    out = []
+    for total, total_sq in sums:
+        mean = total / count
+        var = np.maximum(total_sq - count * mean * mean, 0.0) / (count - 1)
+        stderr = np.sqrt(var / count)
+        out.append((float(mean), float(stderr)) if np.ndim(mean) == 0
+                   else (mean, stderr))
+    return out
 
 
 def _points(jobs):
@@ -119,30 +152,23 @@ def smoothed_values(jobs, cfg):
     a list of (estimate, stderr).
 
     Each loss must accept both a single point (d,) and a batch (B, d).
-    Each chunk of ball samples is drawn once and evaluated at every job;
-    a job's sums run in chunk order, so its estimate is the one-point
-    estimate bitwise.  The accumulation is centered at loss(w), which
-    changes no estimate in exact arithmetic but keeps the variance sums
-    fully precise when the perturbations are tiny (a constant loss reports
-    stderr exactly 0).
+    The ball samples are shared by every job (mc_means).  Each job is
+    centered at loss(w), which changes no estimate in exact arithmetic but
+    keeps the variance sums fully precise when the perturbations are tiny
+    (a constant loss reports stderr exactly 0).
     """
     points, dim = _points(jobs)
     bases = [float(loss(w)) for (loss, _), w in zip(jobs, points)]
-    m = cfg.samples
-    sums = [[0.0, 0.0] for _ in jobs]  # per job: values, squared values
-    for b, rng in _chunks(cfg.seed, m):
-        v = ball_sample(dim, rng, size=b)
-        for (loss, _), w, base, acc in zip(jobs, points, bases, sums):
-            vals = np.asarray(loss(w[None, :] + cfg.delta * v),
-                              dtype=np.float64) - base
-            acc[0] += float(vals.sum())
-            acc[1] += float((vals * vals).sum())
-    out = []
-    for base, (total, total_sq) in zip(bases, sums):
-        mean = total / m
-        var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
-        out.append((base + mean, float(np.sqrt(var / m))))
-    return out
+
+    def centered(loss, w, base):
+        return lambda v: np.asarray(loss(w[None, :] + cfg.delta * v),
+                                    dtype=np.float64) - base
+
+    means = mc_means(cfg.seed, cfg.samples,
+                     lambda rng, rows: ball_sample(dim, rng, size=rows),
+                     [centered(loss, w, base) for (loss, _), w, base
+                      in zip(jobs, points, bases)])
+    return [(base + mean, stderr) for base, (mean, stderr) in zip(bases, means)]
 
 
 def smoothed_value(loss, w, cfg):
@@ -158,44 +184,52 @@ def smoothed_grads(jobs, cfg):
     Averages (dim/delta) * loss(w + delta*a) * a over sphere draws.  With
     antithetic pairing each pair (a, -a) contributes
     (dim/delta) * (loss(w+delta*a) - loss(w-delta*a))/2 * a, so the sample
-    count covers samples//2 pairs (an odd trailing draw is dropped).  As in
-    smoothed_values, each chunk is drawn once for all jobs and each job's
-    estimate is its one-point estimate bitwise.
+    count covers samples//2 pairs (an odd trailing draw is dropped).  The
+    sphere draws are shared by every job (mc_means).
     """
     count = cfg.samples // 2 if cfg.antithetic else cfg.samples
-    if count < 2:
-        raise OutOfRange("too few samples for a variance estimate")
     points, dim = _points(jobs)
     scale = dim / cfg.delta
-    sums = [(np.zeros(dim), np.zeros(dim)) for _ in jobs]
-    for b, rng in _chunks(cfg.seed, count):
-        a = sphere_sample(dim, rng, size=b)
-        for (loss, _), w, (total, total_sq) in zip(jobs, points, sums):
-            if cfg.antithetic:
-                f_plus = np.asarray(loss(w[None, :] + cfg.delta * a),
-                                    dtype=np.float64)
-                f_minus = np.asarray(loss(w[None, :] - cfg.delta * a),
-                                     dtype=np.float64)
-                contrib = (0.5 * scale * (f_plus - f_minus))[:, None] * a
-            else:
-                vals = np.asarray(loss(w[None, :] + cfg.delta * a),
-                                  dtype=np.float64)
-                contrib = (scale * vals)[:, None] * a
-            total += contrib.sum(axis=0)
-            total_sq += (contrib * contrib).sum(axis=0)
-            del contrib  # a chunk-sized array: free it before the next job
-    out = []
-    for total, total_sq in sums:
-        est = total / count
-        var = np.maximum(total_sq - count * est * est, 0.0) / (count - 1)
-        out.append((est, np.sqrt(var / count)))
-    return out
+
+    def contributions(loss, w):
+        def term(a):
+            f_plus = np.asarray(loss(w[None, :] + cfg.delta * a),
+                                dtype=np.float64)
+            if not cfg.antithetic:
+                return (scale * f_plus)[:, None] * a
+            f_minus = np.asarray(loss(w[None, :] - cfg.delta * a),
+                                 dtype=np.float64)
+            return (0.5 * scale * (f_plus - f_minus))[:, None] * a
+        return term
+
+    return mc_means(cfg.seed, count,
+                    lambda rng, rows: sphere_sample(dim, rng, size=rows),
+                    [contributions(loss, w) for (loss, _), w in zip(jobs, points)])
 
 
 def smoothed_grad(loss, w, cfg):
     """Zeroth-order gradient estimate at w: (vector estimate, per-coordinate
     stderr); see smoothed_grads."""
     return smoothed_grads([(loss, w)], cfg)[0]
+
+
+def smoothed_value_checks(jobs, cfg, lipschitz):
+    """The three-sigma value check at each (loss, w) job: a list of
+    (smoothed value, stderr, plain loss, bound).
+
+    An L-Lipschitz loss moves by at most L*delta over the delta-ball, so
+    the check passes when |value - plain| <= bound = L*delta + 3 stderr.
+    """
+    return [(val, stderr, float(loss(w)), lipschitz * cfg.delta + SIGMAS * stderr)
+            for (loss, w), (val, stderr) in zip(jobs, smoothed_values(jobs, cfg))]
+
+
+def z_scores(est, exact, stderr):
+    """|est - exact| / stderr per coordinate.  A coordinate with zero
+    spread must match outright: it reads 0 if it does and inf if not."""
+    diff = np.abs(est - exact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(stderr > 0, diff / stderr, np.where(diff > 0, np.inf, 0.0))
 
 
 @dataclass(frozen=True)
@@ -238,16 +272,13 @@ def verify_trajectory_preservation(codebook, dataset, params, cfg, steps=None,
     estimates = smoothed_grads(list(zip(losses, points)), cfg)
     records = []
     for t, exact, (est, stderr) in zip(steps, exacts, estimates):
-        diff = np.abs(est - exact)
-        # a coordinate with zero spread must match outright
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.where(stderr > 0, diff / stderr, np.where(diff > 0, np.inf, 0.0))
+        sigma = z_scores(est, exact, stderr)
         records.append(
             PreservationStep(
                 step=t,
-                max_abs_diff=float(diff.max()),
+                max_abs_diff=float(np.abs(est - exact).max()),
                 max_sigma=float(sigma.max()),
-                within=bool((sigma <= 3.0).all()),
+                within=bool((sigma <= SIGMAS).all()),
             )
         )
     return PreservationReport(steps=tuple(records), ok=all(r.within for r in records))

@@ -62,6 +62,14 @@ def expected_suffix(m, params, dataset, codebook):
 # ---------------------------------------------------------------------------
 
 
+def require_horizon(traj, params):
+    """Refuse a trajectory whose iterate count is not the family's horizon:
+    its closed-form steps would go unchecked or be misread."""
+    if traj.steps != params.horizon:
+        raise OutOfRange(f"checkpoint holds {traj.steps} iterates; the "
+                         f"configured instance has {params.horizon}")
+
+
 @dataclass(frozen=True)
 class StepDeviation:
     step: int
@@ -86,10 +94,12 @@ def check_trajectory(traj, params, dataset, codebook,
     first update, or w_1 for the deterministic family) up to its horizon.
     Coordinates the closed form leaves at exactly zero, and the family's
     strict_blocks, are held to tol_strict; everything else to tol_main.
-    Both are absolute.
+    Both are absolute.  A trajectory of another length than the horizon
+    raises OutOfRange (require_horizon).
     """
+    require_horizon(traj, params)
     records = []
-    for t in range(params.first_checked_step, min(params.horizon, traj.steps) + 1):
+    for t in range(params.first_checked_step, params.horizon + 1):
         expected = params.expected_iterate(t, dataset, codebook)
         dev = np.abs(traj.iterate(t) - expected)
         strict_mask = expected == 0.0
@@ -189,8 +199,10 @@ def check_margins(traj, params, dataset=None, codebook=None):
 
     Steps where the construction promises nothing (the floor is active, or
     warm-up steps before the table has spread) are reported as not
-    applicable and do not affect the overall flag.
+    applicable and do not affect the overall flag.  A trajectory of
+    another length than the horizon raises OutOfRange (require_horizon).
     """
+    require_horizon(traj, params)
     records = [params.margins(traj.iterate(t), t, dataset, codebook)
                for t in range(1, traj.steps + 1)]
     return MarginReport(steps=tuple(records), ok=all(r.ok for r in records))

@@ -98,9 +98,6 @@ def test_decode_blocks_skips_below_occupancy_threshold():
     vec = np.zeros(4)
     vec[0:2] = 0.04 * circle_point(3, n_directions)  # below half of 0.1
     assert decode_blocks(vec, n_directions, 0.1) == []
-    # explicit lower threshold picks it up again (norm matches 0.04 fine)
-    assert decode_blocks(vec, n_directions, 0.04, occupancy_threshold=0.02) \
-        == [(1, 3)]
 
 
 def test_decode_blocks_flags_superposed_codepoints():

@@ -48,14 +48,6 @@ def test_gradient_descent_starts_at_zero_and_records_every_iterate():
     assert np.array_equal(traj.iterate(4), [-1.5, -1.5])
 
 
-def test_record_false_returns_only_the_final_point():
-    p = SmallstepParams(eta=0.1, steps=10)
-    final = run_smallstep(p, record=False)
-    assert isinstance(final, np.ndarray) and final.shape == (p.dim,)
-    full = run_smallstep(p)
-    assert np.array_equal(final, full.iterate(p.steps))
-
-
 def test_step_index_passed_to_grad_fn_is_one_based():
     seen = []
 

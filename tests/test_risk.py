@@ -19,6 +19,7 @@ from gengap.risk import (
     population_risk_closed_gd,
     population_risk_mc,
 )
+from gengap.smoothing import CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,45 @@ def test_population_mc_is_seed_reproducible(gd_setup):
     assert a == b
     c = population_risk_mc(w, params, codebook, n_samples=500, seed=43)
     assert a != c
+
+
+def _parent_population_loop(w, params, codebook, n_samples, seed):
+    # the population estimator's own loop before it shared the chunked
+    # estimator with the smoothing module
+    seeds = np.random.SeedSequence(seed).spawn(-(-n_samples // CHUNK))
+    base = None
+    total = total_sq = 0.0
+    done = 0
+    for child in seeds:
+        count = min(CHUNK, n_samples - done)
+        samples = params.draw_samples(np.random.default_rng(child), count)
+        vals = params.sample_losses(w, samples, codebook, "oracle")
+        if base is None:
+            base = float(vals[0])
+        centered = vals - base
+        total += float(centered.sum())
+        total_sq += float((centered * centered).sum())
+        done += count
+    mean_c = total / n_samples
+    var = max(total_sq - n_samples * mean_c * mean_c, 0.0) / (n_samples - 1)
+    return base + mean_c, math.sqrt(var / n_samples)
+
+
+@pytest.mark.parametrize("family", ["gd", "sgd"])
+def test_population_mc_equals_its_chunked_loop_bitwise(gd_setup, family):
+    # two full chunks and a partial third
+    if family == "gd":
+        params, codebook, _, traj = gd_setup
+    else:
+        params = SgdParams(4, 8, dprime=16)
+        codebook = generate_codebook(8, 16, seed=3)
+        dataset = force_good_event_sgd(params, 21)
+        traj = run_sgd(codebook, dataset, params)
+    w = traj.iterate(traj.steps)
+    n = 2 * CHUNK + 5
+    got = population_risk_mc(w, params, codebook, n_samples=n, seed=9)
+    assert got == _parent_population_loop(w, params, codebook, n, 9)
+    assert all(type(x) is float for x in got)
 
 
 def test_population_mc_needs_two_samples(gd_setup):

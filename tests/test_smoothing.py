@@ -16,8 +16,10 @@ from gengap.smoothing import (
     smoothed_grads,
     smoothed_value,
     smoothed_values,
+    smoothed_value_checks,
     sphere_sample,
     verify_trajectory_preservation,
+    z_scores,
 )
 
 
@@ -222,6 +224,24 @@ def test_preservation_equals_a_per_step_smoothed_grad_loop(family):
     rep = verify_trajectory_preservation(codebook, dataset, params, cfg,
                                          steps=steps, mode=mode)
     assert rep.steps == tuple(want)
+
+
+def test_z_scores_read_zero_spread_coordinates_as_match_or_mismatch():
+    est = np.array([1.0, 2.0, 2.0, 5.0])
+    exact = np.array([1.0, 2.0, 3.0, 4.0])
+    stderr = np.array([0.5, 0.0, 0.0, 0.25])
+    # a matching zero-spread coordinate reads 0, a mismatching one inf
+    assert z_scores(est, exact, stderr).tolist() == [0.0, 0.0, np.inf, 4.0]
+
+
+def test_value_checks_bound_each_point_by_l_delta_plus_three_stderr():
+    loss = lambda v: np.abs(v).sum(axis=-1)
+    points = [np.ones(3), np.zeros(3)]
+    jobs = [(loss, w) for w in points]
+    cfg = SmoothingConfig(0.1, 3000, seed=4)
+    checks = smoothed_value_checks(jobs, cfg, lipschitz=2.0)
+    for w, (val, stderr), got in zip(points, smoothed_values(jobs, cfg), checks):
+        assert got == (val, stderr, float(loss(w)), 2.0 * 0.1 + 3.0 * stderr)
 
 
 def test_smallstep_value_agrees_below_the_designed_radius():

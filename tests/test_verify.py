@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gengap.codebook import generate_codebook
-from gengap.errors import InvalidClosedForm
+from gengap.errors import InvalidClosedForm, OutOfRange
 from gengap.instance_gd import GdParams, sample_gd_dataset
 from gengap.instance_smallstep import SmallstepParams
 from gengap.optim import Trajectory, run_gd, run_smallstep
@@ -179,6 +179,25 @@ def test_smallstep_margin_checker_flags_a_shrunken_lead():
     assert not rep.ok
     broken = [s for s in rep.steps if not s.ok]
     assert broken and broken[0].gap_second < broken[0].threshold
+
+
+@pytest.mark.parametrize("check", [check_trajectory, check_margins])
+@pytest.mark.parametrize("length", ["one", "horizon+1"])
+@pytest.mark.parametrize("family", ["gd", "smallstep"])
+def test_a_trajectory_of_another_length_than_the_horizon_is_refused(
+        gd_setup, family, length, check):
+    # one row would leave every closed-form step unchecked; an extra row
+    # would be checked against no step of the construction
+    if family == "gd":
+        params, codebook, dataset, traj = gd_setup
+    else:
+        params, codebook, dataset = SmallstepParams(eta=0.1, steps=10), None, None
+        traj = run_smallstep(params)
+    rows = traj.iterates[:1] if length == "one" else np.vstack(
+        [traj.iterates, traj.iterates[-1:]])
+    with pytest.raises(OutOfRange, match=f"checkpoint holds {len(rows)} "
+                       f"iterates; the configured instance has {params.horizon}"):
+        check(Trajectory(iterates=rows), params, dataset, codebook)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json`` and five ``gengap run``
-sweeps (each with the smoothed-risk check), then ``gengap verify`` and
+sweeps (each with the smoothed-risk check and several suffix lengths, whose
+population risks share one Monte-Carlo draw), then ``gengap verify`` and
 ``gengap risk`` on every dataset/trajectory pair a sweep saved.  JSON files
 are compared without their ``elapsed_seconds`` and ``out`` keys, other files
 byte for byte, stdout and stderr with timings and paths masked, and exit
@@ -23,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 _GD = ["--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
-       "--dprime", "8"]
+       "--dprime", "8", "--suffix", "1,4,8"]
 _SMOOTH = ["--smoothing", "--smoothing-samples", "3000"]
 
 # name -> the config flags shared by the sweep's run, verify and risk calls
@@ -32,12 +33,13 @@ SWEEPS = {
                                   "--mode", "reference"],
     "gd-unconditioned-oracle": _GD + ["--policy", "unconditioned"],
     "sgd-force": ["--family", "sgd", "--n", "6", "--directions", "9",
-                  "--policy", "force"],
+                  "--policy", "force", "--suffix", "1,2,3,6"],
     "sgd-unconditioned-reference": ["--family", "sgd", "--n", "3",
                                     "--directions", "3",
                                     "--policy", "unconditioned",
-                                    "--mode", "reference"],
-    "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100"],
+                                    "--mode", "reference", "--suffix", "1,3"],
+    "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100",
+                  "--suffix", "1,10,100"],
 }
 SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6"}
 

@@ -119,6 +119,13 @@ class ExperimentConfig:
                 f"{self.family} needs an explicit dataset policy, --policy "
                 f"{' or '.join(params.policies)}; got {self.policy!r}"
             )
+        # refused here, before any artifact is written
+        if not all(1 <= m <= params.horizon for m in self.suffix):
+            raise OutOfRange(f"--suffix lengths must lie in [1, {params.horizon}]; "
+                             f"got {list(self.suffix)}")
+        if params.draw_samples is not None and self.mc_samples < 2:
+            raise OutOfRange(f"--mc-samples must be at least 2 for a variance "
+                             f"estimate; got {self.mc_samples}")
         if capped and self.eta is not None and self.theorem_mode:
             cap = theorem_step_size(params.horizon)
             if self.eta > cap * (1.0 + 1e-12):
@@ -158,30 +165,28 @@ def load_config(path):
     return raw
 
 
-def _parse_seeds(value):
-    """Accept [1,2,3], {start,stop}, '1,2,3', or '0..8' (stop exclusive)."""
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return tuple(range(int(value["start"]), int(value["stop"])))
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    if isinstance(value, str):
-        if ".." in value:
+def _parse_ints(value, key):
+    """The integer list of --key: [1,2,3], {start,stop}, '1,2,3', '0..8'
+    (stop exclusive) or one integer.  A non-integer entry or an empty list
+    is a configuration error."""
+    try:
+        if isinstance(value, dict):
+            ints = range(int(value["start"]), int(value["stop"]))
+        elif isinstance(value, str) and ".." in value:
             lo, hi = value.split("..", 1)
-            return tuple(range(int(lo), int(hi)))
-        return tuple(int(v) for v in value.split(","))
-    return (int(value),)
-
-
-def _parse_suffix(value):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    if isinstance(value, str):
-        return tuple(int(v) for v in value.split(","))
-    return (int(value),)
+            ints = range(int(lo), int(hi))
+        elif isinstance(value, str):
+            ints = [int(v) for v in value.split(",")]
+        elif isinstance(value, (list, tuple)):
+            ints = [int(v) for v in value]
+        else:
+            ints = [int(value)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OutOfRange(f"--{key} takes integers, '1,2,3' or '0..8'; "
+                         f"got {value!r}") from exc
+    if not ints:
+        raise OutOfRange(f"--{key} {value!r} lists no integer")
+    return tuple(ints)
 
 
 def config_from_args(args):
@@ -195,8 +200,9 @@ def config_from_args(args):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    merged["seeds"] = _parse_seeds(merged["seeds"]) or defaults["seeds"]
-    merged["suffix"] = _parse_suffix(merged["suffix"]) or defaults["suffix"]
+    for key in ("seeds", "suffix"):  # a YAML null keeps the default
+        value = merged[key]
+        merged[key] = _parse_ints(defaults[key] if value is None else value, key)
     cfg = ExperimentConfig(**merged)
     cfg.validate()
     return cfg

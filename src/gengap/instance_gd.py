@@ -204,7 +204,8 @@ class GdParams:
         return masks, rng.integers(1, self.n * self.n + 1, size=count)
 
     def sample_losses(self, w, samples, codebook, mode):
-        """Loss of each sample of a (masks, slots) pair at one point w."""
+        """Loss of each sample of a (masks, slots) pair at one point w, shape
+        (B,), or at each point of a stack (P, d), shape (P, B)."""
         masks, slots = samples
         return loss_gd_samples(w, masks, slots, self, codebook, mode=mode)
 
@@ -631,30 +632,35 @@ def empirical_loss_gd(w, dataset, params, codebook, mode="oracle"):
 
 
 def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
-    """Loss of many samples at one fixed w; returns shape (B,).
+    """Loss of many samples at one point w, shape (B,); w may be a stack of
+    points (P, d), giving shape (P, B).
 
     This is the Monte-Carlo path: the sample-independent terms (read-out
-    and ratchet) are evaluated once, and the per-sample terms are done as
-    one batched matrix product over the masks/slots arrays.
+    and ratchet) are evaluated once per point, and the per-sample terms
+    are done as one batched matrix product over the masks/slots arrays.
+    Each point's row equals its one-point call bitwise.
     """
-    w = np.asarray(w, dtype=np.float64)
+    points = np.asarray(w, dtype=np.float64)
     masks = np.asarray(masks, dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64)
-    const = float(_l3_gd(w, params, codebook, mode)) + float(
-        _l4_gd(w, params, codebook)
-    )
+    angle = 2.0 * math.pi * (masks / subset_count(params.n_directions))
+    sin, cos = np.sin(angle), np.cos(angle)
+    stack = points.reshape(-1, points.shape[-1])
+    out = np.empty((len(stack), masks.size))
+    for row, w in zip(out, stack):
+        const = float(_l3_gd(w, params, codebook, mode)) + float(
+            _l4_gd(w, params, codebook)
+        )
 
-    l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
+        l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
 
-    # term 2: minus the slot block read off at each sample's codepoint
-    lay = params.layout
-    enc_blocks = lay.encoding(w).reshape(-1, 2)  # (n^2, 2)
-    sel = enc_blocks[slots - 1]  # (B, 2)
-    m = subset_count(params.n_directions)
-    angle = 2.0 * math.pi * (masks / m)
-    l2 = -(np.sin(angle) * sel[:, 0] + np.cos(angle) * sel[:, 1])
+        # term 2: minus the slot block read off at each sample's codepoint
+        enc_blocks = params.layout.encoding(w).reshape(-1, 2)  # (n^2, 2)
+        sel = enc_blocks[slots - 1]  # (B, 2)
+        l2 = -(sin * sel[:, 0] + cos * sel[:, 1])
 
-    return l1 + l2 + const
+        np.add(l1 + l2, const, out=row)
+    return out.reshape(points.shape[:-1] + masks.shape)
 
 
 def grad_gd(w, sample, params, codebook, mode="oracle"):

@@ -163,7 +163,8 @@ class SgdParams:
         return bits @ (np.int64(1) << np.arange(self.n_directions, dtype=np.int64))
 
     def sample_losses(self, w, samples, codebook, mode):
-        """Loss of each sample of a masks sequence at one point w."""
+        """Loss of each sample of a masks sequence at one point w, shape
+        (B,), or at each point of a stack (P, d), shape (P, B)."""
         return loss_sgd_samples(w, samples, self, codebook, mode=mode)
 
     def empirical_loss(self, w, dataset, codebook, mode):
@@ -593,52 +594,58 @@ def empirical_loss_sgd(w, dataset, params, codebook, mode="oracle"):
 
 
 def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
-    """Loss of many samples at one fixed w; returns shape (B,).
+    """Loss of many samples at one point w, shape (B,); w may be a stack of
+    points (P, d), giving shape (P, B).
 
     At inclusion probability 1/(4n^2) a Monte-Carlo chunk holds few
-    distinct masks (most of them empty), so each distinct mask is evaluated
-    once and gathered back into sample order; rows are computed
-    independently, so this equals the row-by-row evaluation bitwise.  The
-    candidate table of the prefix-shift term is mask-independent except for
-    its per-k coupling to the sample codepoint, so the table is built once
-    and only the coupling column varies across masks.
+    distinct masks (most of them empty), so the masks are deduplicated once
+    for every point, each distinct mask is evaluated once per point and
+    gathered back into sample order; rows are computed independently, so
+    this equals the row-by-row evaluation bitwise, and each point's row
+    equals its one-point call bitwise.  The candidate table of the
+    prefix-shift term is mask-independent except for its per-k coupling to
+    the sample codepoint, so the table is built once per point and only the
+    coupling column varies across masks.
     """
-    w = np.asarray(w, dtype=np.float64)
+    points = np.asarray(w, dtype=np.float64)
     masks, inverse = np.unique(np.asarray(masks, dtype=np.int64),
                                return_inverse=True)
     n, nd = params.n, params.n_directions
-
-    l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
-
-    # term 3 per mask
-    m_mod = subset_count(nd)
-    angle = TWO_PI * (masks / m_mod)
-    first_block = params.layout.encoding(w)[0:2]
-    l3 = -(np.sin(angle) * first_block[0] + np.cos(angle) * first_block[1]) / (
-        4.0 * n * n
-    ) - float(params.layout.block(w, 1) @ codebook.vectors[0]) / n**3
-
-    # term 2: sample-free part of each k-column, then the coupling
-    if mode == "oracle":
-        info = _l2_decode_info(w, params)
-        table = _l2_table_point(w, 0, params, codebook, info)  # mask 0: no coupling yet
-    elif mode == "reference":
-        table, _ = _l2_reference_table(w, 0, params, codebook)
-    else:
-        raise OutOfRange(f"unknown loss mode {mode!r}")
-    # undo the mask-0 coupling folded into the table, then add per-mask ones
+    angle = TWO_PI * (masks / subset_count(nd))
+    sin, cos = np.sin(angle), np.cos(angle)
     point0 = circle_point(0, nd)
-    couple = np.empty((len(masks), n - 1))
-    for k in range(1, n):
-        gk1_block = params.group(w, k + 1)[2 * k: 2 * k + 2]
-        couple0 = -(gk1_block @ point0) / (4.0 * n * n)
-        couple[:, k - 1] = (
-            -(np.sin(angle) * gk1_block[0] + np.cos(angle) * gk1_block[1])
-            / (4.0 * n * n)
-        ) - couple0
-    col_best = table.max(axis=0)  # (n-1,) over directions
-    l2 = np.maximum(params.delta1, (col_best[None, :] + couple).max(axis=1))
-    return (l1 + l2 + l3)[inverse]
+    stack = points.reshape(-1, points.shape[-1])
+    out = np.empty((len(stack), inverse.size))
+    for row, w in zip(out, stack):
+        l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
+
+        # term 3 per mask
+        first_block = params.layout.encoding(w)[0:2]
+        l3 = -(sin * first_block[0] + cos * first_block[1]) / (
+            4.0 * n * n
+        ) - float(params.layout.block(w, 1) @ codebook.vectors[0]) / n**3
+
+        # term 2: sample-free part of each k-column, then the coupling
+        if mode == "oracle":
+            info = _l2_decode_info(w, params)
+            # mask 0: no coupling yet
+            table = _l2_table_point(w, 0, params, codebook, info)
+        elif mode == "reference":
+            table, _ = _l2_reference_table(w, 0, params, codebook)
+        else:
+            raise OutOfRange(f"unknown loss mode {mode!r}")
+        # undo the mask-0 coupling folded into the table, then add per-mask ones
+        couple = np.empty((len(masks), n - 1))
+        for k in range(1, n):
+            gk1_block = params.group(w, k + 1)[2 * k: 2 * k + 2]
+            couple0 = -(gk1_block @ point0) / (4.0 * n * n)
+            couple[:, k - 1] = (
+                -(sin * gk1_block[0] + cos * gk1_block[1]) / (4.0 * n * n)
+            ) - couple0
+        col_best = table.max(axis=0)  # (n-1,) over directions
+        l2 = np.maximum(params.delta1, (col_best[None, :] + couple).max(axis=1))
+        np.take(l1 + l2 + l3, inverse, out=row)
+    return out.reshape(points.shape[:-1] + inverse.shape)
 
 
 def grad_sgd(w, mask, params, codebook, mode="oracle"):

@@ -2,7 +2,8 @@
 
 Population risks are Monte-Carlo means over fresh samples from the one
 chunked estimator, smoothing.mc_means, whose seed-per-chunk layout makes
-the estimate for a given seed independent of platform.  Each family's
+the estimate for a given seed independent of platform; a stack of points
+shares each chunk, so a gap report draws once for all its suffix averages.  Each family's
 params carry its sampling law (draw_samples; None for a point mass, whose
 risk is the loss) and the population risk of the zero vector
 (baseline_population).  For the full-batch family the on-trajectory
@@ -39,27 +40,43 @@ def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
 
 def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
                        seed=0, mode="oracle"):
-    """Monte-Carlo population risk: (estimate, stderr).
+    """Monte-Carlo population risk: (estimate, stderr) at a point w (d,), or
+    (P,) arrays of both at each point of a stack (P, d).
 
     Fresh samples follow the family's sampling law (params.draw_samples).
-    Values are accumulated centered on the first draw so near-constant
-    losses do not lose their variance to cancellation.  A family without a
-    sampling law is a point mass: its exact value and stderr 0.0 come back
-    regardless of n_samples.
+    Each chunk is drawn once and every point's losses are evaluated on it
+    (params.sample_losses on the stack), so each point's estimate is its
+    one-point estimate bitwise.  A point's values are accumulated centered
+    on its own first draw so near-constant losses do not lose their
+    variance to cancellation.  A family without a sampling law is a point
+    mass: each point's exact loss and stderr 0.0 come back regardless of
+    n_samples.
     """
+    w = np.asarray(w, dtype=np.float64)
+    points = w.reshape(-1, w.shape[-1])
     if params.draw_samples is None:
-        return empirical_risk(w, None, params), 0.0
-    base = None
+        est = params.sample_losses(points, None, codebook, mode)
+        stderr = np.zeros(len(points))
+    else:
+        bases = []
 
-    def centered(samples):
-        nonlocal base
-        vals = params.sample_losses(w, samples, codebook, mode)
-        if base is None:
-            base = float(vals[0])
-        return vals - base
+        def draw(rng, rows):
+            losses = params.sample_losses(
+                points, params.draw_samples(rng, rows), codebook, mode)
+            if not bases:
+                bases.extend(losses[:, 0])
+            return losses
 
-    [(mean, stderr)] = mc_means(seed, n_samples, params.draw_samples, [centered])
-    return base + mean, stderr
+        def centered(i):
+            return lambda losses: losses[i] - bases[i]
+
+        means = mc_means(seed, n_samples, draw,
+                         [centered(i) for i in range(len(points))])
+        est = np.array([base + mean for base, (mean, _) in zip(bases, means)])
+        stderr = np.array([se for _, se in means])
+    if w.ndim == 1:
+        return float(est[0]), float(stderr[0])
+    return est, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +143,18 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     base_emp = empirical_risk(zero, dataset, params, codebook, mode=mode)
     base_pop = params.baseline_population(base_emp)
 
+    averages = np.empty((len(suffix_lengths), traj.dim))
+    for row, m in zip(averages, suffix_lengths):
+        row[...] = suffix_average(traj, m)
+    emps = [empirical_risk(w, dataset, params, codebook, mode=mode)
+            for w in averages]
+    # one population draw for every suffix average
+    pops, stderrs = population_risk_mc(averages, params, codebook,
+                                       n_samples=n_samples, seed=seed, mode=mode)
+
     reports = []
-    for m in suffix_lengths:
-        w = suffix_average(traj, m)
-        emp = empirical_risk(w, dataset, params, codebook, mode=mode)
-        pop, stderr = population_risk_mc(
-            w, params, codebook, n_samples=n_samples, seed=seed, mode=mode
-        )
+    for m, emp, pop, stderr in zip(suffix_lengths, emps, pops.tolist(),
+                                   stderrs.tolist()):
         excess_pop = pop - base_pop
         excess_emp = emp - base_emp
         reports.append(

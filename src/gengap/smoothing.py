@@ -113,11 +113,13 @@ def mc_means(seed, count, draw, terms):
     then overwrites; its values and their squares are summed in chunk
     order, so a term's estimate does not depend on the other terms.  The
     mean is that of the centered values (the caller adds its center back);
-    scalar terms give Python floats.
+    scalar terms give Python floats.  Without terms nothing is drawn.
     """
     if count < 2:
         raise OutOfRange(f"need at least 2 draws for a variance estimate; "
                          f"got {count}")
+    if not terms:
+        return []
     sums = [[0.0, 0.0] for _ in terms]  # per term: values, squared values
     seeds = np.random.SeedSequence(seed).spawn(-(-count // CHUNK))
     for i, chunk_seed in enumerate(seeds):
@@ -128,6 +130,7 @@ def mc_means(seed, count, draw, terms):
             # squared in place: no second chunk-sized array
             acc[1] += np.multiply(vals, vals, out=vals).sum(axis=0)
             del vals  # free the chunk-sized array before the next term
+        del x  # free this chunk before the next one is drawn
     out = []
     for total, total_sq in sums:
         mean = total / count

@@ -317,3 +317,39 @@ def test_acceptance_command_reports_a_suite(tmp_path, capsys):
     assert payload[0]["suite"] == "gd-event"
     assert payload[0]["passed"] is True
     assert payload[0]["elapsed_seconds"] <= payload[0]["budget_seconds"]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--seeds", "x"], "--seeds"),
+    (["--seeds", "1,x"], "--seeds"),
+    (["--seeds", "5..2"], "--seeds"),
+    (["--suffix", "1,a"], "--suffix"),
+    (["--suffix", "4..1"], "--suffix"),
+])
+def test_int_list_flags_refuse_bad_entries(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    assert main(["run", *_SGD_TINY, "--policy", "force", *flags,
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_suffix_takes_a_range_like_seeds(tmp_path):
+    argv = ["risk", "--family", "smallstep", "--eta", "0.02", "--steps", "100"]
+    assert main([*argv, "--suffix", "1..4", "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--suffix", "1,2,3", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--suffix", "99"], "--suffix"),
+    (["--suffix", "0,1"], "--suffix"),
+    (["--mc-samples", "1"], "--mc-samples"),
+])
+def test_bad_risk_settings_are_refused_before_any_artifact(tmp_path, capsys,
+                                                           flags, named):
+    out = tmp_path / "out"
+    assert main(["run", *_SGD_TINY, "--policy", "force", *flags,
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -9,11 +9,17 @@ import pytest
 from gengap.codebook import generate_codebook
 from gengap.errors import InvalidClosedForm, OutOfRange
 from gengap.instance_gd import GdParams, loss_gd, sample_gd_dataset
-from gengap.instance_sgd import SgdParams, force_good_event_sgd, loss_sgd
+from gengap.instance_sgd import (
+    SgdParams,
+    force_good_event_sgd,
+    loss_sgd,
+    loss_sgd_samples,
+)
 from gengap.instance_smallstep import SmallstepParams, loss_smallstep
 from gengap.optim import run_gd, run_sgd, run_smallstep
 from gengap.risk import (
     RiskReport,
+    ThresholdRecord,
     empirical_risk,
     gap_report,
     population_risk_closed_gd,
@@ -209,6 +215,117 @@ def test_risk_report_serialization(gd_setup):
     assert len(fields) == len(RiskReport.CSV_HEADER.split(","))
     # values reparse to the exact floats
     assert float(fields[2]) == rep.empirical
+
+
+
+# ---------------------------------------------------------------------------
+# one population draw per report: every point reads the same chunks
+# ---------------------------------------------------------------------------
+
+
+def _sgd_setup():
+    params = SgdParams(4, 8, dprime=16)
+    codebook = generate_codebook(8, 16, seed=3)
+    dataset = force_good_event_sgd(params, 21)
+    return params, codebook, dataset, run_sgd(codebook, dataset, params)
+
+
+@pytest.fixture(params=["gd", "sgd", "smallstep"])
+def family_run(request, gd_setup):
+    """(params, codebook, dataset, traj, suffix lengths) of each family."""
+    if request.param == "gd":
+        return (*gd_setup, (1, 4, 8))
+    if request.param == "sgd":
+        return (*_sgd_setup(), (1, 2, 3, 4))
+    params = SmallstepParams(eta=0.02, steps=100)
+    return params, None, None, run_smallstep(params), (1, 10, 100)
+
+
+def _counting_draws(monkeypatch, params):
+    """The row counts of every params.draw_samples call, as a list that
+    fills while the test runs (params are frozen: the class is patched)."""
+    calls = []
+    draw = type(params).draw_samples
+    if draw is not None:
+        def counted(self, rng, count):
+            calls.append(count)
+            return draw(self, rng, count)
+        monkeypatch.setattr(type(params), "draw_samples", counted)
+    return calls
+
+
+def test_gap_report_equals_a_per_suffix_loop_field_for_field(family_run):
+    params, codebook, dataset, traj, suffixes = family_run
+    n = 2 * CHUNK + 5
+    base_emp = empirical_risk(np.zeros(traj.dim), dataset, params, codebook)
+    base_pop = params.baseline_population(base_emp)
+    want = []
+    for m in suffixes:  # one population estimate per suffix average
+        w = traj.suffix_average(m)
+        emp = empirical_risk(w, dataset, params, codebook)
+        pop, stderr = population_risk_mc(w, params, codebook, n_samples=n,
+                                         seed=9)
+        fields = {"population": pop, "excess_population": pop - base_pop,
+                  "excess_empirical": emp - base_emp}
+        want.append(RiskReport(
+            family=params.family, suffix_length=m, empirical=emp,
+            population=pop, population_stderr=stderr,
+            n_samples=0 if params.draw_samples is None else n,
+            baseline_empirical=base_emp, baseline_population=base_pop,
+            excess_empirical=fields["excess_empirical"],
+            excess_population=fields["excess_population"],
+            thresholds=tuple(
+                ThresholdRecord(name, target, fields[field],
+                                bool(fields[field] >= target))
+                for name, target, field in params.gap_targets)))
+    got = gap_report(traj, dataset, params, codebook, suffix_lengths=suffixes,
+                     n_samples=n, seed=9)
+    assert got == want
+    assert [r.to_csv_row() for r in got] == [r.to_csv_row() for r in want]
+    assert all(type(r.population) is float and type(r.population_stderr) is float
+               for r in got)
+
+
+def test_population_mc_of_a_stack_equals_one_point_calls(family_run):
+    params, codebook, _, traj, suffixes = family_run
+    # the zero vector too: every smallstep suffix average has the same loss
+    points = np.stack([np.zeros(traj.dim)]
+                      + [traj.suffix_average(m) for m in suffixes])
+    n = 2 * CHUNK + 5
+    est, stderr = population_risk_mc(points, params, codebook, n_samples=n,
+                                     seed=9)
+    assert est.shape == stderr.shape == (len(points),)
+    singles = [population_risk_mc(w, params, codebook, n_samples=n, seed=9)
+               for w in points]
+    assert [(float(e), float(s)) for e, s in zip(est, stderr)] == singles
+
+
+def test_a_report_draws_each_chunk_once(family_run, monkeypatch):
+    params, codebook, dataset, traj, suffixes = family_run
+    calls = _counting_draws(monkeypatch, params)
+    gap_report(traj, dataset, params, codebook, suffix_lengths=suffixes,
+               n_samples=2 * CHUNK + 5, seed=9)
+    want = [] if params.draw_samples is None else [CHUNK, CHUNK, 5]
+    assert calls == want
+
+
+def test_gap_report_of_no_suffix_is_empty_and_draws_nothing(family_run,
+                                                            monkeypatch):
+    params, codebook, dataset, traj, _ = family_run
+    calls = _counting_draws(monkeypatch, params)
+    assert gap_report(traj, dataset, params, codebook, suffix_lengths=(),
+                      n_samples=2 * CHUNK + 5, seed=9) == []
+    assert calls == []
+
+
+def test_sgd_sample_losses_of_a_stack_equal_its_rows():
+    params, codebook, _, traj = _sgd_setup()
+    points = np.stack([traj.suffix_average(m) for m in (1, 2, 3, 4)])
+    masks = params.draw_samples(np.random.default_rng(5), 3000)
+    got = loss_sgd_samples(points, masks, params, codebook)
+    assert got.shape == (len(points), len(masks))
+    for row, w in zip(got, points):
+        assert np.array_equal(row, loss_sgd_samples(w, masks, params, codebook))
 
 
 if __name__ == "__main__":

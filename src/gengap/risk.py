@@ -146,15 +146,14 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     averages = np.empty((len(suffix_lengths), traj.dim))
     for row, m in zip(averages, suffix_lengths):
         row[...] = suffix_average(traj, m)
-    emps = [empirical_risk(w, dataset, params, codebook, mode=mode)
-            for w in averages]
     # one population draw for every suffix average
     pops, stderrs = population_risk_mc(averages, params, codebook,
                                        n_samples=n_samples, seed=seed, mode=mode)
 
     reports = []
-    for m, emp, pop, stderr in zip(suffix_lengths, emps, pops.tolist(),
-                                   stderrs.tolist()):
+    for m, w, pop, stderr in zip(suffix_lengths, averages, pops.tolist(),
+                                 stderrs.tolist()):
+        emp = empirical_risk(w, dataset, params, codebook, mode=mode)
         excess_pop = pop - base_pop
         excess_emp = emp - base_emp
         reports.append(

@@ -3,10 +3,11 @@ and report every output that differs.
 
     python scripts/identity.py OLD_TREE NEW_TREE
 
-Each tree's ``src`` runs ``gengap acceptance --json`` and five ``gengap run``
-sweeps (each with the smoothed-risk check and several suffix lengths, whose
-population risks share one Monte-Carlo draw), then ``gengap verify`` and
-``gengap risk`` on every dataset/trajectory pair a sweep saved.  JSON files
+Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
+gen-codebook`` and five ``gengap run`` sweeps (each with the smoothed-risk
+check and several suffix lengths, whose population risks share one
+Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
+dataset/trajectory pair a sweep saved.  JSON files
 are compared without their ``elapsed_seconds`` and ``out`` keys, other files
 byte for byte, stdout and stderr with timings and paths masked, and exit
 codes as they are.  Prints each difference and exits 1 if there is any.
@@ -74,6 +75,8 @@ def sweep(tree, workdir):
         outputs[f"{name} stderr"] = ("text", _mask(err, tree, workdir))
 
     call("acceptance", ["acceptance", "--json", str(workdir / "acceptance.json")])
+    call("gen-codebook", ["gen-codebook", "--directions", "16", "--seed", "7",
+                          "--out", str(workdir / "codebook-N16-s7.json")])
     for name, flags in SWEEPS.items():
         out = workdir / name
         seeds = ["--seeds", SEEDS.get(name, "0..2")]

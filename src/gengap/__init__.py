@@ -52,7 +52,6 @@ from .instance_gd import (
     loss_gd,
     loss_gd_samples,
     population_risk_closed_gd,
-    sample_gd_dataset,
 )
 from .instance_sgd import (
     SgdDataset,

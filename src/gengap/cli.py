@@ -30,7 +30,8 @@ import numpy as np
 import yaml
 
 from . import acceptance as _acceptance
-from .codebook import generate_codebook, load_codebook, save_codebook
+from .codebook import coherence, generate_codebook, load_codebook, \
+    save_codebook
 from .errors import GengapError, OracleDomain, OutOfRange
 from .instance_gd import GdParams, theorem_step_size
 from .instance_sgd import SgdParams
@@ -126,6 +127,9 @@ class ExperimentConfig:
         if params.draw_samples is not None and self.mc_samples < 2:
             raise OutOfRange(f"--mc-samples must be at least 2 for a variance "
                              f"estimate; got {self.mc_samples}")
+        if self.smoothing and self.smoothing_samples < 2:
+            raise OutOfRange(f"--smoothing-samples must be at least 2 for a "
+                             f"variance estimate; got {self.smoothing_samples}")
         if capped and self.eta is not None and self.theorem_mode:
             cap = theorem_step_size(params.horizon)
             if self.eta > cap * (1.0 + 1e-12):
@@ -165,22 +169,30 @@ def load_config(path):
     return raw
 
 
+def _int(value):
+    """An integer or an integer string as an int; a float or a bool (which
+    int() would truncate or read as 0/1) is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_ints(value, key):
     """The integer list of --key: [1,2,3], {start,stop}, '1,2,3', '0..8'
     (stop exclusive) or one integer.  A non-integer entry or an empty list
     is a configuration error."""
     try:
         if isinstance(value, dict):
-            ints = range(int(value["start"]), int(value["stop"]))
+            ints = range(_int(value["start"]), _int(value["stop"]))
         elif isinstance(value, str) and ".." in value:
             lo, hi = value.split("..", 1)
             ints = range(int(lo), int(hi))
         elif isinstance(value, str):
             ints = [int(v) for v in value.split(",")]
         elif isinstance(value, (list, tuple)):
-            ints = [int(v) for v in value]
+            ints = [_int(v) for v in value]
         else:
-            ints = [int(value)]
+            ints = [_int(value)]
     except (KeyError, TypeError, ValueError) as exc:
         raise OutOfRange(f"--{key} takes integers, '1,2,3' or '0..8'; "
                          f"got {value!r}") from exc
@@ -334,10 +346,8 @@ def cmd_gen_codebook(args):
                            max_attempts=args.max_attempts)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_codebook(cb, out)
-    gram = np.abs(cb.vectors @ cb.vectors.T)
-    np.fill_diagonal(gram, 0.0)
     print(f"wrote {out}: {cb.n_vectors} directions, dim {cb.dim}, "
-          f"worst coherence {gram.max():.4f}")
+          f"worst coherence {coherence(cb):.4f}")
     return 0
 
 
@@ -410,8 +420,11 @@ def cmd_run(args):
 
 
 def _load_inputs_for_check(cfg, args, params):
-    """The first seed's inputs; verify and risk have nothing to check when
+    """The one seed's inputs; verify and risk have nothing to check when
     an off-event oracle run left no trajectory."""
+    if len(cfg.seeds) != 1:
+        raise OutOfRange(f"{args.command} checks one seed; --seeds lists "
+                         f"{list(cfg.seeds)}")
     codebook = _get_codebook(cfg, params)
     dataset, event, rejections, traj = _seed_inputs(
         cfg, args, params, codebook, cfg.seeds[0])

@@ -331,11 +331,6 @@ def draw_gd_dataset(params, seed, policy="unconditioned"):
     )
 
 
-def sample_gd_dataset(params, seed, policy="unconditioned"):
-    """The dataset of draw_gd_dataset, without its rejection count."""
-    return draw_gd_dataset(params, seed, policy)[0]
-
-
 def _check_dataset(dataset, params):
     """Refuse a training set of another size n or with a mask outside
     [0, 2^N); returns the dataset."""

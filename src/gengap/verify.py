@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidClosedForm, OutOfRange
 # the family iterate generators stay importable from this module
-from .instance_gd import expected_gd_iterate, good_event_gd, sample_gd_dataset
+from .instance_gd import expected_gd_iterate, good_event_gd
 from .instance_sgd import expected_sgd_iterate
 
 # two-sided 95% normal quantile, frozen to full double precision
@@ -172,7 +172,7 @@ def check_event_probability_gd(params, trials, seed):
     child_seeds = rng.integers(0, 2**62, size=trials)
     hits = 0
     for s in child_seeds:
-        ds = sample_gd_dataset(params, int(s))
+        ds = params.draw_dataset(int(s), "unconditioned")[0]
         if good_event_gd(ds, params):
             hits += 1
     lo, hi = wilson_interval(hits, trials)

@@ -345,6 +345,7 @@ def test_suffix_takes_a_range_like_seeds(tmp_path):
     (["--suffix", "99"], "--suffix"),
     (["--suffix", "0,1"], "--suffix"),
     (["--mc-samples", "1"], "--mc-samples"),
+    (["--smoothing", "--smoothing-samples", "1"], "--smoothing-samples"),
 ])
 def test_bad_risk_settings_are_refused_before_any_artifact(tmp_path, capsys,
                                                            flags, named):
@@ -353,3 +354,43 @@ def test_bad_risk_settings_are_refused_before_any_artifact(tmp_path, capsys,
                  "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "risk"])
+def test_verify_and_risk_refuse_more_than_one_seed(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--family", "smallstep", "--eta", "0.02",
+                 "--steps", "100", "--seeds", "3,4", "--out", str(out)]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SMALLSTEP_YAML = "family: smallstep\neta: 0.02\nsteps: 100\n"
+
+
+@pytest.mark.parametrize("line, named", [
+    ("suffix: [2.7]", "--suffix"),
+    ("seeds: [0.5]", "--seeds"),
+    ("seeds: [true]", "--seeds"),
+    ("seeds: 1.0", "--seeds"),
+    ("suffix: {start: 1.5, stop: 3}", "--suffix"),
+    ("seeds: {start: 0, stop: 2.0}", "--seeds"),
+])
+def test_yaml_int_lists_refuse_floats_and_booleans(tmp_path, capsys, line,
+                                                   named):
+    cfg = tmp_path / "risk.yaml"
+    cfg.write_text(_SMALLSTEP_YAML + line + "\n")
+    out = tmp_path / "risk.csv"
+    assert main(["risk", "--config", str(cfg), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_yaml_int_lists_take_integer_strings(tmp_path):
+    cfg = tmp_path / "risk.yaml"
+    cfg.write_text(_SMALLSTEP_YAML + "seeds: ['3']\nsuffix: ['1', 10]\n")
+    out = tmp_path / "risk.csv"
+    assert main(["risk", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["3", "smallstep", "1"], ["3", "smallstep", "10"]]

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from gengap.codebook import generate_codebook
-from gengap.instance_gd import GdParams, sample_gd_dataset
+from gengap.instance_gd import GdParams, draw_gd_dataset
 from gengap.instance_sgd import SgdParams, force_good_event_sgd
 from gengap.instance_smallstep import SmallstepParams
 from gengap.optim import run_gd, run_sgd, run_smallstep
@@ -17,7 +17,7 @@ from gengap.verify import check_margins, check_trajectory
 def _gd():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = sample_gd_dataset(params, 11, policy="reject-until-E")
+    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
     return params, codebook, dataset, run_gd(codebook, dataset, params)
 
 

@@ -22,13 +22,13 @@ from gengap.instance_gd import (
     _l3_gd,
     _reference_groups_gd,
     _reference_table_gd,
+    draw_gd_dataset,
     empirical_loss_gd,
     good_event_gd,
     grad_gd,
     grad_gd_batch,
     loss_gd,
     loss_gd_samples,
-    sample_gd_dataset,
     theorem_step_size,
 )
 from gengap.optim import run_gd
@@ -40,7 +40,7 @@ from gengap.verify import expected_gd_iterate
 def small():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = sample_gd_dataset(params, 11, policy="reject-until-E")
+    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
     return params, codebook, dataset
 
 
@@ -66,8 +66,8 @@ def test_oversized_step_size_warns():
 
 def test_sampling_is_deterministic_and_well_formed():
     p = GdParams(2, 4, 8, dprime=8)
-    a = sample_gd_dataset(p, 7)
-    b = sample_gd_dataset(p, 7)
+    a = draw_gd_dataset(p, 7)[0]
+    b = draw_gd_dataset(p, 7)[0]
     assert a.masks == b.masks and a.slots == b.slots
     assert len(a.masks) == p.n
     assert all(0 <= m < 16 for m in a.masks)
@@ -77,10 +77,10 @@ def test_sampling_is_deterministic_and_well_formed():
 def test_rejection_sampling_lands_on_the_event():
     p = GdParams(2, 4, 8, dprime=8)
     for seed in range(5):
-        ds = sample_gd_dataset(p, seed, policy="reject-until-E")
+        ds = draw_gd_dataset(p, seed, policy="reject-until-E")[0]
         assert good_event_gd(ds, p)
     with pytest.raises(OutOfRange):
-        sample_gd_dataset(p, 0, policy="nonsense")
+        draw_gd_dataset(p, 0, policy="nonsense")[0]
 
 
 def test_good_event_reports_the_violated_clause():
@@ -244,7 +244,7 @@ def test_closed_form_requires_event_and_horizon():
     with pytest.raises(EventViolated):
         expected_gd_iterate(3, p, covered, cb)
     short = GdParams(2, 4, 4, dprime=8)
-    ds = sample_gd_dataset(short, 11, policy="reject-until-E")
+    ds = draw_gd_dataset(short, 11, policy="reject-until-E")[0]
     with pytest.raises(InvalidClosedForm):
         expected_gd_iterate(3, short, ds, cb)
 
@@ -259,5 +259,5 @@ def test_dataset_json_roundtrip(tmp_path, small):
 
 if __name__ == "__main__":
     p = GdParams(4, 16, 32)
-    ds = sample_gd_dataset(p, 13, policy="reject-until-E")
+    ds = draw_gd_dataset(p, 13, policy="reject-until-E")[0]
     print("masks", ds.masks, "slots", ds.slots)

@@ -7,7 +7,7 @@ import pytest
 
 from gengap.codebook import generate_codebook
 from gengap.errors import OutOfRange
-from gengap.instance_gd import GdParams, sample_gd_dataset
+from gengap.instance_gd import GdParams, draw_gd_dataset
 from gengap.instance_smallstep import SmallstepParams
 from gengap.optim import (
     Trajectory,
@@ -102,7 +102,7 @@ def test_checkpoint_rejects_unknown_layout(tmp_path):
 def test_projection_is_a_no_op_on_the_designed_runs():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = sample_gd_dataset(params, 11, policy="reject-until-E")
+    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
     plain = run_gd(codebook, dataset, params)
     proj = run_gd(codebook, dataset, params, projected=True)
     assert np.array_equal(plain.iterates, proj.iterates)

@@ -23,14 +23,14 @@ group t while block t picks up half a step of the direction every earlier
 sample still contains -- a direction fresh samples almost never contain, so
 the iterates underfit the empirical risk in a precisely known way.
 
-Oracle mode decodes group contents on the fly; groups that do not hold a
-clean length-k prefix (group 1 intentionally accumulates a superposition of
-codepoints in one block after a few steps) fall back to the zero candidate
-psi = 0, which keeps the oracle total equal to the true max along
-trajectories.  Reference mode enumerates every possible prefix encoding and
-is exact everywhere but only feasible at tiny scales.  Ties across
-candidates are broken toward the lowest codebook index, then the lowest
-block index.
+Oracle mode decodes group contents on the fly (a batch of points in one
+pass over positions, once for all samples); groups that do not hold a clean
+length-k prefix (group 1 accumulates a superposition of codepoints in one
+block after a few steps) fall back to the zero candidate psi = 0, which
+keeps the oracle total equal to the true max along trajectories.  Reference
+mode enumerates every possible prefix encoding and is exact everywhere but
+only feasible at tiny scales.  Ties across candidates are broken toward the
+lowest codebook index, then the lowest block index.
 """
 
 import itertools
@@ -73,6 +73,7 @@ from .instance_gd import (
 )
 
 MAX_FORCING_TRIES = 1000  # force_good_event_sgd gives up after this many
+_BLOCK_ROWS = 1024  # rows per block of the batched read-out and sample draws
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,15 @@ class SgdParams:
 
     def draw_samples(self, rng, count):
         """The sampling law: int64 masks of count independent subsets, each
-        direction included with probability 1/(4 n^2)."""
-        bits = rng.random((count, self.n_directions)) < self.inclusion_probability
-        return bits @ (np.int64(1) << np.arange(self.n_directions, dtype=np.int64))
+        direction included with probability 1/(4 n^2).  Blocks of uniforms
+        continue one stream, so the masks do not depend on the block size."""
+        weights = np.int64(1) << np.arange(self.n_directions, dtype=np.int64)
+        masks = np.empty(count, dtype=np.int64)
+        for lo in range(0, count, _BLOCK_ROWS):
+            rows = masks[lo: lo + _BLOCK_ROWS]
+            rows[...] = (rng.random((rows.size, self.n_directions))
+                         < self.inclusion_probability) @ weights
+        return masks
 
     def sample_losses(self, w, samples, codebook, mode):
         """Loss of each sample of a masks sequence at one point w, shape
@@ -442,60 +449,82 @@ def _l2_table_point(w, mask, params, codebook, info):
     return table
 
 
-def _l2_values_batch(w2, mask, params, codebook):
-    """Prefix-shift term for a batch of rows, shape (B,).
+def _l2_readout(w2, params, codebook):
+    """Sample-free prefix-shift candidates of a batch, shape (B, n-1): 0.375
+    max_u <u, w^(k)> - 0.5 <u_alpha, w^(k+1)> + <psi, w^(0,k) - w^(0,k+1)>/(4n)
+    per k, in equal row blocks (never one row long for two or more rows)."""
+    n, m_mod = params.n, subset_count(params.n_directions)
+    table = None  # sin and cos of the codepoints, unless they outnumber the codes
+    if m_mod <= w2.shape[0] * n * (n - 1) // 2:
+        theta = TWO_PI * (np.arange(m_mod) / m_mod)
+        table = np.sin(theta), np.cos(theta)
+    out = np.empty((w2.shape[0], n - 1))
+    n_blocks = max(1, -(-w2.shape[0] // _BLOCK_ROWS))
+    for rows_out, rows in zip(np.array_split(out, n_blocks),
+                              np.array_split(w2, n_blocks)):
+        rows_out[...] = _l2_readout_block(rows, params, codebook, table).T
+    return out
 
-    Vectorizes the per-group decode: block norms select the occupancy
-    pattern, a pattern that is not exactly positions 1..k (or any ambiguous
-    block) drops the row to the psi = 0 fallback, and the decoded angles
-    supply the prefix inner products without materializing psi.
-    """
-    n, nd = params.n, params.n_directions
-    b = w2.shape[0]
+
+def _l2_readout_block(w2, params, codebook, table):
+    """_l2_readout of one row block, transposed, equal bitwise to decoding
+    one group at a time.  Occupancy is read from x^2 + y^2, and from hypot
+    only within a relative 1e-9 of a threshold (or at NaN).  Prefix
+    products add up in position order, numpy's order for fewer than eight
+    terms; longer prefixes are summed again numpy's way, pairwise."""
+    n, nd, exp = params.n, params.n_directions, params.group_codepoint_magnitude
     m_mod = subset_count(nd)
-    exp = params.group_codepoint_magnitude
-    blocks = params.layout.step_blocks(w2)
-    proj = blocks @ codebook.vectors.T  # (B, n, N)
-    groups = params.layout.encoding(w2).reshape(b, n, n, 2)
-    norms = np.hypot(groups[..., 0], groups[..., 1])  # (B, group, position)
-    occupied = norms > 0.5 * exp
-    ambiguous = occupied & (np.abs(norms - exp) > 0.5 * exp)
-    angles = np.arctan2(groups[..., 0], groups[..., 1])
-    codes = np.round(angles / TWO_PI * m_mod).astype(np.int64) % m_mod
-    point = circle_point(mask, nd)
+    enc = params.layout.encoding(w2).reshape(-1, n, n, 2)  # (row, group, position)
+    x, y = (np.ascontiguousarray(enc[..., c].T) for c in (0, 1))  # (pos, group, row)
+    sq = x * x + y * y
+    lo, hi = (0.5 * exp) ** 2, (1.5 * exp) ** 2
+    occupied, ambiguous = sq > lo, sq > hi
+    near = ~((np.abs(sq - lo) > 1e-9 * lo) & (np.abs(sq - hi) > 1e-9 * hi))
+    norms = np.hypot(x[near], y[near])
+    occupied[near] = norms > 0.5 * exp
+    ambiguous[near] = occupied[near] & (np.abs(norms - exp) > 0.5 * exp)
+    want = np.arange(n)[:, None] <= np.arange(n)  # group k-1 holds positions 1..k
+    clean = ~((occupied != want[..., None]) | ambiguous).any(axis=0)[:-1]
 
-    best = np.full(b, -np.inf)
-    for k in range(1, n):
-        gk = groups[:, k - 1]
-        gk1 = groups[:, k]
-        want = np.zeros(n, dtype=bool)
-        want[:k] = True
-        clean = (occupied[:, k - 1] == want).all(axis=1) & ~ambiguous[:, k - 1].any(
-            axis=1
-        )
-        masks_k = codes[:, k - 1, :k]  # (B, k)
-        theta = TWO_PI * (masks_k / m_mod)
-        sin, cos = np.sin(theta), np.cos(theta)
-        dot_k = (gk[:, :k, 0] * sin + gk[:, :k, 1] * cos).sum(axis=1) / n
-        dot_k1 = (gk1[:, :k, 0] * sin + gk1[:, :k, 1] * cos).sum(axis=1) / n
-        psi_term = np.where(clean, (dot_k - dot_k1) / (4.0 * n), 0.0)
-        inter = np.bitwise_and.reduce(masks_k, axis=1)
-        low = inter & -inter
-        alpha = np.where(
-            inter > 0,
-            np.round(np.log2(np.maximum(low, 1))).astype(np.int64) + 1,
-            nd,
-        )
-        alpha = np.where(clean, alpha, 1)
-        alpha_term = -0.5 * np.take_along_axis(proj[:, k], alpha[:, None] - 1, axis=1)[
-            :, 0
-        ]
-        phi_term = -(gk1[:, k, 0] * point[0] + gk1[:, k, 1] * point[1]) / (
-            4.0 * n * n
-        )
-        k_best = 0.375 * proj[:, k - 1, :].max(axis=1) + alpha_term + psi_term + phi_term
-        best = np.maximum(best, k_best)
-    return np.maximum(params.delta1, best)
+    # position p of each prefix k > p, read from group k-1 and from group k
+    terms = np.zeros((2, n - 1, n - 1, x.shape[-1]))
+    dots = np.zeros((2, n - 1, x.shape[-1]))
+    inter = np.full((n - 1, x.shape[-1]), m_mod - 1)
+    for p in range(n - 1):
+        xs, ys = x[p, p:-1], y[p, p:-1]
+        codes = np.round(np.arctan2(xs, ys) / TWO_PI * m_mod).astype(np.int64)
+        codes &= m_mod - 1
+        inter[p:] &= codes
+        if table is None:
+            theta = TWO_PI * (codes / m_mod)
+            sin, cos = np.sin(theta), np.cos(theta)
+        else:
+            sin, cos = table[0][codes], table[1][codes]
+        terms[0, p, p:] = xs * sin + ys * cos
+        terms[1, p, p:] = x[p, p + 1:] * sin + y[p, p + 1:] * cos
+        dots[:, p:] += terms[:, p, p:]
+    for k in range(8, n):
+        dots[:, k - 1] = terms[:, :k, k - 1].transpose(0, 2, 1).copy().sum(axis=-1)
+    psi_term = np.where(clean, (dots[0] / n - dots[1] / n) / (4.0 * n), 0.0)
+
+    alpha = np.where(inter > 0, np.frexp(inter & -inter)[1], nd)  # lowest common
+    alpha = np.where(clean, alpha, 1)
+    proj = params.layout.step_blocks(w2) @ codebook.vectors.T  # (rows, n, N)
+    alpha_term = -0.5 * np.take_along_axis(proj[:, 1:], alpha.T[..., None] - 1,
+                                           axis=-1)[..., 0].T
+    best_u = proj[:, :-1, 0]
+    for u in range(1, nd):  # one pass per direction, not a short max per row
+        best_u = np.maximum(best_u, proj[:, :-1, u])
+    return 0.375 * best_u.T + alpha_term + psi_term
+
+
+def _l2_values_batch(w2, mask, params, readout):
+    """Prefix-shift term of a batch, shape (B,): its _l2_readout plus, for
+    each k, block k+1 of group k+1 coupled with the sample codepoint."""
+    n, point = params.n, circle_point(mask, params.n_directions)
+    gk1 = params.layout.encoding(w2).reshape(-1, n, n, 2)[:, range(1, n), range(1, n)]
+    phi_term = -(gk1[..., 0] * point[0] + gk1[..., 1] * point[1]) / (4.0 * n * n)
+    return np.maximum(params.delta1, (readout + phi_term).max(axis=1))
 
 
 @lru_cache(maxsize=8)
@@ -564,32 +593,32 @@ def _l2_reference(w, mask, params, codebook):
 
 
 def loss_sgd(w, mask, params, codebook, mode="oracle"):
-    """Loss of one sample (a subset mask) at w; w may be a batch (B, d)."""
-    w = np.asarray(w, dtype=np.float64)
-    l1 = hinge_term(w, mask, params, codebook)
-    l3 = _l3_sgd(w, mask, params, codebook)
-    if mode == "reference":
-        l2 = _l2_reference(w, mask, params, codebook)
-    elif mode == "oracle":
-        if w.ndim == 1:
-            info = _l2_decode_info(w, params)
-            table = _l2_table_point(w, mask, params, codebook, info)
-            l2 = max(params.delta1, float(table.max()))
-        else:
-            l2 = _l2_values_batch(w, mask, params, codebook)
-    else:
-        raise OutOfRange(f"unknown loss mode {mode!r}")
-    return l1 + l2 + l3
+    """Loss of one sample (a subset mask) at w, the training risk of a
+    one-sample set; w may be a batch (B, d)."""
+    return empirical_loss_sgd(w, SgdDataset(masks=(mask,)), params, codebook, mode)
 
 
 def empirical_loss_sgd(w, dataset, params, codebook, mode="oracle"):
-    """Mean loss over the training set at w; w may be a batch (B, d).
-
-    Samples are accumulated in dataset order.
-    """
+    """Mean loss over the training set at w; w may be a batch (B, d).  The
+    oracle decodes the prefixes once for all samples, which differ only in
+    their coupling terms.  Samples are accumulated in dataset order."""
+    w = np.asarray(w, dtype=np.float64)
+    if mode == "oracle":
+        decoded = (_l2_decode_info(w, params) if w.ndim == 1
+                   else _l2_readout(w, params, codebook))
+    elif mode != "reference":
+        raise OutOfRange(f"unknown loss mode {mode!r}")
     total = 0.0
     for mask in dataset.masks:
-        total = total + loss_sgd(w, mask, params, codebook, mode=mode)
+        if mode == "reference":
+            l2 = _l2_reference(w, mask, params, codebook)
+        elif w.ndim == 1:
+            table = _l2_table_point(w, mask, params, codebook, decoded)
+            l2 = max(params.delta1, float(table.max()))
+        else:
+            l2 = _l2_values_batch(w, mask, params, decoded)
+        total = total + (hinge_term(w, mask, params, codebook) + l2
+                         + _l3_sgd(w, mask, params, codebook))
     return total / dataset.n
 
 

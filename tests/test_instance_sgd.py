@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from gengap import instance_sgd
+from gengap.acceptance import _smooth_sgd_setup
 from gengap.codebook import generate_codebook
-from gengap.encoding import margin_eps
+from gengap.encoding import TWO_PI, circle_point, margin_eps, subset_count
 from gengap.errors import InfeasibleForcing, InvalidClosedForm, OutOfRange
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
+    empirical_loss_sgd,
     event_state_sgd,
     force_good_event_sgd,
     good_event_sgd,
@@ -20,6 +23,8 @@ from gengap.instance_sgd import (
     sample_sgd_dataset,
 )
 from gengap.optim import run_sgd
+from gengap.risk import suffix_average
+from gengap.smoothing import CHUNK, ball_sample
 from gengap.verify import expected_sgd_iterate
 
 
@@ -196,6 +201,201 @@ def test_dataset_json_roundtrip(tmp_path, small):
     dataset.save(path)
     back = SgdDataset.load(path)
     assert back.masks == dataset.masks
+
+
+def _per_k_l2_values_batch(w2, mask, params, codebook):
+    """The prefix-shift term of a batch decoded one k at a time: the
+    reference the vectorized read-out must equal bitwise."""
+    n, nd = params.n, params.n_directions
+    b = w2.shape[0]
+    m_mod = subset_count(nd)
+    exp = params.group_codepoint_magnitude
+    blocks = params.layout.step_blocks(w2)
+    proj = blocks @ codebook.vectors.T  # (B, n, N)
+    groups = params.layout.encoding(w2).reshape(b, n, n, 2)
+    norms = np.hypot(groups[..., 0], groups[..., 1])  # (B, group, position)
+    occupied = norms > 0.5 * exp
+    ambiguous = occupied & (np.abs(norms - exp) > 0.5 * exp)
+    angles = np.arctan2(groups[..., 0], groups[..., 1])
+    codes = np.round(angles / TWO_PI * m_mod).astype(np.int64) % m_mod
+    point = circle_point(mask, nd)
+
+    best = np.full(b, -np.inf)
+    for k in range(1, n):
+        gk = groups[:, k - 1]
+        gk1 = groups[:, k]
+        want = np.zeros(n, dtype=bool)
+        want[:k] = True
+        clean = (occupied[:, k - 1] == want).all(axis=1) & ~ambiguous[:, k - 1].any(
+            axis=1
+        )
+        masks_k = codes[:, k - 1, :k]  # (B, k)
+        theta = TWO_PI * (masks_k / m_mod)
+        sin, cos = np.sin(theta), np.cos(theta)
+        dot_k = (gk[:, :k, 0] * sin + gk[:, :k, 1] * cos).sum(axis=1) / n
+        dot_k1 = (gk1[:, :k, 0] * sin + gk1[:, :k, 1] * cos).sum(axis=1) / n
+        psi_term = np.where(clean, (dot_k - dot_k1) / (4.0 * n), 0.0)
+        inter = np.bitwise_and.reduce(masks_k, axis=1)
+        low = inter & -inter
+        alpha = np.where(
+            inter > 0,
+            np.round(np.log2(np.maximum(low, 1))).astype(np.int64) + 1,
+            nd,
+        )
+        alpha = np.where(clean, alpha, 1)
+        alpha_term = -0.5 * np.take_along_axis(proj[:, k], alpha[:, None] - 1, axis=1)[
+            :, 0
+        ]
+        phi_term = -(gk1[:, k, 0] * point[0] + gk1[:, k, 1] * point[1]) / (
+            4.0 * n * n
+        )
+        k_best = 0.375 * proj[:, k - 1, :].max(axis=1) + alpha_term + psi_term + phi_term
+        best = np.maximum(best, k_best)
+    return np.maximum(params.delta1, best)
+
+
+def _assert_batch_l2_is_per_k(rows, masks, params, codebook):
+    readout = instance_sgd._l2_readout(rows, params, codebook)
+    for mask in masks:
+        got = instance_sgd._l2_values_batch(rows, mask, params, readout)
+        want = _per_k_l2_values_batch(rows, mask, params, codebook)
+        assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def smoothing_instance():
+    params, codebook, dataset, _, points, _ = _smooth_sgd_setup()
+    return params, codebook, dataset, points
+
+
+def test_batch_read_out_equals_per_k_decode_on_smoothing_draws(
+        smoothing_instance):
+    params, codebook, dataset, points = smoothing_instance
+    rng = np.random.default_rng(0)
+    for w in points:
+        ball = params.smoothing_delta * ball_sample(params.dim, rng, 300)
+        rows = np.concatenate([w + ball, w - ball])
+        _assert_batch_l2_is_per_k(rows, dataset.masks, params, codebook)
+
+
+def _prefix_rows(params, rng, count):
+    """Rows whose groups hold random codes at random norms in positions
+    1..j for a random j per group; half of them have zero step blocks."""
+    n, m_mod = params.n, subset_count(params.n_directions)
+    exp = params.group_codepoint_magnitude
+    rows = np.zeros((count, params.dim))
+    rows[count // 2:, 2 * n * n:] = rng.normal(
+        size=(count - count // 2, params.dim - 2 * n * n)) * 0.01
+    angle = TWO_PI * (rng.integers(0, m_mod, size=(count, n, n)) / m_mod)
+    radius = exp * rng.uniform(0.6, 1.4, size=(count, n, n))
+    radius *= np.arange(n) < rng.integers(0, n + 1, size=(count, n, 1))
+    enc = params.layout.encoding(rows).reshape(count, n, n, 2)
+    enc[..., 0], enc[..., 1] = radius * np.sin(angle), radius * np.cos(angle)
+    return rows
+
+
+def test_batch_read_out_equals_per_k_decode_off_trajectory(smoothing_instance):
+    params, codebook, dataset, _ = smoothing_instance
+    exp = params.group_codepoint_magnitude
+    rng = np.random.default_rng(1)
+    # occupied, empty and ambiguous blocks in every pattern
+    noise = rng.normal(size=(2000, params.dim)) * exp * rng.uniform(
+        0.2, 1.5, size=(2000, 1))
+    rows = np.concatenate([noise, _prefix_rows(params, rng, 2000)])
+    _assert_batch_l2_is_per_k(rows, dataset.masks, params, codebook)
+
+
+def test_batch_read_out_equals_per_k_decode_at_the_norm_thresholds(
+        smoothing_instance):
+    params, codebook, dataset, points = smoothing_instance
+    exp = params.group_codepoint_magnitude
+    norms = [np.nextafter(edge, toward) for edge in (0.5 * exp, 1.5 * exp)
+             for toward in (0.0, edge, 1.0)]
+    angles = TWO_PI * np.arange(16) / 16
+    blocks = [(r * np.sin(a), r * np.cos(a)) for r in norms for a in angles]
+    blocks += [(0.0, r) for r in norms]
+    rows = []
+    for w in points:
+        for k in range(1, params.n):
+            for pos in range(params.n):
+                edited = np.repeat(w[None], len(blocks), axis=0)
+                params.group(edited, k)[:, 2 * pos: 2 * pos + 2] = blocks
+                rows.append(edited)
+    _assert_batch_l2_is_per_k(np.concatenate(rows), dataset.masks[:2], params,
+                              codebook)
+
+
+def test_batch_read_out_equals_per_k_decode_on_prefixes_of_eight_or_more():
+    # numpy sums eight or more terms pairwise, not one after another
+    params = SgdParams(10, 12, dprime=16)
+    codebook = generate_codebook(12, 16, seed=2)
+    dataset = force_good_event_sgd(params, 4)
+    traj = run_sgd(codebook, dataset, params)
+    rng = np.random.default_rng(2)
+    points = [traj.iterate(t) for t in range(2, params.n + 1)]
+    points += [suffix_average(traj, m) for m in range(3, params.n + 1)]
+    ball = params.smoothing_delta * ball_sample(params.dim, rng, 100)
+    rows = [w + sign * ball for w in points for sign in (1, -1)]
+    # group k-1 holds a clean prefix of k random codes and group k the same
+    # blocks reversed and enlarged, so the prefix inner products, not the
+    # step blocks or the floor, decide the value
+    n, m_mod = params.n, subset_count(params.n_directions)
+    k = rng.integers(1, n, size=4000)
+    angle = TWO_PI * (rng.integers(0, m_mod, size=(4000, n)) / m_mod)
+    radius = params.group_codepoint_magnitude * rng.uniform(0.6, 1.4, (4000, n))
+    radius *= np.arange(n) < k[:, None]
+    prefix = np.stack([radius * np.sin(angle), radius * np.cos(angle)], axis=-1)
+    prefixes = np.zeros((4000, params.dim))
+    enc = params.layout.encoding(prefixes).reshape(4000, n, n, 2)
+    enc[np.arange(4000), k - 1] = prefix
+    enc[np.arange(4000), k] = -50.0 * prefix
+    rows.append(prefixes)
+    _assert_batch_l2_is_per_k(np.concatenate(rows), dataset.masks, params,
+                              codebook)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1025, CHUNK + 1])
+def test_batch_read_out_equals_per_k_decode_at_row_block_edges(
+        smoothing_instance, rows):
+    params, codebook, dataset, points = smoothing_instance
+    rng = np.random.default_rng(rows)
+    w = points[-1]
+    batch = w + params.smoothing_delta * ball_sample(params.dim, rng, rows)
+    _assert_batch_l2_is_per_k(batch, dataset.masks[:2], params, codebook)
+
+
+def test_empirical_loss_decodes_a_batch_once(smoothing_instance, monkeypatch):
+    params, codebook, dataset, points = smoothing_instance
+    rng = np.random.default_rng(3)
+    w = points[4]
+    batch = w + params.smoothing_delta * ball_sample(params.dim, rng, 500)
+    decodes = []
+    readout = instance_sgd._l2_readout
+
+    def counted(*args):
+        decodes.append(args)
+        return readout(*args)
+
+    monkeypatch.setattr(instance_sgd, "_l2_readout", counted)
+    for x in (batch, w):
+        total = 0.0
+        for mask in dataset.masks:
+            total = total + loss_sgd(x, mask, params, codebook)
+        want = total / dataset.n
+        decodes.clear()
+        got = empirical_loss_sgd(x, dataset, params, codebook)
+        assert np.array_equal(got, want) and type(got) is type(want)
+        assert len(decodes) == (1 if x.ndim == 2 else 0)
+
+
+def test_blocked_sample_draws_equal_one_draw():
+    params = SgdParams(8, 16)
+    count = 2 * CHUNK + 5
+    rng = np.random.default_rng(7)
+    bits = rng.random((count, params.n_directions)) < params.inclusion_probability
+    want = bits @ (np.int64(1) << np.arange(params.n_directions, dtype=np.int64))
+    got = params.draw_samples(np.random.default_rng(7), count)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 if __name__ == "__main__":

@@ -203,11 +203,10 @@ class GdParams:
                              dtype=np.int64)
         return masks, rng.integers(1, self.n * self.n + 1, size=count)
 
-    def sample_losses(self, w, samples, codebook, mode):
-        """Loss of each sample of a (masks, slots) pair at one point w, shape
-        (B,), or at each point of a stack (P, d), shape (P, B)."""
-        masks, slots = samples
-        return loss_gd_samples(w, masks, slots, self, codebook, mode=mode)
+    def point_losses(self, points, codebook, mode):
+        """losses((masks, slots)) -> (P, B): each sample's loss at each point
+        of a stack (P, d), whose sample-free terms are built once here."""
+        return _point_losses_gd(points, self, codebook, mode)
 
     def empirical_loss(self, w, dataset, codebook, mode):
         """Training risk at w; w may be a batch (B, d)."""
@@ -285,7 +284,8 @@ class GdDataset(_Dataset):
 
     @property
     def samples(self):
-        """The training set as a GdParams.sample_losses (masks, slots) pair."""
+        """The training set as the (masks, slots) pair GdParams.point_losses
+        reads."""
         return self.masks, self.slots
 
     def to_json(self):
@@ -403,8 +403,8 @@ def good_event_gd(dataset, params):
 #
 # Every term accepts w of shape (d,) or (B, d) and returns () or (B,)
 # accordingly.  Terms 3 and 4 do not depend on the sample, so the
-# many-sample paths (loss_gd_samples, empirical_loss_gd) evaluate them once
-# per batch of points.  The heavy lifting is plain numpy; per-row python
+# many-sample paths (GdParams.point_losses, empirical_loss_gd) evaluate them
+# once for all samples.  The heavy lifting is plain numpy; per-row python
 # loops only appear in the oracle decode path, which is one point at a time
 # on trajectories anyway.
 # ---------------------------------------------------------------------------
@@ -628,34 +628,39 @@ def empirical_loss_gd(w, dataset, params, codebook, mode="oracle"):
 
 def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
     """Loss of many samples at one point w, shape (B,); w may be a stack of
-    points (P, d), giving shape (P, B).
+    points (P, d), giving shape (P, B).  The one-shot case of
+    GdParams.point_losses."""
+    w = np.asarray(w, dtype=np.float64)
+    out = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
+        (masks, slots))
+    return out[0] if w.ndim == 1 else out
 
-    This is the Monte-Carlo path: the sample-independent terms (read-out
-    and ratchet) are evaluated once per point, and the per-sample terms
-    are done as one batched matrix product over the masks/slots arrays.
+
+def _point_losses_gd(points, params, codebook, mode):
+    """GdParams.point_losses: the sample-independent terms (read-out and
+    ratchet) are evaluated once per point, and each call does the
+    per-sample terms as one batched product over its masks/slots arrays.
     Each point's row equals its one-point call bitwise.
     """
-    points = np.asarray(w, dtype=np.float64)
-    masks = np.asarray(masks, dtype=np.int64)
-    slots = np.asarray(slots, dtype=np.int64)
-    angle = 2.0 * math.pi * (masks / subset_count(params.n_directions))
-    sin, cos = np.sin(angle), np.cos(angle)
-    stack = points.reshape(-1, points.shape[-1])
-    out = np.empty((len(stack), masks.size))
-    for row, w in zip(out, stack):
-        const = float(_l3_gd(w, params, codebook, mode)) + float(
-            _l4_gd(w, params, codebook)
-        )
+    consts = [float(_l3_gd(w, params, codebook, mode))
+              + float(_l4_gd(w, params, codebook)) for w in points]
 
-        l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
+    def losses(samples):
+        masks, slots = (np.asarray(a, dtype=np.int64) for a in samples)
+        angle = 2.0 * math.pi * (masks / subset_count(params.n_directions))
+        sin, cos = np.sin(angle), np.cos(angle)
+        out = np.empty((len(points), masks.size))
+        for row, w, const in zip(out, points, consts):
+            l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
 
-        # term 2: minus the slot block read off at each sample's codepoint
-        enc_blocks = params.layout.encoding(w).reshape(-1, 2)  # (n^2, 2)
-        sel = enc_blocks[slots - 1]  # (B, 2)
-        l2 = -(sin * sel[:, 0] + cos * sel[:, 1])
+            # term 2: minus the slot block read off at each sample's codepoint
+            sel = params.layout.encoding(w).reshape(-1, 2)[slots - 1]  # (B, 2)
+            l2 = -(sin * sel[:, 0] + cos * sel[:, 1])
 
-        np.add(l1 + l2, const, out=row)
-    return out.reshape(points.shape[:-1] + masks.shape)
+            np.add(l1 + l2, const, out=row)
+        return out
+
+    return losses
 
 
 def grad_gd(w, sample, params, codebook, mode="oracle"):

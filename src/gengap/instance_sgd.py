@@ -169,10 +169,10 @@ class SgdParams:
                          < self.inclusion_probability) @ weights
         return masks
 
-    def sample_losses(self, w, samples, codebook, mode):
-        """Loss of each sample of a masks sequence at one point w, shape
-        (B,), or at each point of a stack (P, d), shape (P, B)."""
-        return loss_sgd_samples(w, samples, self, codebook, mode=mode)
+    def point_losses(self, points, codebook, mode):
+        """losses(masks) -> (P, B): each sample's loss at each point of a
+        stack (P, d), whose read-outs are built once here."""
+        return _point_losses_sgd(points, self, codebook, mode)
 
     def empirical_loss(self, w, dataset, codebook, mode):
         """Training risk at w; w may be a batch (B, d)."""
@@ -276,7 +276,7 @@ class SgdDataset(_Dataset):
 
     @property
     def samples(self):
-        """The training set as a SgdParams.sample_losses masks sequence."""
+        """The training set as the masks SgdParams.point_losses reads."""
         return self.masks
 
     def to_json(self):
@@ -624,57 +624,56 @@ def empirical_loss_sgd(w, dataset, params, codebook, mode="oracle"):
 
 def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     """Loss of many samples at one point w, shape (B,); w may be a stack of
-    points (P, d), giving shape (P, B).
+    points (P, d), giving shape (P, B).  The one-shot case of
+    SgdParams.point_losses: the read-outs serve this one masks array."""
+    w = np.asarray(w, dtype=np.float64)
+    out = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
+        masks)
+    return out[0] if w.ndim == 1 else out
 
-    At inclusion probability 1/(4n^2) a Monte-Carlo chunk holds few
-    distinct masks (most of them empty), so the masks are deduplicated once
-    for every point, each distinct mask is evaluated once per point and
-    gathered back into sample order; rows are computed independently, so
-    this equals the row-by-row evaluation bitwise, and each point's row
-    equals its one-point call bitwise.  The candidate table of the
-    prefix-shift term is mask-independent except for its per-k coupling to
-    the sample codepoint, so the table is built once per point and only the
-    coupling column varies across masks.
-    """
-    points = np.asarray(w, dtype=np.float64)
-    masks, inverse = np.unique(np.asarray(masks, dtype=np.int64),
-                               return_inverse=True)
+
+def _point_losses_sgd(points, params, codebook, mode):
+    """SgdParams.point_losses.  Built once per point: the column maxima of
+    its prefix-shift table at mask 0 (decoded, or enumerated), and the
+    two-dim blocks that term 3 and each k's coupling read at the sample
+    codepoint, less their constants (the block-1 read, the mask-0 coupling).
+    Each call dedupes its masks once for every point (a chunk holds few
+    distinct masks at inclusion probability 1/(4n^2)), evaluates each once
+    per point with the one-point expressions and gathers back into sample
+    order, so each point's row equals its one-point call bitwise."""
     n, nd = params.n, params.n_directions
-    angle = TWO_PI * (masks / subset_count(nd))
-    sin, cos = np.sin(angle), np.cos(angle)
-    point0 = circle_point(0, nd)
-    stack = points.reshape(-1, points.shape[-1])
-    out = np.empty((len(stack), inverse.size))
-    for row, w in zip(out, stack):
-        l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
+    if mode == "oracle":
+        tables = [_l2_table_point(w, 0, params, codebook,
+                                  _l2_decode_info(w, params)) for w in points]
+    elif mode == "reference":
+        tables = [_l2_reference_table(w, 0, params, codebook)[0] for w in points]
+    else:
+        raise OutOfRange(f"unknown loss mode {mode!r}")
+    point0, scale = circle_point(0, nd), 4.0 * n * n
+    parts = []
+    for w, table in zip(points, tables):
+        # row 0: position 1 of group 1 (term 3); row k: block k+1 of group k+1
+        blocks = [params.layout.encoding(w)[0:2]] + [
+            params.group(w, k + 1)[2 * k: 2 * k + 2] for k in range(1, n)]
+        consts = [float(params.layout.block(w, 1) @ codebook.vectors[0]) / n**3]
+        consts += [-(b @ point0) / scale for b in blocks[1:]]
+        parts.append((w, table.max(axis=0), np.array(blocks), np.array(consts)))
 
-        # term 3 per mask
-        first_block = params.layout.encoding(w)[0:2]
-        l3 = -(sin * first_block[0] + cos * first_block[1]) / (
-            4.0 * n * n
-        ) - float(params.layout.block(w, 1) @ codebook.vectors[0]) / n**3
+    def losses(masks):
+        masks, inverse = np.unique(np.asarray(masks, dtype=np.int64),
+                                   return_inverse=True)
+        angle = TWO_PI * (masks / subset_count(nd))
+        sin, cos = np.sin(angle)[:, None], np.cos(angle)[:, None]
+        out = np.empty((len(parts), inverse.size))
+        for row, (w, col_best, blocks, consts) in zip(out, parts):
+            # term 3, then each k's coupling less the mask-0 one
+            reads = -(sin * blocks[:, 0] + cos * blocks[:, 1]) / scale - consts
+            l2 = np.maximum(params.delta1, (col_best + reads[:, 1:]).max(axis=1))
+            np.take(hinge_terms(w, masks, params, codebook) + l2 + reads[:, 0],
+                    inverse, out=row)
+        return out
 
-        # term 2: sample-free part of each k-column, then the coupling
-        if mode == "oracle":
-            info = _l2_decode_info(w, params)
-            # mask 0: no coupling yet
-            table = _l2_table_point(w, 0, params, codebook, info)
-        elif mode == "reference":
-            table, _ = _l2_reference_table(w, 0, params, codebook)
-        else:
-            raise OutOfRange(f"unknown loss mode {mode!r}")
-        # undo the mask-0 coupling folded into the table, then add per-mask ones
-        couple = np.empty((len(masks), n - 1))
-        for k in range(1, n):
-            gk1_block = params.group(w, k + 1)[2 * k: 2 * k + 2]
-            couple0 = -(gk1_block @ point0) / (4.0 * n * n)
-            couple[:, k - 1] = (
-                -(sin * gk1_block[0] + cos * gk1_block[1]) / (4.0 * n * n)
-            ) - couple0
-        col_best = table.max(axis=0)  # (n-1,) over directions
-        l2 = np.maximum(params.delta1, (col_best[None, :] + couple).max(axis=1))
-        np.take(l1 + l2 + l3, inverse, out=row)
-    return out.reshape(points.shape[:-1] + inverse.shape)
+    return losses
 
 
 def grad_sgd(w, mask, params, codebook, mode="oracle"):

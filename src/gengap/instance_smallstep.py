@@ -85,12 +85,16 @@ class SmallstepParams:
         """Per-coordinate offsets eta*i/(4d), i = 1..d."""
         return self.eta * np.arange(1, self.dim + 1) / (4.0 * self.dim)
 
-    def sample_losses(self, w, samples, codebook, mode):
-        """The loss at w; w may be a batch.  The distribution is a point
-        mass, so the samples carry nothing and codebook and mode are unused."""
-        return loss_smallstep(w, self)
+    def point_losses(self, points, codebook, mode):
+        """losses(samples) -> (P, 1): the loss at each point of a stack
+        (P, d).  The distribution is a point mass, so the samples carry
+        nothing and codebook and mode are unused."""
+        losses = loss_smallstep(points, self)[:, None]
+        return lambda samples: losses
 
-    empirical_loss = sample_losses  # the training risk is the loss itself
+    def empirical_loss(self, w, dataset, codebook, mode):
+        """The training risk: the loss itself; w may be a batch."""
+        return loss_smallstep(w, self)
 
     def step_grad(self, w, t, dataset, codebook, mode):
         """The step's gradient (full-batch and one-pass steps agree)."""

@@ -1,15 +1,17 @@
 """Empirical and population risk, Monte-Carlo and closed-form.
 
-Population risks are Monte-Carlo means over fresh samples from the one
-chunked estimator, smoothing.mc_means, whose seed-per-chunk layout makes
-the estimate for a given seed independent of platform; a stack of points
-shares each chunk, so a gap report draws once for all its suffix averages.  Each family's
-params carry its sampling law (draw_samples; None for a point mass, whose
-risk is the loss) and the population risk of the zero vector
-(baseline_population).  For the full-batch family the on-trajectory
-population risk also has an exact two-branch closed form,
-population_risk_closed_gd in instance_gd, which the estimator is tested
-against.
+Both risks read one per-stack read-out: params.point_losses(points,
+codebook, mode) is built once for a stack of points (P, d) and gives each
+sample's loss at each point, shape (P, B).  Population risks are means
+from the one chunked Monte-Carlo estimator, smoothing.mc_means, whose
+seed-per-chunk layout makes an estimate for a given seed independent of
+platform.  A gap report reads its suffix averages out once, draws each
+chunk once for all of them, and takes their training risks from the same
+read-out.  Each family's params carry its sampling law (draw_samples; None
+for a point mass, whose risk is the loss) and the population risk of the
+zero vector (baseline_population).  The full-batch family's on-trajectory
+population risk also has an exact closed form, population_risk_closed_gd
+in instance_gd, which the estimator is tested against.
 
 Gap reports record the designed excess-risk targets next to the measured
 numbers; they never assert them.
@@ -28,14 +30,43 @@ from .smoothing import mc_means
 DEFAULT_SAMPLES = 20_000
 
 
+def _empirical(losses, dataset):
+    """Each point's mean loss over the training set, shape (P,), from its
+    point_losses read-out; a row's mean is its one-point mean bitwise."""
+    return losses(None if dataset is None else dataset.samples).mean(axis=-1)
+
+
+def _population(losses, count, params, n_samples, seed):
+    """(estimates, stderrs) of a stack of count points, shape (count,)
+    each, from their point_losses read-out."""
+    if params.draw_samples is None:
+        return losses(None)[:, 0], np.zeros(count)
+    bases = []
+
+    def draw(rng, rows):
+        vals = losses(params.draw_samples(rng, rows))
+        if not bases:
+            bases.extend(vals[:, 0])
+        return vals
+
+    def centered(i):
+        return lambda vals: vals[i] - bases[i]
+
+    means = mc_means(seed, n_samples, draw, [centered(i) for i in range(count)])
+    return (np.array([base + mean for base, (mean, _) in zip(bases, means)]),
+            np.array([se for _, se in means]))
+
+
 def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
-    """Mean loss of w over the training set.
+    """Mean loss over the training set at a point w (d,), or a (P,) array of
+    them at each point of a stack (P, d), each bitwise its one-point value.
 
     The deterministic family ignores dataset (its loss has no sample);
     pass None.
     """
-    samples = None if dataset is None else dataset.samples
-    return float(np.mean(params.sample_losses(w, samples, codebook, mode)))
+    points = np.asarray(w, dtype=np.float64).reshape(-1, np.shape(w)[-1])
+    risks = _empirical(params.point_losses(points, codebook, mode), dataset)
+    return float(risks[0]) if np.ndim(w) == 1 else risks
 
 
 def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
@@ -44,37 +75,18 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
     (P,) arrays of both at each point of a stack (P, d).
 
     Fresh samples follow the family's sampling law (params.draw_samples).
-    Each chunk is drawn once and every point's losses are evaluated on it
-    (params.sample_losses on the stack), so each point's estimate is its
-    one-point estimate bitwise.  A point's values are accumulated centered
-    on its own first draw so near-constant losses do not lose their
-    variance to cancellation.  A family without a sampling law is a point
-    mass: each point's exact loss and stderr 0.0 come back regardless of
-    n_samples.
+    Each point is read out once (params.point_losses on the stack), each
+    chunk is drawn once, and every point's losses are evaluated on it, so
+    each point's estimate is its one-point estimate bitwise.  A point's
+    values are accumulated centered on its own first draw so near-constant
+    losses do not lose their variance to cancellation.  A family without a
+    sampling law is a point mass: each point's exact loss and stderr 0.0
+    come back regardless of n_samples.
     """
-    w = np.asarray(w, dtype=np.float64)
-    points = w.reshape(-1, w.shape[-1])
-    if params.draw_samples is None:
-        est = params.sample_losses(points, None, codebook, mode)
-        stderr = np.zeros(len(points))
-    else:
-        bases = []
-
-        def draw(rng, rows):
-            losses = params.sample_losses(
-                points, params.draw_samples(rng, rows), codebook, mode)
-            if not bases:
-                bases.extend(losses[:, 0])
-            return losses
-
-        def centered(i):
-            return lambda losses: losses[i] - bases[i]
-
-        means = mc_means(seed, n_samples, draw,
-                         [centered(i) for i in range(len(points))])
-        est = np.array([base + mean for base, (mean, _) in zip(bases, means)])
-        stderr = np.array([se for _, se in means])
-    if w.ndim == 1:
+    points = np.asarray(w, dtype=np.float64).reshape(-1, np.shape(w)[-1])
+    est, stderr = _population(params.point_losses(points, codebook, mode),
+                              len(points), params, n_samples, seed)
+    if np.ndim(w) == 1:
         return float(est[0]), float(stderr[0])
     return est, stderr
 
@@ -146,14 +158,15 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     averages = np.empty((len(suffix_lengths), traj.dim))
     for row, m in zip(averages, suffix_lengths):
         row[...] = suffix_average(traj, m)
-    # one population draw for every suffix average
-    pops, stderrs = population_risk_mc(averages, params, codebook,
-                                       n_samples=n_samples, seed=seed, mode=mode)
+    # one read-out per suffix average, one population draw for all of them,
+    # and the training risks from the same read-out
+    losses = params.point_losses(averages, codebook, mode)
+    pops, stderrs = _population(losses, len(averages), params, n_samples, seed)
+    emps = _empirical(losses, dataset)
 
     reports = []
-    for m, w, pop, stderr in zip(suffix_lengths, averages, pops.tolist(),
-                                 stderrs.tolist()):
-        emp = empirical_risk(w, dataset, params, codebook, mode=mode)
+    for m, pop, stderr, emp in zip(suffix_lengths, pops.tolist(),
+                                   stderrs.tolist(), emps.tolist()):
         excess_pop = pop - base_pop
         excess_emp = emp - base_emp
         reports.append(

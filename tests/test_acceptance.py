@@ -52,8 +52,3 @@ def test_smoothed_surrogates_track_values_and_gradients():
 
 def test_coherence_convexity_and_oracle_parity():
     _gate("properties")
-
-
-if __name__ == "__main__":
-    for suite in BUDGET_SECONDS:
-        print(run_suite(suite).summary())

@@ -101,8 +101,3 @@ def test_rows_are_one_based_direction_indices():
     # the public convention: direction index r lives at row r-1
     assert np.array_equal(cb.vectors[0], cb.vectors[1 - 1])
     assert cb.vectors[4].shape == (64,)
-
-
-if __name__ == "__main__":
-    cb = generate_codebook(16, seed=0)
-    print(f"16 directions in dim {cb.dim}: coherence {coherence(cb):.4f}")

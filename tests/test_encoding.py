@@ -144,9 +144,3 @@ def test_layout_views_work_batched():
     w = np.zeros((3, lay.total_dim))
     assert lay.encoding(w).shape == (3, 4)
     assert lay.block(w, 2).shape == (3, 2)
-
-
-if __name__ == "__main__":
-    n_directions = 4
-    for mask in (0, 1, 9, 15):
-        print(mask, circle_point(mask, n_directions))

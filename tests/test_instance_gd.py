@@ -255,9 +255,3 @@ def test_dataset_json_roundtrip(tmp_path, small):
     dataset.save(path)
     back = GdDataset.load(path)
     assert back.masks == dataset.masks and back.slots == dataset.slots
-
-
-if __name__ == "__main__":
-    p = GdParams(4, 16, 32)
-    ds = draw_gd_dataset(p, 13, policy="reject-until-E")[0]
-    print("masks", ds.masks, "slots", ds.slots)

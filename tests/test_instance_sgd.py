@@ -396,9 +396,3 @@ def test_blocked_sample_draws_equal_one_draw():
     want = bits @ (np.int64(1) << np.arange(params.n_directions, dtype=np.int64))
     got = params.draw_samples(np.random.default_rng(7), count)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-if __name__ == "__main__":
-    p = SgdParams(8, 16)
-    ds = force_good_event_sgd(p, 21)
-    print("masks", ds.masks)

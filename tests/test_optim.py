@@ -106,8 +106,3 @@ def test_projection_is_a_no_op_on_the_designed_runs():
     plain = run_gd(codebook, dataset, params)
     proj = run_gd(codebook, dataset, params, projected=True)
     assert np.array_equal(plain.iterates, proj.iterates)
-
-
-if __name__ == "__main__":
-    traj = gradient_descent(lambda t, w: w - 1.0, dim=2, steps=100, eta=0.2)
-    print("final", traj.iterate(100))

@@ -225,8 +225,3 @@ def test_frequency_interval_brackets_the_point_estimate(trials, successes):
     # containment of the point estimate, up to roundoff at the extremes
     assert lower <= successes / trials + 1e-12
     assert upper >= successes / trials - 1e-12
-
-
-if __name__ == "__main__":
-    mask, n_directions = 0b1011, 4
-    print(circle_point(mask, n_directions), alpha_gd([mask], n_directions))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gengap import instance_sgd
 from gengap.codebook import generate_codebook
 from gengap.errors import InvalidClosedForm, OutOfRange
 from gengap.instance_gd import GdParams, draw_gd_dataset, loss_gd
@@ -92,7 +93,7 @@ def _parent_population_loop(w, params, codebook, n_samples, seed):
     for child in seeds:
         count = min(CHUNK, n_samples - done)
         samples = params.draw_samples(np.random.default_rng(child), count)
-        vals = params.sample_losses(w, samples, codebook, "oracle")
+        vals = params.point_losses(w[None], codebook, "oracle")(samples)[0]
         if base is None:
             base = float(vals[0])
         centered = vals - base
@@ -230,13 +231,23 @@ def _sgd_setup():
     return params, codebook, dataset, run_sgd(codebook, dataset, params)
 
 
-@pytest.fixture(params=["gd", "sgd", "smallstep"])
+def _sgd_headline_setup():
+    # eight training samples: numpy sums a row of eight or more pairwise
+    params = SgdParams(8, 16)
+    codebook = generate_codebook(16, params.dprime, seed=3)
+    dataset = force_good_event_sgd(params, 21)
+    return params, codebook, dataset, run_sgd(codebook, dataset, params)
+
+
+@pytest.fixture(params=["gd", "sgd", "sgd-n8", "smallstep"])
 def family_run(request, gd_setup):
     """(params, codebook, dataset, traj, suffix lengths) of each family."""
     if request.param == "gd":
         return (*gd_setup, (1, 4, 8))
     if request.param == "sgd":
         return (*_sgd_setup(), (1, 2, 3, 4))
+    if request.param == "sgd-n8":
+        return (*_sgd_headline_setup(), (1, 2, 5, 8))
     params = SmallstepParams(eta=0.02, steps=100)
     return params, None, None, run_smallstep(params), (1, 10, 100)
 
@@ -254,15 +265,23 @@ def _counting_draws(monkeypatch, params):
     return calls
 
 
+def _training_mean(w, dataset, params, codebook):
+    """np.mean of one point's training losses: the empirical risk, computed
+    without risk.empirical_risk."""
+    samples = None if dataset is None else dataset.samples
+    losses = params.point_losses(w[None], codebook, "oracle")(samples)[0]
+    return float(np.mean(losses))
+
+
 def test_gap_report_equals_a_per_suffix_loop_field_for_field(family_run):
     params, codebook, dataset, traj, suffixes = family_run
     n = 2 * CHUNK + 5
-    base_emp = empirical_risk(np.zeros(traj.dim), dataset, params, codebook)
+    base_emp = _training_mean(np.zeros(traj.dim), dataset, params, codebook)
     base_pop = params.baseline_population(base_emp)
     want = []
     for m in suffixes:  # one population estimate per suffix average
         w = traj.suffix_average(m)
-        emp = empirical_risk(w, dataset, params, codebook)
+        emp = _training_mean(w, dataset, params, codebook)
         pop, stderr = population_risk_mc(w, params, codebook, n_samples=n,
                                          seed=9)
         fields = {"population": pop, "excess_population": pop - base_pop,
@@ -309,6 +328,34 @@ def test_a_report_draws_each_chunk_once(family_run, monkeypatch):
     assert calls == want
 
 
+def test_a_report_reads_each_point_out_once(monkeypatch):
+    # the suffix averages and the zero baseline, whatever the chunk count
+    params, codebook, dataset, traj = _sgd_setup()
+    calls = []
+    decode = instance_sgd._l2_decode_info
+
+    def counted(w, p):
+        calls.append(w)
+        return decode(w, p)
+
+    monkeypatch.setattr(instance_sgd, "_l2_decode_info", counted)
+    suffixes = (1, 2, 3, 4)
+    gap_report(traj, dataset, params, codebook, suffix_lengths=suffixes,
+               n_samples=2 * CHUNK + 5, seed=9)
+    assert len(calls) == len(suffixes) + 1
+
+
+def test_empirical_risk_of_a_stack_equals_one_point_calls(family_run):
+    params, codebook, dataset, traj, suffixes = family_run
+    points = np.stack([np.zeros(traj.dim)]
+                      + [traj.suffix_average(m) for m in suffixes])
+    got = empirical_risk(points, dataset, params, codebook)
+    assert got.shape == (len(points),)
+    singles = [empirical_risk(w, dataset, params, codebook) for w in points]
+    assert got.tolist() == singles
+    assert all(type(x) is float for x in singles)
+
+
 def test_gap_report_of_no_suffix_is_empty_and_draws_nothing(family_run,
                                                             monkeypatch):
     params, codebook, dataset, traj, _ = family_run
@@ -326,9 +373,3 @@ def test_sgd_sample_losses_of_a_stack_equal_its_rows():
     assert got.shape == (len(points), len(masks))
     for row, w in zip(got, points):
         assert np.array_equal(row, loss_sgd_samples(w, masks, params, codebook))
-
-
-if __name__ == "__main__":
-    p = GdParams(2, 4, 8, dprime=8)
-    print("baseline", population_risk_closed_gd(0, p))
-    print("final", population_risk_closed_gd(8, p))

@@ -103,9 +103,3 @@ def test_expected_iterate_guards():
     tight = SmallstepParams(eta=0.1, steps=10, dim=4)
     with pytest.raises(InvalidClosedForm):
         expected_smallstep_iterate(8, tight)
-
-
-if __name__ == "__main__":
-    p = SmallstepParams(eta=0.02, steps=100)
-    traj = run_smallstep(p)
-    print("final value", loss_smallstep(traj.iterate(p.steps), p))

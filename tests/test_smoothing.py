@@ -269,9 +269,3 @@ def test_preservation_check_detects_an_oversized_radius():
     exact = grad_smallstep(w, p)
     sigma = np.abs(est - exact) / np.where(stderr > 0, stderr, np.inf)
     assert sigma.max() > 3.0
-
-
-if __name__ == "__main__":
-    p = SmallstepParams(eta=0.1, steps=10)
-    cfg = SmoothingConfig(p.smoothing_delta, 100000, seed=0)
-    print(smoothed_value(lambda v: loss_smallstep(v, p), np.zeros(p.dim), cfg))

@@ -198,7 +198,3 @@ def test_a_trajectory_of_another_length_than_the_horizon_is_refused(
     with pytest.raises(OutOfRange, match=f"checkpoint holds {len(rows)} "
                        f"iterates; the configured instance has {params.horizon}"):
         check(Trajectory(iterates=rows), params, dataset, codebook)
-
-
-if __name__ == "__main__":
-    print(wilson_interval(877, 2000))

@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and six ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and seven ``gengap run`` sweeps (each with the smoothed-risk
 check and several suffix lengths, whose population risks share one
 Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved.  JSON files
@@ -38,6 +38,11 @@ SWEEPS = {
     # n=10 decodes prefixes of eight or more codes, which numpy sums pairwise
     "sgd-force-n10": ["--family", "sgd", "--n", "10", "--directions", "12",
                       "--policy", "force", "--suffix", "1,5,10"],
+    # a second Monte-Carlo seed, and a sample whose fourth chunk is partial
+    "sgd-force-mc30000-seed5": ["--family", "sgd", "--n", "6",
+                                "--directions", "9", "--policy", "force",
+                                "--suffix", "1,3,6", "--mc-samples", "30000",
+                                "--mc-seed", "5"],
     "sgd-unconditioned-reference": ["--family", "sgd", "--n", "3",
                                     "--directions", "3",
                                     "--policy", "unconditioned",

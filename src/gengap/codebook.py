@@ -156,7 +156,8 @@ def save_codebook(codebook, path):
         "vectors": signs.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        # dumps: the C encoder; json.dump writes the same text in pure Python
+        fh.write(json.dumps(payload))
 
 
 def load_codebook(path):

@@ -35,11 +35,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .codebook import default_dim
 from .encoding import (
+    TWO_PI,
     EncodingLayout,
     alpha_gd,
     circle_point,
@@ -203,9 +205,19 @@ class GdParams:
                              dtype=np.int64)
         return masks, rng.integers(1, self.n * self.n + 1, size=count)
 
+    def prepare_samples(self, chunks):
+        """The sample-only inputs point_losses reads, for a list of
+        (masks, slots) chunks: per chunk, the masks' MaskInputs and each
+        sample's slot block index."""
+        return tuple((mask_inputs(np.asarray(masks, dtype=np.int64),
+                                  self.n_directions),
+                      np.asarray(slots, dtype=np.int64) - 1)
+                     for masks, slots in chunks)
+
     def point_losses(self, points, codebook, mode):
-        """losses((masks, slots)) -> (P, B): each sample's loss at each point
-        of a stack (P, d), whose sample-free terms are built once here."""
+        """losses(prepared) yields, for each chunk that prepare_samples made
+        ready, each sample's loss at each point of a stack (P, d), shape
+        (P, B); the sample-free terms are built once here."""
         return _point_losses_gd(points, self, codebook, mode)
 
     def empirical_loss(self, w, dataset, codebook, mode):
@@ -266,7 +278,7 @@ class _Dataset:
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write(json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path):
@@ -428,13 +440,28 @@ def hinge_term(w, mask, params, codebook):
     return np.sqrt((h * h).sum(axis=-1))
 
 
-def hinge_terms(w, masks, params, codebook):
-    """hinge_term of every mask of an int64 array at one point w, shape (B,)."""
+class MaskInputs(NamedTuple):
+    """The sample-only inputs of the mask terms for B masks: each mask's
+    circle-point sine and cosine, (B,) each, and its direction membership,
+    a (B, N) bool matrix."""
+
+    sin: np.ndarray
+    cos: np.ndarray
+    member: np.ndarray
+
+
+def mask_inputs(masks, n_directions):
+    """MaskInputs of an int64 mask array (B,)."""
+    angle = TWO_PI * (masks / subset_count(n_directions))
+    member = (masks[:, None] >> np.arange(n_directions)[None, :] & 1).astype(bool)
+    return MaskInputs(np.sin(angle), np.cos(angle), member)
+
+
+def hinge_terms(w, member, params, codebook):
+    """hinge_term of every mask at one point w, shape (B,), from the masks'
+    (B, N) membership matrix (MaskInputs.member)."""
     blocks = params.layout.step_blocks(w)  # (T, dprime)
     proj = codebook.vectors @ blocks.T  # (N, T)
-    member = (
-        masks[:, None] >> np.arange(params.n_directions)[None, :] & 1
-    ).astype(bool)  # (B, N)
     inner = np.where(member[:, :, None], proj[None, :, :], -np.inf).max(axis=1)
     h = np.maximum(params.l1_floor, inner[:, 1:])
     return np.sqrt((h * h).sum(axis=1))
@@ -631,36 +658,34 @@ def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
     points (P, d), giving shape (P, B).  The one-shot case of
     GdParams.point_losses."""
     w = np.asarray(w, dtype=np.float64)
-    out = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
-        (masks, slots))
+    [out] = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
+        params.prepare_samples([(masks, slots)]))
     return out[0] if w.ndim == 1 else out
 
 
 def _point_losses_gd(points, params, codebook, mode):
     """GdParams.point_losses: the sample-independent terms (read-out and
-    ratchet) are evaluated once per point, and each call does the
-    per-sample terms as one batched product over its masks/slots arrays.
+    ratchet) are evaluated once per point, and the per-sample terms one
+    chunk at a time, as one batched product over its prepared samples.
     Each point's row equals its one-point call bitwise.
     """
     consts = [float(_l3_gd(w, params, codebook, mode))
               + float(_l4_gd(w, params, codebook)) for w in points]
 
-    def losses(samples):
-        masks, slots = (np.asarray(a, dtype=np.int64) for a in samples)
-        angle = 2.0 * math.pi * (masks / subset_count(params.n_directions))
-        sin, cos = np.sin(angle), np.cos(angle)
-        out = np.empty((len(points), masks.size))
+    def chunk_losses(inputs, slot_rows):
+        sin, cos, member = inputs
+        out = np.empty((len(points), slot_rows.size))
         for row, w, const in zip(out, points, consts):
-            l1 = hinge_terms(w, masks, params, codebook)  # term 1 per mask
+            l1 = hinge_terms(w, member, params, codebook)  # term 1 per mask
 
             # term 2: minus the slot block read off at each sample's codepoint
-            sel = params.layout.encoding(w).reshape(-1, 2)[slots - 1]  # (B, 2)
+            sel = params.layout.encoding(w).reshape(-1, 2)[slot_rows]  # (B, 2)
             l2 = -(sin * sel[:, 0] + cos * sel[:, 1])
 
             np.add(l1 + l2, const, out=row)
         return out
 
-    return losses
+    return lambda prepared: (chunk_losses(*chunk) for chunk in prepared)
 
 
 def grad_gd(w, sample, params, codebook, mode="oracle"):

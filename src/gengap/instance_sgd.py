@@ -70,6 +70,7 @@ from .instance_gd import (
     add_hinge_grad,
     hinge_term,
     hinge_terms,
+    mask_inputs,
 )
 
 MAX_FORCING_TRIES = 1000  # force_good_event_sgd gives up after this many
@@ -169,9 +170,22 @@ class SgdParams:
                          < self.inclusion_probability) @ weights
         return masks
 
+    def prepare_samples(self, chunks):
+        """The sample-only inputs point_losses reads, for a list of mask
+        arrays: the MaskInputs of the distinct masks of all of them (a
+        sample holds few at inclusion probability 1/(4n^2)), and per chunk
+        each sample's row among those."""
+        chunks = [np.asarray(masks, dtype=np.int64) for masks in chunks]
+        distinct, inverse = np.unique(np.concatenate(chunks),
+                                      return_inverse=True)
+        bounds = np.cumsum([masks.size for masks in chunks[:-1]], dtype=np.int64)
+        return (mask_inputs(distinct, self.n_directions),
+                tuple(np.split(inverse, bounds)))
+
     def point_losses(self, points, codebook, mode):
-        """losses(masks) -> (P, B): each sample's loss at each point of a
-        stack (P, d), whose read-outs are built once here."""
+        """losses(prepared) yields, for each chunk that prepare_samples made
+        ready, each sample's loss at each point of a stack (P, d), shape
+        (P, B); the read-outs are built once here."""
         return _point_losses_sgd(points, self, codebook, mode)
 
     def empirical_loss(self, w, dataset, codebook, mode):
@@ -218,13 +232,20 @@ class SgdParams:
             gk1 = self.group(w, k + 1)
             point = circle_point(mask, self.n_directions)
             proj = self.layout.step_blocks(w) @ codebook.vectors.T
+            # each position's codepoint once; a candidate swaps in its shifted
+            # one and sums them in position order, as the prefix encodes
+            codes = [encode_sgd(mm, i, n, self.n_directions)
+                     for i, mm in enumerate(masks_k, start=1)]
             for pos in range(len(masks_k)):
                 for delta in (-1, 1):
                     shifted = list(masks_k)
                     shifted[pos] = (shifted[pos] + delta) % m_mod
+                    shifted_codes = list(codes)
+                    shifted_codes[pos] = encode_sgd(shifted[pos], pos + 1, n,
+                                                    self.n_directions)
                     acc = np.zeros(2 * n)
-                    for i, mm in enumerate(shifted, start=1):
-                        acc += encode_sgd(mm, i, n, self.n_directions)
+                    for code in shifted_codes:
+                        acc += code
                     psi_adj = acc / n
                     alpha_adj = alpha_sgd(shifted, self.n_directions)
                     val = (
@@ -627,8 +648,8 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     points (P, d), giving shape (P, B).  The one-shot case of
     SgdParams.point_losses: the read-outs serve this one masks array."""
     w = np.asarray(w, dtype=np.float64)
-    out = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
-        masks)
+    [out] = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
+        params.prepare_samples([masks]))
     return out[0] if w.ndim == 1 else out
 
 
@@ -637,10 +658,10 @@ def _point_losses_sgd(points, params, codebook, mode):
     its prefix-shift table at mask 0 (decoded, or enumerated), and the
     two-dim blocks that term 3 and each k's coupling read at the sample
     codepoint, less their constants (the block-1 read, the mask-0 coupling).
-    Each call dedupes its masks once for every point (a chunk holds few
-    distinct masks at inclusion probability 1/(4n^2)), evaluates each once
-    per point with the one-point expressions and gathers back into sample
-    order, so each point's row equals its one-point call bitwise."""
+    Each call evaluates the distinct masks of its prepared samples
+    (SgdParams.prepare_samples) once per point with the one-point
+    expressions, then gathers each chunk back into sample order, so each
+    point's row equals its one-point call bitwise."""
     n, nd = params.n, params.n_directions
     if mode == "oracle":
         tables = [_l2_table_point(w, 0, params, codebook,
@@ -659,19 +680,17 @@ def _point_losses_sgd(points, params, codebook, mode):
         consts += [-(b @ point0) / scale for b in blocks[1:]]
         parts.append((w, table.max(axis=0), np.array(blocks), np.array(consts)))
 
-    def losses(masks):
-        masks, inverse = np.unique(np.asarray(masks, dtype=np.int64),
-                                   return_inverse=True)
-        angle = TWO_PI * (masks / subset_count(nd))
-        sin, cos = np.sin(angle)[:, None], np.cos(angle)[:, None]
-        out = np.empty((len(parts), inverse.size))
-        for row, (w, col_best, blocks, consts) in zip(out, parts):
+    def losses(prepared):
+        (sin, cos, member), inverses = prepared
+        sin, cos = sin[:, None], cos[:, None]
+        table = np.empty((len(parts), len(member)))  # each distinct mask's loss
+        for row, (w, col_best, blocks, consts) in zip(table, parts):
             # term 3, then each k's coupling less the mask-0 one
             reads = -(sin * blocks[:, 0] + cos * blocks[:, 1]) / scale - consts
             l2 = np.maximum(params.delta1, (col_best + reads[:, 1:]).max(axis=1))
-            np.take(hinge_terms(w, masks, params, codebook) + l2 + reads[:, 0],
-                    inverse, out=row)
-        return out
+            np.add(hinge_terms(w, member, params, codebook) + l2, reads[:, 0],
+                   out=row)
+        return (np.take(table, inverse, axis=1) for inverse in inverses)
 
     return losses
 

@@ -86,11 +86,12 @@ class SmallstepParams:
         return self.eta * np.arange(1, self.dim + 1) / (4.0 * self.dim)
 
     def point_losses(self, points, codebook, mode):
-        """losses(samples) -> (P, 1): the loss at each point of a stack
-        (P, d).  The distribution is a point mass, so the samples carry
-        nothing and codebook and mode are unused."""
+        """losses(prepared) yields one chunk, the loss at each point of a
+        stack (P, d), shape (P, 1).  The distribution is a point mass, so
+        there are no samples to prepare (pass None) and codebook and mode
+        are unused."""
         losses = loss_smallstep(points, self)[:, None]
-        return lambda samples: losses
+        return lambda prepared: iter((losses,))
 
     def empirical_loss(self, w, dataset, codebook, mode):
         """The training risk: the loss itself; w may be a batch."""

@@ -1,15 +1,29 @@
 """Empirical and population risk, Monte-Carlo and closed-form.
 
 Both risks read one per-stack read-out: params.point_losses(points,
-codebook, mode) is built once for a stack of points (P, d) and gives each
-sample's loss at each point, shape (P, B).  Population risks are means
-from the one chunked Monte-Carlo estimator, smoothing.mc_means, whose
-seed-per-chunk layout makes an estimate for a given seed independent of
-platform.  A gap report reads its suffix averages out once, draws each
-chunk once for all of them, and takes their training risks from the same
-read-out.  Each family's params carry its sampling law (draw_samples; None
-for a point mass, whose risk is the loss) and the population risk of the
-zero vector (baseline_population).  The full-batch family's on-trajectory
+codebook, mode) is built once for a stack of points (P, d) and gives,
+chunk by chunk, each sample's loss at each point, shape (P, B), for sample
+chunks made ready by params.prepare_samples.  Population risks are means from the one chunked
+Monte-Carlo estimator (smoothing.mc_chunks lays out the chunks,
+smoothing.chunk_means accumulates them), whose seed-per-chunk layout makes
+an estimate for a given seed independent of platform.  A gap report reads
+its suffix averages out once, reads each chunk once for all of them, and
+takes their training risks from the same read-out.
+
+The population sample is drawn once per (instance, sample count, seed) in
+a process.  Its prepared chunks are held read-only in a one-entry memo
+(_population_sample; cache_clear drops it), and every gap report and
+population_risk_mc on that sample reads them.  The seeds of one run share
+one --mc-seed, so they share the sample, as they always did.  Per sample
+the memo holds about 8 bytes for the one-pass family (the sample's row
+among the sample's few distinct masks): about 160 KB at the default 20,000.
+The full-batch family holds 24 + N bytes (sine, cosine, slot index and
+membership): 800 KB at N=16.  A sample above MAX_HELD_SAMPLES is not
+held; it is drawn again, one chunk at a time, on every call.
+
+Each family's params carry its sampling law (draw_samples; None for a
+point mass, whose risk is the loss) and the population risk of the zero
+vector (baseline_population).  The full-batch family's on-trajectory
 population risk also has an exact closed form, population_risk_closed_gd
 in instance_gd, which the estimator is tested against.
 
@@ -19,40 +33,75 @@ numbers; they never assert them.
 
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 # the full-batch closed form stays importable from this module
 from .instance_gd import population_risk_closed_gd
 from .optim import suffix_average
-from .smoothing import mc_means
+from .smoothing import chunk_means, mc_chunks
 
 DEFAULT_SAMPLES = 20_000
+# a larger population sample is not held but drawn again, one chunk at a
+# time, per call: held, it would cost 24 + N bytes per gd sample
+MAX_HELD_SAMPLES = 100_000
 
 
-def _empirical(losses, dataset):
+def _empirical(losses, dataset, params):
     """Each point's mean loss over the training set, shape (P,), from its
     point_losses read-out; a row's mean is its one-point mean bitwise."""
-    return losses(None if dataset is None else dataset.samples).mean(axis=-1)
+    [vals] = losses(None if dataset is None
+                    else params.prepare_samples([dataset.samples]))
+    return vals.mean(axis=-1)
+
+
+def _read_only(prepared):
+    """prepared, with every array in its (nested) tuples made read-only."""
+    for item in prepared:
+        if isinstance(item, tuple):
+            _read_only(item)
+        else:
+            item.flags.writeable = False
+    return prepared
+
+
+@lru_cache(maxsize=1)
+def _population_sample(params, n_samples, seed):
+    """One population sample, its chunks (mc_chunks of params.draw_samples)
+    made ready by params.prepare_samples and held read-only: the one memo
+    entry, cleared by _population_sample.cache_clear()."""
+    chunks = list(mc_chunks(seed, n_samples, params.draw_samples))
+    return _read_only(params.prepare_samples(chunks))
 
 
 def _population(losses, count, params, n_samples, seed):
     """(estimates, stderrs) of a stack of count points, shape (count,)
     each, from their point_losses read-out."""
     if params.draw_samples is None:
-        return losses(None)[:, 0], np.zeros(count)
+        [vals] = losses(None)
+        return vals[:, 0], np.zeros(count)
     bases = []
 
-    def draw(rng, rows):
-        vals = losses(params.draw_samples(rng, rows))
-        if not bases:
-            bases.extend(vals[:, 0])
-        return vals
+    def streamed():
+        for chunk in mc_chunks(seed, n_samples, params.draw_samples):
+            yield from losses(params.prepare_samples([chunk]))
+
+    def chunk_losses():
+        # read lazily, so an estimate without points draws nothing
+        chunks = (losses(_population_sample(params, n_samples, seed))
+                  if n_samples <= MAX_HELD_SAMPLES else streamed())
+        for vals in chunks:
+            if not bases:
+                bases.extend(vals[:, 0])
+            yield vals
+            del vals  # free this chunk's losses before the next is computed
 
     def centered(i):
         return lambda vals: vals[i] - bases[i]
 
-    means = mc_means(seed, n_samples, draw, [centered(i) for i in range(count)])
+    means = chunk_means(n_samples, chunk_losses(),
+                        [centered(i) for i in range(count)])
     return (np.array([base + mean for base, (mean, _) in zip(bases, means)]),
             np.array([se for _, se in means]))
 
@@ -65,7 +114,8 @@ def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
     pass None.
     """
     points = np.asarray(w, dtype=np.float64).reshape(-1, np.shape(w)[-1])
-    risks = _empirical(params.point_losses(points, codebook, mode), dataset)
+    risks = _empirical(params.point_losses(points, codebook, mode), dataset,
+                       params)
     return float(risks[0]) if np.ndim(w) == 1 else risks
 
 
@@ -74,10 +124,12 @@ def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
     """Monte-Carlo population risk: (estimate, stderr) at a point w (d,), or
     (P,) arrays of both at each point of a stack (P, d).
 
-    Fresh samples follow the family's sampling law (params.draw_samples).
-    Each point is read out once (params.point_losses on the stack), each
-    chunk is drawn once, and every point's losses are evaluated on it, so
-    each point's estimate is its one-point estimate bitwise.  A point's
+    The samples follow the family's sampling law (params.draw_samples);
+    one (params, n_samples, seed) sample is drawn once per process and held
+    (see the module docstring).  Each point is read out once
+    (params.point_losses on the stack) and every point's losses are
+    evaluated on each chunk, so each point's estimate is its one-point
+    estimate bitwise.  A point's
     values are accumulated centered on its own first draw so near-constant
     losses do not lose their variance to cancellation.  A family without a
     sampling law is a point mass: each point's exact loss and stderr 0.0
@@ -162,7 +214,7 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     # and the training risks from the same read-out
     losses = params.point_losses(averages, codebook, mode)
     pops, stderrs = _population(losses, len(averages), params, n_samples, seed)
-    emps = _empirical(losses, dataset)
+    emps = _empirical(losses, dataset, params)
 
     reports = []
     for m, pop, stderr, emp in zip(suffix_lengths, pops.tolist(),

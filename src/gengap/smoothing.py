@@ -15,12 +15,14 @@ the subgradient the optimizer uses, which is what
 verify_trajectory_preservation spot-checks statistically.
 
 mc_means is the one chunked Monte-Carlo estimator behind every such
-number here and in risk.population_risk_mc: per-chunk seeds spawned from
-the config seed make estimates reproducible and independent of how many
-chunks run, and each chunk is drawn once for every point that shares the
-config, so smoothed_values and smoothed_grads give each point its one-point
-estimate bitwise.  The checks share one three-sigma rule (SIGMAS): a
-smoothed value within L*delta + 3 stderr of the loss
+number here and in risk.population_risk_mc: mc_chunks lays out the draws
+(per-chunk seeds spawned from the config seed make estimates reproducible
+and independent of how many chunks run) and chunk_means accumulates them.
+Each chunk is drawn once for every point that shares the config, so
+smoothed_values and smoothed_grads give each point its one-point estimate
+bitwise; here the chunks stream one at a time, while risk holds its
+population chunks for reuse.  The checks share one three-sigma rule
+(SIGMAS): a smoothed value within L*delta + 3 stderr of the loss
 (smoothed_value_checks), and every gradient coordinate's z-score
 (z_scores) at most 3.
 """
@@ -102,18 +104,27 @@ def ball_sample(dim, rng, size=None):
     return y[0] if size is None else y
 
 
-def mc_means(seed, count, draw, terms):
-    """The chunked Monte-Carlo estimator: (mean, stderr) of each term over
-    count draws.
+def mc_chunks(seed, count, draw):
+    """The chunk layout of the Monte-Carlo estimator: draw(rng, rows) for
+    each chunk in order, lazily.  Chunk i holds up to CHUNK of the count
+    draws and uses the rng of the i-th seed spawned from seed, so a chunk
+    does not depend on how many chunks follow it."""
+    seeds = np.random.SeedSequence(seed).spawn(-(-count // CHUNK))
+    for i, chunk_seed in enumerate(seeds):
+        yield draw(np.random.default_rng(chunk_seed), min(CHUNK, count - i * CHUNK))
 
-    Chunk i holds up to CHUNK draws, draw(rng, rows) with the rng of the
-    i-th seed spawned from seed, and is drawn once for every term.  A term
-    maps one chunk's draws to a fresh array of its centered values, shape
-    (rows,) for a scalar or (rows, d) per coordinate, which the estimator
-    then overwrites; its values and their squares are summed in chunk
-    order, so a term's estimate does not depend on the other terms.  The
-    mean is that of the centered values (the caller adds its center back);
-    scalar terms give Python floats.  Without terms nothing is drawn.
+
+def chunk_means(count, chunks, terms):
+    """(mean, stderr) of each term over the count draws that an iterable
+    of chunks holds.
+
+    Each chunk is read once for every term.  A term maps one chunk to a
+    fresh array of its centered values, shape (rows,) for a scalar or
+    (rows, d) per coordinate, which the estimator then overwrites; its
+    values and their squares are summed in chunk order, so a term's
+    estimate does not depend on the other terms.  The mean is that of the
+    centered values (the caller adds its center back); scalar terms give
+    Python floats.  Without terms no chunk is read.
     """
     if count < 2:
         raise OutOfRange(f"need at least 2 draws for a variance estimate; "
@@ -121,16 +132,14 @@ def mc_means(seed, count, draw, terms):
     if not terms:
         return []
     sums = [[0.0, 0.0] for _ in terms]  # per term: values, squared values
-    seeds = np.random.SeedSequence(seed).spawn(-(-count // CHUNK))
-    for i, chunk_seed in enumerate(seeds):
-        x = draw(np.random.default_rng(chunk_seed), min(CHUNK, count - i * CHUNK))
+    for x in chunks:
         for term, acc in zip(terms, sums):
             vals = term(x)
             acc[0] += vals.sum(axis=0)
             # squared in place: no second chunk-sized array
             acc[1] += np.multiply(vals, vals, out=vals).sum(axis=0)
             del vals  # free the chunk-sized array before the next term
-        del x  # free this chunk before the next one is drawn
+        del x  # free this chunk before the next one is read
     out = []
     for total, total_sq in sums:
         mean = total / count
@@ -139,6 +148,12 @@ def mc_means(seed, count, draw, terms):
         out.append((float(mean), float(stderr)) if np.ndim(mean) == 0
                    else (mean, stderr))
     return out
+
+
+def mc_means(seed, count, draw, terms):
+    """The chunked Monte-Carlo estimator: chunk_means of each term over
+    the chunks of mc_chunks(seed, count, draw), drawn one at a time."""
+    return chunk_means(count, mc_chunks(seed, count, draw), terms)
 
 
 def _points(jobs):

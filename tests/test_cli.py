@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gengap import risk
 from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
@@ -394,3 +395,34 @@ def test_yaml_int_lists_take_integer_strings(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert [row.split(",")[:3] for row in rows] == [
         ["3", "smallstep", "1"], ["3", "smallstep", "10"]]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SGD_TINY, "--policy", "force"],
+    [*_GD_TINY, "--policy", "reject-until-E"],
+], ids=["sgd", "gd"])
+def test_a_multi_seed_run_equals_single_seed_runs(tmp_path, argv):
+    # the seeds of one run share the held population sample; each single
+    # run below draws its own from an empty memo
+    argv = [*argv, "--suffix", "1,2"]
+    family = argv[1]
+
+    def artifacts(seeds, out):
+        risk._population_sample.cache_clear()
+        assert main(["run", *argv, "--seeds", seeds, "--out", str(out)]) == 0
+        table = (out / f"{family}-risk.csv").read_text().splitlines()
+        summary = json.loads((out / f"{family}-run-summary.json").read_text())
+        for result in summary["results"]:
+            result.pop("elapsed_seconds")
+        for key in ("seeds", "out"):
+            summary["config"].pop(key)
+        return table, summary
+
+    table, summary = artifacts("0..5", tmp_path / "all")
+    singles = [artifacts(str(seed), tmp_path / f"s{seed}") for seed in range(5)]
+    assert table[0] == singles[0][0][0]  # the header
+    assert table[1:] == [row for t, _ in singles for row in t[1:]]
+    assert summary["config"] == singles[0][1]["config"]
+    assert summary["results"] == [r for _, s in singles for r in s["results"]]
+    assert summary["passed"] is all(s["passed"] for _, s in singles)
+    assert len(summary["results"]) == 5

@@ -1,5 +1,7 @@
 """Low-coherence sign-vector codebooks: geometry, determinism, persistence."""
 
+import io
+import json
 import math
 import warnings
 
@@ -87,6 +89,19 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
     back = load_codebook(path)
     assert np.array_equal(cb.vectors, back.vectors)
     assert back.dim == cb.dim and back.seed == cb.seed
+
+
+def test_saved_codebook_bytes_are_its_payload_dumps(tmp_path):
+    cb = generate_codebook(9, 64, seed=11)
+    path = tmp_path / "cb.json"
+    save_codebook(cb, path)
+    payload = {"dim": 64, "seed": 11,
+               "vectors": np.sign(cb.vectors).astype(int).tolist()}
+    assert path.read_text() == json.dumps(payload)
+    # the same text json.dump writes through the pure-Python encoder
+    streamed = io.StringIO()
+    json.dump(payload, streamed)
+    assert streamed.getvalue() == json.dumps(payload)
 
 
 def test_load_rejects_inconsistent_file(tmp_path):

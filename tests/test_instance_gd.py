@@ -1,5 +1,6 @@
 """Full-batch hard instance: parameters, events, losses, reference parity."""
 
+import json
 import math
 import warnings
 
@@ -31,6 +32,7 @@ from gengap.instance_gd import (
     loss_gd_samples,
     theorem_step_size,
 )
+from gengap.instance_sgd import SgdDataset
 from gengap.optim import run_gd
 from gengap.smoothing import CHUNK, ball_sample
 from gengap.verify import expected_gd_iterate
@@ -255,3 +257,12 @@ def test_dataset_json_roundtrip(tmp_path, small):
     dataset.save(path)
     back = GdDataset.load(path)
     assert back.masks == dataset.masks and back.slots == dataset.slots
+
+
+def test_saved_datasets_are_their_payload_dumps(tmp_path, small):
+    # both families' datasets share _Dataset.save
+    sgd = SgdDataset(masks=(3, 0, 5), seed=2)
+    for dataset in (small[2], sgd):
+        path = tmp_path / "ds.json"
+        dataset.save(path)
+        assert path.read_text() == json.dumps(dataset.to_json())

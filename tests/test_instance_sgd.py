@@ -1,6 +1,7 @@
 """One-pass hard instance: events, forcing, losses, closed-form dynamics."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -396,3 +397,27 @@ def test_blocked_sample_draws_equal_one_draw():
     want = bits @ (np.int64(1) << np.arange(params.n_directions, dtype=np.int64))
     got = params.draw_samples(np.random.default_rng(7), count)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_margins_encode_each_codepoint_once():
+    # the adjacency candidates reuse the decoded prefix's codepoints: a
+    # (mask, position) codepoint is encoded once by the decode and at most
+    # once more by the margin table, however many candidates share it
+    params = SgdParams(8, 16)
+    codebook = generate_codebook(16, params.dprime, seed=3)
+    dataset = force_good_event_sgd(params, 21)
+    traj = run_sgd(codebook, dataset, params)
+    calls = []
+    encode = instance_sgd.encode_sgd
+
+    def counted(*args):
+        calls.append(args)
+        return encode(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance_sgd, "encode_sgd", counted)
+        for t in range(1, params.n + 1):
+            calls.clear()
+            params.margins(traj.iterate(t), t, dataset, codebook)
+            assert max(Counter(calls).values(), default=0) <= 2, t
+    assert calls

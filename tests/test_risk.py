@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gengap import instance_sgd
+from gengap import instance_sgd, risk
 from gengap.codebook import generate_codebook
 from gengap.errors import InvalidClosedForm, OutOfRange
 from gengap.instance_gd import GdParams, draw_gd_dataset, loss_gd
@@ -93,7 +93,9 @@ def _parent_population_loop(w, params, codebook, n_samples, seed):
     for child in seeds:
         count = min(CHUNK, n_samples - done)
         samples = params.draw_samples(np.random.default_rng(child), count)
-        vals = params.point_losses(w[None], codebook, "oracle")(samples)[0]
+        [vals] = params.point_losses(w[None], codebook, "oracle")(
+            params.prepare_samples([samples]))
+        vals = vals[0]
         if base is None:
             base = float(vals[0])
         centered = vals - base
@@ -254,7 +256,10 @@ def family_run(request, gd_setup):
 
 def _counting_draws(monkeypatch, params):
     """The row counts of every params.draw_samples call, as a list that
-    fills while the test runs (params are frozen: the class is patched)."""
+    fills while the test runs (params are frozen: the class is patched).
+    The held population sample is dropped first, so the count starts from
+    an empty memo."""
+    risk._population_sample.cache_clear()
     calls = []
     draw = type(params).draw_samples
     if draw is not None:
@@ -268,9 +273,10 @@ def _counting_draws(monkeypatch, params):
 def _training_mean(w, dataset, params, codebook):
     """np.mean of one point's training losses: the empirical risk, computed
     without risk.empirical_risk."""
-    samples = None if dataset is None else dataset.samples
-    losses = params.point_losses(w[None], codebook, "oracle")(samples)[0]
-    return float(np.mean(losses))
+    samples = (None if dataset is None
+               else params.prepare_samples([dataset.samples]))
+    [losses] = params.point_losses(w[None], codebook, "oracle")(samples)
+    return float(np.mean(losses[0]))
 
 
 def test_gap_report_equals_a_per_suffix_loop_field_for_field(family_run):
@@ -373,3 +379,85 @@ def test_sgd_sample_losses_of_a_stack_equal_its_rows():
     assert got.shape == (len(points), len(masks))
     for row, w in zip(got, points):
         assert np.array_equal(row, loss_sgd_samples(w, masks, params, codebook))
+
+
+# ---------------------------------------------------------------------------
+# one population sample per process: the held chunks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["gd", "sgd"])
+def test_a_held_sample_gives_the_fresh_results_bitwise(gd_setup, family):
+    params, codebook, dataset, traj = (gd_setup if family == "gd"
+                                       else _sgd_setup())
+    points = np.stack([traj.suffix_average(m) for m in (1, 2)])
+    n = 2 * CHUNK + 5
+
+    def results():
+        return (gap_report(traj, dataset, params, codebook,
+                           suffix_lengths=(1, 2), n_samples=n, seed=9),
+                population_risk_mc(points[0], params, codebook, n_samples=n,
+                                   seed=9),
+                [a.tolist() for a in population_risk_mc(
+                    points, params, codebook, n_samples=n, seed=9)])
+
+    risk._population_sample.cache_clear()
+    cold = results()
+    assert risk._population_sample.cache_info().currsize == 1
+    warm = results()
+    assert warm == cold
+    risk._population_sample.cache_clear()
+    assert results() == cold
+
+
+def _arrays(prepared):
+    for item in prepared:
+        yield from (_arrays(item) if isinstance(item, tuple) else [item])
+
+
+@pytest.mark.parametrize("family", ["gd", "sgd"])
+def test_the_memo_holds_one_read_only_sample(gd_setup, family):
+    params, codebook, _, traj = gd_setup if family == "gd" else _sgd_setup()
+    w = traj.suffix_average(1)
+    risk._population_sample.cache_clear()
+    for seed in (3, 4):
+        population_risk_mc(w, params, codebook, n_samples=2 * CHUNK + 5,
+                           seed=seed)
+        assert risk._population_sample.cache_info().currsize == 1
+    held = risk._population_sample(params, 2 * CHUNK + 5, 4)
+    assert risk._population_sample.cache_info().misses == 2
+    for a in _arrays(held):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_a_sample_above_the_held_size_streams(gd_setup):
+    params, codebook, _, traj = gd_setup
+    w = traj.suffix_average(1)
+    n = risk.MAX_HELD_SAMPLES + 1
+    risk._population_sample.cache_clear()
+    assert population_risk_mc(w, params, codebook, n_samples=n, seed=2) \
+        == _parent_population_loop(w, params, codebook, n, 2)
+    assert risk._population_sample.cache_info().currsize == 0
+
+
+def test_a_report_on_a_held_sample_draws_nothing(family_run, monkeypatch):
+    params, codebook, dataset, traj, suffixes = family_run
+    calls = _counting_draws(monkeypatch, params)
+    for _ in range(2):
+        gap_report(traj, dataset, params, codebook, suffix_lengths=suffixes,
+                   n_samples=2 * CHUNK + 5, seed=9)
+    assert calls == ([] if params.draw_samples is None else [CHUNK, CHUNK, 5])
+
+
+def test_the_two_training_risks_agree_to_four_spacings():
+    # risk.empirical_risk takes numpy's pairwise mean of the losses,
+    # SgdParams.empirical_loss sums them in dataset order: at n=8 they may
+    # differ in the last bits, never by more
+    params, codebook, dataset, traj = _sgd_headline_setup()
+    for m in range(1, params.n + 1):
+        w = traj.suffix_average(m)
+        a = empirical_risk(w, dataset, params, codebook)
+        b = float(params.empirical_loss(w, dataset, codebook, "oracle"))
+        assert abs(a - b) <= 4 * np.spacing(a), m

@@ -26,7 +26,6 @@ from pathlib import Path
 
 _GD = ["--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
        "--dprime", "8", "--suffix", "1,4,8"]
-_SMOOTH = ["--smoothing", "--smoothing-samples", "3000"]
 
 # name -> the config flags shared by the sweep's run, verify and risk calls
 SWEEPS = {
@@ -51,6 +50,12 @@ SWEEPS = {
                   "--suffix", "1,10,100"],
 }
 SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6"}
+# smoothed-risk draws of samples x dim float64 up to
+# gengap.smoothing.MAX_HELD_FLOATS are held and shared by a run's seeds;
+# larger ones stream.  At 3000 samples the full-batch (dim 72) and
+# smallstep (dim 100) draws are held and the one-pass ones (dim >= 867)
+# stream; smallstep at 30000 (a partial fourth chunk) streams as well.
+SMOOTHING_SAMPLES = {"smallstep": "30000"}
 
 _TIMING = re.compile(r"\d+\.\d+s\b")
 _DROPPED_KEYS = ("elapsed_seconds", "out")
@@ -88,7 +93,9 @@ def sweep(tree, workdir):
     for name, flags in SWEEPS.items():
         out = workdir / name
         seeds = ["--seeds", SEEDS.get(name, "0..2")]
-        call(f"{name} run", ["run", *flags, *seeds, *_SMOOTH, "--out", str(out)])
+        smooth = ["--smoothing", "--smoothing-samples",
+                  SMOOTHING_SAMPLES.get(name, "3000")]
+        call(f"{name} run", ["run", *flags, *seeds, *smooth, "--out", str(out)])
         for traj in sorted(out.glob("*-trajectory.json")):
             stem = traj.name[: -len("-trajectory.json")]
             seed = stem.rsplit("-s", 1)[1]

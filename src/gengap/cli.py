@@ -225,21 +225,20 @@ def config_from_args(args):
 # ---------------------------------------------------------------------------
 
 
-def _get_codebook(cfg, params, outdir=None):
+def _get_codebook(cfg, params):
+    """The run's codebook: read from --codebook, which must hold exactly the
+    instance's directions at its dimension, or generated."""
     if not hasattr(params, "n_directions"):  # a family without directions
         return None
-    if cfg.codebook:
-        cb = load_codebook(cfg.codebook)
-        if cb.n_vectors < params.n_directions or cb.dim != params.dprime:
-            raise OutOfRange(
-                f"codebook file holds {cb.n_vectors} directions of dim {cb.dim}; "
-                f"the run needs {params.n_directions} of dim {params.dprime}"
-            )
-    else:
-        cb = generate_codebook(params.n_directions, params.dprime,
-                               seed=cfg.codebook_seed)
-    if outdir is not None:
-        save_codebook(cb, outdir / "codebook.json")
+    if not cfg.codebook:
+        return generate_codebook(params.n_directions, params.dprime,
+                                 seed=cfg.codebook_seed)
+    cb = load_codebook(cfg.codebook)
+    if cb.n_vectors != params.n_directions or cb.dim != params.dprime:
+        raise OutOfRange(
+            f"codebook file holds {cb.n_vectors} directions of dim {cb.dim}; "
+            f"the run needs {params.n_directions} of dim {params.dprime}"
+        )
     return cb
 
 
@@ -353,10 +352,12 @@ def cmd_gen_codebook(args):
 
 def cmd_run(args):
     cfg = config_from_args(args)
+    params = cfg.build_params()
+    codebook = _get_codebook(cfg, params)
     outdir = Path(cfg.out) if cfg.out else _default_out()
     outdir.mkdir(parents=True, exist_ok=True)
-    params = cfg.build_params()
-    codebook = _get_codebook(cfg, params, outdir)
+    if codebook is not None:
+        save_codebook(codebook, outdir / "codebook.json")
 
     all_passed = True
     per_seed = []

@@ -12,7 +12,8 @@ takes their training risks from the same read-out.
 
 The population sample is drawn once per (instance, sample count, seed) in
 a process.  Its prepared chunks are held read-only in a one-entry memo
-(_population_sample; cache_clear drops it), and every gap report and
+(_population_sample, a smoothing.held_once memo that drops its entry
+before it draws another; cache_clear drops it), and every gap report and
 population_risk_mc on that sample reads them.  The seeds of one run share
 one --mc-seed, so they share the sample, as they always did.  Per sample
 the memo holds about 8 bytes for the one-pass family (the sample's row
@@ -33,14 +34,13 @@ numbers; they never assert them.
 
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 # the full-batch closed form stays importable from this module
 from .instance_gd import population_risk_closed_gd
 from .optim import suffix_average
-from .smoothing import chunk_means, mc_chunks
+from .smoothing import chunk_means, held_once, mc_chunks
 
 DEFAULT_SAMPLES = 20_000
 # a larger population sample is not held but drawn again, one chunk at a
@@ -56,23 +56,13 @@ def _empirical(losses, dataset, params):
     return vals.mean(axis=-1)
 
 
-def _read_only(prepared):
-    """prepared, with every array in its (nested) tuples made read-only."""
-    for item in prepared:
-        if isinstance(item, tuple):
-            _read_only(item)
-        else:
-            item.flags.writeable = False
-    return prepared
-
-
-@lru_cache(maxsize=1)
+@held_once
 def _population_sample(params, n_samples, seed):
     """One population sample, its chunks (mc_chunks of params.draw_samples)
     made ready by params.prepare_samples and held read-only: the one memo
     entry, cleared by _population_sample.cache_clear()."""
-    chunks = list(mc_chunks(seed, n_samples, params.draw_samples))
-    return _read_only(params.prepare_samples(chunks))
+    return params.prepare_samples(
+        list(mc_chunks(seed, n_samples, params.draw_samples)))
 
 
 def _population(losses, count, params, n_samples, seed):

@@ -14,20 +14,29 @@ radius stays below every argmax margin, the smoothed gradient agrees with
 the subgradient the optimizer uses, which is what
 verify_trajectory_preservation spot-checks statistically.
 
-mc_means is the one chunked Monte-Carlo estimator behind every such
-number here and in risk.population_risk_mc: mc_chunks lays out the draws
-(per-chunk seeds spawned from the config seed make estimates reproducible
-and independent of how many chunks run) and chunk_means accumulates them.
-Each chunk is drawn once for every point that shares the config, so
-smoothed_values and smoothed_grads give each point its one-point estimate
-bitwise; here the chunks stream one at a time, while risk holds its
-population chunks for reuse.  The checks share one three-sigma rule
-(SIGMAS): a smoothed value within L*delta + 3 stderr of the loss
-(smoothed_value_checks), and every gradient coordinate's z-score
-(z_scores) at most 3.
+mc_chunks lays out the draws of every such number here and in
+risk.population_risk_mc (per-chunk seeds spawned from the config seed make
+estimates reproducible and independent of how many chunks run), and
+chunk_means accumulates them.  Each chunk is drawn once for every point
+that shares the config, so smoothed_values and smoothed_grads give each
+point its one-point estimate bitwise.  The draws of one (dim, integer
+seed, count) are held, read-only, in a one-entry memo (_held_draws, a
+held_once memo; cache_clear drops it): each chunk's unit directions u
+(sphere_sample) and ball radii r.  A value term forms u * r, bitwise its
+ball_sample, and a gradient term reads u, so a value sweep and a
+preservation check at one seed and count draw once.  A draw above
+MAX_HELD_FLOATS float64, or one from fresh entropy (seed None), streams
+one chunk at a time on every call.
+
+The checks share one three-sigma rule (SIGMAS): a smoothed value within
+L*delta + 3 stderr of the loss (smoothed_value_checks), and every gradient
+coordinate's z-score (z_scores) at most 3.
 """
 
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -36,8 +45,54 @@ from .errors import DegenerateDraw, OutOfRange
 CHUNK = 8192
 SIGMAS = 3.0  # the three-sigma rule: an estimate passes within 3 stderr
 
+# a larger draw is not held but streamed one chunk at a time: 16 MiB of
+# float64 directions (the pinned one-pass instance holds 8192 x 168)
+MAX_HELD_FLOATS = 2 ** 21
+
 _MIN_NORM = 1e-150
 _MAX_REDRAWS = 100
+
+MemoInfo = namedtuple("MemoInfo", "misses currsize")
+
+
+def _read_only(held):
+    """held, with every array in its (nested) tuples and lists made
+    read-only."""
+    for item in held:
+        if isinstance(item, (tuple, list)):
+            _read_only(item)
+        else:
+            item.flags.writeable = False
+    return held
+
+
+def held_once(build):
+    """A one-entry memo of build(*key), whose arrays (in nested tuples and
+    lists) it makes read-only.
+
+    A call with a new key drops the held entry before it builds the new
+    one, so two entries are never live at once.  memo.cache_clear() drops
+    the entry; memo.cache_info() gives (misses, currsize).
+    """
+    entry = None  # (key, value) of the held entry
+    misses = 0
+
+    @wraps(build)
+    def memo(*key):
+        nonlocal entry, misses
+        if entry is None or entry[0] != key:
+            misses += 1
+            entry = None  # freed before the build, not after it
+            entry = (key, _read_only(build(*key)))
+        return entry[1]
+
+    def cache_clear():
+        nonlocal entry, misses
+        entry, misses = None, 0
+
+    memo.cache_clear = cache_clear
+    memo.cache_info = lambda: MemoInfo(misses, int(entry is not None))
+    return memo
 
 
 @dataclass(frozen=True)
@@ -91,16 +146,18 @@ def sphere_sample(dim, rng, size=None):
     return x[0] if size is None else x
 
 
-def ball_sample(dim, rng, size=None):
-    """Uniform points in the unit ball: sphere draw times U^(1/dim).
+def _radii(dim, rng, count):
+    """The radial factor U^(1/dim) of count uniform ball draws: it gives the
+    r^dim volume law, so the mean norm is dim/(dim+1)."""
+    return rng.random(count) ** (1.0 / dim)
 
-    The radial factor U^(1/dim) gives the r^dim volume law, so the mean
-    norm is dim/(dim+1).
-    """
+
+def ball_sample(dim, rng, size=None):
+    """Uniform points in the unit ball: sphere draw times the radial
+    factor U^(1/dim)."""
     count = 1 if size is None else int(size)
     y = sphere_sample(dim, rng, size=count)
-    r = rng.random(count) ** (1.0 / dim)
-    y *= r[:, None]
+    y *= _radii(dim, rng, count)[:, None]
     return y[0] if size is None else y
 
 
@@ -150,10 +207,27 @@ def chunk_means(count, chunks, terms):
     return out
 
 
-def mc_means(seed, count, draw, terms):
-    """The chunked Monte-Carlo estimator: chunk_means of each term over
-    the chunks of mc_chunks(seed, count, draw), drawn one at a time."""
-    return chunk_means(count, mc_chunks(seed, count, draw), terms)
+def _chunks(dim, seed, count):
+    """The chunks of one draw, lazily: each chunk's unit directions u and
+    ball radii r, drawn in that order, so u * r[:, None] is the chunk's
+    ball_sample bitwise."""
+    # sphere_sample is read as a module global on every call
+    return mc_chunks(seed, count, lambda rng, rows: (
+        sphere_sample(dim, rng, size=rows), _radii(dim, rng, rows)))
+
+
+@held_once
+def _held_draws(dim, seed, count):
+    """The (u, r) chunks of one draw, as a held list."""
+    return list(_chunks(dim, seed, count))
+
+
+def _draws(dim, seed, count):
+    """The (u, r) chunks of a draw: held for an integer seed up to
+    MAX_HELD_FLOATS, else streamed one chunk at a time."""
+    if isinstance(seed, numbers.Integral) and count * dim <= MAX_HELD_FLOATS:
+        return _held_draws(dim, seed, count)
+    return _chunks(dim, seed, count)
 
 
 def _points(jobs):
@@ -170,22 +244,27 @@ def smoothed_values(jobs, cfg):
     a list of (estimate, stderr).
 
     Each loss must accept both a single point (d,) and a batch (B, d).
-    The ball samples are shared by every job (mc_means).  Each job is
-    centered at loss(w), which changes no estimate in exact arithmetic but
-    keeps the variance sums fully precise when the perturbations are tiny
-    (a constant loss reports stderr exactly 0).
+    The ball samples are shared by every job and held (see the module
+    docstring).  Each job is centered at loss(w), which changes no estimate
+    in exact arithmetic but keeps the variance sums fully precise when the
+    perturbations are tiny (a constant loss reports stderr exactly 0).
     """
     points, dim = _points(jobs)
     bases = [float(loss(w)) for (loss, _), w in zip(jobs, points)]
 
     def centered(loss, w, base):
-        return lambda v: np.asarray(loss(w[None, :] + cfg.delta * v),
-                                    dtype=np.float64) - base
+        def term(chunk):
+            u, r = chunk
+            # w + delta * ball draw, built in one chunk-sized array
+            x = u * r[:, None]
+            x *= cfg.delta
+            x += w
+            return np.asarray(loss(x), dtype=np.float64) - base
+        return term
 
-    means = mc_means(cfg.seed, cfg.samples,
-                     lambda rng, rows: ball_sample(dim, rng, size=rows),
-                     [centered(loss, w, base) for (loss, _), w, base
-                      in zip(jobs, points, bases)])
+    means = chunk_means(cfg.samples, _draws(dim, cfg.seed, cfg.samples),
+                        [centered(loss, w, base) for (loss, _), w, base
+                         in zip(jobs, points, bases)])
     return [(base + mean, stderr) for base, (mean, stderr) in zip(bases, means)]
 
 
@@ -203,14 +282,16 @@ def smoothed_grads(jobs, cfg):
     antithetic pairing each pair (a, -a) contributes
     (dim/delta) * (loss(w+delta*a) - loss(w-delta*a))/2 * a, so the sample
     count covers samples//2 pairs (an odd trailing draw is dropped).  The
-    sphere draws are shared by every job (mc_means).
+    sphere draws are shared by every job and held, the same directions
+    smoothed_values reads at that count (see the module docstring).
     """
     count = cfg.samples // 2 if cfg.antithetic else cfg.samples
     points, dim = _points(jobs)
     scale = dim / cfg.delta
 
     def contributions(loss, w):
-        def term(a):
+        def term(chunk):
+            a = chunk[0]
             f_plus = np.asarray(loss(w[None, :] + cfg.delta * a),
                                 dtype=np.float64)
             if not cfg.antithetic:
@@ -220,9 +301,8 @@ def smoothed_grads(jobs, cfg):
             return (0.5 * scale * (f_plus - f_minus))[:, None] * a
         return term
 
-    return mc_means(cfg.seed, count,
-                    lambda rng, rows: sphere_sample(dim, rng, size=rows),
-                    [contributions(loss, w) for (loss, _), w in zip(jobs, points)])
+    return chunk_means(count, _draws(dim, cfg.seed, count),
+                       [contributions(loss, w) for (loss, _), w in zip(jobs, points)])
 
 
 def smoothed_grad(loss, w, cfg):

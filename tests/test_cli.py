@@ -48,6 +48,19 @@ def test_generated_codebook_roundtrips(tmp_path, capsys):
     assert cb.n_vectors == 4 and cb.dim == 16
 
 
+def test_a_codebook_file_must_hold_exactly_the_run_directions(tmp_path,
+                                                              capsys):
+    path = tmp_path / "cb12.json"
+    assert main(["gen-codebook", "--directions", "12", "--dim", "16",
+                 "--seed", "3", "--out", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", *_SGD_TINY, "--policy", "force", "--seeds", "1",
+                 "--codebook", str(path), "--out", str(out)]) == 2
+    assert "holds 12 directions of dim 16; the run needs 8" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_smallstep_run_writes_reproducible_artifacts(tmp_path, capsys):
     argv = ["run", "--family", "smallstep", "--eta", "0.1", "--steps", "10",
             "--seeds", "0", "--suffix", "1,2"]

@@ -1,8 +1,11 @@
 """Ball-average smoothing: sampler geometry, estimator statistics, checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gengap import smoothing
 from gengap.errors import OutOfRange
 from gengap.instance_smallstep import SmallstepParams, grad_smallstep, \
     loss_smallstep
@@ -118,9 +121,14 @@ def test_smoothed_grad_needs_enough_samples():
 def test_estimates_are_reproducible_per_seed():
     loss = lambda v: np.abs(v).sum(axis=-1)
     cfg = SmoothingConfig(0.1, 1000, seed=7)
-    assert smoothed_value(loss, np.ones(3), cfg) \
-        == smoothed_value(loss, np.ones(3), cfg)
+    # each call draws afresh: the held draw is dropped in between
+    smoothing._held_draws.cache_clear()
+    first = smoothed_value(loss, np.ones(3), cfg)
+    smoothing._held_draws.cache_clear()
+    assert smoothed_value(loss, np.ones(3), cfg) == first
+    smoothing._held_draws.cache_clear()
     g1, s1 = smoothed_grad(loss, np.ones(3), cfg)
+    smoothing._held_draws.cache_clear()
     g2, s2 = smoothed_grad(loss, np.ones(3), cfg)
     assert np.array_equal(g1, g2) and np.array_equal(s1, s2)
 
@@ -269,3 +277,124 @@ def test_preservation_check_detects_an_oversized_radius():
     exact = grad_smallstep(w, p)
     sigma = np.abs(est - exact) / np.where(stderr > 0, stderr, np.inf)
     assert sigma.max() > 3.0
+
+
+def _counting_spheres(monkeypatch):
+    """The row counts of every sphere_sample call, as a list that fills
+    while the test runs; the held draw is dropped first."""
+    smoothing._held_draws.cache_clear()
+    calls = []
+    draw = smoothing.sphere_sample
+
+    def counted(dim, rng, size=None):
+        calls.append(size)
+        return draw(dim, rng, size)
+    monkeypatch.setattr(smoothing, "sphere_sample", counted)
+    return calls
+
+
+def test_a_value_sweep_and_a_gradient_draw_the_sphere_once(monkeypatch):
+    calls = _counting_spheres(monkeypatch)
+    loss = lambda v: np.abs(v).sum(axis=-1)
+    cfg = SmoothingConfig(0.1, CHUNK + 7, seed=4)
+    for i in range(10):
+        smoothed_value(loss, np.full(6, 0.1 * i), cfg)
+    # antithetic: 2 * (CHUNK + 7) samples are CHUNK + 7 pairs
+    smoothed_grad(loss, np.ones(6), SmoothingConfig(0.1, 2 * (CHUNK + 7), seed=4))
+    assert calls == [CHUNK, 7]
+
+
+def test_a_seedless_config_draws_fresh_entropy_per_call(monkeypatch):
+    calls = _counting_spheres(monkeypatch)
+    loss = lambda v: np.abs(v).sum(axis=-1)
+    cfg = SmoothingConfig(0.1, 100, seed=None)
+    assert smoothed_value(loss, np.ones(3), cfg) \
+        != smoothed_value(loss, np.ones(3), cfg)
+    assert len(calls) == 2
+    assert smoothing._held_draws.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_held_and_streamed_draws_give_the_same_estimates(monkeypatch,
+                                                         antithetic):
+    # two full chunks and a partial third (and an odd trailing draw in
+    # antithetic mode)
+    rng = np.random.default_rng(11)
+    points = [rng.normal(size=5) for _ in range(2)]
+    jobs = [(lambda v: np.abs(v).sum(axis=-1), points[0]),
+            (lambda v: np.maximum(0.0, v.max(axis=-1)), points[1])]
+    pairs = 2 * CHUNK + 100
+    cfg = SmoothingConfig(0.1, 2 * pairs + 1 if antithetic else pairs,
+                          seed=6, antithetic=antithetic)
+
+    def estimates():
+        return (smoothed_values(jobs, cfg),
+                [[a.tobytes() for a in est] for est in smoothed_grads(jobs, cfg)])
+
+    smoothing._held_draws.cache_clear()
+    held = estimates()
+    assert smoothing._held_draws.cache_info().currsize == 1
+    smoothing._held_draws.cache_clear()
+    monkeypatch.setattr(smoothing, "MAX_HELD_FLOATS", 0)
+    assert estimates() == held
+    assert smoothing._held_draws.cache_info().currsize == 0
+
+
+def test_held_draws_are_read_only():
+    smoothing._held_draws.cache_clear()
+    chunks = smoothing._held_draws(4, 2, CHUNK + 3)
+    assert [(u.shape, r.shape) for u, r in chunks] \
+        == [((CHUNK, 4), (CHUNK,)), ((3, 4), (3,))]
+    for array in (a for chunk in chunks for a in chunk):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    # a ball chunk is the held directions times the held radii, bitwise
+    u, r = chunks[1]
+    rng = np.random.default_rng(np.random.SeedSequence(2).spawn(2)[1])
+    assert np.array_equal(ball_sample(4, rng, size=3), u * r[:, None])
+
+
+def test_a_new_key_frees_the_held_draw_before_drawing():
+    smoothing._held_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        smoothing._held_draws(64, 1, 2 * CHUNK)
+        old = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        smoothing._held_draws(64, 2, 2 * CHUNK)
+        new, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert smoothing._held_draws.cache_info() == (2, 1)
+    smoothing._held_draws.cache_clear()
+    # holding both entries at once would peak above old + new
+    assert peak < old + new
+
+
+def test_holding_the_draw_adds_nothing_to_the_sweep_peak(monkeypatch):
+    # the pinned one-pass smoothing sweep at one chunk: ten values and
+    # preservation at steps 2-6, which share one held draw
+    params, codebook, dataset, loss, points, _ = _smooth_sgd_setup()
+    value_cfg = SmoothingConfig(params.smoothing_delta, CHUNK, seed=0)
+    grad_cfg = SmoothingConfig(params.smoothing_delta, 2 * CHUNK, seed=0)
+
+    def sweep_peak():
+        smoothing._held_draws.cache_clear()
+        tracemalloc.start()
+        try:
+            for w in points:
+                smoothed_value(loss, w, value_cfg)
+            verify_trajectory_preservation(codebook, dataset, params,
+                                           grad_cfg, steps=range(2, 7))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            smoothing._held_draws.cache_clear()
+
+    sweep_peak()  # builds the loss's cached tables, which neither run below pays
+    monkeypatch.setattr(smoothing, "MAX_HELD_FLOATS", 0)
+    streamed = sweep_peak()
+    monkeypatch.undo()
+    held = sweep_peak()
+    assert held <= streamed

@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and seven ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and eight ``gengap run`` sweeps (each with the smoothed-risk
 check and several suffix lengths, whose population risks share one
 Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved.  JSON files
@@ -32,6 +32,10 @@ SWEEPS = {
     "gd-reject-reference": _GD + ["--policy", "reject-until-E",
                                   "--mode", "reference"],
     "gd-unconditioned-oracle": _GD + ["--policy", "unconditioned"],
+    # each full-batch step sums eight per-sample subgradients
+    "gd-n8-reject-oracle": ["--family", "gd", "--n", "8", "--directions", "4",
+                            "--steps", "16", "--dprime", "16",
+                            "--policy", "reject-until-E", "--suffix", "1,8,16"],
     "sgd-force": ["--family", "sgd", "--n", "6", "--directions", "9",
                   "--policy", "force", "--suffix", "1,2,3,6"],
     # n=10 decodes prefixes of eight or more codes, which numpy sums pairwise

@@ -44,6 +44,9 @@ from .verify import check_margins, check_norm_bound, check_trajectory, \
 
 _PARAMS = {"gd": GdParams, "sgd": SgdParams, "smallstep": SmallstepParams}
 _CONFIG_KEY = {"n_directions": "directions"}  # params fields named otherwise
+# flags that shape the instance: each must name a field of the family's
+# params class, or a dataset policy the family draws with
+_INSTANCE_FLAGS = ("n", "directions", "steps", "eta", "dprime", "dim", "policy")
 FAMILIES = tuple(_PARAMS)
 POLICIES = tuple(dict.fromkeys(p for cls in _PARAMS.values() for p in cls.policies))
 
@@ -111,9 +114,16 @@ class ExperimentConfig:
             raise OutOfRange(f"mode must be 'oracle' or 'reference', got {self.mode!r}")
         if not self.seeds:
             raise OutOfRange("seeds must be non-empty")
+        cls = _PARAMS[self.family]
+        takes = {_CONFIG_KEY.get(f.name, f.name) for f in dataclasses.fields(cls)}
+        takes |= {"policy"} if cls.policies else set()
+        unused = [f"--{key}" for key in _INSTANCE_FLAGS
+                  if getattr(self, key) is not None and key not in takes]
+        if unused:
+            raise OutOfRange(f"{self.family} takes no {' or '.join(unused)}")
         # a params class that defaults eta uses the theorem rule, which then
         # caps an explicit eta; probing with eta unset never warns
-        capped = "eta" not in _required(_PARAMS[self.family])
+        capped = "eta" not in _required(cls)
         params = (dataclasses.replace(self, eta=None) if capped else self).build_params()
         if params.policies and self.policy not in params.policies:
             raise OutOfRange(
@@ -121,6 +131,8 @@ class ExperimentConfig:
                 f"{' or '.join(params.policies)}; got {self.policy!r}"
             )
         # refused here, before any artifact is written
+        if self.dim is not None and self.dim < params.steps - 1:  # would wrap
+            raise OutOfRange(f"--dim {self.dim} is below steps-1 = {params.steps - 1}")
         if not all(1 <= m <= params.horizon for m in self.suffix):
             raise OutOfRange(f"--suffix lengths must lie in [1, {params.horizon}]; "
                              f"got {list(self.suffix)}")
@@ -509,7 +521,7 @@ def _add_config_flags(p):
     p.add_argument("--no-theorem-mode", dest="theorem_mode", action="store_false",
                    default=None)
     p.add_argument("--dprime", type=int, help="per-step block dimension")
-    p.add_argument("--dim", type=int, help="ambient dimension (smallstep only)")
+    p.add_argument("--dim", type=int, help="ambient dimension (smallstep; >= steps-1)")
     p.add_argument("--seeds", help="comma list '1,2,3' or range '0..8'")
     p.add_argument("--policy", choices=POLICIES,
                    help="dataset policy (required for gd/sgd)")

@@ -415,10 +415,10 @@ def good_event_gd(dataset, params):
 #
 # Every term accepts w of shape (d,) or (B, d) and returns () or (B,)
 # accordingly.  Terms 3 and 4 do not depend on the sample, so the
-# many-sample paths (GdParams.point_losses, empirical_loss_gd) evaluate them
-# once for all samples.  The heavy lifting is plain numpy; per-row python
-# loops only appear in the oracle decode path, which is one point at a time
-# on trajectories anyway.
+# many-sample paths (GdParams.point_losses, empirical_loss_gd and the step
+# grad_gd_batch, whose one-sample cases are loss_gd and grad_gd) evaluate
+# them once for all samples.  The heavy lifting is plain numpy; per-row
+# python loops only appear in the oracle decode path, one point at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -489,13 +489,6 @@ def add_hinge_grad(g, w, mask, params, codebook):
                 lay.block(g, k)[:] += (h[k - 2] / l1) * codebook.vectors[star]
 
 
-def _l2_gd(w, mask, slot, params):
-    lay = params.layout
-    point = circle_point(mask, params.n_directions)
-    block = lay.encoding(w)[..., 2 * (slot - 1): 2 * slot]
-    return -(block @ point)
-
-
 def _l4_candidates(w, params, codebook):
     """Ratchet candidates (3/8)<u,w^(k)> - (1/2)<u,w^(k+1)>, shape (..., N, T-1)."""
     blocks = params.layout.step_blocks(w)
@@ -505,8 +498,7 @@ def _l4_candidates(w, params, codebook):
 
 
 def _l4_gd(w, params, codebook):
-    cands = _l4_candidates(w, params, codebook)
-    best = cands.max(axis=(-2, -1))
+    best = _l4_candidates(w, params, codebook).max(axis=(-2, -1))
     return np.maximum(params.delta2, best)
 
 
@@ -583,11 +575,20 @@ def _decode_training_set(w0, params):
     return acc / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
 
 
-def _l3_gd(w, params, codebook, mode):
+def _oracle_read_out(w, params, codebook):
+    """Term 3's candidate at a single point in the oracle mode, from the
+    decoded training set: (value, psi*, u_alpha)."""
     lay = params.layout
     w0 = lay.encoding(w)
-    w1 = lay.block(w, 1)
+    psi_star, alpha_idx = _decode_training_set(w0, params)
+    u_alpha = codebook.vectors[alpha_idx - 1]
+    value = float(w0 @ psi_star) - params.beta * float(u_alpha @ lay.block(w, 1))
+    return value, psi_star, u_alpha
+
+
+def _l3_gd(w, params, codebook, mode):
     if mode == "reference":
+        w0 = params.layout.encoding(w)
         psi, starts, alphas = _reference_groups_gd(params.n, params.n_directions)
         # max over each group's rows first, then subtract the group's shared
         # movement term: rounding is monotone, so this equals the max of the
@@ -604,52 +605,43 @@ def _l3_gd(w, params, codebook, mode):
             for out, rows in zip(np.array_split(reads, n_blocks),
                                  np.array_split(w0, n_blocks)):
                 out[...] = np.maximum.reduceat(rows @ psi.T, starts, axis=-1)
+        w1 = params.layout.block(w, 1)
         moves = params.beta * (w1 @ codebook.vectors[alphas - 1].T)  # (..., G)
         return np.maximum(params.delta1, (reads - moves).max(axis=-1))
     if mode != "oracle":
         raise OutOfRange(f"unknown loss mode {mode!r}")
     if w.ndim == 1:
-        psi_star, alpha_idx = _decode_training_set(w0, params)
-        cand = float(w0 @ psi_star) - params.beta * float(
-            codebook.vectors[alpha_idx - 1] @ w1
-        )
-        return np.maximum(params.delta1, cand)
+        return np.maximum(params.delta1, _oracle_read_out(w, params, codebook)[0])
     return np.array([_l3_gd(row, params, codebook, mode) for row in w])
 
 
 def loss_gd(w, sample, params, codebook, mode="oracle"):
-    """Loss of one sample at w; w may be a batch of rows (B, d).
+    """Loss of one sample, a (mask, slot) pair, at w: the training risk of
+    a one-sample set; w may be a batch of rows (B, d).
 
-    sample is a (mask, slot) pair.  mode picks how the read-out term is
-    evaluated: "oracle" (decode w^(0); trajectory regime only) or
-    "reference" (exhaustive; tiny instances only).
+    mode picks how the read-out term is evaluated: "oracle" (decode w^(0);
+    trajectory regime only) or "reference" (exhaustive; tiny instances only).
     """
     mask, slot = sample
-    w = np.asarray(w, dtype=np.float64)
-    return (
-        hinge_term(w, mask, params, codebook)
-        + _l2_gd(w, mask, slot, params)
-        + _l3_gd(w, params, codebook, mode)
-        + _l4_gd(w, params, codebook)
-    )
+    return empirical_loss_gd(w, GdDataset((mask,), (slot,)), params, codebook, mode)
 
 
 def empirical_loss_gd(w, dataset, params, codebook, mode="oracle"):
     """Mean loss over the training set at w; w may be a batch (B, d).
 
     Terms 3 and 4 are evaluated once for all samples.  Each sample's value
-    keeps loss_gd's summation order and the samples are accumulated in
-    dataset order, so the result equals the mean of loss_gd bitwise.
+    sums its terms in order 1 to 4, and the samples are accumulated in
+    dataset order.
     """
     w = np.asarray(w, dtype=np.float64)
     l3 = _l3_gd(w, params, codebook, mode)
     l4 = _l4_gd(w, params, codebook)
+    w0 = params.layout.encoding(w)
     total = 0.0
     for mask, slot in zip(dataset.masks, dataset.slots):
-        total = total + (
-            hinge_term(w, mask, params, codebook) + _l2_gd(w, mask, slot, params)
-            + l3 + l4
-        )
+        # term 2: minus the slot block read off at the sample's codepoint
+        l2 = -(w0[..., 2 * slot - 2: 2 * slot] @ circle_point(mask, params.n_directions))
+        total = total + (hinge_term(w, mask, params, codebook) + l2 + l3 + l4)
     return total / dataset.n
 
 
@@ -689,65 +681,61 @@ def _point_losses_gd(points, params, codebook, mode):
 
 
 def grad_gd(w, sample, params, codebook, mode="oracle"):
-    """Subgradient of one sample's loss at w (single point only).
-
-    Ties in any argmax are broken toward the lowest codebook index first
-    and the lowest block index second, which makes trajectories bitwise
-    reproducible.
-    """
+    """Subgradient of one sample's loss at w (single point only): the
+    full-batch step on a one-sample set."""
     mask, slot = sample
+    return grad_gd_batch(w, GdDataset((mask,), (slot,)), params, codebook, mode)
+
+
+def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
+    """Mean subgradient over the training set at a single point w (the
+    full-batch step).
+
+    Terms 3 and 4 do not depend on the sample and are built once.  Each
+    sample adds its terms 1 and 2, which write a coordinate at most once,
+    to a copy of them, and the samples are accumulated in dataset order.
+    Addition commutes, so this equals the sum of the per-sample four-term
+    subgradients bitwise (up to the sign of a zero, which summing from +0
+    erases).  Argmax ties go to the lowest codebook index, then the lowest
+    block index, which makes trajectories bitwise reproducible.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise OutOfRange("grad_gd expects a single point, not a batch")
     lay = params.layout
-    g = np.zeros_like(w)
-
-    # term 1: weighted argmax directions where the hinge is above floor
-    add_hinge_grad(g, w, mask, params, codebook)
-
-    # term 2: linear
-    lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_point(
-        mask, params.n_directions
-    )
+    shared = np.zeros_like(w)
 
     # term 3: decoded read-out, active only above its floor
-    w0 = lay.encoding(w)
-    w1 = lay.block(w, 1)
     if mode == "reference":
         psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
         u_alpha = codebook.vectors[alpha_idx - 1]
-        vals = psi @ w0 - params.beta * (u_alpha @ w1)
+        vals = psi @ lay.encoding(w) - params.beta * (u_alpha @ lay.block(w, 1))
         best = int(np.argmax(vals))
-        if vals[best] > params.delta1:
-            lay.encoding(g)[:] += psi[best]
-            lay.block(g, 1)[:] -= params.beta * u_alpha[best]
+        value, psi_star, u_alpha = vals[best], psi[best], u_alpha[best]
     elif mode == "oracle":
-        psi_star, alpha_idx = _decode_training_set(w0, params)
-        u_alpha = codebook.vectors[alpha_idx - 1]
-        cand = float(w0 @ psi_star) - params.beta * float(u_alpha @ w1)
-        if cand > params.delta1:
-            lay.encoding(g)[:] += psi_star
-            lay.block(g, 1)[:] -= params.beta * u_alpha
+        value, psi_star, u_alpha = _oracle_read_out(w, params, codebook)
     else:
         raise OutOfRange(f"unknown loss mode {mode!r}")
+    if value > params.delta1:
+        lay.encoding(shared)[:] += psi_star
+        lay.block(shared, 1)[:] -= params.beta * u_alpha
 
     # term 4: ratchet argmax (u-major flattening = lowest direction wins ties)
     cands = _l4_candidates(w, params, codebook)  # (N, T-1)
-    flat = int(np.argmax(cands))
-    u_star, k_star = divmod(flat, params.steps - 1)
+    u_star, k_star = divmod(int(np.argmax(cands)), params.steps - 1)
     if cands[u_star, k_star] > params.delta2:
-        k = k_star + 1  # 1-based block index
-        lay.block(g, k)[:] += 0.375 * codebook.vectors[u_star]
-        lay.block(g, k + 1)[:] -= 0.5 * codebook.vectors[u_star]
+        lay.block(shared, k_star + 1)[:] += 0.375 * codebook.vectors[u_star]
+        lay.block(shared, k_star + 2)[:] -= 0.5 * codebook.vectors[u_star]
 
-    return g
-
-
-def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
-    """Mean subgradient over the whole training set (the full-batch step)."""
-    g = np.zeros(params.dim)
+    g = np.zeros_like(w)
     for mask, slot in zip(dataset.masks, dataset.slots):
-        g += grad_gd(w, (mask, slot), params, codebook, mode=mode)
+        g_i = shared.copy()
+        # term 1: weighted argmax directions where the hinge is above floor
+        add_hinge_grad(g_i, w, mask, params, codebook)
+        # term 2: linear
+        lay.encoding(g_i)[2 * (slot - 1): 2 * slot] -= circle_point(
+            mask, params.n_directions)
+        g += g_i
     return g / dataset.n
 
 

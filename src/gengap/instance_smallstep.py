@@ -33,8 +33,8 @@ class SmallstepParams:
     steps : int
         Number of iterates T (so T-1 updates).
     dim : int, optional
-        Coordinate count; defaults to max(ceil(25 eta^2 T^2), 1), enough
-        that the round-robin never wraps.
+        Coordinate count; defaults to max(ceil(25 eta^2 T^2), T-1, 1), enough
+        that the round-robin never wraps and the hinge stays active.
     """
 
     eta: float
@@ -54,9 +54,8 @@ class SmallstepParams:
                 f"need eta > 0 and steps >= 1; got eta={self.eta}, steps={self.steps}"
             )
         if self.dim is None:
-            object.__setattr__(
-                self, "dim", max(math.ceil(25.0 * self.eta**2 * self.steps**2), 1)
-            )
+            object.__setattr__(self, "dim", max(
+                math.ceil(25.0 * self.eta**2 * self.steps**2), self.steps - 1, 1))
         if self.dim < 1:
             raise OutOfRange(f"dim must be positive; got {self.dim}")
 

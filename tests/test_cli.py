@@ -83,6 +83,39 @@ def test_smallstep_run_writes_reproducible_artifacts(tmp_path, capsys):
     assert csv_a == csv_b
 
 
+def test_smallstep_default_dimension_covers_every_step(tmp_path):
+    # 25 eta^2 T^2 alone would give one coordinate for ten steps
+    assert main(["run", "--family", "smallstep", "--eta", "0.02", "--steps",
+                 "10", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "smallstep-run-summary.json").read_text())
+    assert summary["passed"] is True and summary["config"]["dim"] == 9
+
+
+def test_a_smallstep_dim_below_the_horizon_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--family", "smallstep", "--eta", "0.02", "--steps", "10"]
+    assert main([*argv, "--dim", "8", "--out", str(out)]) == 2
+    assert "--dim" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--dim", "9", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ([*_SGD_TINY, "--policy", "force", "--steps", "64"], ["--steps"]),
+    ([*_SGD_TINY, "--policy", "force", "--dim", "99"], ["--dim"]),
+    ([*_GD_TINY, "--policy", "reject-until-E", "--dim", "99"], ["--dim"]),
+    (["--family", "smallstep", "--eta", "0.1", "--steps", "10", "--n", "2",
+      "--directions", "4", "--dprime", "8", "--policy", "force"],
+     ["--n", "--directions", "--dprime", "--policy"]),
+], ids=["sgd-steps", "sgd-dim", "gd-dim", "smallstep"])
+def test_flags_the_family_does_not_take_are_refused(tmp_path, capsys, argv, flags):
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags)
+    assert not out.exists()
+
+
 def test_gd_run_artifacts_record_the_event_policy(tmp_path):
     code = main(["run", *_GD_TINY, "--policy", "reject-until-E",
                  "--seeds", "1", "--mc-samples", "200", "--suffix", "1,4",

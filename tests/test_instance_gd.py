@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gengap.acceptance import _smooth_gd_setup
+from gengap import instance_gd
+from gengap.acceptance import _GD_BIG, _GD_SMOOTH, _GD_TINY, _smooth_gd_setup
 from gengap.codebook import generate_codebook
-from gengap.encoding import margin_eps
+from gengap.encoding import circle_point, margin_eps
 from gengap.errors import (
     EventViolated,
     InvalidClosedForm,
@@ -20,14 +21,19 @@ from gengap.instance_gd import (
     GdDataset,
     GdParams,
     _READ_ROWS,
+    _decode_training_set,
     _l3_gd,
+    _l4_candidates,
+    _l4_gd,
     _reference_groups_gd,
     _reference_table_gd,
+    add_hinge_grad,
     draw_gd_dataset,
     empirical_loss_gd,
     good_event_gd,
     grad_gd,
     grad_gd_batch,
+    hinge_term,
     loss_gd,
     loss_gd_samples,
     theorem_step_size,
@@ -36,6 +42,54 @@ from gengap.instance_sgd import SgdDataset
 from gengap.optim import run_gd
 from gengap.smoothing import CHUNK, ball_sample
 from gengap.verify import expected_gd_iterate
+
+
+def _four_term_loss(w, sample, params, codebook, mode):
+    """One sample's loss as its four terms summed in order."""
+    mask, slot = sample
+    slot_block = params.layout.encoding(w)[..., 2 * (slot - 1): 2 * slot]
+    return (hinge_term(w, mask, params, codebook)
+            - (slot_block @ circle_point(mask, params.n_directions))
+            + _l3_gd(w, params, codebook, mode) + _l4_gd(w, params, codebook))
+
+
+def _four_term_grad(w, sample, params, codebook, mode):
+    """One sample's subgradient with its four terms written in order 1 to 4
+    into one vector: the per-sample form the full-batch step sums."""
+    mask, slot = sample
+    lay = params.layout
+    g = np.zeros_like(w)
+    add_hinge_grad(g, w, mask, params, codebook)
+    lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_point(
+        mask, params.n_directions)
+    w0, w1 = lay.encoding(w), lay.block(w, 1)
+    if mode == "reference":
+        psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
+        u_alpha = codebook.vectors[alpha_idx - 1]
+        vals = psi @ w0 - params.beta * (u_alpha @ w1)
+        best = int(np.argmax(vals))
+        read, psi_star, u_read = vals[best], psi[best], u_alpha[best]
+    else:
+        psi_star, alpha_idx = _decode_training_set(w0, params)
+        u_read = codebook.vectors[alpha_idx - 1]
+        read = float(w0 @ psi_star) - params.beta * float(u_read @ w1)
+    if read > params.delta1:
+        lay.encoding(g)[:] += psi_star
+        lay.block(g, 1)[:] -= params.beta * u_read
+    cands = _l4_candidates(w, params, codebook)
+    u_star, k_star = divmod(int(np.argmax(cands)), params.steps - 1)
+    if cands[u_star, k_star] > params.delta2:
+        lay.block(g, k_star + 1)[:] += 0.375 * codebook.vectors[u_star]
+        lay.block(g, k_star + 2)[:] -= 0.5 * codebook.vectors[u_star]
+    return g
+
+
+def _per_sample_step(w, dataset, params, codebook, mode):
+    """The full-batch step as the dataset-order sum of _four_term_grad."""
+    total = np.zeros(params.dim)
+    for sample in zip(dataset.masks, dataset.slots):
+        total += _four_term_grad(w, sample, params, codebook, mode)
+    return total / dataset.n
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +233,7 @@ def test_empirical_loss_equals_the_per_sample_sum(small, mode):
     for w in [traj.iterate(t) for t in range(1, params.steps + 1)] + [batch]:
         total = 0.0
         for sample in zip(dataset.masks, dataset.slots):
-            total = total + loss_gd(w, sample, params, codebook, mode=mode)
+            total = total + _four_term_loss(w, sample, params, codebook, mode)
         want = total / dataset.n
         got = empirical_loss_gd(w, dataset, params, codebook, mode=mode)
         assert np.array_equal(got, want)
@@ -209,6 +263,46 @@ def test_batch_gradient_is_the_sample_mean(small):
         total += grad_gd(w, sample, params, codebook, mode="reference")
     got = grad_gd_batch(w, dataset, params, codebook, mode="reference")
     np.testing.assert_allclose(got, total / dataset.n, atol=1e-15)
+
+
+def test_oracle_step_is_the_per_sample_sum_on_the_headline_run():
+    params, codebook, dataset = _GD_BIG.build()
+    traj = run_gd(codebook, dataset, params)
+    for t in range(1, params.steps + 1):
+        w = traj.iterate(t)
+        want = _per_sample_step(w, dataset, params, codebook, "oracle")
+        got = grad_gd_batch(w, dataset, params, codebook)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pinned", [_GD_TINY, _GD_SMOOTH], ids=["tiny", "smoothing"])
+def test_reference_step_is_the_per_sample_sum_at_random_points(pinned):
+    params, codebook, dataset = pinned.build()
+    rng = np.random.default_rng(8)
+    for scale in (0.002, 0.02, 0.2):
+        for _ in range(10):
+            w = rng.normal(size=params.dim) * scale
+            want = _per_sample_step(w, dataset, params, codebook, "reference")
+            got = grad_gd_batch(w, dataset, params, codebook, mode="reference")
+            assert got.tobytes() == want.tobytes()
+            sample = (dataset.masks[0], dataset.slots[0])
+            one = grad_gd(w, sample, params, codebook, mode="reference")
+            assert np.array_equal(
+                one, _four_term_grad(w, sample, params, codebook, "reference"))
+
+
+def test_the_step_reads_out_and_ratchets_once(small, monkeypatch):
+    params, codebook, dataset = small
+    w = run_gd(codebook, dataset, params).iterate(5)
+    calls = []
+    for name in ("_decode_training_set", "_l4_candidates"):
+        def counted(*args, _name=name, _fn=getattr(instance_gd, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(instance_gd, name, counted)
+    grad_gd_batch(w, dataset, params, codebook)
+    assert dataset.n > 1
+    assert sorted(calls) == ["_decode_training_set", "_l4_candidates"]
 
 
 def test_run_matches_closed_form_on_event(small):

@@ -10,13 +10,19 @@ Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved.  JSON files
 are compared without their ``elapsed_seconds`` and ``out`` keys, other files
 byte for byte, stdout and stderr with timings and paths masked, and exit
-codes as they are.  Prints each difference and exits 1 if there is any.
+codes as they are.  Prints each difference and exits 1 if there is any:
+every differing JSON value and CSV cell, each number with its difference in
+units of ``math.ulp`` of the old tree's value, so a last-bit move reads as
+a few ulps and a real change as many.
 Standard library only; a full sweep takes about a minute per tree on two
 cores, most of it the acceptance suites.
 """
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -132,47 +138,82 @@ def _strip(obj):
     return obj
 
 
-def _first_difference(a, b, path=""):
-    """Path and values of the first place two JSON values differ."""
-    if type(a) is not type(b):
-        return path, a, b
-    if isinstance(a, dict):
+def _ulps(a, b):
+    """b - a in units of math.ulp(a), or None unless both are numbers."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (a, b)):
+        return None
+    return (b - a) / math.ulp(a)
+
+
+def _differences(a, b, path=""):
+    """(path, old, new) of every place two JSON values differ."""
+    if type(a) is not type(b) and _ulps(a, b) is None:
+        yield path, a, b
+    elif isinstance(a, dict):
         for key in sorted(set(a) | set(b), key=str):
             if key not in a or key not in b:
-                return f"{path}/{key}", a.get(key, "<missing>"), b.get(key, "<missing>")
-            found = _first_difference(a[key], b[key], f"{path}/{key}")
-            if found:
-                return found
-        return None
-    if isinstance(a, list):
+                yield f"{path}/{key}", a.get(key, "<missing>"), b.get(key, "<missing>")
+            else:
+                yield from _differences(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, list):
         if len(a) != len(b):
-            return f"{path} (length)", len(a), len(b)
-        for i, (x, y) in enumerate(zip(a, b)):
-            found = _first_difference(x, y, f"{path}[{i}]")
-            if found:
-                return found
-        return None
-    return None if a == b else (path, a, b)
+            yield f"{path} (length)", len(a), len(b)
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from _differences(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
+
+
+def _cell(text):
+    """A CSV cell as a float where it reads as one, else as text."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv_differences(a, b):
+    """(row:column, old, new) of every differing cell of two CSV texts."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(t.decode()))) for t in (a, b))
+    if len(rows_a) != len(rows_b):
+        yield "(rows)", len(rows_a), len(rows_b)
+        return
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if len(ra) != len(rb):
+            yield f"row {i} (length)", len(ra), len(rb)
+            continue
+        header = rows_a[0] if len(rows_a[0]) == len(ra) else range(len(ra))
+        for name, x, y in zip(header, ra, rb):
+            if x != y:
+                yield f"row {i}/{name}", _cell(x), _cell(y)
 
 
 def compare(old, new):
-    """One line per difference between two sweeps' outputs."""
-    lines = []
+    """Per differing output, its lines: every differing JSON value and CSV
+    cell, numbers with their difference in ulps of the old value."""
+    found = {}
     for key in sorted(set(old) | set(new)):
         if key not in old or key not in new:
-            lines.append(f"{key}: only in the {'new' if key in new else 'old'} tree")
+            found[key] = [f"{key}: only in the {'new' if key in new else 'old'} tree"]
             continue
         (kind, a), (_, b) = old[key], new[key]
         if a == b:
             continue
-        if kind == "json":
-            where, x, y = _first_difference(a, b)
-            lines.append(f"{key}: differs at {where or '/'}: {x!r} != {y!r}")
+        if kind == "json" or key.endswith(".csv"):
+            diffs = _differences(a, b) if kind == "json" else _csv_differences(a, b)
+            found[key] = []
+            for where, x, y in diffs:
+                ulps = _ulps(x, y)
+                size = "" if ulps is None else f" ({ulps:+.4g} ulp)"
+                found[key].append(f"{key}: differs at {where or '/'}: "
+                                  f"{x!r} != {y!r}{size}")
         elif kind == "text":
-            lines.append(f"{key}:\n  old: {a!r}\n  new: {b!r}")
+            found[key] = [f"{key}:\n  old: {a!r}\n  new: {b!r}"]
         else:
-            lines.append(f"{key}: bytes differ ({len(a)} vs {len(b)} bytes)")
-    return lines
+            found[key] = [f"{key}: bytes differ ({len(a)} vs {len(b)} bytes)"]
+    return found
 
 
 def main(argv=None):
@@ -188,11 +229,12 @@ def main(argv=None):
             workdir.mkdir()
             results.append(sweep(tree, workdir))
             os.rename(workdir, Path(tmp) / f"done-{len(results)}")
-    lines = compare(*results)
-    for line in lines:
-        print(line)
-    print(f"{len(results[0])} outputs compared; {len(lines)} differ")
-    return 1 if lines else 0
+    found = compare(*results)
+    for lines in found.values():
+        for line in lines:
+            print(line)
+    print(f"{len(results[0])} outputs compared; {len(found)} differ")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .instance_gd import (
     GdDataset,
     GdParams,
     draw_gd_dataset,
-    empirical_loss_gd,
     expected_gd_iterate,
     good_event_gd,
     grad_gd,
@@ -56,7 +55,6 @@ from .instance_gd import (
 from .instance_sgd import (
     SgdDataset,
     SgdParams,
-    empirical_loss_sgd,
     event_state_sgd,
     expected_sgd_iterate,
     force_good_event_sgd,

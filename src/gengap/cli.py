@@ -32,12 +32,12 @@ import yaml
 from . import acceptance as _acceptance
 from .codebook import coherence, generate_codebook, load_codebook, \
     save_codebook
-from .errors import GengapError, OracleDomain, OutOfRange
-from .instance_gd import GdParams, theorem_step_size
+from .errors import GengapError, OracleDomain, OutOfRange, reading
+from .instance_gd import GdParams, check_reference_budget, theorem_step_size
 from .instance_sgd import SgdParams
 from .instance_smallstep import SmallstepParams
 from .optim import load_trajectory, run_gd, run_sgd, run_smallstep, save_trajectory
-from .risk import RiskReport, gap_report
+from .risk import RiskReport, empirical_risk, gap_report
 from .smoothing import SmoothingConfig, smoothed_value_checks
 from .verify import check_margins, check_norm_bound, check_trajectory, \
     require_horizon
@@ -119,6 +119,8 @@ class ExperimentConfig:
         takes |= {"policy"} if cls.policies else set()
         unused = [f"--{key}" for key in _INSTANCE_FLAGS
                   if getattr(self, key) is not None and key not in takes]
+        if self.codebook is not None and "directions" not in takes:
+            unused.append("--codebook")  # no directions, so no codebook to read
         if unused:
             raise OutOfRange(f"{self.family} takes no {' or '.join(unused)}")
         # a params class that defaults eta uses the theorem rule, which then
@@ -131,6 +133,8 @@ class ExperimentConfig:
                 f"{' or '.join(params.policies)}; got {self.policy!r}"
             )
         # refused here, before any artifact is written
+        if self.mode == "reference" and hasattr(params, "reference_count"):
+            check_reference_budget(params)
         if self.dim is not None and self.dim < params.steps - 1:  # would wrap
             raise OutOfRange(f"--dim {self.dim} is below steps-1 = {params.steps - 1}")
         if not all(1 <= m <= params.horizon for m in self.suffix):
@@ -171,7 +175,7 @@ class ExperimentConfig:
 
 
 def load_config(path):
-    with open(path) as fh:
+    with reading(path, "config file", (yaml.YAMLError,)), open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise OutOfRange(f"config {path} must be a mapping, got {type(raw).__name__}")
@@ -323,14 +327,11 @@ def _verify_one(cfg, params, codebook, dataset, traj, event):
 
 def _smoothing_check(cfg, params, codebook, dataset, traj):
     """Smoothed training risk at w_T agrees with the plain value."""
-
-    def loss(w):
-        return params.empirical_loss(w, dataset, codebook, cfg.mode)
-
     scfg = SmoothingConfig(params.smoothing_delta, cfg.smoothing_samples,
                            seed=cfg.smoothing_seed)
     [(val, _, plain, bound)] = smoothed_value_checks(
-        [(loss, traj.iterate(traj.steps))], scfg, params.lipschitz)
+        [(lambda w: empirical_risk(w, dataset, params, codebook, cfg.mode),
+          traj.iterate(traj.steps))], scfg, params.lipschitz)
     ok = abs(val - plain) <= bound
     return {
         "delta": scfg.delta,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttemptsExhausted, OutOfRange
+from .errors import AttemptsExhausted, OutOfRange, reading
 
 # Above this many directions the required dimension (and every exhaustive
 # subset enumeration downstream) stops being desk-scale.
@@ -162,15 +162,17 @@ def save_codebook(codebook, path):
 
 def load_codebook(path):
     """Inverse of save_codebook; reconstructs +-1/sqrt(dim) float rows."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    dim = int(payload["dim"])
-    signs = np.asarray(payload["vectors"], dtype=np.float64)
+    with reading(path, "codebook file"):
+        with open(path) as fh:
+            payload = json.load(fh)
+        dim = int(payload["dim"])
+        signs = np.asarray(payload["vectors"], dtype=np.float64)
+        seed = int(payload["seed"])
     if signs.ndim != 2 or signs.shape[1] != dim:
         raise OutOfRange(
             f"codebook file is inconsistent: vectors shape {signs.shape} "
             f"does not match dim={dim}"
         )
     vectors = signs * (1.0 / math.sqrt(dim))
-    return Codebook(vectors=vectors, dim=dim, seed=int(payload["seed"]))
+    return Codebook(vectors=vectors, dim=dim, seed=seed)
 

@@ -4,6 +4,8 @@ Every failure mode that callers are expected to handle gets its own class so
 that test suites and the CLI can branch on type rather than on message text.
 """
 
+import contextlib
+
 
 class GengapError(Exception):
     """Base class for all package-specific errors."""
@@ -49,3 +51,17 @@ class DegenerateDraw(GengapError):
 class InvalidClosedForm(GengapError):
     """A closed-form iterate/risk expression was requested outside the range
     of steps it describes."""
+
+
+@contextlib.contextmanager
+def reading(path, what, parse_errors=()):
+    """Re-raise a file that is missing, unreadable, not in its format (also
+    parse_errors) or without its fields as OutOfRange naming the file."""
+    try:
+        yield
+    except GengapError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            *parse_errors) as exc:
+        detail = f"no {exc} field" if isinstance(exc, KeyError) else exc
+        raise OutOfRange(f"cannot read {what} {path}: {detail}") from exc

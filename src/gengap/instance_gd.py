@@ -60,10 +60,16 @@ from .errors import (
     OracleDomain,
     OutOfRange,
     ReferenceTooLarge,
+    reading,
 )
 
 REFERENCE_BUDGET = 100_000
 MAX_DATASET_DRAWS = 100_000  # reject-until-E gives up after this many draws
+
+# points per block of a training risk over a stack: each block's loss kernel
+# is built and reduced before the next one's, which bounds the kernel's
+# temporaries (its codebook projection among them) on 8192-row chunks
+_RISK_ROWS = 1024
 
 # rows per block of the batched reference read-out: on 8192-row smoothing
 # chunks, blocks of 64 to 128 rows ran about 3x faster than one unblocked
@@ -189,6 +195,13 @@ class GdParams:
         return self.eta / self.n
 
     @property
+    def reference_count(self):
+        """Candidates the reference read-out enumerates: every training set
+        of n distinct slots and any subsets, C(n^2, n) * 2^(N n)."""
+        m = subset_count(self.n_directions)
+        return math.comb(self.n * self.n, self.n) * m**self.n
+
+    @property
     def gap_targets(self):
         """Designed excess-risk targets: (name, target, RiskReport field)."""
         a = self.eta * math.sqrt(self.steps)
@@ -215,14 +228,11 @@ class GdParams:
                      for masks, slots in chunks)
 
     def point_losses(self, points, codebook, mode):
-        """losses(prepared) yields, for each chunk that prepare_samples made
-        ready, each sample's loss at each point of a stack (P, d), shape
-        (P, B); the sample-free terms are built once here."""
+        """The family's one loss kernel: losses(prepared) yields, for each
+        chunk that prepare_samples made ready, each sample's loss at each
+        point of a stack (P, d), shape (P, B); the sample-free terms are
+        built once here."""
         return _point_losses_gd(points, self, codebook, mode)
-
-    def empirical_loss(self, w, dataset, codebook, mode):
-        """Training risk at w; w may be a batch (B, d)."""
-        return empirical_loss_gd(w, dataset, self, codebook, mode=mode)
 
     def step_grad(self, w, t, dataset, codebook, mode):
         """The full-batch step's gradient (the same at every step t)."""
@@ -230,7 +240,7 @@ class GdParams:
 
     def step_loss(self, t, dataset, codebook, mode):
         """The loss whose subgradient step_grad takes: the training risk."""
-        return lambda w: self.empirical_loss(w, dataset, codebook, mode)
+        return lambda w: empirical_risk(w, dataset, self, codebook, mode)
 
     def expected_iterate(self, t, dataset, codebook):
         """Closed-form iterate w_t; w_1 is the origin."""
@@ -282,7 +292,7 @@ class _Dataset:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with reading(path, "dataset file"), open(path) as fh:
             return cls.from_json(json.load(fh))
 
 
@@ -413,31 +423,13 @@ def good_event_gd(dataset, params):
 # ---------------------------------------------------------------------------
 # loss terms
 #
-# Every term accepts w of shape (d,) or (B, d) and returns () or (B,)
-# accordingly.  Terms 3 and 4 do not depend on the sample, so the
-# many-sample paths (GdParams.point_losses, empirical_loss_gd and the step
-# grad_gd_batch, whose one-sample cases are loss_gd and grad_gd) evaluate
-# them once for all samples.  The heavy lifting is plain numpy; per-row
-# python loops only appear in the oracle decode path, one point at a time.
+# GdParams.point_losses is the one definition of the per-sample loss, for a
+# stack of points (P, d) against chunks of samples.  Every other loss
+# reduces it: empirical_risk is each point's mean over the training set and
+# loss_gd the training risk of a one-sample set.  The step (grad_gd_batch,
+# whose one-sample case is grad_gd) keeps its own per-sample products, to
+# which the trajectories are pinned.
 # ---------------------------------------------------------------------------
-
-
-def hinge_term(w, mask, params, codebook):
-    """Term 1, shared by the full-batch and one-pass families.
-
-    The L2 norm over step blocks k >= 2 of max(floor, max over the mask's
-    directions u of <u, w^(k)>); w may be a batch of rows.
-    """
-    blocks = params.layout.step_blocks(w)  # (..., T, dprime)
-    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
-    if rows:
-        # inner products of every member direction with every step block
-        vals = blocks @ codebook.vectors[rows].T  # (..., T, |V|)
-        inner = vals.max(axis=-1)
-    else:
-        inner = np.full(blocks.shape[:-1], -np.inf)
-    h = np.maximum(params.l1_floor, inner[..., 1:])  # blocks k = 2..T
-    return np.sqrt((h * h).sum(axis=-1))
 
 
 class MaskInputs(NamedTuple):
@@ -457,18 +449,23 @@ def mask_inputs(masks, n_directions):
     return MaskInputs(np.sin(angle), np.cos(angle), member)
 
 
-def hinge_terms(w, member, params, codebook):
-    """hinge_term of every mask at one point w, shape (B,), from the masks'
-    (B, N) membership matrix (MaskInputs.member)."""
-    blocks = params.layout.step_blocks(w)  # (T, dprime)
-    proj = codebook.vectors @ blocks.T  # (N, T)
-    inner = np.where(member[:, :, None], proj[None, :, :], -np.inf).max(axis=1)
-    h = np.maximum(params.l1_floor, inner[:, 1:])
-    return np.sqrt((h * h).sum(axis=1))
+def hinge_terms(proj, member, params):
+    """Term 1, shared by the full-batch and one-pass families: the hinge of
+    B masks at each of P points, shape (P, B).  It is the L2 norm over step
+    blocks k >= 2 of max(floor, max over the mask's directions u of
+    <u, w^(k)>), from the points' projections proj (P, T, N) = step blocks
+    @ codebook.T and the masks' (B, N) membership (MaskInputs.member).  The
+    max starts at the floor and takes one direction at a time."""
+    h = np.full((proj.shape[0], member.shape[0], proj.shape[1] - 1),
+                params.l1_floor)
+    for u in np.flatnonzero(member.any(axis=0)):
+        np.maximum(h, proj[:, None, 1:, u], out=h, where=member[:, u, None])
+    h *= h
+    return np.sqrt(h.sum(axis=-1))
 
 
 def add_hinge_grad(g, w, mask, params, codebook):
-    """Add hinge_term's subgradient at a single point w into g.
+    """Add the hinge's (term 1's) subgradient at a single point w into g.
 
     Each block above its floor gets its argmax direction, weighted by the
     block's share of the norm; ties go to the lowest codebook index.
@@ -497,34 +494,35 @@ def _l4_candidates(w, params, codebook):
     return 0.375 * proj[..., :-1] - 0.5 * proj[..., 1:]
 
 
-def _l4_gd(w, params, codebook):
-    best = _l4_candidates(w, params, codebook).max(axis=(-2, -1))
-    return np.maximum(params.delta2, best)
+def check_reference_budget(params):
+    """Refuse a reference read-out whose enumeration, params.reference_count
+    candidates, exceeds REFERENCE_BUDGET."""
+    if params.reference_count > REFERENCE_BUDGET:
+        raise ReferenceTooLarge(
+            f"reference enumeration needs {params.reference_count} candidates "
+            f"(budget {REFERENCE_BUDGET}); use the oracle mode"
+        )
 
 
 @lru_cache(maxsize=8)
-def _reference_table_gd(n, n_directions):
+def _reference_table_gd(params):
     """Exhaustive encoded-training-set table for the read-out term.
 
     Returns (Psi, alpha_indices): Psi has one row per candidate training
     set (n distinct slots, any subsets), holding (1/n) * sum of the slot
     codepoints; alpha_indices holds the 1-based uncovered-direction index
-    for each row.  Row count is C(n^2, n) * 2^(N*n), so this exists only
-    for tiny instances.
+    for each row.  Row count is params.reference_count, so this exists
+    only for tiny instances.
     """
-    m = subset_count(n_directions)
+    check_reference_budget(params)
+    n, n_directions = params.n, params.n_directions
     n_slots = n * n
-    count = math.comb(n_slots, n) * m**n
-    if count > REFERENCE_BUDGET:
-        raise ReferenceTooLarge(
-            f"reference enumeration needs {count} candidates "
-            f"(budget {REFERENCE_BUDGET}); use the oracle mode"
-        )
-    psi_rows = np.zeros((count, 2 * n_slots))
-    alpha_idx = np.zeros(count, dtype=np.int64)
+    psi_rows = np.zeros((params.reference_count, 2 * n_slots))
+    alpha_idx = np.zeros(params.reference_count, dtype=np.int64)
     r = 0
     for slot_combo in itertools.combinations(range(1, n_slots + 1), n):
-        for masks in itertools.product(range(m), repeat=n):
+        for masks in itertools.product(range(subset_count(n_directions)),
+                                       repeat=n):
             acc = np.zeros(2 * n_slots)
             for mask, slot in zip(masks, slot_combo):
                 acc += encode_gd(mask, slot, n, n_directions)
@@ -535,7 +533,7 @@ def _reference_table_gd(n, n_directions):
 
 
 @lru_cache(maxsize=8)
-def _reference_groups_gd(n, n_directions):
+def _reference_groups_gd(params):
     """The reference table regrouped by uncovered direction.
 
     Returns (Psi, starts, alphas): the Psi rows stably sorted by alpha
@@ -543,7 +541,7 @@ def _reference_groups_gd(n, n_directions):
     gradient keeps reading _reference_table_gd, whose enumeration order
     breaks its argmax ties.
     """
-    psi, alpha_idx = _reference_table_gd(n, n_directions)
+    psi, alpha_idx = _reference_table_gd(params)
     order = np.argsort(alpha_idx, kind="stable")
     alphas, starts = np.unique(alpha_idx[order], return_index=True)
     return psi[order], starts, alphas
@@ -586,63 +584,39 @@ def _oracle_read_out(w, params, codebook):
     return value, psi_star, u_alpha
 
 
-def _l3_gd(w, params, codebook, mode):
-    if mode == "reference":
-        w0 = params.layout.encoding(w)
-        psi, starts, alphas = _reference_groups_gd(params.n, params.n_directions)
-        # max over each group's rows first, then subtract the group's shared
-        # movement term: rounding is monotone, so this equals the max of the
-        # per-row differences bitwise
-        if w0.ndim == 1:
-            reads = np.maximum.reduceat(w0 @ psi.T, starts)
-        else:
-            # equal blocks of at most _READ_ROWS rows keep the (rows, |Psi|)
-            # product in cache.  A batch of two or more rows never gets a
-            # one-row block, which BLAS would round as a vector product, so
-            # each row's reads equal one product's bitwise
-            reads = np.empty((w0.shape[0], starts.size))
-            n_blocks = -(-w0.shape[0] // _READ_ROWS)
-            for out, rows in zip(np.array_split(reads, n_blocks),
-                                 np.array_split(w0, n_blocks)):
-                out[...] = np.maximum.reduceat(rows @ psi.T, starts, axis=-1)
-        w1 = params.layout.block(w, 1)
-        moves = params.beta * (w1 @ codebook.vectors[alphas - 1].T)  # (..., G)
-        return np.maximum(params.delta1, (reads - moves).max(axis=-1))
-    if mode != "oracle":
+def _l3_gd(points, params, codebook, mode):
+    """Term 3, the read-out, at each point of a stack (P, d), shape (P,)."""
+    if mode == "oracle":
+        return np.maximum(params.delta1, np.array(
+            [_oracle_read_out(w, params, codebook)[0] for w in points]))
+    if mode != "reference":
         raise OutOfRange(f"unknown loss mode {mode!r}")
-    if w.ndim == 1:
-        return np.maximum(params.delta1, _oracle_read_out(w, params, codebook)[0])
-    return np.array([_l3_gd(row, params, codebook, mode) for row in w])
+    psi, starts, alphas = _reference_groups_gd(params)
+    # max over each group's rows first, then subtract the group's shared
+    # movement term: rounding is monotone, so this equals the max of the
+    # per-row differences bitwise.  Equal blocks of at most _READ_ROWS rows
+    # keep the (rows, |Psi|) product in cache.  A stack of two or more rows
+    # never gets a one-row block, which BLAS would round as a vector
+    # product, so each row's reads equal one product's bitwise
+    reads = np.empty((len(points), starts.size))
+    n_blocks = max(1, -(-len(points) // _READ_ROWS))
+    for out, rows in zip(np.array_split(reads, n_blocks),
+                         np.array_split(params.layout.encoding(points), n_blocks)):
+        out[...] = np.maximum.reduceat(rows @ psi.T, starts, axis=-1)
+    moves = params.beta * (params.layout.block(points, 1)
+                           @ codebook.vectors[alphas - 1].T)  # (P, G)
+    return np.maximum(params.delta1, (reads - moves).max(axis=-1))
 
 
 def loss_gd(w, sample, params, codebook, mode="oracle"):
     """Loss of one sample, a (mask, slot) pair, at w: the training risk of
-    a one-sample set; w may be a batch of rows (B, d).
+    a one-sample set; w may be a stack of points (P, d).
 
     mode picks how the read-out term is evaluated: "oracle" (decode w^(0);
     trajectory regime only) or "reference" (exhaustive; tiny instances only).
     """
     mask, slot = sample
-    return empirical_loss_gd(w, GdDataset((mask,), (slot,)), params, codebook, mode)
-
-
-def empirical_loss_gd(w, dataset, params, codebook, mode="oracle"):
-    """Mean loss over the training set at w; w may be a batch (B, d).
-
-    Terms 3 and 4 are evaluated once for all samples.  Each sample's value
-    sums its terms in order 1 to 4, and the samples are accumulated in
-    dataset order.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    l3 = _l3_gd(w, params, codebook, mode)
-    l4 = _l4_gd(w, params, codebook)
-    w0 = params.layout.encoding(w)
-    total = 0.0
-    for mask, slot in zip(dataset.masks, dataset.slots):
-        # term 2: minus the slot block read off at the sample's codepoint
-        l2 = -(w0[..., 2 * slot - 2: 2 * slot] @ circle_point(mask, params.n_directions))
-        total = total + (hinge_term(w, mask, params, codebook) + l2 + l3 + l4)
-    return total / dataset.n
+    return empirical_risk(w, GdDataset((mask,), (slot,)), params, codebook, mode)
 
 
 def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
@@ -656,28 +630,50 @@ def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
 
 
 def _point_losses_gd(points, params, codebook, mode):
-    """GdParams.point_losses: the sample-independent terms (read-out and
-    ratchet) are evaluated once per point, and the per-sample terms one
-    chunk at a time, as one batched product over its prepared samples.
-    Each point's row equals its one-point call bitwise.
-    """
-    consts = [float(_l3_gd(w, params, codebook, mode))
-              + float(_l4_gd(w, params, codebook)) for w in points]
+    """GdParams.point_losses.  Built once per stack: the projection of the
+    step blocks, the read-out and the ratchet (terms 3 and 4, which do not
+    depend on the sample).  Per chunk, each mask's hinge and each sample's
+    slot read, as one (P, B) array; each sample's loss sums its terms in
+    order 1 to 4, terms 3 and 4 summed first."""
+    lay = params.layout
+    proj = lay.step_blocks(points) @ codebook.vectors.T  # (P, T, N)
+    ratchet = (0.375 * proj[:, :-1] - 0.5 * proj[:, 1:]).max(axis=(1, 2))
+    consts = (_l3_gd(points, params, codebook, mode)
+              + np.maximum(params.delta2, ratchet))[:, None]
+    slot_blocks = lay.encoding(points).reshape(-1, params.n * params.n, 2)
 
     def chunk_losses(inputs, slot_rows):
         sin, cos, member = inputs
-        out = np.empty((len(points), slot_rows.size))
-        for row, w, const in zip(out, points, consts):
-            l1 = hinge_terms(w, member, params, codebook)  # term 1 per mask
-
-            # term 2: minus the slot block read off at each sample's codepoint
-            sel = params.layout.encoding(w).reshape(-1, 2)[slot_rows]  # (B, 2)
-            l2 = -(sin * sel[:, 0] + cos * sel[:, 1])
-
-            np.add(l1 + l2, const, out=row)
+        out = hinge_terms(proj, member, params)
+        # term 2: minus the slot block read off at each sample's codepoint
+        sel = slot_blocks[:, slot_rows]  # (P, B, 2)
+        out += -(sin * sel[..., 0] + cos * sel[..., 1])
+        out += consts
         return out
 
     return lambda prepared: (chunk_losses(*chunk) for chunk in prepared)
+
+
+def training_risks(losses, dataset, params):
+    """The one training risk: from a stack's point_losses read-out, each
+    point's mean loss over the training set (dataset None: the loss)."""
+    [vals] = losses(None if dataset is None
+                    else params.prepare_samples([dataset.samples]))
+    return vals.mean(axis=-1)
+
+
+def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
+    """training_risks at a point w (d,), a float, or at each point of a
+    stack (P, d), each bitwise its one-point value; the stack is read out in
+    blocks of _RISK_ROWS points.  The deterministic family takes dataset
+    None."""
+    w = np.asarray(w, dtype=np.float64)
+    points = w.reshape(-1, w.shape[-1])
+    risks = np.concatenate([
+        training_risks(params.point_losses(rows, codebook, mode), dataset, params)
+        for rows in np.array_split(points, max(1, -(-len(points) // _RISK_ROWS)))
+    ])
+    return float(risks[0]) if w.ndim == 1 else risks
 
 
 def grad_gd(w, sample, params, codebook, mode="oracle"):
@@ -707,7 +703,7 @@ def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
 
     # term 3: decoded read-out, active only above its floor
     if mode == "reference":
-        psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
+        psi, alpha_idx = _reference_table_gd(params)
         u_alpha = codebook.vectors[alpha_idx - 1]
         vals = psi @ lay.encoding(w) - params.beta * (u_alpha @ lay.block(w, 1))
         best = int(np.argmax(vals))

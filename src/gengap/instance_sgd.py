@@ -56,10 +56,8 @@ from .errors import (
     InfeasibleForcing,
     InvalidClosedForm,
     OutOfRange,
-    ReferenceTooLarge,
 )
 from .instance_gd import (
-    REFERENCE_BUDGET,
     EventReport,
     GdParams,
     MarginStep,
@@ -68,13 +66,14 @@ from .instance_gd import (
     _fill_defaults,
     _second_excluding_argmax,
     add_hinge_grad,
-    hinge_term,
+    check_reference_budget,
+    empirical_risk,
     hinge_terms,
     mask_inputs,
 )
 
 MAX_FORCING_TRIES = 1000  # force_good_event_sgd gives up after this many
-_BLOCK_ROWS = 1024  # rows per block of the batched read-out and sample draws
+_BLOCK_ROWS = 1024  # rows per block of the sample draws
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,13 @@ class SgdParams:
         return self.eta / (4.0 * self.n * self.n)
 
     @property
+    def reference_count(self):
+        """Candidates the reference read-out enumerates: every prefix of
+        k = 1 .. n-1 subsets, the sum of 2^(N k)."""
+        m = subset_count(self.n_directions)
+        return sum(m**k for k in range(1, self.n))
+
+    @property
     def gap_targets(self):
         """Designed excess-risk target: (name, target, RiskReport field)."""
         a = self.eta * math.sqrt(self.n) / 64000.0
@@ -183,14 +189,11 @@ class SgdParams:
                 tuple(np.split(inverse, bounds)))
 
     def point_losses(self, points, codebook, mode):
-        """losses(prepared) yields, for each chunk that prepare_samples made
-        ready, each sample's loss at each point of a stack (P, d), shape
-        (P, B); the read-outs are built once here."""
+        """The family's one loss kernel: losses(prepared) yields, for each
+        chunk that prepare_samples made ready, each sample's loss at each
+        point of a stack (P, d), shape (P, B); the read-out is built once
+        here."""
         return _point_losses_sgd(points, self, codebook, mode)
-
-    def empirical_loss(self, w, dataset, codebook, mode):
-        """Training risk at w; w may be a batch (B, d)."""
-        return empirical_loss_sgd(w, dataset, self, codebook, mode=mode)
 
     def step_sample(self, t, dataset):
         """The mask step t consumes; the final iterate, which consumes none,
@@ -406,16 +409,13 @@ def good_event_sgd(dataset, params):
 
 # ---------------------------------------------------------------------------
 # loss terms
+#
+# SgdParams.point_losses is the one definition of the per-sample loss, for
+# a stack of points (P, d) against the distinct masks of chunks of samples;
+# loss_sgd and empirical_risk reduce it.  The step (grad_sgd) and the
+# margins keep their one-point decode (_l2_decode_info, _l2_table_point),
+# to which the trajectories are pinned.
 # ---------------------------------------------------------------------------
-
-
-def _l3_sgd(w, mask, params, codebook):
-    lay = params.layout
-    point = circle_point(mask, params.n_directions)
-    first_block = lay.encoding(w)[..., 0:2]  # position 1 of group 1
-    scale = 4.0 * params.n * params.n
-    u1_read = lay.block(w, 1) @ codebook.vectors[0]
-    return -(first_block @ point) / scale - u1_read / params.n**3
 
 
 def _decode_group_prefix(group_vec, k, params):
@@ -470,31 +470,20 @@ def _l2_table_point(w, mask, params, codebook, info):
     return table
 
 
-def _l2_readout(w2, params, codebook):
-    """Sample-free prefix-shift candidates of a batch, shape (B, n-1): 0.375
+def _l2_readout(w2, proj, params):
+    """Sample-free prefix-shift candidates of a stack, shape (P, n-1): 0.375
     max_u <u, w^(k)> - 0.5 <u_alpha, w^(k+1)> + <psi, w^(0,k) - w^(0,k+1)>/(4n)
-    per k, in equal row blocks (never one row long for two or more rows)."""
-    n, m_mod = params.n, subset_count(params.n_directions)
+    per k, with the stack's projection proj (P, n, N).  Equal bitwise to
+    decoding one group at a time.  Occupancy is read from x^2 + y^2, and
+    from hypot only within a relative 1e-9 of a threshold (or at NaN).
+    Prefix products add up in position order, numpy's order for fewer than
+    eight terms; longer prefixes are summed again numpy's way, pairwise."""
+    n, nd, exp = params.n, params.n_directions, params.group_codepoint_magnitude
+    m_mod = subset_count(nd)
     table = None  # sin and cos of the codepoints, unless they outnumber the codes
     if m_mod <= w2.shape[0] * n * (n - 1) // 2:
         theta = TWO_PI * (np.arange(m_mod) / m_mod)
         table = np.sin(theta), np.cos(theta)
-    out = np.empty((w2.shape[0], n - 1))
-    n_blocks = max(1, -(-w2.shape[0] // _BLOCK_ROWS))
-    for rows_out, rows in zip(np.array_split(out, n_blocks),
-                              np.array_split(w2, n_blocks)):
-        rows_out[...] = _l2_readout_block(rows, params, codebook, table).T
-    return out
-
-
-def _l2_readout_block(w2, params, codebook, table):
-    """_l2_readout of one row block, transposed, equal bitwise to decoding
-    one group at a time.  Occupancy is read from x^2 + y^2, and from hypot
-    only within a relative 1e-9 of a threshold (or at NaN).  Prefix
-    products add up in position order, numpy's order for fewer than eight
-    terms; longer prefixes are summed again numpy's way, pairwise."""
-    n, nd, exp = params.n, params.n_directions, params.group_codepoint_magnitude
-    m_mod = subset_count(nd)
     enc = params.layout.encoding(w2).reshape(-1, n, n, 2)  # (row, group, position)
     x, y = (np.ascontiguousarray(enc[..., c].T) for c in (0, 1))  # (pos, group, row)
     sq = x * x + y * y
@@ -530,37 +519,24 @@ def _l2_readout_block(w2, params, codebook, table):
 
     alpha = np.where(inter > 0, np.frexp(inter & -inter)[1], nd)  # lowest common
     alpha = np.where(clean, alpha, 1)
-    proj = params.layout.step_blocks(w2) @ codebook.vectors.T  # (rows, n, N)
     alpha_term = -0.5 * np.take_along_axis(proj[:, 1:], alpha.T[..., None] - 1,
                                            axis=-1)[..., 0].T
     best_u = proj[:, :-1, 0]
     for u in range(1, nd):  # one pass per direction, not a short max per row
         best_u = np.maximum(best_u, proj[:, :-1, u])
-    return 0.375 * best_u.T + alpha_term + psi_term
-
-
-def _l2_values_batch(w2, mask, params, readout):
-    """Prefix-shift term of a batch, shape (B,): its _l2_readout plus, for
-    each k, block k+1 of group k+1 coupled with the sample codepoint."""
-    n, point = params.n, circle_point(mask, params.n_directions)
-    gk1 = params.layout.encoding(w2).reshape(-1, n, n, 2)[:, range(1, n), range(1, n)]
-    phi_term = -(gk1[..., 0] * point[0] + gk1[..., 1] * point[1]) / (4.0 * n * n)
-    return np.maximum(params.delta1, (readout + phi_term).max(axis=1))
+    return (0.375 * best_u.T + alpha_term + psi_term).T
 
 
 @lru_cache(maxsize=8)
-def _reference_tables_sgd(n, n_directions):
-    """Exhaustive prefix-encoding tables: for each k, all M^k candidates.
+def _reference_tables_sgd(params):
+    """Exhaustive prefix-encoding tables: for each k, all M^k candidates
+    (params.reference_count in all).
 
     Returns a list indexed by k-1 of (Psi rows (M^k, 2n), alpha indices).
     """
+    check_reference_budget(params)
+    n, n_directions = params.n, params.n_directions
     m = subset_count(n_directions)
-    count = sum(m**k for k in range(1, n))
-    if count > REFERENCE_BUDGET:
-        raise ReferenceTooLarge(
-            f"reference enumeration needs {count} candidates "
-            f"(budget {REFERENCE_BUDGET}); use the oracle mode"
-        )
     tables = []
     for k in range(1, n):
         rows = np.zeros((m**k, 2 * n))
@@ -575,20 +551,15 @@ def _reference_tables_sgd(n, n_directions):
     return tables
 
 
-def _l2_reference_table(w, mask, params, codebook):
-    """Reference-mode candidate values over (direction, k), shape
-    (..., N, n-1), and for each k the index of its attaining prefix row
-    (the first in enumeration order on ties), shape (n-1, ...); w may be
-    batched."""
-    n, nd = params.n, params.n_directions
-    tables = _reference_tables_sgd(n, nd)
-    blocks = params.layout.step_blocks(w)
-    proj = blocks @ codebook.vectors.T  # (..., n, N)
-    point = circle_point(mask, nd)
-    per_k_best = []
-    per_k_row = []
-    for k in range(1, n):
-        rows, alphas = tables[k - 1]
+def _l2_reference_rows(w, params, codebook):
+    """The enumerated prefix reads without the sample coupling: per k, the
+    max over the prefix rows psi of <psi, w^(0,k) - w^(0,k+1)>/(4n) -
+    0.5 <u_alpha, w^(k+1)>, and its attaining row (the first in enumeration
+    order on ties); two lists indexed by k-1, w may be a stack."""
+    n = params.n
+    best, attained = [], []
+    for k, (rows, alphas) in enumerate(
+            _reference_tables_sgd(params), start=1):
         gk = params.group(w, k)
         gk1 = params.group(w, k + 1)
         u_alpha = codebook.vectors[alphas - 1]  # (R, dprime)
@@ -598,99 +569,84 @@ def _l2_reference_table(w, mask, params, codebook):
             - 0.5 * (wk1 @ u_alpha.T)
         )  # (..., R)
         row = row_vals.argmax(axis=-1)
-        row_best = np.take_along_axis(row_vals, row[..., None], axis=-1)[..., 0]
-        phi_term = -(gk1[..., 2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
-        per_k_best.append(row_best + phi_term)  # (...,)
-        per_k_row.append(row)
-    stacked = np.stack(per_k_best, axis=-1)  # (..., n-1)
-    table = 0.375 * np.swapaxes(proj, -1, -2)[..., :-1] + stacked[..., None, :]
-    return table, per_k_row
+        best.append(np.take_along_axis(row_vals, row[..., None], axis=-1)[..., 0])
+        attained.append(row)
+    return best, attained
 
 
-def _l2_reference(w, mask, params, codebook):
-    """Exact prefix-shift term by enumeration; w may be batched."""
-    table, _ = _l2_reference_table(w, mask, params, codebook)
-    return np.maximum(params.delta1, table.max(axis=(-2, -1)))
+def _l2_reference_table(w, mask, params, codebook):
+    """Reference-mode candidate values over (direction, k), shape (N, n-1),
+    for the gradient: _l2_reference_rows plus each k's coupling with the
+    sample codepoint, and per k the index of its attaining prefix row."""
+    n = params.n
+    best, attained = _l2_reference_rows(w, params, codebook)
+    proj = params.layout.step_blocks(w) @ codebook.vectors.T  # (n, N)
+    point = circle_point(mask, params.n_directions)
+    per_k_best = [
+        row_best - (params.group(w, k + 1)[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
+        for k, row_best in enumerate(best, start=1)
+    ]
+    table = 0.375 * proj.T[:, :-1] + np.array(per_k_best)[None, :]
+    return table, attained
 
 
 def loss_sgd(w, mask, params, codebook, mode="oracle"):
     """Loss of one sample (a subset mask) at w, the training risk of a
-    one-sample set; w may be a batch (B, d)."""
-    return empirical_loss_sgd(w, SgdDataset(masks=(mask,)), params, codebook, mode)
-
-
-def empirical_loss_sgd(w, dataset, params, codebook, mode="oracle"):
-    """Mean loss over the training set at w; w may be a batch (B, d).  The
-    oracle decodes the prefixes once for all samples, which differ only in
-    their coupling terms.  Samples are accumulated in dataset order."""
-    w = np.asarray(w, dtype=np.float64)
-    if mode == "oracle":
-        decoded = (_l2_decode_info(w, params) if w.ndim == 1
-                   else _l2_readout(w, params, codebook))
-    elif mode != "reference":
-        raise OutOfRange(f"unknown loss mode {mode!r}")
-    total = 0.0
-    for mask in dataset.masks:
-        if mode == "reference":
-            l2 = _l2_reference(w, mask, params, codebook)
-        elif w.ndim == 1:
-            table = _l2_table_point(w, mask, params, codebook, decoded)
-            l2 = max(params.delta1, float(table.max()))
-        else:
-            l2 = _l2_values_batch(w, mask, params, decoded)
-        total = total + (hinge_term(w, mask, params, codebook) + l2
-                         + _l3_sgd(w, mask, params, codebook))
-    return total / dataset.n
+    one-sample set; w may be a stack of points (P, d)."""
+    return empirical_risk(w, SgdDataset(masks=(mask,)), params, codebook, mode)
 
 
 def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
     """Loss of many samples at one point w, shape (B,); w may be a stack of
     points (P, d), giving shape (P, B).  The one-shot case of
-    SgdParams.point_losses: the read-outs serve this one masks array."""
+    SgdParams.point_losses: the read-out serves this one masks array."""
     w = np.asarray(w, dtype=np.float64)
     [out] = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
         params.prepare_samples([masks]))
     return out[0] if w.ndim == 1 else out
 
 
-def _point_losses_sgd(points, params, codebook, mode):
-    """SgdParams.point_losses.  Built once per point: the column maxima of
-    its prefix-shift table at mask 0 (decoded, or enumerated), and the
-    two-dim blocks that term 3 and each k's coupling read at the sample
-    codepoint, less their constants (the block-1 read, the mask-0 coupling).
-    Each call evaluates the distinct masks of its prepared samples
-    (SgdParams.prepare_samples) once per point with the one-point
-    expressions, then gathers each chunk back into sample order, so each
-    point's row equals its one-point call bitwise."""
-    n, nd = params.n, params.n_directions
+def _loss_terms_sgd(points, params, codebook, mode):
+    """terms(inputs) -> (hinge, prefix shift, term 3), each shape (P, M), of
+    the M masks of a MaskInputs at each point of a stack (P, d).  Built once
+    per stack: the projection of the step blocks, term 2's read-out without
+    its coupling, term 3's block-1 read, and the two-dim blocks each
+    coupling reads at the sample codepoint."""
+    n, lay = params.n, params.layout
+    proj = lay.step_blocks(points) @ codebook.vectors.T  # (P, n, N)
     if mode == "oracle":
-        tables = [_l2_table_point(w, 0, params, codebook,
-                                  _l2_decode_info(w, params)) for w in points]
+        readout = _l2_readout(points, proj, params)
     elif mode == "reference":
-        tables = [_l2_reference_table(w, 0, params, codebook)[0] for w in points]
+        best, _ = _l2_reference_rows(points, params, codebook)
+        readout = 0.375 * proj[:, :-1].max(axis=-1) + np.stack(best, axis=-1)
     else:
         raise OutOfRange(f"unknown loss mode {mode!r}")
-    point0, scale = circle_point(0, nd), 4.0 * n * n
-    parts = []
-    for w, table in zip(points, tables):
-        # row 0: position 1 of group 1 (term 3); row k: block k+1 of group k+1
-        blocks = [params.layout.encoding(w)[0:2]] + [
-            params.group(w, k + 1)[2 * k: 2 * k + 2] for k in range(1, n)]
-        consts = [float(params.layout.block(w, 1) @ codebook.vectors[0]) / n**3]
-        consts += [-(b @ point0) / scale for b in blocks[1:]]
-        parts.append((w, table.max(axis=0), np.array(blocks), np.array(consts)))
+    # block 0: position 1 of group 1 (term 3); block k: position k+1 of
+    # group k+1, which k's coupling reads
+    blocks = lay.encoding(points).reshape(-1, n * n, 2)[:, :: n + 1]
+    u1_read = proj[:, :1, 0] / n**3
+    scale = 4.0 * n * n
+
+    def terms(inputs):
+        sin, cos, member = inputs
+        reads = -(sin[:, None] * blocks[:, None, :, 0]
+                  + cos[:, None] * blocks[:, None, :, 1]) / scale  # (P, M, n)
+        l2 = np.maximum(params.delta1,
+                        (readout[:, None, :] + reads[..., 1:]).max(axis=-1))
+        return hinge_terms(proj, member, params), l2, reads[..., 0] - u1_read
+
+    return terms
+
+
+def _point_losses_sgd(points, params, codebook, mode):
+    """SgdParams.point_losses: each call sums, in order 1 to 3, the terms of
+    the distinct masks of its prepared samples (SgdParams.prepare_samples)
+    once, then gathers each chunk back into sample order."""
+    terms = _loss_terms_sgd(points, params, codebook, mode)
 
     def losses(prepared):
-        (sin, cos, member), inverses = prepared
-        sin, cos = sin[:, None], cos[:, None]
-        table = np.empty((len(parts), len(member)))  # each distinct mask's loss
-        for row, (w, col_best, blocks, consts) in zip(table, parts):
-            # term 3, then each k's coupling less the mask-0 one
-            reads = -(sin * blocks[:, 0] + cos * blocks[:, 1]) / scale - consts
-            l2 = np.maximum(params.delta1, (col_best + reads[:, 1:]).max(axis=1))
-            np.add(hinge_terms(w, member, params, codebook) + l2, reads[:, 0],
-                   out=row)
-        return (np.take(table, inverse, axis=1) for inverse in inverses)
+        table = sum(terms(prepared[0]))
+        return (np.take(table, inverse, axis=1) for inverse in prepared[1])
 
     return losses
 
@@ -724,7 +680,7 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
         table, rows = _l2_reference_table(w, mask, params, codebook)
         u_star, k_star = divmod(int(np.argmax(table)), n - 1)
         if table[u_star, k_star] > params.delta1:
-            psi_rows, alphas = _reference_tables_sgd(n, nd)[k_star]
+            psi_rows, alphas = _reference_tables_sgd(params)[k_star]
             row = rows[k_star]
             _apply_l2_grad(g, k_star + 1, u_star, int(alphas[row]),
                            psi_rows[row], mask, params, codebook)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidClosedForm, OutOfRange
-from .instance_gd import MarginStep, _second_excluding_argmax
+from .instance_gd import GdParams, MarginStep, _second_excluding_argmax
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,13 @@ class SmallstepParams:
         losses = loss_smallstep(points, self)[:, None]
         return lambda prepared: iter((losses,))
 
-    def empirical_loss(self, w, dataset, codebook, mode):
-        """The training risk: the loss itself; w may be a batch."""
-        return loss_smallstep(w, self)
-
     def step_grad(self, w, t, dataset, codebook, mode):
         """The step's gradient (full-batch and one-pass steps agree)."""
         return grad_smallstep(w, self)
 
-    def step_loss(self, t, dataset, codebook, mode):
-        """The loss whose subgradient step_grad takes."""
-        return lambda w: self.empirical_loss(w, dataset, codebook, mode)
+    # the loss whose subgradient step_grad takes: the training risk, which
+    # for a point mass is the loss itself
+    step_loss = GdParams.step_loss
 
     def expected_iterate(self, t, dataset, codebook):
         """Closed-form iterate w_t; dataset and codebook are unused."""

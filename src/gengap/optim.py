@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OracleDomain, OutOfRange
+from .errors import OracleDomain, OutOfRange, reading
 
 
 def project_ball(w):
@@ -129,9 +129,15 @@ def save_trajectory(trajectory, basepath):
 
 
 def load_trajectory(basepath):
+    """Inverse of save_trajectory.  A sidecar or .bin that cannot be read,
+    or a .bin whose size does not match the sidecar's shape, is OutOfRange
+    naming the file."""
     base = Path(basepath)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    if meta.get("dtype") != "<f8" or meta.get("order") != "C":
+    sidecar, data = base.with_suffix(".json"), base.with_suffix(".bin")
+    with reading(sidecar, "checkpoint sidecar"):
+        meta = json.loads(sidecar.read_text())
+        layout, shape = (meta.get("dtype"), meta.get("order")), meta["shape"]
+    if layout != ("<f8", "C"):
         raise OutOfRange(f"unsupported checkpoint layout: {meta}")
-    arr = np.fromfile(base.with_suffix(".bin"), dtype="<f8").reshape(meta["shape"])
-    return Trajectory(iterates=arr)
+    with reading(data, "checkpoint"):
+        return Trajectory(iterates=np.fromfile(data, dtype="<f8").reshape(shape))

@@ -1,14 +1,17 @@
 """Empirical and population risk, Monte-Carlo and closed-form.
 
-Both risks read one per-stack read-out: params.point_losses(points,
+Both risks reduce the family's one loss kernel: params.point_losses(points,
 codebook, mode) is built once for a stack of points (P, d) and gives,
 chunk by chunk, each sample's loss at each point, shape (P, B), for sample
-chunks made ready by params.prepare_samples.  Population risks are means from the one chunked
-Monte-Carlo estimator (smoothing.mc_chunks lays out the chunks,
-smoothing.chunk_means accumulates them), whose seed-per-chunk layout makes
-an estimate for a given seed independent of platform.  A gap report reads
-its suffix averages out once, reads each chunk once for all of them, and
-takes their training risks from the same read-out.
+chunks made ready by params.prepare_samples.  The training risk of every
+family is one function's mean over the training set (instance_gd's
+training_risks and empirical_risk, re-exported here).  Population risks are
+means from the one chunked Monte-Carlo estimator (smoothing.mc_chunks lays
+out the chunks, smoothing.chunk_means accumulates them), whose
+seed-per-chunk layout makes an estimate for a given seed independent of
+platform.  A gap report reads its suffix averages out once, reads each
+chunk once for all of them, and takes their training risks from the same
+read-out.
 
 The population sample is drawn once per (instance, sample count, seed) in
 a process.  Its prepared chunks are held read-only in a one-entry memo
@@ -37,8 +40,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# the full-batch closed form stays importable from this module
-from .instance_gd import population_risk_closed_gd
+# the training risk and the full-batch closed form stay importable from
+# this module
+from .instance_gd import empirical_risk, population_risk_closed_gd, \
+    training_risks
 from .optim import suffix_average
 from .smoothing import chunk_means, held_once, mc_chunks
 
@@ -46,14 +51,6 @@ DEFAULT_SAMPLES = 20_000
 # a larger population sample is not held but drawn again, one chunk at a
 # time, per call: held, it would cost 24 + N bytes per gd sample
 MAX_HELD_SAMPLES = 100_000
-
-
-def _empirical(losses, dataset, params):
-    """Each point's mean loss over the training set, shape (P,), from its
-    point_losses read-out; a row's mean is its one-point mean bitwise."""
-    [vals] = losses(None if dataset is None
-                    else params.prepare_samples([dataset.samples]))
-    return vals.mean(axis=-1)
 
 
 @held_once
@@ -94,19 +91,6 @@ def _population(losses, count, params, n_samples, seed):
                         [centered(i) for i in range(count)])
     return (np.array([base + mean for base, (mean, _) in zip(bases, means)]),
             np.array([se for _, se in means]))
-
-
-def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
-    """Mean loss over the training set at a point w (d,), or a (P,) array of
-    them at each point of a stack (P, d), each bitwise its one-point value.
-
-    The deterministic family ignores dataset (its loss has no sample);
-    pass None.
-    """
-    points = np.asarray(w, dtype=np.float64).reshape(-1, np.shape(w)[-1])
-    risks = _empirical(params.point_losses(points, codebook, mode), dataset,
-                       params)
-    return float(risks[0]) if np.ndim(w) == 1 else risks
 
 
 def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,
@@ -204,7 +188,7 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     # and the training risks from the same read-out
     losses = params.point_losses(averages, codebook, mode)
     pops, stderrs = _population(losses, len(averages), params, n_samples, seed)
-    emps = _empirical(losses, dataset, params)
+    emps = training_risks(losses, dataset, params)
 
     reports = []
     for m, pop, stderr, emp in zip(suffix_lengths, pops.tolist(),

@@ -107,7 +107,10 @@ def test_a_smallstep_dim_below_the_horizon_is_refused(tmp_path, capsys):
     (["--family", "smallstep", "--eta", "0.1", "--steps", "10", "--n", "2",
       "--directions", "4", "--dprime", "8", "--policy", "force"],
      ["--n", "--directions", "--dprime", "--policy"]),
-], ids=["sgd-steps", "sgd-dim", "gd-dim", "smallstep"])
+    # a family without directions reads no codebook file
+    (["--family", "smallstep", "--eta", "0.1", "--steps", "10", "--codebook",
+      "cb.json"], ["--codebook"]),
+], ids=["sgd-steps", "sgd-dim", "gd-dim", "smallstep", "smallstep-codebook"])
 def test_flags_the_family_does_not_take_are_refused(tmp_path, capsys, argv, flags):
     out = tmp_path / "out"
     assert main(["run", *argv, "--out", str(out)]) == 2
@@ -295,6 +298,62 @@ def test_a_dataset_file_must_fit_the_instance(tmp_path, capsys):
     assert main(["verify", "--family", "smallstep", "--eta", "0.1",
                  "--steps", "10", "--dataset", str(dataset)]) == 2
     assert "no training set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--family", "gd", "--n", "3", "--directions", "6", "--steps", "8",
+      "--dprime", "8", "--policy", "reject-until-E"], 22020096),
+    (["--family", "sgd", "--n", "3", "--directions", "9", "--policy",
+      "force"], 262656),
+], ids=["gd", "sgd"])
+def test_a_reference_run_beyond_the_budget_is_refused_before_any_artifact(
+        tmp_path, capsys, argv, count):
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--mode", "reference", "--out", str(out)]) == 2
+    assert f"needs {count} candidates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _unreadable_input(case, tmp_path):
+    """(command, flags, the path the refusal must name) of one unreadable
+    input file."""
+    verify = ["verify", *_GD_TINY, "--policy", "reject-until-E", "--seeds", "0"]
+    path = tmp_path / "input.json"
+    if case == "gd-reads-an-sgd-dataset":
+        SgdDataset(masks=(1, 2), seed=0).save(path)
+        return [*verify, "--dataset", str(path)], path
+    if case == "dataset-is-a-list":
+        path.write_text("[1, 2]")
+        return [*verify, "--dataset", str(path)], path
+    if case == "codebook-is-a-dataset":
+        draw_gd_dataset(GdParams(2, 4, 8, dprime=8), 0)[0].save(path)
+        return [*verify, "--codebook", str(path)], path
+    if case == "config-is-not-yaml":
+        path.write_text("family: [gd\n")
+        return [*verify, "--config", str(path)], path
+    missing = tmp_path / "missing"
+    if case == "truncated-checkpoint":
+        params = GdParams(2, 4, 8, dprime=8)
+        save_trajectory(Trajectory(np.zeros((params.steps, params.dim))), missing)
+        data = missing.with_suffix(".bin")
+        data.write_bytes(data.read_bytes()[:-8])
+        return [*verify, "--trajectory", str(missing)], data
+    flag = case.removeprefix("missing-")
+    if flag == "trajectory":
+        return [*verify, "--trajectory", str(missing)], missing.with_suffix(".json")
+    return [*verify, f"--{flag}", str(missing)], missing
+
+
+@pytest.mark.parametrize("case", [
+    "gd-reads-an-sgd-dataset", "dataset-is-a-list", "codebook-is-a-dataset",
+    "config-is-not-yaml", "truncated-checkpoint", "missing-codebook",
+    "missing-config", "missing-trajectory"])
+def test_an_unreadable_input_file_is_a_configuration_error(tmp_path, capsys,
+                                                           case):
+    argv, path = _unreadable_input(case, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_every_config_field_has_a_run_flag():

@@ -10,7 +10,7 @@ import pytest
 from gengap import instance_gd
 from gengap.acceptance import _GD_BIG, _GD_SMOOTH, _GD_TINY, _smooth_gd_setup
 from gengap.codebook import generate_codebook
-from gengap.encoding import circle_point, margin_eps
+from gengap.encoding import circle_point, margin_eps, mask_members
 from gengap.errors import (
     EventViolated,
     InvalidClosedForm,
@@ -24,16 +24,14 @@ from gengap.instance_gd import (
     _decode_training_set,
     _l3_gd,
     _l4_candidates,
-    _l4_gd,
     _reference_groups_gd,
     _reference_table_gd,
     add_hinge_grad,
     draw_gd_dataset,
-    empirical_loss_gd,
+    empirical_risk,
     good_event_gd,
     grad_gd,
     grad_gd_batch,
-    hinge_term,
     loss_gd,
     loss_gd_samples,
     theorem_step_size,
@@ -44,13 +42,30 @@ from gengap.smoothing import CHUNK, ball_sample
 from gengap.verify import expected_gd_iterate
 
 
+def _hinge_term(w, mask, params, codebook):
+    """Term 1 as one product of the step blocks with the mask's member
+    directions: the L2 norm over blocks k >= 2 of max(floor, max over the
+    members u of <u, w^(k)>)."""
+    blocks = params.layout.step_blocks(w)  # (..., T, dprime)
+    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
+    if rows:
+        inner = (blocks @ codebook.vectors[rows].T).max(axis=-1)
+    else:
+        inner = np.full(blocks.shape[:-1], -np.inf)
+    h = np.maximum(params.l1_floor, inner[..., 1:])  # blocks k = 2..T
+    return np.sqrt((h * h).sum(axis=-1))
+
+
 def _four_term_loss(w, sample, params, codebook, mode):
-    """One sample's loss as its four terms summed in order."""
+    """One sample's loss as its four terms summed in order, each from its
+    own products: the reference the loss kernel is held to."""
     mask, slot = sample
     slot_block = params.layout.encoding(w)[..., 2 * (slot - 1): 2 * slot]
-    return (hinge_term(w, mask, params, codebook)
+    ratchet = _l4_candidates(w, params, codebook).max(axis=(-2, -1))
+    return (_hinge_term(w, mask, params, codebook)
             - (slot_block @ circle_point(mask, params.n_directions))
-            + _l3_gd(w, params, codebook, mode) + _l4_gd(w, params, codebook))
+            + _l3_gd(w[None], params, codebook, mode)[0]
+            + np.maximum(params.delta2, ratchet))
 
 
 def _four_term_grad(w, sample, params, codebook, mode):
@@ -64,7 +79,7 @@ def _four_term_grad(w, sample, params, codebook, mode):
         mask, params.n_directions)
     w0, w1 = lay.encoding(w), lay.block(w, 1)
     if mode == "reference":
-        psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
+        psi, alpha_idx = _reference_table_gd(params)
         u_alpha = codebook.vectors[alpha_idx - 1]
         vals = psi @ w0 - params.beta * (u_alpha @ w1)
         best = int(np.argmax(vals))
@@ -188,7 +203,7 @@ def test_grouped_reference_readout_equals_the_ungrouped_max():
     # the grouped form takes narrower matrix products than this one, so a
     # BLAS that rounded them differently would show up here
     params, codebook, _, _, points, _ = _smooth_gd_setup()
-    psi, alpha_idx = _reference_table_gd(params.n, params.n_directions)
+    psi, alpha_idx = _reference_table_gd(params)
     u_alpha = codebook.vectors[alpha_idx - 1]
     rng = np.random.default_rng(5)
     lay = params.layout
@@ -204,7 +219,7 @@ def test_grouped_reference_readout_equals_the_ungrouped_max():
 def test_blocked_reference_readout_equals_one_product():
     # the read-out as one (B, |Psi|) product, before it was blocked by rows
     params, codebook, _, _, points, _ = _smooth_gd_setup()
-    psi, starts, alphas = _reference_groups_gd(params.n, params.n_directions)
+    psi, starts, alphas = _reference_groups_gd(params)
     lay = params.layout
 
     def unblocked(w):
@@ -219,24 +234,50 @@ def test_blocked_reference_readout_equals_one_product():
         got = _l3_gd(batch, params, codebook, "reference")
         assert got.shape == (rows,)
         assert np.array_equal(got, unblocked(batch))
-    point = points[-1]
-    assert np.array_equal(_l3_gd(point, params, codebook, "reference"),
-                          unblocked(point))
+        # the training risk reduces the stack in row blocks of its own
+        assert np.array_equal(
+            loss_gd(batch, (3, 2), params, codebook, mode="reference"),
+            loss_gd_samples(batch, [3], [2], params, codebook, mode="reference")[:, 0])
 
 
 @pytest.mark.parametrize("mode", ["oracle", "reference"])
 def test_empirical_loss_equals_the_per_sample_sum(small, mode):
+    # the training risk is numpy's mean of the one-sample losses, bitwise
     params, codebook, dataset = small
     traj = run_gd(codebook, dataset, params)
     rng = np.random.default_rng(3)
     batch = traj.iterate(5) + 1e-6 * rng.normal(size=(16, params.dim))
     for w in [traj.iterate(t) for t in range(1, params.steps + 1)] + [batch]:
-        total = 0.0
-        for sample in zip(dataset.masks, dataset.slots):
-            total = total + _four_term_loss(w, sample, params, codebook, mode)
-        want = total / dataset.n
-        got = empirical_loss_gd(w, dataset, params, codebook, mode=mode)
+        want = np.mean([loss_gd(w, sample, params, codebook, mode=mode)
+                        for sample in zip(dataset.masks, dataset.slots)], axis=0)
+        got = empirical_risk(w, dataset, params, codebook, mode=mode)
         assert np.array_equal(got, want)
+        assert np.array_equal(params.step_loss(1, dataset, codebook, mode)(w), got)
+
+
+# the headline instance is far beyond the reference budget: oracle only
+@pytest.mark.parametrize("pinned, mode", [
+    (_GD_TINY, "oracle"), (_GD_TINY, "reference"), (_GD_SMOOTH, "oracle"),
+    (_GD_SMOOTH, "reference"), (_GD_BIG, "oracle")],
+    ids=["tiny-oracle", "tiny-reference", "smoothing-oracle",
+         "smoothing-reference", "headline-oracle"])
+def test_kernel_losses_are_within_four_spacings_of_the_four_terms(pinned, mode):
+    params, codebook, dataset = pinned.build()
+    traj = run_gd(codebook, dataset, params)
+    rng = np.random.default_rng(7)
+    points = [traj.iterate(t) for t in range(1, params.steps + 1)]
+    points += [traj.suffix_average(m) for m in (2, 3)]
+    points += list(points[-1] + params.smoothing_delta * ball_sample(
+        params.dim, rng, size=20))
+    masks = np.concatenate([dataset.masks, rng.integers(
+        0, 2 ** params.n_directions, size=12)])
+    slots = np.concatenate([dataset.slots, rng.integers(
+        1, params.n * params.n + 1, size=12)])
+    got = loss_gd_samples(np.array(points), masks, slots, params, codebook,
+                          mode=mode)
+    want = np.array([[_four_term_loss(w, (int(m), int(s)), params, codebook, mode)
+                      for m, s in zip(masks, slots)] for w in points])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
 def test_gradient_is_a_subgradient_and_bounded(small):

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from gengap import instance_sgd
-from gengap.acceptance import _smooth_sgd_setup
+from gengap.acceptance import _SGD_BIG, _SGD_SMOOTH, _SGD_TINY, _smooth_sgd_setup
 from gengap.codebook import generate_codebook
-from gengap.encoding import TWO_PI, circle_point, margin_eps, subset_count
+from gengap.encoding import TWO_PI, circle_point, margin_eps, mask_members, \
+    subset_count
 from gengap.errors import InfeasibleForcing, InvalidClosedForm, OutOfRange
+from gengap.instance_gd import mask_inputs
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
-    empirical_loss_sgd,
+    empirical_risk,
     event_state_sgd,
     force_good_event_sgd,
     good_event_sgd,
@@ -127,8 +129,7 @@ def test_loss_batched_matches_pointwise(small):
     vals = loss_sgd(batch, mask, params, codebook)
     assert vals.shape == (6,)
     for row, val in zip(batch, vals):
-        assert math.isclose(loss_sgd(row, mask, params, codebook), val,
-                            rel_tol=1e-14)
+        assert np.array_equal(loss_sgd(row, mask, params, codebook), val)
 
 
 def test_loss_many_samples_matches_singles(small):
@@ -204,9 +205,10 @@ def test_dataset_json_roundtrip(tmp_path, small):
     assert back.masks == dataset.masks
 
 
-def _per_k_l2_values_batch(w2, mask, params, codebook):
-    """The prefix-shift term of a batch decoded one k at a time: the
-    reference the vectorized read-out must equal bitwise."""
+def _per_k_l2_values_batch(w2, point, params, codebook):
+    """The prefix-shift term of a batch decoded one k at a time, for a
+    sample codepoint point = (sin, cos): the reference the loss kernel's
+    term 2 must equal bitwise."""
     n, nd = params.n, params.n_directions
     b = w2.shape[0]
     m_mod = subset_count(nd)
@@ -219,7 +221,6 @@ def _per_k_l2_values_batch(w2, mask, params, codebook):
     ambiguous = occupied & (np.abs(norms - exp) > 0.5 * exp)
     angles = np.arctan2(groups[..., 0], groups[..., 1])
     codes = np.round(angles / TWO_PI * m_mod).astype(np.int64) % m_mod
-    point = circle_point(mask, nd)
 
     best = np.full(b, -np.inf)
     for k in range(1, n):
@@ -256,10 +257,12 @@ def _per_k_l2_values_batch(w2, mask, params, codebook):
 
 
 def _assert_batch_l2_is_per_k(rows, masks, params, codebook):
-    readout = instance_sgd._l2_readout(rows, params, codebook)
-    for mask in masks:
-        got = instance_sgd._l2_values_batch(rows, mask, params, readout)
-        want = _per_k_l2_values_batch(rows, mask, params, codebook)
+    # term 2 of the loss kernel, with each mask's codepoint as the kernel
+    # computes it
+    inputs = mask_inputs(np.asarray(masks, dtype=np.int64), params.n_directions)
+    _, l2, _ = instance_sgd._loss_terms_sgd(rows, params, codebook, "oracle")(inputs)
+    for got, point in zip(l2.T, zip(inputs.sin, inputs.cos)):
+        want = _per_k_l2_values_batch(rows, point, params, codebook)
         assert np.array_equal(got, want)
 
 
@@ -363,9 +366,15 @@ def test_batch_read_out_equals_per_k_decode_at_row_block_edges(
     w = points[-1]
     batch = w + params.smoothing_delta * ball_sample(params.dim, rng, rows)
     _assert_batch_l2_is_per_k(batch, dataset.masks[:2], params, codebook)
+    # the training risk reduces the stack in row blocks; one kernel call
+    # over the whole stack gives the same rows
+    mask = dataset.masks[0]
+    assert np.array_equal(loss_sgd(batch, mask, params, codebook),
+                          loss_sgd_samples(batch, [mask], params, codebook)[:, 0])
 
 
 def test_empirical_loss_decodes_a_batch_once(smoothing_instance, monkeypatch):
+    # one read-out per stack per call, a batch or a single point alike
     params, codebook, dataset, points = smoothing_instance
     rng = np.random.default_rng(3)
     w = points[4]
@@ -379,14 +388,65 @@ def test_empirical_loss_decodes_a_batch_once(smoothing_instance, monkeypatch):
 
     monkeypatch.setattr(instance_sgd, "_l2_readout", counted)
     for x in (batch, w):
-        total = 0.0
-        for mask in dataset.masks:
-            total = total + loss_sgd(x, mask, params, codebook)
-        want = total / dataset.n
+        want = np.mean([loss_sgd(x, mask, params, codebook)
+                        for mask in dataset.masks], axis=0)
         decodes.clear()
-        got = empirical_loss_sgd(x, dataset, params, codebook)
-        assert np.array_equal(got, want) and type(got) is type(want)
-        assert len(decodes) == (1 if x.ndim == 2 else 0)
+        got = empirical_risk(x, dataset, params, codebook)
+        assert np.array_equal(got, want)
+        assert len(decodes) == 1
+
+
+def _hinge_term(w, mask, params, codebook):
+    """Term 1 as one product of the step blocks with the mask's member
+    directions: the L2 norm over blocks k >= 2 of max(floor, max over the
+    members u of <u, w^(k)>)."""
+    blocks = params.layout.step_blocks(w)  # (..., n, dprime)
+    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
+    if rows:
+        inner = (blocks @ codebook.vectors[rows].T).max(axis=-1)
+    else:
+        inner = np.full(blocks.shape[:-1], -np.inf)
+    h = np.maximum(params.l1_floor, inner[..., 1:])  # blocks k = 2..n
+    return np.sqrt((h * h).sum(axis=-1))
+
+
+def _three_term_losses(w2, mask, params, codebook, mode):
+    """One mask's loss at each row of a batch as its three terms summed in
+    order, each from its own products: the reference the loss kernel is
+    held to.  Term 2 is the per-k decode (oracle) or the gradient's
+    enumerated table (reference)."""
+    n, point = params.n, circle_point(mask, params.n_directions)
+    if mode == "oracle":
+        l2 = _per_k_l2_values_batch(w2, point, params, codebook)
+    else:
+        l2 = np.array([np.maximum(params.delta1, instance_sgd._l2_reference_table(
+            w, mask, params, codebook)[0].max()) for w in w2])
+    first_block = params.layout.encoding(w2)[:, 0:2]  # position 1 of group 1
+    u1_read = params.layout.block(w2, 1) @ codebook.vectors[0]
+    l3 = -(first_block @ point) / (4.0 * n * n) - u1_read / n**3
+    return _hinge_term(w2, mask, params, codebook) + l2 + l3
+
+
+# the smoothing and headline instances are beyond the reference budget
+@pytest.mark.parametrize("pinned, mode", [
+    (_SGD_TINY, "oracle"), (_SGD_TINY, "reference"), (_SGD_SMOOTH, "oracle"),
+    (_SGD_BIG, "oracle")],
+    ids=["tiny-oracle", "tiny-reference", "smoothing-oracle", "headline-oracle"])
+def test_kernel_losses_are_within_four_spacings_of_the_three_terms(pinned, mode):
+    params, codebook, dataset = pinned.build()
+    traj = run_sgd(codebook, dataset, params)
+    rng = np.random.default_rng(7)
+    points = [traj.iterate(t) for t in range(1, params.n + 1)]
+    points += [traj.suffix_average(m) for m in (2, 3)]
+    points += list(points[-1] + params.smoothing_delta * ball_sample(
+        params.dim, rng, size=20))
+    points = np.array(points)
+    masks = np.concatenate([dataset.masks, rng.integers(
+        0, 2 ** params.n_directions, size=12)])
+    got = loss_sgd_samples(points, masks, params, codebook, mode=mode)
+    want = np.stack([_three_term_losses(points, int(m), params, codebook, mode)
+                     for m in masks], axis=1)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
 def test_blocked_sample_draws_equal_one_draw():

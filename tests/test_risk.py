@@ -335,20 +335,21 @@ def test_a_report_draws_each_chunk_once(family_run, monkeypatch):
 
 
 def test_a_report_reads_each_point_out_once(monkeypatch):
-    # the suffix averages and the zero baseline, whatever the chunk count
+    # one read-out per stack per call: the zero baseline, then the suffix
+    # averages, whatever the chunk count
     params, codebook, dataset, traj = _sgd_setup()
-    calls = []
-    decode = instance_sgd._l2_decode_info
+    stacks = []
+    readout = instance_sgd._l2_readout
 
-    def counted(w, p):
-        calls.append(w)
-        return decode(w, p)
+    def counted(w2, proj, p):
+        stacks.append(len(w2))
+        return readout(w2, proj, p)
 
-    monkeypatch.setattr(instance_sgd, "_l2_decode_info", counted)
+    monkeypatch.setattr(instance_sgd, "_l2_readout", counted)
     suffixes = (1, 2, 3, 4)
     gap_report(traj, dataset, params, codebook, suffix_lengths=suffixes,
                n_samples=2 * CHUNK + 5, seed=9)
-    assert len(calls) == len(suffixes) + 1
+    assert stacks == [1, len(suffixes)]
 
 
 def test_empirical_risk_of_a_stack_equals_one_point_calls(family_run):
@@ -451,13 +452,39 @@ def test_a_report_on_a_held_sample_draws_nothing(family_run, monkeypatch):
     assert calls == ([] if params.draw_samples is None else [CHUNK, CHUNK, 5])
 
 
-def test_the_two_training_risks_agree_to_four_spacings():
-    # risk.empirical_risk takes numpy's pairwise mean of the losses,
-    # SgdParams.empirical_loss sums them in dataset order: at n=8 they may
-    # differ in the last bits, never by more
-    params, codebook, dataset, traj = _sgd_headline_setup()
-    for m in range(1, params.n + 1):
+def _gd_n8_setup():
+    # eight training samples, as in the one-pass headline run
+    params = GdParams(8, 4, 16, dprime=16)
+    codebook = generate_codebook(4, 16, seed=3)
+    dataset = draw_gd_dataset(params, 0, policy="reject-until-E")[0]
+    return params, codebook, dataset, run_gd(codebook, dataset, params)
+
+
+def test_every_training_risk_is_empirical_risk_bitwise(gd_setup):
+    # one function computes the training risk: numpy's mean of the kernel's
+    # per-sample losses, which the one-sample losses give one at a time
+    def mean(values):
+        return float(np.mean(values))
+
+    families = [(gd_setup, loss_gd), (_gd_n8_setup(), loss_gd),
+                (_sgd_headline_setup(), loss_sgd)]
+    for (params, codebook, dataset, traj), loss in families:
+        for m in range(1, params.horizon + 1):
+            w = traj.suffix_average(m)
+            got = empirical_risk(w, dataset, params, codebook)
+            samples = (dataset.masks if params.family == "sgd"
+                       else zip(dataset.masks, dataset.slots))
+            assert got == mean([loss(w, s, params, codebook) for s in samples])
+            if params.family == "gd":
+                steps = [params.step_loss(1, dataset, codebook, "oracle")(w)]
+            else:  # the mean of the pass's step losses
+                steps = [mean([params.step_loss(t, dataset, codebook, "oracle")(w)
+                               for t in range(1, params.n + 1)])]
+            assert steps == [got], (params.family, m)
+    params = SmallstepParams(eta=0.02, steps=100)
+    traj = run_smallstep(params)
+    for m in range(1, params.horizon + 1):
         w = traj.suffix_average(m)
-        a = empirical_risk(w, dataset, params, codebook)
-        b = float(params.empirical_loss(w, dataset, codebook, "oracle"))
-        assert abs(a - b) <= 4 * np.spacing(a), m
+        got = empirical_risk(w, None, params)
+        assert got == float(loss_smallstep(w, params))
+        assert got == params.step_loss(m, None, None, "oracle")(w)

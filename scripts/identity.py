@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and eight ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and nine ``gengap run`` sweeps (each with the smoothed-risk
 check and several suffix lengths, whose population risks share one
 Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved.  JSON files
@@ -38,6 +38,11 @@ SWEEPS = {
     "gd-reject-reference": _GD + ["--policy", "reject-until-E",
                                   "--mode", "reference"],
     "gd-unconditioned-oracle": _GD + ["--policy", "unconditioned"],
+    # the reference runs every dataset, off-event ones too (the oracle
+    # cannot decode them), so an argmax or tie-order change away from the
+    # designed margins shows up as a differing trajectory
+    "gd-unconditioned-reference": _GD + ["--policy", "unconditioned",
+                                         "--mode", "reference"],
     # each full-batch step sums eight per-sample subgradients
     "gd-n8-reject-oracle": ["--family", "gd", "--n", "8", "--directions", "4",
                             "--steps", "16", "--dprime", "16",
@@ -59,7 +64,8 @@ SWEEPS = {
     "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100",
                   "--suffix", "1,10,100"],
 }
-SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6"}
+SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
+         "gd-unconditioned-reference": "0..8"}
 # smoothed-risk draws of samples x dim float64 up to
 # gengap.smoothing.MAX_HELD_FLOATS are held and shared by a run's seeds;
 # larger ones stream.  At 3000 samples the full-batch (dim 72) and

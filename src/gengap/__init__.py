@@ -103,7 +103,6 @@ from .verify import (
     check_margins,
     check_norm_bound,
     check_trajectory,
-    expected_gd_update,
     expected_suffix,
     wilson_interval,
 )

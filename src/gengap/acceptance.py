@@ -24,7 +24,7 @@ from .instance_gd import GdParams, loss_gd, grad_gd
 from .instance_sgd import (
     SgdDataset,
     SgdParams,
-    _decode_group_prefix,
+    _sample_free_sgd,
     event_state_sgd,
     grad_sgd,
     loss_sgd,
@@ -336,12 +336,13 @@ def suite_sgd_trajectory():
               f"worst {max(r.max_strict for r in rep.steps):.2e}"),
     ]
     states = event_state_sgd(dataset.masks, params.n_directions)
+    parts = _sample_free_sgd(traj.iterates, params, codebook, "oracle")
     decode_ok = True
     for t in range(2, params.n + 1):
-        group = params.group(traj.iterate(t), t - 1)
-        _, masks_dec, alpha = _decode_group_prefix(group, t - 1, params)
-        decode_ok &= masks_dec == list(dataset.masks[: t - 1])
-        decode_ok &= alpha == states[t - 1].j
+        # iterate t's group t-1, read as the loss kernel decodes it
+        prefix = parts.prefix[t - 1, t - 2, :t - 1]
+        decode_ok &= prefix.tolist() == list(dataset.masks[: t - 1])
+        decode_ok &= parts.alpha[t - 1, t - 2] == states[t - 1].j
     checks.append(
         Check("each iterate's prefix group decodes to the consumed samples, "
               "and its common direction is the event's J_t", bool(decode_ok))

@@ -49,7 +49,6 @@ from .encoding import (
     encode_gd,
     full_mask,
     margin_eps,
-    mask_members,
     subset_count,
 )
 from .errors import (
@@ -73,8 +72,9 @@ _RISK_ROWS = 1024
 
 # rows per block of the batched reference read-out: on 8192-row smoothing
 # chunks, blocks of 64 to 128 rows ran about 3x faster than one unblocked
-# product (the (rows, |Psi|) temporary stays in cache); 64 is the smallest
-_READ_ROWS = 64
+# product (the (rows, |Psi|) temporary stays in cache); each block takes one
+# product per uncovered-direction group, and 128 rows halve those calls
+_READ_ROWS = 128
 
 L1_FLOOR_COEF = 3.0 / 32.0  # the per-block hinge floor is (3/32) * eta
 
@@ -248,16 +248,13 @@ class GdParams:
             return np.zeros(self.dim)
         return expected_gd_iterate(t, self, dataset, codebook)
 
-    def margins(self, w, t, dataset, codebook):
-        """The ratchet argmax at w_t against the floor delta2, with slack
-        eta/64; the table has spread from step 4 on."""
-        best, second = _second_excluding_argmax(_l4_candidates(w, self, codebook))
-        thr = self.eta / 64.0
-        applicable = t >= 4
-        ok = (not applicable) or (best - second > thr and best - self.delta2 > thr)
-        return MarginStep(step=t, best=best, second_best=second,
-                          floor=self.delta2, threshold=thr,
-                          applicable=applicable, ok=bool(ok))
+    def margins(self, points, dataset, codebook):
+        """The ratchet argmax at each iterate w_1, w_2, ... of a stack, read
+        from the loss kernel's table (_ratchet_table), against the floor
+        delta2 with slack eta/64; the table has spread from step 4 on."""
+        tables = _ratchet_table(self.layout.step_blocks(points) @ codebook.vectors.T)
+        return [_table_margin(t, table, self.delta2, self.eta / 64.0, t >= 4)
+                for t, table in enumerate(tables, start=1)]
 
     def baseline_population(self, baseline_empirical):
         """Population risk of the zero vector: the exact closed form."""
@@ -404,6 +401,16 @@ def _second_excluding_argmax(table):
     return float(flat[top]), (float(rest.max()) if rest.size else -np.inf)
 
 
+def _table_margin(step, table, floor, threshold, applicable):
+    """One step's MarginStep of an argmax table: ok when the best entry
+    clears both the second best and the floor by more than threshold, or
+    when the step is not applicable."""
+    best, second = _second_excluding_argmax(table)
+    ok = (not applicable) or (best - second > threshold and best - floor > threshold)
+    return MarginStep(step=step, best=best, second_best=second, floor=floor,
+                      threshold=threshold, applicable=applicable, ok=bool(ok))
+
+
 def good_event_gd(dataset, params):
     """Check the GD good event: uncovered direction + distinct slots.
 
@@ -426,9 +433,12 @@ def good_event_gd(dataset, params):
 # GdParams.point_losses is the one definition of the per-sample loss, for a
 # stack of points (P, d) against chunks of samples.  Every other loss
 # reduces it: empirical_risk is each point's mean over the training set and
-# loss_gd the training risk of a one-sample set.  The step (grad_gd_batch,
-# whose one-sample case is grad_gd) keeps its own per-sample products, to
-# which the trajectories are pinned.
+# loss_gd the training risk of a one-sample set.  Each term is a max of
+# linear pieces, so its subgradient is the gradient of the piece that
+# attains the max.  The kernel's parts return those argmaxes too: the
+# hinge's blocks (_hinge_blocks), the read-out (_l3_gd) and the ratchet
+# table (_ratchet_table).  The step (grad_gd_batch, whose one-sample case is
+# grad_gd) and GdParams.margins read them and compute no term of their own.
 # ---------------------------------------------------------------------------
 
 
@@ -449,48 +459,49 @@ def mask_inputs(masks, n_directions):
     return MaskInputs(np.sin(angle), np.cos(angle), member)
 
 
-def hinge_terms(proj, member, params):
-    """Term 1, shared by the full-batch and one-pass families: the hinge of
-    B masks at each of P points, shape (P, B).  It is the L2 norm over step
-    blocks k >= 2 of max(floor, max over the mask's directions u of
-    <u, w^(k)>), from the points' projections proj (P, T, N) = step blocks
-    @ codebook.T and the masks' (B, N) membership (MaskInputs.member).  The
-    max starts at the floor and takes one direction at a time."""
+def _hinge_blocks(proj, member, params):
+    """Term 1's floored block maxima of B masks at each of P points, shape
+    (P, B, T-1): per step block k >= 2, max(floor, max over the mask's
+    directions u of <u, w^(k)>), from the points' projections proj (P, T, N)
+    = step blocks @ codebook.T and the masks' (B, N) membership
+    (MaskInputs.member).  The max starts at the floor and takes one
+    direction at a time."""
     h = np.full((proj.shape[0], member.shape[0], proj.shape[1] - 1),
                 params.l1_floor)
     for u in np.flatnonzero(member.any(axis=0)):
         np.maximum(h, proj[:, None, 1:, u], out=h, where=member[:, u, None])
+    return h
+
+
+def hinge_terms(proj, member, params):
+    """Term 1, shared by the full-batch and one-pass families: the hinge of
+    B masks at each of P points, shape (P, B), the L2 norm of their
+    _hinge_blocks."""
+    h = _hinge_blocks(proj, member, params)
     h *= h
     return np.sqrt(h.sum(axis=-1))
 
 
-def add_hinge_grad(g, w, mask, params, codebook):
-    """Add the hinge's (term 1's) subgradient at a single point w into g.
-
-    Each block above its floor gets its argmax direction, weighted by the
-    block's share of the norm; ties go to the lowest codebook index.
-    """
-    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
-    if not rows:
-        return
-    lay = params.layout
-    vals = lay.step_blocks(w) @ codebook.vectors[rows].T  # (T, |V|)
-    inner = vals.max(axis=1)
-    floor = params.l1_floor
-    h = np.maximum(floor, inner[1:])
-    l1 = math.sqrt(float((h * h).sum()))
-    if l1 > 0.0:
-        for k in range(2, lay.n_blocks + 1):
-            if inner[k - 1] > floor:
-                star = rows[int(np.argmax(vals[k - 1]))]
-                lay.block(g, k)[:] += (h[k - 2] / l1) * codebook.vectors[star]
+def _hinge_grads(proj, member, params, codebook):
+    """Term 1's subgradient at one point for each of B masks, from the
+    point's projection proj (T, N): per mask, which step blocks k >= 2 sit
+    above the floor (bool, (T-1,)), and what each of them adds, its argmax
+    direction (ties go to the lowest codebook index) weighted by the block's
+    share h_k / ||h|| of the norm, shape (blocks, dprime)."""
+    h = _hinge_blocks(proj[None], member, params)[0]  # (B, T-1)
+    weight = h / np.sqrt((h * h).sum(axis=-1))[:, None]
+    # a block above its floor holds one member's projection exactly
+    star = (member[:, None] & (proj[1:] == h[..., None])).argmax(axis=-1)
+    return [(on, weight[b, on, None] * codebook.vectors[star[b, on]])
+            for b, on in enumerate(h > params.l1_floor)]
 
 
-def _l4_candidates(w, params, codebook):
-    """Ratchet candidates (3/8)<u,w^(k)> - (1/2)<u,w^(k+1)>, shape (..., N, T-1)."""
-    blocks = params.layout.step_blocks(w)
-    proj = blocks @ codebook.vectors.T  # (..., T, N)
-    proj = np.swapaxes(proj, -1, -2)  # (..., N, T)
+def _ratchet_table(proj):
+    """Term 4's candidates (3/8)<u, w^(k)> - (1/2)<u, w^(k+1)> at each point
+    of a stack, from its projection proj (P, T, N): shape (P, N, T-1),
+    direction-major, so a flat argmax per point breaks ties toward the
+    lowest direction, then the lowest block."""
+    proj = np.swapaxes(proj, -1, -2)
     return 0.375 * proj[..., :-1] - 0.5 * proj[..., 1:]
 
 
@@ -505,14 +516,16 @@ def check_reference_budget(params):
 
 
 @lru_cache(maxsize=8)
-def _reference_table_gd(params):
-    """Exhaustive encoded-training-set table for the read-out term.
+def _reference_groups_gd(params):
+    """Exhaustive encoded-training-set table for the read-out term, grouped
+    by uncovered direction.
 
-    Returns (Psi, alpha_indices): Psi has one row per candidate training
-    set (n distinct slots, any subsets), holding (1/n) * sum of the slot
-    codepoints; alpha_indices holds the 1-based uncovered-direction index
-    for each row.  Row count is params.reference_count, so this exists
-    only for tiny instances.
+    Each candidate training set (n distinct slots, any subsets) has one row
+    of Psi, (1/n) * the sum of its slot codepoints.  There are
+    params.reference_count of them, so this exists only for tiny instances.
+    Returns (Psi, starts, alphas): the rows stably sorted by their 1-based
+    uncovered-direction index (enumeration order within a group), the first
+    row of each group, and each group's index.
     """
     check_reference_budget(params)
     n, n_directions = params.n, params.n_directions
@@ -529,22 +542,9 @@ def _reference_table_gd(params):
             psi_rows[r] = acc / n
             alpha_idx[r] = alpha_gd(masks, n_directions)
             r += 1
-    return psi_rows, alpha_idx
-
-
-@lru_cache(maxsize=8)
-def _reference_groups_gd(params):
-    """The reference table regrouped by uncovered direction.
-
-    Returns (Psi, starts, alphas): the Psi rows stably sorted by alpha
-    index, the first row of each group, and each group's alpha index.  The
-    gradient keeps reading _reference_table_gd, whose enumeration order
-    breaks its argmax ties.
-    """
-    psi, alpha_idx = _reference_table_gd(params)
     order = np.argsort(alpha_idx, kind="stable")
     alphas, starts = np.unique(alpha_idx[order], return_index=True)
-    return psi[order], starts, alphas
+    return psi_rows[order], starts, alphas
 
 
 def _decode_training_set(w0, params):
@@ -573,39 +573,68 @@ def _decode_training_set(w0, params):
     return acc / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
 
 
-def _oracle_read_out(w, params, codebook):
-    """Term 3's candidate at a single point in the oracle mode, from the
-    decoded training set: (value, psi*, u_alpha)."""
-    lay = params.layout
-    w0 = lay.encoding(w)
-    psi_star, alpha_idx = _decode_training_set(w0, params)
-    u_alpha = codebook.vectors[alpha_idx - 1]
-    value = float(w0 @ psi_star) - params.beta * float(u_alpha @ lay.block(w, 1))
-    return value, psi_star, u_alpha
-
-
 def _l3_gd(points, params, codebook, mode):
-    """Term 3, the read-out, at each point of a stack (P, d), shape (P,)."""
+    """Term 3, the read-out, at each point of a stack (P, d), shape (P,),
+    and the candidate that attains it before the floor: its encoded
+    training set psi (P, 2n^2) and uncovered direction alpha (P,), 1-based.
+    The oracle decodes each point; the reference takes the best group of
+    enumerated candidates, ties going to the lowest uncovered direction,
+    then to the first candidate in enumeration order."""
+    lay = params.layout
+    w0, w1 = lay.encoding(points), lay.block(points, 1)
     if mode == "oracle":
-        return np.maximum(params.delta1, np.array(
-            [_oracle_read_out(w, params, codebook)[0] for w in points]))
+        psi = np.empty(w0.shape)
+        alpha = np.empty(len(points), dtype=np.int64)
+        reads = np.empty(len(points))
+        for p, (row, move) in enumerate(zip(w0, w1)):
+            psi[p], alpha[p] = _decode_training_set(row, params)
+            reads[p] = float(row @ psi[p]) - params.beta * float(
+                codebook.vectors[alpha[p] - 1] @ move)
+        return np.maximum(params.delta1, reads), psi, alpha
     if mode != "reference":
         raise OutOfRange(f"unknown loss mode {mode!r}")
     psi, starts, alphas = _reference_groups_gd(params)
-    # max over each group's rows first, then subtract the group's shared
-    # movement term: rounding is monotone, so this equals the max of the
-    # per-row differences bitwise.  Equal blocks of at most _READ_ROWS rows
-    # keep the (rows, |Psi|) product in cache.  A stack of two or more rows
-    # never gets a one-row block, which BLAS would round as a vector
-    # product, so each row's reads equal one product's bitwise
+    # each group's best row first, by its own product, then the group's
+    # shared movement term subtracted: rounding is monotone, so this equals
+    # the max of the per-row differences bitwise.  Equal blocks of at most
+    # _READ_ROWS rows keep the (rows, |group|) products in cache.  A stack
+    # of two or more rows never gets a one-row block, which BLAS would round
+    # as a vector product, so each row's reads equal one product's bitwise
     reads = np.empty((len(points), starts.size))
+    attained = np.empty(reads.shape, dtype=np.int64)
     n_blocks = max(1, -(-len(points) // _READ_ROWS))
-    for out, rows in zip(np.array_split(reads, n_blocks),
-                         np.array_split(params.layout.encoding(points), n_blocks)):
-        out[...] = np.maximum.reduceat(rows @ psi.T, starts, axis=-1)
-    moves = params.beta * (params.layout.block(points, 1)
-                           @ codebook.vectors[alphas - 1].T)  # (P, G)
-    return np.maximum(params.delta1, (reads - moves).max(axis=-1))
+    groups = np.split(psi, starts[1:])
+    for out, at, rows in zip(*(np.array_split(a, n_blocks)
+                               for a in (reads, attained, w0))):
+        each = np.arange(len(rows))
+        for g, group in enumerate(groups):
+            prod = rows @ group.T
+            at[:, g] = prod.argmax(axis=-1)
+            out[:, g] = prod[each, at[:, g]]
+    reads -= params.beta * (w1 @ codebook.vectors[alphas - 1].T)  # (P, G)
+    best = reads.argmax(axis=-1)
+    pick = np.arange(len(points)), best
+    return (np.maximum(params.delta1, reads[pick]),
+            psi[starts[best] + attained[pick]], alphas[best])
+
+
+class GdParts(NamedTuple):
+    """The sample-free parts of the full-batch loss at a stack of points
+    (P, d), with the argmaxes that attain them (_sample_free_gd)."""
+
+    proj: np.ndarray  # (P, T, N): the step blocks @ codebook.T
+    read: np.ndarray  # (P,): term 3, floored
+    psi: np.ndarray  # (P, 2n^2): the encoded training set that attains it
+    alpha: np.ndarray  # (P,): that set's uncovered direction, 1-based
+    ratchet: np.ndarray  # (P, N, T-1): term 4's candidates (_ratchet_table)
+
+
+def _sample_free_gd(points, params, codebook, mode):
+    """GdParts of a stack: one projection of its step blocks, which terms 1
+    and 4 read, and the read-out."""
+    proj = params.layout.step_blocks(points) @ codebook.vectors.T  # (P, T, N)
+    return GdParts(proj, *_l3_gd(points, params, codebook, mode),
+                   _ratchet_table(proj))
 
 
 def loss_gd(w, sample, params, codebook, mode="oracle"):
@@ -630,21 +659,19 @@ def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
 
 
 def _point_losses_gd(points, params, codebook, mode):
-    """GdParams.point_losses.  Built once per stack: the projection of the
-    step blocks, the read-out and the ratchet (terms 3 and 4, which do not
-    depend on the sample).  Per chunk, each mask's hinge and each sample's
-    slot read, as one (P, B) array; each sample's loss sums its terms in
-    order 1 to 4, terms 3 and 4 summed first."""
-    lay = params.layout
-    proj = lay.step_blocks(points) @ codebook.vectors.T  # (P, T, N)
-    ratchet = (0.375 * proj[:, :-1] - 0.5 * proj[:, 1:]).max(axis=(1, 2))
-    consts = (_l3_gd(points, params, codebook, mode)
-              + np.maximum(params.delta2, ratchet))[:, None]
-    slot_blocks = lay.encoding(points).reshape(-1, params.n * params.n, 2)
+    """GdParams.point_losses.  Built once per stack: the sample-free parts
+    (_sample_free_gd), whose read-out and ratchet are terms 3 and 4.  Per
+    chunk, each mask's hinge and each sample's slot read, as one (P, B)
+    array; each sample's loss sums its terms in order 1 to 4, terms 3 and 4
+    summed first."""
+    part = _sample_free_gd(points, params, codebook, mode)
+    consts = (part.read + np.maximum(params.delta2,
+                                     part.ratchet.max(axis=(1, 2))))[:, None]
+    slot_blocks = params.layout.encoding(points).reshape(-1, params.n * params.n, 2)
 
     def chunk_losses(inputs, slot_rows):
         sin, cos, member = inputs
-        out = hinge_terms(proj, member, params)
+        out = hinge_terms(part.proj, member, params)
         # term 2: minus the slot block read off at each sample's codepoint
         sel = slot_blocks[:, slot_rows]  # (P, B, 2)
         out += -(sin * sel[..., 0] + cos * sel[..., 1])
@@ -685,9 +712,10 @@ def grad_gd(w, sample, params, codebook, mode="oracle"):
 
 def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
     """Mean subgradient over the training set at a single point w (the
-    full-batch step).
+    full-batch step): the gradients of the pieces that the loss kernel's
+    argmaxes name (_sample_free_gd of the one-point stack).
 
-    Terms 3 and 4 do not depend on the sample and are built once.  Each
+    Terms 3 and 4 do not depend on the sample and are written once.  Each
     sample adds its terms 1 and 2, which write a coordinate at most once,
     to a copy of them, and the samples are accumulated in dataset order.
     Addition commutes, so this equals the sum of the per-sample four-term
@@ -699,35 +727,29 @@ def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
     if w.ndim != 1:
         raise OutOfRange("grad_gd expects a single point, not a batch")
     lay = params.layout
+    part = _sample_free_gd(w[None], params, codebook, mode)
     shared = np.zeros_like(w)
 
-    # term 3: decoded read-out, active only above its floor
-    if mode == "reference":
-        psi, alpha_idx = _reference_table_gd(params)
-        u_alpha = codebook.vectors[alpha_idx - 1]
-        vals = psi @ lay.encoding(w) - params.beta * (u_alpha @ lay.block(w, 1))
-        best = int(np.argmax(vals))
-        value, psi_star, u_alpha = vals[best], psi[best], u_alpha[best]
-    elif mode == "oracle":
-        value, psi_star, u_alpha = _oracle_read_out(w, params, codebook)
-    else:
-        raise OutOfRange(f"unknown loss mode {mode!r}")
-    if value > params.delta1:
-        lay.encoding(shared)[:] += psi_star
-        lay.block(shared, 1)[:] -= params.beta * u_alpha
+    # term 3: the read-out's candidate, active only above its floor
+    if part.read[0] > params.delta1:
+        lay.encoding(shared)[:] += part.psi[0]
+        lay.block(shared, 1)[:] -= params.beta * codebook.vectors[part.alpha[0] - 1]
 
-    # term 4: ratchet argmax (u-major flattening = lowest direction wins ties)
-    cands = _l4_candidates(w, params, codebook)  # (N, T-1)
-    u_star, k_star = divmod(int(np.argmax(cands)), params.steps - 1)
-    if cands[u_star, k_star] > params.delta2:
+    # term 4: the ratchet's argmax
+    table = part.ratchet[0]
+    u_star, k_star = divmod(int(np.argmax(table)), params.steps - 1)
+    if table[u_star, k_star] > params.delta2:
         lay.block(shared, k_star + 1)[:] += 0.375 * codebook.vectors[u_star]
         lay.block(shared, k_star + 2)[:] -= 0.5 * codebook.vectors[u_star]
 
+    member = mask_inputs(np.asarray(dataset.masks, dtype=np.int64),
+                         params.n_directions).member
     g = np.zeros_like(w)
-    for mask, slot in zip(dataset.masks, dataset.slots):
+    for (on, hinge), mask, slot in zip(
+            _hinge_grads(part.proj[0], member, params, codebook),
+            dataset.masks, dataset.slots):
         g_i = shared.copy()
-        # term 1: weighted argmax directions where the hinge is above floor
-        add_hinge_grad(g_i, w, mask, params, codebook)
+        lay.step_blocks(g_i)[1:][on] += hinge  # term 1
         # term 2: linear
         lay.encoding(g_i)[2 * (slot - 1): 2 * slot] -= circle_point(
             mask, params.n_directions)

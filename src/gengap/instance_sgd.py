@@ -29,14 +29,17 @@ length-k prefix (group 1 accumulates a superposition of codepoints in one
 block after a few steps) fall back to the zero candidate psi = 0, which
 keeps the oracle total equal to the true max along trajectories.  Reference
 mode enumerates every possible prefix encoding and is exact everywhere but
-only feasible at tiny scales.  Ties across candidates are broken toward the
-lowest codebook index, then the lowest block index.
+only feasible at tiny scales.  Either read-out also returns the prefix that
+attains it, so the loss, the step and the margin check read one decode,
+built once per stack of points.  Ties across candidates are broken toward
+the lowest codebook index, then the lowest block index.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +47,11 @@ from .encoding import (
     TWO_PI,
     alpha_sgd,
     circle_point,
-    decode_blocks,
     encode_sgd,
     full_mask,
     subset_count,
 )
 from .errors import (
-    AmbiguousBlock,
     AttemptsExhausted,
     EventViolated,
     InfeasibleForcing,
@@ -64,8 +65,8 @@ from .instance_gd import (
     _check_dataset,
     _Dataset,
     _fill_defaults,
+    _hinge_grads,
     _second_excluding_argmax,
-    add_hinge_grad,
     check_reference_budget,
     empirical_risk,
     hinge_terms,
@@ -215,60 +216,57 @@ class SgdParams:
             return np.zeros(self.dim)
         return expected_sgd_iterate(t, self, dataset, codebook)
 
-    def margins(self, w, t, dataset, codebook):
-        """The decoded-prefix argmax at w_t, for the sample step t consumes,
-        against the floor delta1 with slack eta*eps/(16 n^2)."""
-        n = self.n
-        mask = self.step_sample(t, dataset)
-        info = _l2_decode_info(w, self)
-        table = _l2_table_point(w, mask, self, codebook, info)
-        best, second = _second_excluding_argmax(table)
-        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
-        k = k_star + 1
-
-        # candidates one codepoint step away from the decoded prefix: the
-        # decode margin the construction promises is exactly eta*eps/(16 n^2)
-        _, masks_k, _ = info[k_star]
-        if masks_k is not None:
-            m_mod = subset_count(self.n_directions)
-            gk = self.group(w, k)
-            gk1 = self.group(w, k + 1)
-            point = circle_point(mask, self.n_directions)
-            proj = self.layout.step_blocks(w) @ codebook.vectors.T
-            # each position's codepoint once; a candidate swaps in its shifted
-            # one and sums them in position order, as the prefix encodes
-            codes = [encode_sgd(mm, i, n, self.n_directions)
-                     for i, mm in enumerate(masks_k, start=1)]
-            for pos in range(len(masks_k)):
-                for delta in (-1, 1):
-                    shifted = list(masks_k)
-                    shifted[pos] = (shifted[pos] + delta) % m_mod
-                    shifted_codes = list(codes)
-                    shifted_codes[pos] = encode_sgd(shifted[pos], pos + 1, n,
-                                                    self.n_directions)
+    def margins(self, points, dataset, codebook):
+        """Term 2's argmax at each iterate w_1, w_2, ... of a stack, for the
+        sample step t consumes, read from the loss kernel's decoded table
+        (_l2_table), against the floor delta1 with slack eta*eps/(16 n^2)."""
+        n, nd = self.n, self.n_directions
+        parts = _sample_free_sgd(points, self, codebook, "oracle")
+        masks = [self.step_sample(t, dataset) for t in range(1, len(points) + 1)]
+        inputs, (rows,) = self.prepare_samples([masks])
+        couplings = _sample_reads(parts, inputs, self)[np.arange(len(points)), rows, 1:]
+        thr = self.eta * self.eps / (16.0 * n * n)
+        # each (mask, position) codepoint is encoded once per stack
+        code = lru_cache(maxsize=None)(lambda m, pos: encode_sgd(m, pos, n, nd))
+        steps = []
+        for t, (table, mask) in enumerate(zip(_l2_table(parts, couplings), masks),
+                                          start=1):
+            best, second = _second_excluding_argmax(table)
+            u_star, k_star = divmod(int(np.argmax(table)), n - 1)
+            k = k_star + 1
+            prefix = parts.prefix[t - 1, k_star, :k]
+            # candidates one codepoint step away from the decoded prefix: the
+            # decode margin the construction promises is exactly eta*eps/(16 n^2)
+            if prefix[0] >= 0:
+                w, proj = points[t - 1], parts.proj[t - 1]
+                gk, gk1 = self.group(w, k), self.group(w, k + 1)
+                read = (gk1[2 * k: 2 * k + 2] @ circle_point(mask, nd)) / (4.0 * n * n)
+                codes = [code(int(m), pos) for pos, m in enumerate(prefix, start=1)]
+                # a candidate swaps in one shifted codepoint and sums them in
+                # position order, as the prefix encodes
+                for pos, delta in itertools.product(range(k), (-1, 1)):
+                    shifted = [int(m) for m in prefix]
+                    shifted[pos] = (shifted[pos] + delta) % subset_count(nd)
                     acc = np.zeros(2 * n)
-                    for code in shifted_codes:
-                        acc += code
+                    for i, c in enumerate(codes):
+                        acc += code(shifted[pos], pos + 1) if i == pos else c
                     psi_adj = acc / n
-                    alpha_adj = alpha_sgd(shifted, self.n_directions)
-                    val = (
-                        0.375 * proj[k - 1, u_star]
-                        - 0.5 * proj[k, alpha_adj - 1]
-                        + (gk @ psi_adj - gk1 @ psi_adj) / (4.0 * n)
-                        - (gk1[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
-                    )
+                    val = (0.375 * proj[k - 1, u_star]
+                           - 0.5 * proj[k, alpha_sgd(shifted, nd) - 1]
+                           + (gk @ psi_adj - gk1 @ psi_adj) / (4.0 * n) - read)
                     second = max(second, float(val))
 
-        thr = self.eta * self.eps / (16.0 * n * n)
-        # the adjacent-codepoint gap meets thr with equality by construction,
-        # so allow rounding slack at the scale of the cancelled candidates
-        slack = thr - 64.0 * np.finfo(float).eps * abs(best)
-        applicable = t >= 2
-        ok = (not applicable) or (best - second >= slack
-                                  and best - self.delta1 >= slack)
-        return MarginStep(step=t, best=best, second_best=second,
-                          floor=self.delta1, threshold=thr,
-                          applicable=applicable, ok=bool(ok))
+            # the adjacent-codepoint gap meets thr with equality by
+            # construction, so allow rounding slack at the scale of the
+            # cancelled candidates
+            slack = thr - 64.0 * np.finfo(float).eps * abs(best)
+            applicable = t >= 2
+            ok = (not applicable) or (best - second >= slack
+                                      and best - self.delta1 >= slack)
+            steps.append(MarginStep(step=t, best=best, second_best=second,
+                                    floor=self.delta1, threshold=thr,
+                                    applicable=applicable, ok=bool(ok)))
+        return steps
 
     def baseline_population(self, baseline_empirical):
         """Population risk of the zero vector: its training risk, since the
@@ -412,72 +410,36 @@ def good_event_sgd(dataset, params):
 #
 # SgdParams.point_losses is the one definition of the per-sample loss, for
 # a stack of points (P, d) against the distinct masks of chunks of samples;
-# loss_sgd and empirical_risk reduce it.  The step (grad_sgd) and the
-# margins keep their one-point decode (_l2_decode_info, _l2_table_point),
-# to which the trajectories are pinned.
+# loss_sgd and empirical_risk reduce it.  Its sample-free parts
+# (_sample_free_sgd) also return the argmaxes that attain them: the decoded
+# or enumerated prefix and its common direction per k.  The step (grad_sgd)
+# and SgdParams.margins read term 2's candidates from the same parts
+# (_l2_table) and the hinge from the same projection.
 # ---------------------------------------------------------------------------
 
 
-def _decode_group_prefix(group_vec, k, params):
-    """Decode group k's content as a clean length-k prefix.
-
-    Returns (psi, masks, alpha): the (1/n)-scaled re-encoded prefix, the
-    decoded masks, and the lowest direction index common to all of them.
-    Any other content -- empty, superposed, or occupying the wrong
-    positions -- yields the fallback (zero vector, None, index 1).
-    """
-    n, nd = params.n, params.n_directions
-    try:
-        pairs = decode_blocks(
-            group_vec, nd, expected_magnitude=params.group_codepoint_magnitude
-        )
-    except AmbiguousBlock:
-        return np.zeros(2 * n), None, 1
-    if [b for b, _ in pairs] != list(range(1, k + 1)):
-        return np.zeros(2 * n), None, 1
-    acc = np.zeros(2 * n)
-    for pos, m in pairs:
-        acc += encode_sgd(m, pos, n, nd)
-    masks = [m for _, m in pairs]
-    return acc / n, masks, alpha_sgd(masks, nd)
-
-
-def _l2_decode_info(w, params):
-    """Per-k decode results for a single point: list of (psi, masks, alpha)."""
-    return [
-        _decode_group_prefix(params.group(w, k), k, params)
-        for k in range(1, params.n)
-    ]
-
-
-def _l2_table_point(w, mask, params, codebook, info):
-    """Candidate values over (direction, k) for a single point, shape (N, n-1)."""
-    n = params.n
-    blocks = params.layout.step_blocks(w)  # (n, dprime)
-    proj = blocks @ codebook.vectors.T  # (n, N)
-    point = circle_point(mask, params.n_directions)
-    table = np.empty((params.n_directions, n - 1))
-    for k in range(1, n):
-        psi, _, alpha = info[k - 1]
-        gk = params.group(w, k)
-        gk1 = params.group(w, k + 1)
-        base = (
-            -0.5 * proj[k, alpha - 1]
-            + (gk @ psi - gk1 @ psi) / (4.0 * n)
-            - (gk1[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
-        )
-        table[:, k - 1] = 0.375 * proj[k - 1, :] + base
-    return table
+def _prefix_psi(masks, params):
+    """(1/n) times the encoding of a prefix of masks at positions 1, 2, ...,
+    summed in position order (zeros for the empty prefix)."""
+    acc = np.zeros(2 * params.n)
+    for pos, m in enumerate(masks, start=1):
+        acc += encode_sgd(m, pos, params.n, params.n_directions)
+    return acc / params.n
 
 
 def _l2_readout(w2, proj, params):
-    """Sample-free prefix-shift candidates of a stack, shape (P, n-1): 0.375
-    max_u <u, w^(k)> - 0.5 <u_alpha, w^(k+1)> + <psi, w^(0,k) - w^(0,k+1)>/(4n)
-    per k, with the stack's projection proj (P, n, N).  Equal bitwise to
-    decoding one group at a time.  Occupancy is read from x^2 + y^2, and
-    from hypot only within a relative 1e-9 of a threshold (or at NaN).
-    Prefix products add up in position order, numpy's order for fewer than
-    eight terms; longer prefixes are summed again numpy's way, pairwise."""
+    """The decoded prefix-shift read-out of a stack, without 0.375 max_u
+    <u, w^(k)> and without the sample coupling: per k, the addends
+    -0.5 <u_alpha, w^(k+1)> and <psi, w^(0,k) - w^(0,k+1)>/(4n), each
+    (P, n-1), with the stack's projection proj (P, n, N).  Also returns the
+    argmax they read: each k's common direction alpha (P, n-1), and its
+    decoded prefix (P, n-1, n-1), the masks of positions 1..k, all -1 where
+    group k holds no clean prefix (the fallback psi = 0, alpha = 1).  Equal
+    bitwise to decoding one group at a time with decode_blocks.
+    Occupancy is read from x^2 + y^2, and from hypot only within a relative
+    1e-9 of a threshold (or at NaN).  Prefix products add up in position
+    order, numpy's order for fewer than eight terms; longer prefixes are
+    summed again numpy's way, pairwise."""
     n, nd, exp = params.n, params.n_directions, params.group_codepoint_magnitude
     m_mod = subset_count(nd)
     table = None  # sin and cos of the codepoints, unless they outnumber the codes
@@ -500,11 +462,13 @@ def _l2_readout(w2, proj, params):
     terms = np.zeros((2, n - 1, n - 1, x.shape[-1]))
     dots = np.zeros((2, n - 1, x.shape[-1]))
     inter = np.full((n - 1, x.shape[-1]), m_mod - 1)
+    prefix = np.full((n - 1, n - 1, x.shape[-1]), -1)  # (k, position, row)
     for p in range(n - 1):
         xs, ys = x[p, p:-1], y[p, p:-1]
         codes = np.round(np.arctan2(xs, ys) / TWO_PI * m_mod).astype(np.int64)
         codes &= m_mod - 1
         inter[p:] &= codes
+        prefix[p:, p] = codes
         if table is None:
             theta = TWO_PI * (codes / m_mod)
             sin, cos = np.sin(theta), np.cos(theta)
@@ -516,50 +480,45 @@ def _l2_readout(w2, proj, params):
     for k in range(8, n):
         dots[:, k - 1] = terms[:, :k, k - 1].transpose(0, 2, 1).copy().sum(axis=-1)
     psi_term = np.where(clean, (dots[0] / n - dots[1] / n) / (4.0 * n), 0.0)
+    prefix = np.where(clean[:, None], prefix, -1).transpose(2, 0, 1)
 
     alpha = np.where(inter > 0, np.frexp(inter & -inter)[1], nd)  # lowest common
-    alpha = np.where(clean, alpha, 1)
-    alpha_term = -0.5 * np.take_along_axis(proj[:, 1:], alpha.T[..., None] - 1,
-                                           axis=-1)[..., 0].T
-    best_u = proj[:, :-1, 0]
-    for u in range(1, nd):  # one pass per direction, not a short max per row
-        best_u = np.maximum(best_u, proj[:, :-1, u])
-    return (0.375 * best_u.T + alpha_term + psi_term).T
+    alpha = np.where(clean, alpha, 1).T
+    alpha_term = -0.5 * np.take_along_axis(proj[:, 1:], alpha[..., None] - 1,
+                                           axis=-1)[..., 0]
+    return (alpha_term, psi_term.T), alpha, prefix
 
 
 @lru_cache(maxsize=8)
 def _reference_tables_sgd(params):
     """Exhaustive prefix-encoding tables: for each k, all M^k candidates
-    (params.reference_count in all).
+    (params.reference_count in all), in itertools.product order.
 
     Returns a list indexed by k-1 of (Psi rows (M^k, 2n), alpha indices).
     """
     check_reference_budget(params)
-    n, n_directions = params.n, params.n_directions
-    m = subset_count(n_directions)
+    m = subset_count(params.n_directions)
     tables = []
-    for k in range(1, n):
-        rows = np.zeros((m**k, 2 * n))
-        alphas = np.zeros(m**k, dtype=np.int64)
-        for r, masks in enumerate(itertools.product(range(m), repeat=k)):
-            acc = np.zeros(2 * n)
-            for pos, mk in enumerate(masks, start=1):
-                acc += encode_sgd(mk, pos, n, n_directions)
-            rows[r] = acc / n
-            alphas[r] = alpha_sgd(masks, n_directions)
-        tables.append((rows, alphas))
+    for k in range(1, params.n):
+        prefixes = list(itertools.product(range(m), repeat=k))
+        tables.append((np.array([_prefix_psi(masks, params) for masks in prefixes]),
+                       np.array([alpha_sgd(masks, params.n_directions)
+                                 for masks in prefixes], dtype=np.int64)))
     return tables
 
 
 def _l2_reference_rows(w, params, codebook):
-    """The enumerated prefix reads without the sample coupling: per k, the
-    max over the prefix rows psi of <psi, w^(0,k) - w^(0,k+1)>/(4n) -
-    0.5 <u_alpha, w^(k+1)>, and its attaining row (the first in enumeration
-    order on ties); two lists indexed by k-1, w may be a stack."""
-    n = params.n
-    best, attained = [], []
-    for k, (rows, alphas) in enumerate(
-            _reference_tables_sgd(params), start=1):
+    """The enumerated prefix reads of a stack (P, d) without the sample
+    coupling: per k, the max over the prefix rows psi of <psi, w^(0,k) -
+    w^(0,k+1)>/(4n) - 0.5 <u_alpha, w^(k+1)>, as the one addend (P, n-1) of
+    _l2_readout's form, and the argmax it reads: each k's attaining row
+    (the first in enumeration order on ties) as its alpha (P, n-1) and its
+    masks (P, n-1, n-1)."""
+    n, m = params.n, subset_count(params.n_directions)
+    best = np.empty((len(w), n - 1))
+    alpha = np.empty(best.shape, dtype=np.int64)
+    prefix = np.full((len(w), n - 1, n - 1), -1)
+    for k, (rows, alphas) in enumerate(_reference_tables_sgd(params), start=1):
         gk = params.group(w, k)
         gk1 = params.group(w, k + 1)
         u_alpha = codebook.vectors[alphas - 1]  # (R, dprime)
@@ -567,27 +526,69 @@ def _l2_reference_rows(w, params, codebook):
         row_vals = (
             (gk - gk1) @ rows.T / (4.0 * n)
             - 0.5 * (wk1 @ u_alpha.T)
-        )  # (..., R)
+        )  # (P, R)
         row = row_vals.argmax(axis=-1)
-        best.append(np.take_along_axis(row_vals, row[..., None], axis=-1)[..., 0])
-        attained.append(row)
-    return best, attained
+        best[:, k - 1] = np.take_along_axis(row_vals, row[:, None], axis=-1)[:, 0]
+        alpha[:, k - 1] = alphas[row]
+        prefix[:, k - 1, :k] = np.stack(np.unravel_index(row, (m,) * k), axis=-1)
+    return (best,), alpha, prefix
 
 
-def _l2_reference_table(w, mask, params, codebook):
-    """Reference-mode candidate values over (direction, k), shape (N, n-1),
-    for the gradient: _l2_reference_rows plus each k's coupling with the
-    sample codepoint, and per k the index of its attaining prefix row."""
-    n = params.n
-    best, attained = _l2_reference_rows(w, params, codebook)
-    proj = params.layout.step_blocks(w) @ codebook.vectors.T  # (n, N)
-    point = circle_point(mask, params.n_directions)
-    per_k_best = [
-        row_best - (params.group(w, k + 1)[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
-        for k, row_best in enumerate(best, start=1)
-    ]
-    table = 0.375 * proj.T[:, :-1] + np.array(per_k_best)[None, :]
-    return table, attained
+class SgdParts(NamedTuple):
+    """The sample-free parts of the one-pass loss at a stack of points
+    (P, d), with the argmaxes that attain them (_sample_free_sgd)."""
+
+    proj: np.ndarray  # (P, n, N): the step blocks @ codebook.T
+    shift: tuple  # term 2's addends after 0.375 <u, w^(k)>, (P, n-1) each
+    alpha: np.ndarray  # (P, n-1): each k's common direction, 1-based
+    prefix: np.ndarray  # (P, n-1, n-1): each k's prefix masks, -1: psi = 0
+    blocks: np.ndarray  # (P, n, 2): term 3's block, then each k's coupling's
+
+
+def _sample_free_sgd(points, params, codebook, mode):
+    """SgdParts of a stack: one projection of its step blocks (read by the
+    hinge, term 2 and term 3), term 2's read-out decoded (_l2_readout) or
+    enumerated (_l2_reference_rows), and the two-dim blocks the sample
+    reads: position 1 of group 1 (term 3) and position k+1 of group k+1
+    (k's coupling)."""
+    n, lay = params.n, params.layout
+    proj = lay.step_blocks(points) @ codebook.vectors.T  # (P, n, N)
+    if mode == "oracle":
+        read = _l2_readout(points, proj, params)
+    elif mode == "reference":
+        read = _l2_reference_rows(points, params, codebook)
+    else:
+        raise OutOfRange(f"unknown loss mode {mode!r}")
+    blocks = lay.encoding(points).reshape(-1, n * n, 2)[:, :: n + 1]
+    return SgdParts(proj, *read, blocks)
+
+
+def _l2_sum(x, parts):
+    """x plus term 2's sample-free addends, in the kernel's order, for x
+    (P, n-1, X): 0.375 times the projection per k and direction, or 0.375
+    times its max."""
+    for addend in parts.shift:
+        x = x + addend[..., None]
+    return x
+
+
+def _sample_reads(parts, inputs, params):
+    """Each mask's codepoint read off the parts' blocks, shape (P, M, n):
+    term 3's at index 0 and k's coupling at index k, for the M masks of a
+    MaskInputs."""
+    return -(inputs.sin[:, None] * parts.blocks[:, None, :, 0]
+             + inputs.cos[:, None] * parts.blocks[:, None, :, 1]) / (
+                 4.0 * params.n * params.n)
+
+
+def _l2_table(parts, couplings):
+    """Term 2's candidates before the floor over (direction, k) at each
+    point, shape (P, N, n-1), each point with its own sample's couplings
+    (P, n-1): direction-major, so a flat argmax per point breaks ties
+    toward the lowest direction, then the lowest k.  Rounding is monotone,
+    so each point's max is the kernel's bitwise."""
+    table = _l2_sum(0.375 * parts.proj[:, :-1], parts) + couplings[..., None]
+    return np.swapaxes(table, 1, 2)
 
 
 def loss_sgd(w, mask, params, codebook, mode="oracle"):
@@ -609,31 +610,21 @@ def loss_sgd_samples(w, masks, params, codebook, mode="oracle"):
 def _loss_terms_sgd(points, params, codebook, mode):
     """terms(inputs) -> (hinge, prefix shift, term 3), each shape (P, M), of
     the M masks of a MaskInputs at each point of a stack (P, d).  Built once
-    per stack: the projection of the step blocks, term 2's read-out without
-    its coupling, term 3's block-1 read, and the two-dim blocks each
-    coupling reads at the sample codepoint."""
-    n, lay = params.n, params.layout
-    proj = lay.step_blocks(points) @ codebook.vectors.T  # (P, n, N)
-    if mode == "oracle":
-        readout = _l2_readout(points, proj, params)
-    elif mode == "reference":
-        best, _ = _l2_reference_rows(points, params, codebook)
-        readout = 0.375 * proj[:, :-1].max(axis=-1) + np.stack(best, axis=-1)
-    else:
-        raise OutOfRange(f"unknown loss mode {mode!r}")
-    # block 0: position 1 of group 1 (term 3); block k: position k+1 of
-    # group k+1, which k's coupling reads
-    blocks = lay.encoding(points).reshape(-1, n * n, 2)[:, :: n + 1]
-    u1_read = proj[:, :1, 0] / n**3
-    scale = 4.0 * n * n
+    per stack: the sample-free parts (_sample_free_sgd), term 2's read-out
+    at each k's best direction, and term 3's block-1 read."""
+    parts = _sample_free_sgd(points, params, codebook, mode)
+    best_u = parts.proj[:, :-1, 0]
+    for u in range(1, params.n_directions):  # one pass per direction
+        best_u = np.maximum(best_u, parts.proj[:, :-1, u])
+    readout = _l2_sum(0.375 * best_u[..., None], parts)[..., 0]  # (P, n-1)
+    u1_read = parts.proj[:, :1, 0] / params.n**3
 
     def terms(inputs):
-        sin, cos, member = inputs
-        reads = -(sin[:, None] * blocks[:, None, :, 0]
-                  + cos[:, None] * blocks[:, None, :, 1]) / scale  # (P, M, n)
+        reads = _sample_reads(parts, inputs, params)  # (P, M, n)
         l2 = np.maximum(params.delta1,
                         (readout[:, None, :] + reads[..., 1:]).max(axis=-1))
-        return hinge_terms(proj, member, params), l2, reads[..., 0] - u1_read
+        return hinge_terms(parts.proj, inputs.member, params), l2, \
+            reads[..., 0] - u1_read
 
     return terms
 
@@ -652,58 +643,44 @@ def _point_losses_sgd(points, params, codebook, mode):
 
 
 def grad_sgd(w, mask, params, codebook, mode="oracle"):
-    """Subgradient of one sample's loss at w (single point only).
+    """Subgradient of one sample's loss at w (single point only): the
+    gradients of the pieces that the loss kernel's argmaxes name
+    (_sample_free_sgd of the one-point stack, _l2_table).
 
-    Lowest-direction-then-lowest-block tie-breaking, matching loss_sgd's
-    candidate ordering, so trajectories are bitwise reproducible.
+    Ties go to the lowest direction, then the lowest block, so
+    trajectories are bitwise reproducible.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise OutOfRange("grad_sgd expects a single point, not a batch")
     n, nd = params.n, params.n_directions
     lay = params.layout
+    parts = _sample_free_sgd(w[None], params, codebook, mode)
+    inputs = mask_inputs(np.array([mask], dtype=np.int64), nd)
     g = np.zeros_like(w)
 
     # term 1
-    add_hinge_grad(g, w, mask, params, codebook)
+    [(on, hinge)] = _hinge_grads(parts.proj[0], inputs.member, params, codebook)
+    lay.step_blocks(g)[1:][on] += hinge
 
-    # term 2: ties go to the lowest direction, then the lowest k
-    if mode == "oracle":
-        info = _l2_decode_info(w, params)
-        table = _l2_table_point(w, mask, params, codebook, info)
-        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
-        if table[u_star, k_star] > params.delta1:
-            psi, _, alpha = info[k_star]
-            _apply_l2_grad(g, k_star + 1, u_star, alpha, psi, mask, params,
-                           codebook)
-    elif mode == "reference":
-        table, rows = _l2_reference_table(w, mask, params, codebook)
-        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
-        if table[u_star, k_star] > params.delta1:
-            psi_rows, alphas = _reference_tables_sgd(params)[k_star]
-            row = rows[k_star]
-            _apply_l2_grad(g, k_star + 1, u_star, int(alphas[row]),
-                           psi_rows[row], mask, params, codebook)
-    else:
-        raise OutOfRange(f"unknown loss mode {mode!r}")
+    # term 2: the candidate (u, k) with its prefix psi and common direction
+    table = _l2_table(parts, _sample_reads(parts, inputs, params)[:, 0, 1:])[0]
+    u_star, k_star = divmod(int(np.argmax(table)), n - 1)
+    if table[u_star, k_star] > params.delta1:
+        k = k_star + 1
+        prefix = parts.prefix[0, k_star, :k]
+        psi = _prefix_psi(prefix if prefix[0] >= 0 else (), params)
+        lay.block(g, k)[:] += 0.375 * codebook.vectors[u_star]
+        lay.block(g, k + 1)[:] -= 0.5 * codebook.vectors[parts.alpha[0, k_star] - 1]
+        params.group(g, k)[:] += psi / (4.0 * n)
+        params.group(g, k + 1)[:] -= psi / (4.0 * n)
+        params.group(g, k + 1)[2 * k: 2 * k + 2] -= circle_point(mask, nd) / (
+            4.0 * n * n)
 
     # term 3 (constant)
     lay.encoding(g)[0:2] -= circle_point(mask, nd) / (4.0 * n * n)
     lay.block(g, 1)[:] -= codebook.vectors[0] / n**3
     return g
-
-
-def _apply_l2_grad(g, k, u_row, alpha, psi, mask, params, codebook):
-    """Accumulate the prefix-shift term's gradient at candidate (k, u, psi)."""
-    n = params.n
-    lay = params.layout
-    lay.block(g, k)[:] += 0.375 * codebook.vectors[u_row]
-    lay.block(g, k + 1)[:] -= 0.5 * codebook.vectors[alpha - 1]
-    params.group(g, k)[:] += psi / (4.0 * n)
-    params.group(g, k + 1)[:] -= psi / (4.0 * n)
-    params.group(g, k + 1)[2 * k: 2 * k + 2] -= circle_point(
-        mask, params.n_directions
-    ) / (4.0 * n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidClosedForm, OutOfRange
-from .instance_gd import GdParams, MarginStep, _second_excluding_argmax
+from .instance_gd import GdParams, _table_margin
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,13 @@ class SmallstepParams:
         """Closed-form iterate w_t; dataset and codebook are unused."""
         return expected_smallstep_iterate(t, self)
 
-    def margins(self, w, t, dataset, codebook):
-        """The hinge argmax at w_t against the floor 0, with slack eta/(8 d);
-        a one-coordinate hinge has no second candidate."""
-        vals = 1.0 / math.sqrt(self.dim) - w - self.tilts
-        best, second = _second_excluding_argmax(vals)
+    def margins(self, points, dataset, codebook):
+        """The hinge argmax at each iterate w_1, w_2, ... of a stack against
+        the floor 0, with slack eta/(8 d); a one-coordinate hinge has no
+        second candidate."""
         thr = self.eta / (8.0 * self.dim)
-        applicable = self.dim >= 2
-        ok = (not applicable) or (best - second > thr and best > thr)
-        return MarginStep(step=t, best=best, second_best=second, floor=0.0,
-                          threshold=thr, applicable=applicable, ok=bool(ok))
+        return [_table_margin(t, vals, 0.0, thr, self.dim >= 2)
+                for t, vals in enumerate(_hinge_values(points, self), start=1)]
 
     def baseline_population(self, baseline_empirical):
         """Population risk of the zero vector: the loss there, as for every
@@ -130,24 +127,27 @@ class SmallstepParams:
         raise OutOfRange("the smallstep family has no training set to load")
 
 
-def loss_smallstep(w, params):
-    """Hinge value at w; w may be batched with shape (..., d)."""
+def _hinge_values(w, params):
+    """The hinge's pieces 1/sqrt(d) - w[i] - eta*i/(4d) at w, shape (..., d)."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape[-1] != params.dim:
         raise OutOfRange(f"expected {params.dim} coordinates, got {w.shape[-1]}")
-    vals = 1.0 / math.sqrt(params.dim) - w - params.tilts
-    return np.maximum(0.0, vals.max(axis=-1))
+    return 1.0 / math.sqrt(params.dim) - w - params.tilts
+
+
+def loss_smallstep(w, params):
+    """Hinge value at w; w may be batched with shape (..., d)."""
+    return np.maximum(0.0, _hinge_values(w, params).max(axis=-1))
 
 
 def grad_smallstep(w, params):
     """Subgradient at a single point: -e_j at the lowest maximizing
     coordinate when the hinge is active, zero otherwise."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
+    if np.ndim(w) != 1:
         raise OutOfRange("grad_smallstep expects a single point, not a batch")
-    vals = 1.0 / math.sqrt(params.dim) - w - params.tilts
+    vals = _hinge_values(w, params)
     j = int(np.argmax(vals))
-    g = np.zeros_like(w)
+    g = np.zeros_like(vals)
     if vals[j] > 0.0:
         g[j] = -1.0
     return g

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidClosedForm, OutOfRange
+from .errors import OutOfRange
 # the family iterate generators stay importable from this module
 from .instance_gd import expected_gd_iterate, good_event_gd
 from .instance_sgd import expected_sgd_iterate
@@ -35,15 +35,6 @@ TOL_STRICT = 1e-15
 # ---------------------------------------------------------------------------
 # closed-form iterates
 # ---------------------------------------------------------------------------
-
-
-def expected_gd_update(t, params, dataset, codebook):
-    """Closed-form full-batch gradient used at step t: (w_t - w_{t+1})/eta."""
-    if not 1 <= t <= params.steps - 1:
-        raise InvalidClosedForm(f"update {t} outside [1, {params.steps - 1}]")
-    w_now = params.expected_iterate(t, dataset, codebook)
-    w_next = expected_gd_iterate(t + 1, params, dataset, codebook)
-    return (w_now - w_next) / params.eta
 
 
 def expected_suffix(m, params, dataset, codebook):
@@ -193,8 +184,8 @@ class MarginReport:
 
 
 def check_margins(traj, params, dataset=None, codebook=None):
-    """Recompute the family's enumerable argmax table (params.margins) at
-    every recorded iterate and report best-vs-second-best and best-vs-floor
+    """Read the family's argmax table (params.margins) at every recorded
+    iterate, as one stack, and report best-vs-second-best and best-vs-floor
     gaps against the designed slack (eta/64, eta*eps/(16 n^2), eta/(8 d)).
 
     Steps where the construction promises nothing (the floor is active, or
@@ -203,8 +194,7 @@ def check_margins(traj, params, dataset=None, codebook=None):
     another length than the horizon raises OutOfRange (require_horizon).
     """
     require_horizon(traj, params)
-    records = [params.margins(traj.iterate(t), t, dataset, codebook)
-               for t in range(1, traj.steps + 1)]
+    records = params.margins(traj.iterates, dataset, codebook)
     return MarginReport(steps=tuple(records), ok=all(r.ok for r in records))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from gengap import instance_gd
 from gengap.acceptance import _GD_BIG, _GD_SMOOTH, _GD_TINY, _smooth_gd_setup
-from gengap.codebook import generate_codebook
+from gengap.codebook import Codebook, generate_codebook
 from gengap.encoding import circle_point, margin_eps, mask_members
 from gengap.errors import (
     EventViolated,
@@ -23,10 +23,8 @@ from gengap.instance_gd import (
     _READ_ROWS,
     _decode_training_set,
     _l3_gd,
-    _l4_candidates,
     _reference_groups_gd,
-    _reference_table_gd,
-    add_hinge_grad,
+    _sample_free_gd,
     draw_gd_dataset,
     empirical_risk,
     good_event_gd,
@@ -56,30 +54,55 @@ def _hinge_term(w, mask, params, codebook):
     return np.sqrt((h * h).sum(axis=-1))
 
 
+def _ratchet_candidates(w, params, codebook):
+    """Term 4's candidates (3/8)<u, w^(k)> - (1/2)<u, w^(k+1)> from the
+    point's own product, shape (N, T-1), direction-major."""
+    proj = (params.layout.step_blocks(w) @ codebook.vectors.T).T  # (N, T)
+    return 0.375 * proj[:, :-1] - 0.5 * proj[:, 1:]
+
+
+def _reference_rows(params):
+    """The reference read-out's candidates one row each: (Psi, alpha)."""
+    psi, starts, alphas = _reference_groups_gd(params)
+    return psi, np.repeat(alphas, np.diff(np.append(starts, len(psi))))
+
+
 def _four_term_loss(w, sample, params, codebook, mode):
     """One sample's loss as its four terms summed in order, each from its
     own products: the reference the loss kernel is held to."""
     mask, slot = sample
     slot_block = params.layout.encoding(w)[..., 2 * (slot - 1): 2 * slot]
-    ratchet = _l4_candidates(w, params, codebook).max(axis=(-2, -1))
+    ratchet = _ratchet_candidates(w, params, codebook).max()
     return (_hinge_term(w, mask, params, codebook)
             - (slot_block @ circle_point(mask, params.n_directions))
-            + _l3_gd(w[None], params, codebook, mode)[0]
+            + _l3_gd(w[None], params, codebook, mode)[0][0]
             + np.maximum(params.delta2, ratchet))
 
 
 def _four_term_grad(w, sample, params, codebook, mode):
     """One sample's subgradient with its four terms written in order 1 to 4
-    into one vector: the per-sample form the full-batch step sums."""
+    into one vector: the per-sample form the full-batch step sums.  Each
+    term's argmax is taken over its own candidates, ties going to the lowest
+    direction, then the lowest block; the hinge reads the point's one
+    projection, as the loss kernel does."""
     mask, slot = sample
     lay = params.layout
     g = np.zeros_like(w)
-    add_hinge_grad(g, w, mask, params, codebook)
+    proj = lay.step_blocks(w) @ codebook.vectors.T  # (T, N)
+    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
+    if rows:
+        inner = proj[:, rows].max(axis=1)
+        h = np.maximum(params.l1_floor, inner[1:])
+        norm = math.sqrt(float((h * h).sum()))
+        for k in range(2, params.steps + 1):
+            if inner[k - 1] > params.l1_floor:
+                star = rows[int(np.argmax(proj[k - 1, rows]))]
+                lay.block(g, k)[:] += (h[k - 2] / norm) * codebook.vectors[star]
     lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_point(
         mask, params.n_directions)
     w0, w1 = lay.encoding(w), lay.block(w, 1)
     if mode == "reference":
-        psi, alpha_idx = _reference_table_gd(params)
+        psi, alpha_idx = _reference_rows(params)
         u_alpha = codebook.vectors[alpha_idx - 1]
         vals = psi @ w0 - params.beta * (u_alpha @ w1)
         best = int(np.argmax(vals))
@@ -91,7 +114,7 @@ def _four_term_grad(w, sample, params, codebook, mode):
     if read > params.delta1:
         lay.encoding(g)[:] += psi_star
         lay.block(g, 1)[:] -= params.beta * u_read
-    cands = _l4_candidates(w, params, codebook)
+    cands = _ratchet_candidates(w, params, codebook)
     u_star, k_star = divmod(int(np.argmax(cands)), params.steps - 1)
     if cands[u_star, k_star] > params.delta2:
         lay.block(g, k_star + 1)[:] += 0.375 * codebook.vectors[u_star]
@@ -203,7 +226,7 @@ def test_grouped_reference_readout_equals_the_ungrouped_max():
     # the grouped form takes narrower matrix products than this one, so a
     # BLAS that rounded them differently would show up here
     params, codebook, _, _, points, _ = _smooth_gd_setup()
-    psi, alpha_idx = _reference_table_gd(params)
+    psi, alpha_idx = _reference_rows(params)
     u_alpha = codebook.vectors[alpha_idx - 1]
     rng = np.random.default_rng(5)
     lay = params.layout
@@ -213,7 +236,13 @@ def test_grouped_reference_readout_equals_the_ungrouped_max():
         vals = lay.encoding(batch) @ psi.T
         vals -= params.beta * (lay.block(batch, 1) @ u_alpha.T)
         want = np.maximum(params.delta1, vals.max(axis=-1))
-        assert np.array_equal(_l3_gd(batch, params, codebook, "reference"), want)
+        got, psi_star, alpha = _l3_gd(batch, params, codebook, "reference")
+        assert np.array_equal(got, want)
+        # the witness is a candidate that attains the read-out
+        for p in range(0, len(batch), 512):
+            [row] = np.flatnonzero((psi == psi_star[p]).all(axis=-1))
+            assert alpha_idx[row] == alpha[p]
+            assert np.maximum(params.delta1, vals[p, row]) == got[p]
 
 
 def test_blocked_reference_readout_equals_one_product():
@@ -231,7 +260,7 @@ def test_blocked_reference_readout_equals_one_product():
     for rows in (1, _READ_ROWS - 1, _READ_ROWS, _READ_ROWS + 1, CHUNK - 1):
         batch = points[-1] + params.smoothing_delta * ball_sample(
             params.dim, rng, size=rows)
-        got = _l3_gd(batch, params, codebook, "reference")
+        got = _l3_gd(batch, params, codebook, "reference")[0]
         assert got.shape == (rows,)
         assert np.array_equal(got, unblocked(batch))
         # the training risk reduces the stack in row blocks of its own
@@ -333,17 +362,60 @@ def test_reference_step_is_the_per_sample_sum_at_random_points(pinned):
 
 
 def test_the_step_reads_out_and_ratchets_once(small, monkeypatch):
+    # one build of the loss kernel's sample-free parts serves every sample
     params, codebook, dataset = small
     w = run_gd(codebook, dataset, params).iterate(5)
     calls = []
-    for name in ("_decode_training_set", "_l4_candidates"):
+    for name in ("_decode_training_set", "_sample_free_gd"):
         def counted(*args, _name=name, _fn=getattr(instance_gd, name)):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(instance_gd, name, counted)
     grad_gd_batch(w, dataset, params, codebook)
     assert dataset.n > 1
-    assert sorted(calls) == ["_decode_training_set", "_l4_candidates"]
+    assert sorted(calls) == ["_decode_training_set", "_sample_free_gd"]
+
+
+def test_argmax_ties_go_to_the_lowest_direction_then_the_lowest_block():
+    # an axis-aligned codebook makes the tied inner products bitwise equal
+    params = GdParams(2, 4, 8, dprime=4)
+    codebook = Codebook(vectors=np.eye(4), dim=4, seed=None)
+    lay = params.layout
+    a, c = 0.05, 0.5 * params.eta  # c is above the hinge floor 3 eta / 32
+    w = np.zeros(params.dim)
+    # ratchet candidates 0.375 a at (u=2, k=1), (u=1, k=3) and (u=1, k=7)
+    lay.block(w, 1)[1] = lay.block(w, 3)[0] = lay.block(w, 7)[0] = a
+    lay.block(w, 6)[2:] = c  # the hinge of directions 3 and 4 ties in block 6
+    dataset = GdDataset(masks=(0b1100, 0b1100), slots=(1, 2))
+    g = grad_gd_batch(w, dataset, params, codebook)
+    assert lay.block(g, 3)[0] == 0.375 and lay.block(g, 4)[0] == -0.5
+    assert not lay.block(g, 1).any() and not lay.block(g, 2).any()
+    assert not lay.block(g, 7)[0] and not lay.block(g, 8)[0]
+    assert lay.block(g, 6)[2] > 0.0 and lay.block(g, 6)[3] == 0.0
+    want = np.zeros(params.dim)
+    lay.block(want, 3)[0], lay.block(want, 4)[0] = 0.375, -0.5
+    lay.block(want, 6)[2] = c / math.sqrt(6 * params.l1_floor**2 + c * c)
+    lay.encoding(want)[:4] = -np.tile(circle_point(0b1100, 4), 2) / 2
+    np.testing.assert_allclose(g, want, rtol=1e-15, atol=0.0)
+    # the margins read the same tied table
+    step = params.margins(np.stack([w] * 4), dataset, codebook)[3]
+    assert step.best == step.second_best == 0.375 * a and not step.ok
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_margins_read_the_kernels_ratchet_bitwise():
+    # the margin check's table is the one the step and the loss kernel
+    # read: its best entry is the ratchet the kernel adds before the floor
+    params, codebook, dataset = _GD_BIG.build()
+    traj = run_gd(codebook, dataset, params)
+    steps = params.margins(traj.iterates, dataset, codebook)
+    assert len(steps) == params.steps
+    for t, step in enumerate(steps, start=1):
+        part = _sample_free_gd(traj.iterate(t)[None], params, codebook, "oracle")
+        assert _bits(step.best) == _bits(part.ratchet.max())
 
 
 def test_run_matches_closed_form_on_event(small):

@@ -8,7 +8,7 @@ import pytest
 
 from gengap import instance_sgd
 from gengap.acceptance import _SGD_BIG, _SGD_SMOOTH, _SGD_TINY, _smooth_sgd_setup
-from gengap.codebook import generate_codebook
+from gengap.codebook import Codebook, generate_codebook
 from gengap.encoding import TWO_PI, circle_point, margin_eps, mask_members, \
     subset_count
 from gengap.errors import InfeasibleForcing, InvalidClosedForm, OutOfRange
@@ -413,14 +413,22 @@ def _hinge_term(w, mask, params, codebook):
 def _three_term_losses(w2, mask, params, codebook, mode):
     """One mask's loss at each row of a batch as its three terms summed in
     order, each from its own products: the reference the loss kernel is
-    held to.  Term 2 is the per-k decode (oracle) or the gradient's
-    enumerated table (reference)."""
+    held to.  Term 2 is the per-k decode (oracle) or the max over every
+    enumerated prefix of every k (reference)."""
     n, point = params.n, circle_point(mask, params.n_directions)
     if mode == "oracle":
         l2 = _per_k_l2_values_batch(w2, point, params, codebook)
     else:
-        l2 = np.array([np.maximum(params.delta1, instance_sgd._l2_reference_table(
-            w, mask, params, codebook)[0].max()) for w in w2])
+        l2 = np.full(len(w2), params.delta1)
+        proj = params.layout.step_blocks(w2) @ codebook.vectors.T  # (P, n, N)
+        for k, (rows, alphas) in enumerate(
+                instance_sgd._reference_tables_sgd(params), start=1):
+            gk, gk1 = params.group(w2, k), params.group(w2, k + 1)
+            moves = params.layout.block(w2, k + 1) @ codebook.vectors[alphas - 1].T
+            reads = (gk - gk1) @ rows.T / (4.0 * n) - 0.5 * moves  # (P, R)
+            coupling = (gk1[:, 2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
+            l2 = np.maximum(l2, 0.375 * proj[:, k - 1].max(axis=-1)
+                            + reads.max(axis=-1) - coupling)
     first_block = params.layout.encoding(w2)[:, 0:2]  # position 1 of group 1
     u1_read = params.layout.block(w2, 1) @ codebook.vectors[0]
     l3 = -(first_block @ point) / (4.0 * n * n) - u1_read / n**3
@@ -461,8 +469,8 @@ def test_blocked_sample_draws_equal_one_draw():
 
 def test_margins_encode_each_codepoint_once():
     # the adjacency candidates reuse the decoded prefix's codepoints: a
-    # (mask, position) codepoint is encoded once by the decode and at most
-    # once more by the margin table, however many candidates share it
+    # (mask, position) codepoint is encoded at most once per stack, however
+    # many candidates and iterates share it
     params = SgdParams(8, 16)
     codebook = generate_codebook(16, params.dprime, seed=3)
     dataset = force_good_event_sgd(params, 21)
@@ -476,8 +484,43 @@ def test_margins_encode_each_codepoint_once():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(instance_sgd, "encode_sgd", counted)
-        for t in range(1, params.n + 1):
-            calls.clear()
-            params.margins(traj.iterate(t), t, dataset, codebook)
-            assert max(Counter(calls).values(), default=0) <= 2, t
-    assert calls
+        params.margins(traj.iterates, dataset, codebook)
+    assert calls and max(Counter(calls).values()) == 1
+
+
+def test_argmax_ties_go_to_the_lowest_direction_then_the_lowest_block():
+    # an axis-aligned codebook makes the tied inner products bitwise equal;
+    # the encoding is empty, so every k falls back to psi = 0, alpha = 1
+    params = SgdParams(4, 3, dprime=4)
+    codebook = Codebook(vectors=np.eye(4)[:3], dim=4, seed=None)
+    lay = params.layout
+    a = 0.05
+    w = np.zeros(params.dim)
+    # term-2 candidates 0.375 a at (u=3, k=1), (u=2, k=2) and (u=2, k=3)
+    lay.block(w, 1)[2] = lay.block(w, 2)[1] = lay.block(w, 3)[1] = a
+    g = grad_sgd(w, 0, params, codebook)
+    assert lay.block(g, 2)[1] == 0.375 and lay.block(g, 3)[0] == -0.5
+    assert not lay.block(g, 1)[1:].any() and not lay.block(g, 3)[1:].any()
+    assert not lay.block(g, 4).any()
+    # the margins read the same tied table
+    dataset = SgdDataset(masks=(0, 0, 0, 0))
+    step = params.margins(np.stack([w] * 4), dataset, codebook)[1]
+    assert step.best == step.second_best == 0.375 * a and not step.ok
+
+
+def test_margins_read_the_kernels_term_two_bitwise():
+    # the margin check's table is the one the step and the loss kernel
+    # read: its best entry is term 2 before the floor for the sample the
+    # step consumes, above the floor at every consuming step
+    params, codebook, dataset = _SGD_BIG.build()
+    traj = run_sgd(codebook, dataset, params)
+    steps = params.margins(traj.iterates, dataset, codebook)
+    assert len(steps) == params.n
+    for t, step in enumerate(steps, start=1):
+        inputs = mask_inputs(np.array([params.step_sample(t, dataset)]),
+                             params.n_directions)
+        _, l2, _ = instance_sgd._loss_terms_sgd(
+            traj.iterate(t)[None], params, codebook, "oracle")(inputs)
+        assert (step.best > params.delta1) == (t >= 2)
+        assert (np.float64(max(params.delta1, step.best)).tobytes()
+                == l2[0, 0].tobytes())

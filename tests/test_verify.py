@@ -16,7 +16,6 @@ from gengap.verify import (
     check_margins,
     check_norm_bound,
     check_trajectory,
-    expected_gd_update,
     wilson_interval,
 )
 
@@ -89,12 +88,15 @@ def test_trajectory_checker_catches_a_correction_scale_fault(gd_setup):
 
 def test_update_closed_form_matches_differences(gd_setup):
     params, codebook, dataset, traj = gd_setup
+    # the closed-form update at step t is (w_t - w_{t+1}) / eta
     for t in range(1, params.steps):
-        want = expected_gd_update(t, params, dataset, codebook)
+        want = (params.expected_iterate(t, dataset, codebook)
+                - params.expected_iterate(t + 1, dataset, codebook)) / params.eta
         got = (traj.iterate(t) - traj.iterate(t + 1)) / params.eta
         assert np.abs(got - want).max() < 1e-12
+    # the last iterate has no update: w_{T+1} has no closed form
     with pytest.raises(InvalidClosedForm):
-        expected_gd_update(params.steps, params, dataset, codebook)
+        params.expected_iterate(params.steps + 1, dataset, codebook)
 
 
 def test_norm_bound_checker(gd_setup):

@@ -7,7 +7,9 @@ Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
 gen-codebook`` and nine ``gengap run`` sweeps (each with the smoothed-risk
 check and several suffix lengths, whose population risks share one
 Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
-dataset/trajectory pair a sweep saved.  JSON files
+dataset/trajectory pair a sweep saved, and prints a smoothed-gradient
+fingerprint (GRAD_FINGERPRINT: a sha256 of full-precision estimates and
+stderrs, which the acceptance output rounds to two decimals).  JSON files
 are compared without their ``elapsed_seconds`` and ``out`` keys, other files
 byte for byte, stdout and stderr with timings and paths masked, and exit
 codes as they are.  Prints each difference and exits 1 if there is any:
@@ -73,17 +75,49 @@ SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
 # stream; smallstep at 30000 (a partial fourth chunk) streams as well.
 SMOOTHING_SAMPLES = {"smallstep": "30000"}
 
+# smoothed_grads on the three pinned smoothing instances at their
+# preservation steps, antithetic and plain, over one full chunk and a
+# partial one of 1501 pairs (blocks of 751 and 750 rows; antithetic, an
+# odd trailing draw)
+GRAD_FINGERPRINT = """
+import hashlib
+from gengap import acceptance
+from gengap.smoothing import CHUNK, SmoothingConfig, smoothed_grads
+
+pairs = CHUNK + 1501
+for family, (build, steps, mode) in acceptance._SMOOTH_FAMILIES.items():
+    params, codebook, dataset = build()[:3]
+    jobs = [(params.step_loss(t, dataset, codebook, mode),
+             params.expected_iterate(t, dataset, codebook)) for t in steps]
+    for antithetic in (True, False):
+        cfg = SmoothingConfig(params.smoothing_delta,
+                              2 * pairs + 1 if antithetic else pairs,
+                              seed=acceptance._SMOOTH_SEEDS[family],
+                              antithetic=antithetic)
+        digest = hashlib.sha256()
+        for est, stderr in smoothed_grads(jobs, cfg):
+            digest.update(est.tobytes())
+            digest.update(stderr.tobytes())
+        print(family, "antithetic" if antithetic else "plain",
+              digest.hexdigest())
+"""
+
 _TIMING = re.compile(r"\d+\.\d+s\b")
 _DROPPED_KEYS = ("elapsed_seconds", "out")
 
 
-def _gengap(tree, argv, cwd):
-    """(exit code, stdout, stderr) of ``python -m gengap.cli argv`` on the
-    tree's sources."""
+def _python(tree, args, cwd):
+    """(exit code, stdout, stderr) of ``python args`` on the tree's
+    sources."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
-    proc = subprocess.run([sys.executable, "-m", "gengap.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _gengap(tree, argv, cwd):
+    """_python of ``-m gengap.cli argv``."""
+    return _python(tree, ["-m", "gengap.cli", *argv], cwd)
 
 
 def _mask(text, tree, workdir):
@@ -97,13 +131,14 @@ def sweep(tree, workdir):
     where kind is "json", "bytes" or "text"."""
     outputs = {}
 
-    def call(name, argv):
-        code, out, err = _gengap(tree, argv, workdir)
+    def call(name, argv, run=_gengap):
+        code, out, err = run(tree, argv, workdir)
         outputs[f"{name} exit"] = ("text", str(code))
         outputs[f"{name} stdout"] = ("text", _mask(out, tree, workdir))
         outputs[f"{name} stderr"] = ("text", _mask(err, tree, workdir))
 
     call("acceptance", ["acceptance", "--json", str(workdir / "acceptance.json")])
+    call("smoothed-grad fingerprint", ["-c", GRAD_FINGERPRINT], run=_python)
     call("gen-codebook", ["gen-codebook", "--directions", "16", "--seed", "7",
                           "--out", str(workdir / "codebook-N16-s7.json")])
     for name, flags in SWEEPS.items():

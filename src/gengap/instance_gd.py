@@ -61,14 +61,10 @@ from .errors import (
     ReferenceTooLarge,
     reading,
 )
+from .smoothing import row_blocks
 
 REFERENCE_BUDGET = 100_000
 MAX_DATASET_DRAWS = 100_000  # reject-until-E gives up after this many draws
-
-# points per block of a training risk over a stack: each block's loss kernel
-# is built and reduced before the next one's, which bounds the kernel's
-# temporaries (its codebook projection among them) on 8192-row chunks
-_RISK_ROWS = 1024
 
 # rows per block of the batched reference read-out: on 8192-row smoothing
 # chunks, blocks of 64 to 128 rows ran about 3x faster than one unblocked
@@ -691,14 +687,18 @@ def training_risks(losses, dataset, params):
 
 def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
     """training_risks at a point w (d,), a float, or at each point of a
-    stack (P, d), each bitwise its one-point value; the stack is read out in
-    blocks of _RISK_ROWS points.  The deterministic family takes dataset
-    None."""
+    stack (P, d), each bitwise its one-point value.  The stack is read out
+    in its row_blocks (smoothing's blocks of at most BLOCK_ROWS points, in
+    which the smoothing estimators call this on their chunks), each
+    block's loss kernel built and reduced before the next one's, which
+    bounds the kernel's temporaries (its codebook projection among them).
+    The deterministic family takes dataset None."""
     w = np.asarray(w, dtype=np.float64)
     points = w.reshape(-1, w.shape[-1])
     risks = np.concatenate([
-        training_risks(params.point_losses(rows, codebook, mode), dataset, params)
-        for rows in np.array_split(points, max(1, -(-len(points) // _RISK_ROWS)))
+        training_risks(params.point_losses(points[rows], codebook, mode),
+                       dataset, params)
+        for rows in row_blocks(len(points))
     ])
     return float(risks[0]) if w.ndim == 1 else risks
 

@@ -72,9 +72,9 @@ from .instance_gd import (
     hinge_terms,
     mask_inputs,
 )
+from .smoothing import BLOCK_ROWS
 
 MAX_FORCING_TRIES = 1000  # force_good_event_sgd gives up after this many
-_BLOCK_ROWS = 1024  # rows per block of the sample draws
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,13 @@ class SgdParams:
 
     def draw_samples(self, rng, count):
         """The sampling law: int64 masks of count independent subsets, each
-        direction included with probability 1/(4 n^2).  Blocks of uniforms
-        continue one stream, so the masks do not depend on the block size."""
+        direction included with probability 1/(4 n^2).  Blocks of BLOCK_ROWS
+        rows of uniforms continue one stream, so the masks do not depend on
+        the block size."""
         weights = np.int64(1) << np.arange(self.n_directions, dtype=np.int64)
         masks = np.empty(count, dtype=np.int64)
-        for lo in range(0, count, _BLOCK_ROWS):
-            rows = masks[lo: lo + _BLOCK_ROWS]
+        for lo in range(0, count, BLOCK_ROWS):
+            rows = masks[lo: lo + BLOCK_ROWS]
             rows[...] = (rng.random((rows.size, self.n_directions))
                          < self.inclusion_probability) @ weights
         return masks

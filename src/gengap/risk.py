@@ -45,7 +45,7 @@ import numpy as np
 from .instance_gd import empirical_risk, population_risk_closed_gd, \
     training_risks
 from .optim import suffix_average
-from .smoothing import chunk_means, held_once, mc_chunks
+from .smoothing import chunk_means, chunk_sums, held_once, mc_chunks
 
 DEFAULT_SAMPLES = 20_000
 # a larger population sample is not held but drawn again, one chunk at a
@@ -85,7 +85,7 @@ def _population(losses, count, params, n_samples, seed):
             del vals  # free this chunk's losses before the next is computed
 
     def centered(i):
-        return lambda vals: vals[i] - bases[i]
+        return lambda vals: chunk_sums(vals[i] - bases[i])
 
     means = chunk_means(n_samples, chunk_losses(),
                         [centered(i) for i in range(count)])

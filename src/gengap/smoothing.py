@@ -28,6 +28,18 @@ preservation check at one seed and count draw once.  A draw above
 MAX_HELD_FLOATS float64, or one from fresh entropy (seed None), streams
 one chunk at a time on every call.
 
+A chunk is evaluated in its row_blocks, at most BLOCK_ROWS rows each, so
+no (CHUNK, d) array exists beside the draw: sphere_sample takes its norms
+a block at a time, each job's perturbed points are written into one
+reused block array and the loss is called once per block, and a gradient
+term forms its contributions c * a a block at a time, carrying the
+chunk's sum and squared sum from block to block in row 0 of the same
+(1 + BLOCK_ROWS, d) array (_carry).  The operations and their order are
+those of one chunk-sized array, so each estimate is bitwise the one-array
+estimate for a loss whose value at a row does not depend on the rows
+batched with it.  The families' step losses are such by construction:
+each is an empirical_risk, which reads a stack out in the same row_blocks.
+
 The checks share one three-sigma rule (SIGMAS): a smoothed value within
 L*delta + 3 stderr of the loss (smoothed_value_checks), and every gradient
 coordinate's z-score (z_scores) at most 3.
@@ -43,6 +55,10 @@ import numpy as np
 from .errors import DegenerateDraw, OutOfRange
 
 CHUNK = 8192
+# rows per block: the estimators form perturbed points, evaluate the loss
+# and form gradient contributions one block of a chunk at a time, and
+# instance_gd.empirical_risk reduces a point stack in the same blocks
+BLOCK_ROWS = 1024
 SIGMAS = 3.0  # the three-sigma rule: an estimate passes within 3 stderr
 
 # a larger draw is not held but streamed one chunk at a time: 16 MiB of
@@ -111,6 +127,19 @@ class SmoothingConfig:
             raise OutOfRange(f"need at least 2 samples; got {self.samples}")
 
 
+def row_blocks(count):
+    """The row slices of count rows in max(1, ceil(count / BLOCK_ROWS))
+    blocks of near-equal size, the larger ones first: np.array_split's
+    parts."""
+    parts = max(1, -(-count // BLOCK_ROWS))
+    size, extra = divmod(count, parts)
+    lo = 0
+    for i in range(parts):
+        hi = lo + size + (i < extra)
+        yield slice(lo, hi)
+        lo = hi
+
+
 def sphere_sample(dim, rng, size=None):
     """Uniform unit vectors: normalized standard Gaussians.
 
@@ -133,7 +162,11 @@ def sphere_sample(dim, rng, size=None):
         raise OutOfRange(f"dim must be positive; got {dim}")
     count = 1 if size is None else int(size)
     x = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.empty(count)
+    for rows in row_blocks(count):
+        # a block at a time: the squares the norm forms take a block, not
+        # a draw
+        norms[rows] = np.linalg.norm(x[rows], axis=1)
     for _ in range(_MAX_REDRAWS):
         bad = norms < _MIN_NORM
         if not bad.any():
@@ -171,17 +204,38 @@ def mc_chunks(seed, count, draw):
         yield draw(np.random.default_rng(chunk_seed), min(CHUNK, count - i * CHUNK))
 
 
+def chunk_sums(vals):
+    """A term's (sum, squared sum) of one chunk's centered values vals,
+    shape (rows,): numpy's sums over axis 0 of vals and of its squares,
+    which overwrite vals."""
+    return vals.sum(axis=0), np.multiply(vals, vals, out=vals).sum(axis=0)
+
+
+def _carry(block, n, running):
+    """running (None at a chunk's first block) plus rows 1 to n of block,
+    summed over axis 0 with running carried in row 0.
+
+    numpy sums a (rows, d) array with d > 1 over axis 0 row after row, so
+    a chunk's sum carried from block to block this way is bitwise its
+    one-array sum.
+    """
+    if running is None:
+        return block[1:1 + n].sum(axis=0)
+    block[0] = running
+    return block[:1 + n].sum(axis=0)
+
+
 def chunk_means(count, chunks, terms):
     """(mean, stderr) of each term over the count draws that an iterable
     of chunks holds.
 
-    Each chunk is read once for every term.  A term maps one chunk to a
-    fresh array of its centered values, shape (rows,) for a scalar or
-    (rows, d) per coordinate, which the estimator then overwrites; its
-    values and their squares are summed in chunk order, so a term's
-    estimate does not depend on the other terms.  The mean is that of the
-    centered values (the caller adds its center back); scalar terms give
-    Python floats.  Without terms no chunk is read.
+    Each chunk is read once for every term.  A term maps one chunk to the
+    (sum, squared sum) over the chunk's draws of its centered values, a
+    scalar or per coordinate (chunk_sums gives them for a scalar's values),
+    which are added up in chunk order, so a term's estimate does not depend
+    on the other terms.  The mean is that of the centered values (the
+    caller adds its center back); scalar terms give Python floats.  Without
+    terms no chunk is read.
     """
     if count < 2:
         raise OutOfRange(f"need at least 2 draws for a variance estimate; "
@@ -191,11 +245,9 @@ def chunk_means(count, chunks, terms):
     sums = [[0.0, 0.0] for _ in terms]  # per term: values, squared values
     for x in chunks:
         for term, acc in zip(terms, sums):
-            vals = term(x)
-            acc[0] += vals.sum(axis=0)
-            # squared in place: no second chunk-sized array
-            acc[1] += np.multiply(vals, vals, out=vals).sum(axis=0)
-            del vals  # free the chunk-sized array before the next term
+            total, total_sq = term(x)
+            acc[0] += total
+            acc[1] += total_sq
         del x  # free this chunk before the next one is read
     out = []
     for total, total_sq in sums:
@@ -233,6 +285,10 @@ def _draws(dim, seed, count):
 def _points(jobs):
     """The jobs' points as float64 vectors, and the dimension they share."""
     points = [np.asarray(w, dtype=np.float64) for _, w in jobs]
+    for w in points:
+        if w.ndim != 1:
+            raise OutOfRange(f"a smoothing point must be a vector (d,); got "
+                             f"shape {w.shape}")
     dims = {w.size for w in points}
     if len(dims) != 1:
         raise OutOfRange(f"points sharing draws need one dimension; got {dims}")
@@ -243,23 +299,30 @@ def smoothed_values(jobs, cfg):
     """Monte-Carlo ball averages of loss around w for each (loss, w) job:
     a list of (estimate, stderr).
 
-    Each loss must accept both a single point (d,) and a batch (B, d).
-    The ball samples are shared by every job and held (see the module
-    docstring).  Each job is centered at loss(w), which changes no estimate
-    in exact arithmetic but keeps the variance sums fully precise when the
-    perturbations are tiny (a constant loss reports stderr exactly 0).
+    Each loss must accept both a single point (d,) and a batch (B, d); it
+    is called on the row_blocks of each chunk, whose points are written
+    into one reused (BLOCK_ROWS, d) array.  The ball samples are shared by
+    every job and held (see the module docstring).  Each job is centered at
+    loss(w), which changes no estimate in exact arithmetic but keeps the
+    variance sums fully precise when the perturbations are tiny (a constant
+    loss reports stderr exactly 0).
     """
     points, dim = _points(jobs)
     bases = [float(loss(w)) for (loss, _), w in zip(jobs, points)]
+    block = np.empty((min(cfg.samples, BLOCK_ROWS), dim))  # a block's points
 
     def centered(loss, w, base):
         def term(chunk):
             u, r = chunk
-            # w + delta * ball draw, built in one chunk-sized array
-            x = u * r[:, None]
-            x *= cfg.delta
-            x += w
-            return np.asarray(loss(x), dtype=np.float64) - base
+            vals = np.empty(len(u))
+            for rows in row_blocks(len(u)):
+                # w + delta * ball draw
+                x = np.multiply(u[rows], r[rows, None],
+                                out=block[:rows.stop - rows.start])
+                x *= cfg.delta
+                x += w
+                vals[rows] = np.asarray(loss(x), dtype=np.float64) - base
+            return chunk_sums(vals)
         return term
 
     means = chunk_means(cfg.samples, _draws(dim, cfg.seed, cfg.samples),
@@ -281,24 +344,51 @@ def smoothed_grads(jobs, cfg):
     Averages (dim/delta) * loss(w + delta*a) * a over sphere draws.  With
     antithetic pairing each pair (a, -a) contributes
     (dim/delta) * (loss(w+delta*a) - loss(w-delta*a))/2 * a, so the sample
-    count covers samples//2 pairs (an odd trailing draw is dropped).  The
-    sphere draws are shared by every job and held, the same directions
-    smoothed_values reads at that count (see the module docstring).
+    count covers samples//2 pairs (an odd trailing draw is dropped) and
+    must give at least two.  The sphere draws are shared by every job and
+    held, the same directions smoothed_values reads at that count (see the
+    module docstring).  Each row block's points, and then its
+    contributions, are written into rows 1.. of one reused
+    (1 + BLOCK_ROWS, d) array, whose row 0 carries the chunk's sums
+    (_carry).
     """
     count = cfg.samples // 2 if cfg.antithetic else cfg.samples
+    if cfg.antithetic and count < 2:
+        raise OutOfRange(f"an antithetic gradient needs at least 2 pairs; "
+                         f"samples={cfg.samples} gives {count}")
     points, dim = _points(jobs)
     scale = dim / cfg.delta
+    # numpy sums a single column pairwise, not row after row, so at dim 1
+    # a chunk is one block
+    blocks = row_blocks if dim > 1 else lambda rows: [slice(0, rows)]
+    # row 0 carries a chunk's sums (_carry); rows 1.. hold a block's points,
+    # then its contributions c * a
+    block = np.empty((1 + min(count, BLOCK_ROWS if dim > 1 else CHUNK), dim))
 
     def contributions(loss, w):
         def term(chunk):
             a = chunk[0]
-            f_plus = np.asarray(loss(w[None, :] + cfg.delta * a),
-                                dtype=np.float64)
-            if not cfg.antithetic:
-                return (scale * f_plus)[:, None] * a
-            f_minus = np.asarray(loss(w[None, :] - cfg.delta * a),
-                                 dtype=np.float64)
-            return (0.5 * scale * (f_plus - f_minus))[:, None] * a
+            total = total_sq = None
+            for rows in blocks(len(a)):
+                n = rows.stop - rows.start
+                x = block[1:1 + n]
+                # w + fl(delta * a); its losses are copied, as x is refilled
+                # with w - fl(delta * a) or c * a next
+                np.multiply(a[rows], cfg.delta, out=x)
+                x += w
+                f_plus = np.array(loss(x), dtype=np.float64)
+                if cfg.antithetic:
+                    np.multiply(a[rows], cfg.delta, out=x)
+                    np.subtract(w, x, out=x)
+                    f_minus = np.asarray(loss(x), dtype=np.float64)
+                    coef = 0.5 * scale * (f_plus - f_minus)
+                else:
+                    coef = scale * f_plus
+                np.multiply(coef[:, None], a[rows], out=x)
+                total = _carry(block, n, total)
+                np.multiply(x, x, out=x)
+                total_sq = _carry(block, n, total_sq)
+            return total, total_sq
         return term
 
     return chunk_means(count, _draws(dim, cfg.seed, count),

@@ -524,3 +524,25 @@ def test_margins_read_the_kernels_term_two_bitwise():
         assert (step.best > params.delta1) == (t >= 2)
         assert (np.float64(max(params.delta1, step.best)).tobytes()
                 == l2[0, 0].tobytes())
+
+
+def test_margins_read_each_steps_own_sample_off_the_design():
+    # on the designed trajectory the coupling at the argmax k reads an
+    # empty block, 0 for every mask, so a check reading another step's
+    # sample would agree there; off the design the couplings tell the
+    # samples apart
+    params, codebook, dataset = _SGD_BIG.build()
+    traj = run_sgd(codebook, dataset, params)
+    rng = np.random.default_rng(5)
+    probes = traj.iterates + params.eta / 10 * rng.normal(size=traj.iterates.shape)
+    steps = params.margins(probes, dataset, codebook)
+    assert len(set(dataset.masks)) == params.n
+    for t, (w, step) in enumerate(zip(probes, steps), start=1):
+        # term 2's table at w_t alone, for the sample step t consumes
+        parts = instance_sgd._sample_free_sgd(w[None], params, codebook, "oracle")
+        inputs = mask_inputs(np.array([params.step_sample(t, dataset)]),
+                             params.n_directions)
+        couplings = instance_sgd._sample_reads(parts, inputs, params)[:, 0, 1:]
+        table = instance_sgd._l2_table(parts, couplings)[0]
+        assert step.best == table.max()
+        assert couplings[0, int(np.argmax(table)) % (params.n - 1)] != 0.0

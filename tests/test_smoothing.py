@@ -11,6 +11,7 @@ from gengap.instance_smallstep import SmallstepParams, grad_smallstep, \
     loss_smallstep
 from gengap.acceptance import _smooth_gd_setup, _smooth_sgd_setup
 from gengap.smoothing import (
+    BLOCK_ROWS,
     CHUNK,
     PreservationStep,
     SmoothingConfig,
@@ -20,6 +21,7 @@ from gengap.smoothing import (
     smoothed_value,
     smoothed_values,
     smoothed_value_checks,
+    row_blocks,
     sphere_sample,
     verify_trajectory_preservation,
     z_scores,
@@ -43,7 +45,9 @@ def test_ball_samples_stay_inside_and_fill_the_ball():
 
 
 def test_in_place_samplers_match_the_copying_forms():
-    for size in (None, 1, 1000):
+    # sphere_sample takes its norms one row block at a time
+    for size in (None, 1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                 CHUNK + 100):
         count = 1 if size is None else size
         rng = np.random.default_rng(9)
         x = rng.standard_normal((count, 6))
@@ -54,6 +58,16 @@ def test_in_place_samplers_match_the_copying_forms():
                               want[0])
         assert np.array_equal(ball_sample(6, np.random.default_rng(9), size),
                               want[1])
+
+
+def test_row_blocks_are_the_parts_of_array_split():
+    for count in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3000,
+                  CHUNK, CHUNK + 100):
+        rows = np.arange(count)
+        parts = np.array_split(rows, max(1, -(-count // BLOCK_ROWS)))
+        assert [rows[s].tolist() for s in row_blocks(count)] \
+            == [part.tolist() for part in parts]
+        assert max(s.stop - s.start for s in row_blocks(count)) <= BLOCK_ROWS
 
 
 def test_sphere_mean_is_near_zero():
@@ -116,6 +130,27 @@ def test_smoothed_grad_needs_enough_samples():
     with pytest.raises(OutOfRange):
         smoothed_grad(lambda v: v.sum(axis=-1), np.zeros(2),
                       SmoothingConfig(0.1, 2, seed=0))
+
+
+def test_a_point_must_be_a_vector():
+    loss = lambda v: np.abs(v).sum(axis=-1)
+    cfg = SmoothingConfig(0.1, 100)
+    with pytest.raises(OutOfRange, match=r"vector \(d,\); got shape \(2, 3\)"):
+        smoothed_value(loss, np.ones((2, 3)), cfg)
+    with pytest.raises(OutOfRange, match=r"got shape \(\)"):
+        smoothed_values([(loss, np.ones(1)), (loss, 1.0)], cfg)
+    with pytest.raises(OutOfRange, match=r"got shape \(1, 3\)"):
+        smoothed_grad(loss, np.ones((1, 3)), cfg)
+
+
+def test_an_antithetic_gradient_needs_two_pairs():
+    loss = lambda v: np.abs(v).sum(axis=-1)
+    with pytest.raises(OutOfRange, match="at least 2 pairs; samples=3 gives 1"):
+        smoothed_grad(loss, np.zeros(2), SmoothingConfig(0.1, 3))
+    # four samples are two pairs; without pairing three samples are three
+    for cfg in (SmoothingConfig(0.1, 4), SmoothingConfig(0.1, 3, antithetic=False)):
+        est, stderr = smoothed_grad(loss, np.ones(2), cfg)
+        assert est.shape == stderr.shape == (2,)
 
 
 def test_estimates_are_reproducible_per_seed():
@@ -196,6 +231,33 @@ def test_shared_draws_give_each_point_its_one_point_estimate(antithetic):
         want_est, want_stderr = _one_point_grad(loss, w, cfg)
         assert np.array_equal(est, want_est)
         assert np.array_equal(stderr, want_stderr)
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("pairs", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   CHUNK, 2 * CHUNK + 100])
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_row_blocks_give_the_one_array_estimates(monkeypatch, antithetic, held,
+                                                 pairs, dim):
+    # _one_point_value and _one_point_grad evaluate each chunk in one
+    # array; the estimators go one row block at a time (a chunk at dim 1)
+    rng = np.random.default_rng(pairs)
+    jobs = [(lambda v: np.abs(v).sum(axis=-1), rng.normal(size=dim)),
+            (lambda v: np.maximum(0.0, v.max(axis=-1)), rng.normal(size=dim))]
+    cfg = SmoothingConfig(0.1, 2 * pairs + 1 if antithetic else pairs,
+                          seed=5, antithetic=antithetic)
+    smoothing._held_draws.cache_clear()
+    if not held:
+        monkeypatch.setattr(smoothing, "MAX_HELD_FLOATS", 0)
+    values, grads = smoothed_values(jobs, cfg), smoothed_grads(jobs, cfg)
+    assert smoothing._held_draws.cache_info().currsize == int(held)
+    smoothing._held_draws.cache_clear()
+    for (loss, w), value, (est, stderr) in zip(jobs, values, grads):
+        assert value == _one_point_value(loss, w, cfg)
+        want_est, want_stderr = _one_point_grad(loss, w, cfg)
+        assert est.tobytes() == want_est.tobytes()
+        assert stderr.tobytes() == want_stderr.tobytes()
 
 
 def test_shared_draws_need_points_of_one_dimension():
@@ -398,3 +460,32 @@ def test_holding_the_draw_adds_nothing_to_the_sweep_peak(monkeypatch):
     monkeypatch.undo()
     held = sweep_peak()
     assert held <= streamed
+
+
+def test_the_sweep_peaks_below_one_and_a_half_held_draws():
+    # the pinned one-pass smoothing sweep at one chunk: ten values and
+    # preservation at steps 2-6 on one held (CHUNK, 168) draw; a (CHUNK, d)
+    # temporary beside it would take the peak to twice the draw
+    params, codebook, dataset, loss, points, _ = _smooth_sgd_setup()
+    value_cfg = SmoothingConfig(params.smoothing_delta, CHUNK, seed=0)
+    grad_cfg = SmoothingConfig(params.smoothing_delta, 2 * CHUNK, seed=0)
+
+    def sweep():
+        for w in points:
+            smoothed_value(loss, w, value_cfg)
+        verify_trajectory_preservation(codebook, dataset, params, grad_cfg,
+                                       steps=range(2, 7))
+
+    sweep()  # builds the loss's cached tables
+    smoothing._held_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draw = smoothing._held_draws(params.dim, 0, CHUNK)
+    smoothing._held_draws.cache_clear()
+    held_bytes = sum(array.nbytes for chunk in draw for array in chunk)
+    assert held_bytes > CHUNK * params.dim * 8
+    assert peak <= 1.5 * held_bytes

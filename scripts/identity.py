@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and nine ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and ten ``gengap run`` sweeps (each with the smoothed-risk
 check and several suffix lengths, whose population risks share one
 Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved, and prints a smoothed-gradient
@@ -45,6 +45,12 @@ SWEEPS = {
     # designed margins shows up as a differing trajectory
     "gd-unconditioned-reference": _GD + ["--policy", "unconditioned",
                                          "--mode", "reference"],
+    # n=4 off-event seeds skip with both oracle messages: an occupied-slot
+    # count (seed 0) and ambiguous blocks at two-digit indices (4, 6, 11)
+    "gd-unconditioned-oracle-n4": ["--family", "gd", "--n", "4",
+                                   "--directions", "4", "--steps", "8",
+                                   "--dprime", "8", "--suffix", "1",
+                                   "--policy", "unconditioned"],
     # each full-batch step sums eight per-sample subgradients
     "gd-n8-reject-oracle": ["--family", "gd", "--n", "8", "--directions", "4",
                             "--steps", "16", "--dprime", "16",
@@ -67,6 +73,7 @@ SWEEPS = {
                   "--suffix", "1,10,100"],
 }
 SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
+         "gd-unconditioned-oracle-n4": "0..12",
          "gd-unconditioned-reference": "0..8"}
 # smoothed-risk draws of samples x dim float64 up to
 # gengap.smoothing.MAX_HELD_FLOATS are held and shared by a run's seeds;

@@ -16,13 +16,17 @@ Two encoders place codepoints inside a larger encoding subspace:
 - encode_gd: one 2-dim block per slot j in [n^2]  -> vector in R^{2 n^2}
 - encode_sgd: one 2-dim block per position t in [n] -> vector in R^{2 n}
 
-A block is "occupied" when its norm exceeds half the magnitude a single
-codepoint would have; an occupied block whose norm is not within 50% of
-that magnitude is refused as ambiguous (it usually holds a superposition
-of several codepoints).
+Decoding has three rules, each defined once here over blocks of any
+leading shape, so both oracle read-outs decode a whole stack of points:
+occupancy (block_occupancy: a block is occupied above half the norm one
+codepoint would have, and ambiguous, usually a superposition of several,
+beyond 50% of it), the code rounding (block_codes) and the lowest member
+of a mask (lowest_member).  decode_blocks is their one-vector form.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,77 +111,78 @@ def encode_sgd(mask, position, n, n_directions):
     return out
 
 
-def decode_blocks(vec, n_directions, expected_magnitude):
-    """Decode every occupied 2-dim block of an encoding-subspace vector.
-
-    Parameters
-    ----------
-    vec : np.ndarray
-        Flat vector of concatenated 2-dim blocks (length 2*B).
-    n_directions : int
-        Codebook size N; codepoints live on the circle with M = 2^N points.
-    expected_magnitude : float
-        Norm a block holding exactly one codepoint should have (e.g. eta/n
-        for the GD iterate's encoding subspace).  Blocks with norm at
-        most half of it are treated as empty.
-
-    Returns
-    -------
-    list of (block_index, mask)
-        1-based block indices with the decoded subset masks, ascending.
-
-    Raises
-    ------
-    AmbiguousBlock
-        If an occupied block's norm deviates from expected_magnitude by more
-        than 50% -- the usual symptom of several codepoints superposed in
-        one block.
+def block_occupancy(x, y, expected_magnitude):
+    """The occupancy rule: (occupied, ambiguous) bool arrays of 2-dim
+    blocks given as coordinate arrays x and y of one shape.  A block is
+    occupied when its norm exceeds half of expected_magnitude, and
+    ambiguous when it is occupied and its norm is not within 50% of it.
+    The squared norm decides, and hypot only within a relative 1e-9 of a
+    threshold (or at NaN), which decides every block as hypot alone would.
     """
-    blocks = np.asarray(vec, dtype=np.float64).reshape(-1, 2)
-    norms = np.hypot(blocks[:, 0], blocks[:, 1])
+    exp = expected_magnitude
+    sq = x * x + y * y
+    lo, hi = (0.5 * exp) ** 2, (1.5 * exp) ** 2
+    occupied, ambiguous = sq > lo, sq > hi
+    near = ~((np.abs(sq - lo) > 1e-9 * lo) & (np.abs(sq - hi) > 1e-9 * hi))
+    norms = np.hypot(x[near], y[near])
+    occupied[near] = norms > 0.5 * exp
+    ambiguous[near] = occupied[near] & (np.abs(norms - exp) > 0.5 * exp)
+    return occupied, ambiguous
+
+
+def block_codes(x, y, n_directions):
+    """The code rounding: the mask of the codepoint nearest each block's
+    angle, round(atan2(x, y) / 2pi * M) mod M, an int64 array."""
     m = subset_count(n_directions)
-    out = []
-    for b in np.nonzero(norms > 0.5 * expected_magnitude)[0]:
-        norm = norms[b]
-        if abs(norm - expected_magnitude) > 0.5 * expected_magnitude:
-            raise AmbiguousBlock(
-                f"block {b + 1}: norm {norm:.3e} is not within 50% of the "
-                f"single-codepoint magnitude {expected_magnitude:.3e}"
-            )
-        angle = math.atan2(blocks[b, 0], blocks[b, 1])
-        idx = round(angle / TWO_PI * m) % m
-        out.append((int(b) + 1, int(idx)))
-    return out
+    codes = np.round(np.arctan2(x, y) / TWO_PI * m).astype(np.int64)
+    codes &= m - 1
+    return codes
+
+
+def lowest_member(masks, n_directions):
+    """The lowest-member rule: the 1-based index of a mask's lowest
+    direction, n_directions for the empty mask; of an int, or of each entry
+    of an int64 array."""
+    if isinstance(masks, np.ndarray):
+        # 2^(j-1) has the binary exponent j
+        return np.where(masks > 0, np.frexp(masks & -masks)[1], n_directions)
+    mask = int(masks)
+    return (mask & -mask).bit_length() or n_directions
+
+
+def decode_blocks(vec, n_directions, expected_magnitude):
+    """The occupied 2-dim blocks of a flat vector vec, decoded: a list of
+    (1-based block index, mask), ascending; the one-vector form of
+    block_occupancy and block_codes.  expected_magnitude is the norm of a
+    block holding one codepoint (e.g. eta/n in the GD iterate's encoding
+    subspace), and the circle has M = 2^n_directions codepoints.  Raises
+    AmbiguousBlock naming the first ambiguous block."""
+    blocks = np.asarray(vec, dtype=np.float64).reshape(-1, 2)
+    x, y = blocks[:, 0], blocks[:, 1]
+    occupied, ambiguous = block_occupancy(x, y, expected_magnitude)
+    if ambiguous.any():
+        b = int(np.argmax(ambiguous))
+        raise AmbiguousBlock(
+            f"block {b + 1}: norm {np.hypot(x[b], y[b]):.3e} is not within "
+            f"50% of the single-codepoint magnitude {expected_magnitude:.3e}"
+        )
+    at = np.flatnonzero(occupied)
+    return [(int(b) + 1, int(c))
+            for b, c in zip(at, block_codes(x[at], y[at], n_directions))]
 
 
 def alpha_gd(masks, n_directions):
-    """Lowest 1-based direction index absent from the union of the masks.
-
-    Returns N when the union covers everything (so the result is always a
-    valid direction index).
-    """
-    union = 0
-    for mask in masks:
-        union |= mask
-    for r in range(1, n_directions + 1):
-        if not union >> (r - 1) & 1:
-            return r
-    return n_directions
+    """Lowest 1-based direction index absent from the union of the masks;
+    N when the union covers everything."""
+    union = functools.reduce(operator.or_, masks, 0)
+    return lowest_member(full_mask(n_directions) & ~union, n_directions)
 
 
 def alpha_sgd(masks, n_directions):
-    """Lowest 1-based direction index present in every mask.
-
-    Returns N when the intersection is empty.  An empty mask list is treated
-    as the intersection over no constraints, i.e. the full set (index 1).
-    """
-    inter = full_mask(n_directions)
-    for mask in masks:
-        inter &= mask
-    for r in range(1, n_directions + 1):
-        if inter >> (r - 1) & 1:
-            return r
-    return n_directions
+    """Lowest 1-based direction index present in every mask; N when the
+    intersection is empty, 1 for no masks (the full set)."""
+    inter = functools.reduce(operator.and_, masks, full_mask(n_directions))
+    return lowest_member(inter, n_directions)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ sample contains -- so the trained iterate generalizes badly while the
 empirical risk looks fine.
 
 Two evaluation modes exist for the read-out term: "oracle" decodes w^(0)
-(valid exactly in the trajectory regime; raises OracleDomain elsewhere) and
-"reference" enumerates every candidate encoded training set (exact
-everywhere, but only feasible at tiny scales).
+of a whole stack of points at once with encoding's rules (valid exactly in
+the trajectory regime; the first point it cannot decode raises
+OracleDomain) and "reference" enumerates every candidate encoded training
+set (exact everywhere, but only feasible at tiny scales).
 """
 
 import itertools
@@ -44,10 +45,13 @@ from .encoding import (
     TWO_PI,
     EncodingLayout,
     alpha_gd,
+    block_codes,
+    block_occupancy,
     circle_point,
     decode_blocks,
     encode_gd,
     full_mask,
+    lowest_member,
     margin_eps,
     subset_count,
 )
@@ -543,49 +547,48 @@ def _reference_groups_gd(params):
     return psi_rows[order], starts, alphas
 
 
-def _decode_training_set(w0, params):
-    """Decode the slot blocks of a single encoding-subspace vector.
-
-    Returns (psi_star, alpha_index): the re-encoded (1/n)*sum vector and the
-    uncovered-direction index of the decoded training set.  An empty
-    subspace decodes to (zeros, index 1); anything with a partial or
-    ambiguous occupancy raises OracleDomain.
-    """
-    try:
-        pairs = decode_blocks(
-            w0, params.n_directions, expected_magnitude=params.codepoint_magnitude
-        )
-    except AmbiguousBlock as exc:
-        raise OracleDomain(f"encoding subspace not decodable: {exc}") from exc
-    if not pairs:
-        return np.zeros_like(w0), 1
-    if len(pairs) != params.n:
-        raise OracleDomain(
-            f"decoded {len(pairs)} occupied slots, expected 0 or {params.n}"
-        )
-    acc = np.zeros_like(w0)
-    for slot, mask in pairs:
-        acc += encode_gd(mask, slot, params.n, params.n_directions)
-    return acc / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
+def _decoded_training_sets(w0, params):
+    """(psi, alpha) of a stack of encoding subspaces (P, 2n^2), decoded at
+    once by encoding's rules: each row's training set re-encoded, 1/n times
+    its codes' circle_points, and its lowest uncovered direction; zeros and
+    1 for an empty row.  The first row with an ambiguous block or with
+    other than 0 or n occupied slots raises OracleDomain, with the message
+    decode_blocks gives that row, an ambiguous block before the count."""
+    n, nd, exp = params.n, params.n_directions, params.codepoint_magnitude
+    x, y = w0[:, 0::2], w0[:, 1::2]  # each slot block's coordinates (P, n^2)
+    occupied, ambiguous = block_occupancy(x, y, exp)
+    bad = ambiguous.any(axis=-1) | ~np.isin(occupied.sum(axis=-1), (0, n))
+    if bad.any():
+        try:
+            pairs = decode_blocks(w0[np.argmax(bad)], nd, exp)
+        except AmbiguousBlock as exc:
+            raise OracleDomain(f"encoding subspace not decodable: {exc}") from exc
+        raise OracleDomain(f"decoded {len(pairs)} occupied slots, expected 0 or {n}")
+    codes = block_codes(x[occupied], y[occupied], nd)
+    kinds, at = np.unique(codes, return_inverse=True)
+    points = np.array([circle_point(int(c), nd) for c in kinds]).reshape(-1, 2)
+    psi = np.zeros(x.shape + (2,))
+    psi[occupied] = points[at] / n
+    union = np.zeros(len(w0), dtype=np.int64)
+    np.bitwise_or.at(union, np.nonzero(occupied)[0], codes)
+    return psi.reshape(w0.shape), lowest_member(full_mask(nd) & ~union, nd)
 
 
 def _l3_gd(points, params, codebook, mode):
     """Term 3, the read-out, at each point of a stack (P, d), shape (P,),
     and the candidate that attains it before the floor: its encoded
     training set psi (P, 2n^2) and uncovered direction alpha (P,), 1-based.
-    The oracle decodes each point; the reference takes the best group of
-    enumerated candidates, ties going to the lowest uncovered direction,
-    then to the first candidate in enumeration order."""
+    The oracle decodes the stack at once (_decoded_training_sets); the
+    reference takes the best group of enumerated candidates, ties going to
+    the lowest uncovered direction, then to the first candidate in
+    enumeration order."""
     lay = params.layout
     w0, w1 = lay.encoding(points), lay.block(points, 1)
     if mode == "oracle":
-        psi = np.empty(w0.shape)
-        alpha = np.empty(len(points), dtype=np.int64)
-        reads = np.empty(len(points))
-        for p, (row, move) in enumerate(zip(w0, w1)):
-            psi[p], alpha[p] = _decode_training_set(row, params)
-            reads[p] = float(row @ psi[p]) - params.beta * float(
-                codebook.vectors[alpha[p] - 1] @ move)
+        psi, alpha = _decoded_training_sets(w0, params)
+        # one vector product per row, rounded as the row's own w0 @ psi
+        reads = (w0[:, None] @ psi[..., None])[:, 0, 0] - params.beta * (
+            codebook.vectors[alpha - 1][:, None] @ w1[..., None])[:, 0, 0]
         return np.maximum(params.delta1, reads), psi, alpha
     if mode != "reference":
         raise OutOfRange(f"unknown loss mode {mode!r}")

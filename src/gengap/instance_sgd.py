@@ -46,9 +46,12 @@ import numpy as np
 from .encoding import (
     TWO_PI,
     alpha_sgd,
+    block_codes,
+    block_occupancy,
     circle_point,
     encode_sgd,
     full_mask,
+    lowest_member,
     subset_count,
 )
 from .errors import (
@@ -385,9 +388,7 @@ def event_state_sgd(masks, n_directions):
     for t in range(n, 0, -1):
         s_suffix[t] = s_suffix[t + 1] & (univ & ~masks[t - 1])
     for t in range(1, n + 1):
-        j = 0
-        if p:
-            j = (p & -p).bit_length()
+        j = lowest_member(p, n_directions) if p else 0
         out.append(EventStep(step=t, p_mask=p, s_mask=s_suffix[t], j=j))
         p &= masks[t - 1]
     return out
@@ -435,12 +436,13 @@ def _l2_readout(w2, proj, params):
     (P, n-1), with the stack's projection proj (P, n, N).  Also returns the
     argmax they read: each k's common direction alpha (P, n-1), and its
     decoded prefix (P, n-1, n-1), the masks of positions 1..k, all -1 where
-    group k holds no clean prefix (the fallback psi = 0, alpha = 1).  Equal
-    bitwise to decoding one group at a time with decode_blocks.
-    Occupancy is read from x^2 + y^2, and from hypot only within a relative
-    1e-9 of a threshold (or at NaN).  Prefix products add up in position
-    order, numpy's order for fewer than eight terms; longer prefixes are
-    summed again numpy's way, pairwise."""
+    group k holds no clean prefix (the fallback psi = 0, alpha = 1).  The
+    decode is encoding's, as decode_blocks applies it to one vector: every
+    block's occupancy (block_occupancy), the codes (block_codes) of only the
+    blocks a prefix reads, position p of groups p..n-2, and each prefix's
+    lowest common member (lowest_member).  Prefix products add up in
+    position order, numpy's order for fewer than eight terms; longer
+    prefixes are summed again numpy's way, pairwise."""
     n, nd, exp = params.n, params.n_directions, params.group_codepoint_magnitude
     m_mod = subset_count(nd)
     table = None  # sin and cos of the codepoints, unless they outnumber the codes
@@ -449,13 +451,7 @@ def _l2_readout(w2, proj, params):
         table = np.sin(theta), np.cos(theta)
     enc = params.layout.encoding(w2).reshape(-1, n, n, 2)  # (row, group, position)
     x, y = (np.ascontiguousarray(enc[..., c].T) for c in (0, 1))  # (pos, group, row)
-    sq = x * x + y * y
-    lo, hi = (0.5 * exp) ** 2, (1.5 * exp) ** 2
-    occupied, ambiguous = sq > lo, sq > hi
-    near = ~((np.abs(sq - lo) > 1e-9 * lo) & (np.abs(sq - hi) > 1e-9 * hi))
-    norms = np.hypot(x[near], y[near])
-    occupied[near] = norms > 0.5 * exp
-    ambiguous[near] = occupied[near] & (np.abs(norms - exp) > 0.5 * exp)
+    occupied, ambiguous = block_occupancy(x, y, exp)
     want = np.arange(n)[:, None] <= np.arange(n)  # group k-1 holds positions 1..k
     clean = ~((occupied != want[..., None]) | ambiguous).any(axis=0)[:-1]
 
@@ -466,8 +462,7 @@ def _l2_readout(w2, proj, params):
     prefix = np.full((n - 1, n - 1, x.shape[-1]), -1)  # (k, position, row)
     for p in range(n - 1):
         xs, ys = x[p, p:-1], y[p, p:-1]
-        codes = np.round(np.arctan2(xs, ys) / TWO_PI * m_mod).astype(np.int64)
-        codes &= m_mod - 1
+        codes = block_codes(xs, ys, nd)
         inter[p:] &= codes
         prefix[p:, p] = codes
         if table is None:
@@ -483,8 +478,7 @@ def _l2_readout(w2, proj, params):
     psi_term = np.where(clean, (dots[0] / n - dots[1] / n) / (4.0 * n), 0.0)
     prefix = np.where(clean[:, None], prefix, -1).transpose(2, 0, 1)
 
-    alpha = np.where(inter > 0, np.frexp(inter & -inter)[1], nd)  # lowest common
-    alpha = np.where(clean, alpha, 1).T
+    alpha = np.where(clean, lowest_member(inter, nd), 1).T  # lowest common
     alpha_term = -0.5 * np.take_along_axis(proj[:, 1:], alpha[..., None] - 1,
                                            axis=-1)[..., 0]
     return (alpha_term, psi_term.T), alpha, prefix

@@ -63,11 +63,11 @@ def _population_sample(params, n_samples, seed):
 
 
 def _population(losses, count, params, n_samples, seed):
-    """(estimates, stderrs) of a stack of count points, shape (count,)
-    each, from their point_losses read-out."""
+    """(estimates, stderrs) of the first count points of a stack, shape
+    (count,) each, from the stack's point_losses read-out."""
     if params.draw_samples is None:
         [vals] = losses(None)
-        return vals[:, 0], np.zeros(count)
+        return vals[:count, 0], np.zeros(count)
     bases = []
 
     def streamed():
@@ -177,22 +177,19 @@ def gap_report(traj, dataset, params, codebook=None, suffix_lengths=(1,),
     (baseline_population); targets are recorded with pass flags, never
     asserted.
     """
-    zero = np.zeros(traj.dim)
-    base_emp = empirical_risk(zero, dataset, params, codebook, mode=mode)
-    base_pop = params.baseline_population(base_emp)
-
-    averages = np.empty((len(suffix_lengths), traj.dim))
-    for row, m in zip(averages, suffix_lengths):
+    # the suffix averages, then the zero vector, read out as one stack: one
+    # population draw for the averages, every training risk from it
+    points = np.zeros((len(suffix_lengths) + 1, traj.dim))
+    for row, m in zip(points, suffix_lengths):
         row[...] = suffix_average(traj, m)
-    # one read-out per suffix average, one population draw for all of them,
-    # and the training risks from the same read-out
-    losses = params.point_losses(averages, codebook, mode)
-    pops, stderrs = _population(losses, len(averages), params, n_samples, seed)
-    emps = training_risks(losses, dataset, params)
+    losses = params.point_losses(points, codebook, mode)
+    pops, stderrs = _population(losses, len(suffix_lengths), params, n_samples, seed)
+    *emps, base_emp = training_risks(losses, dataset, params).tolist()
+    base_pop = params.baseline_population(base_emp)
 
     reports = []
     for m, pop, stderr, emp in zip(suffix_lengths, pops.tolist(),
-                                   stderrs.tolist(), emps.tolist()):
+                                   stderrs.tolist(), emps):
         excess_pop = pop - base_pop
         excess_emp = emp - base_emp
         reports.append(

@@ -9,11 +9,14 @@ from gengap.encoding import (
     EncodingLayout,
     alpha_gd,
     alpha_sgd,
+    block_codes,
+    block_occupancy,
     circle_point,
     decode_blocks,
     encode_gd,
     encode_sgd,
     full_mask,
+    lowest_member,
     margin_eps,
     mask_members,
     subset_count,
@@ -106,6 +109,61 @@ def test_decode_blocks_flags_superposed_codepoints():
     vec[:] = 0.1 * (circle_point(1, n_directions) + circle_point(2, n_directions))
     with pytest.raises(AmbiguousBlock):
         decode_blocks(vec, n_directions, 0.1)
+
+
+def test_block_occupancy_decides_as_hypot_alone():
+    # at, and a few ulps either side of, both thresholds (where the squared
+    # norm cannot decide), at random norms, and at NaN and infinity, along
+    # the axes and at random angles; blocks of a 2-dim leading shape
+    exp = 0.0731
+    radii = [0.5 * exp, 1.5 * exp]
+    for _ in range(3):
+        radii += [np.nextafter(radii[-2], 0.0), np.nextafter(radii[-1], np.inf)]
+        radii += [np.nextafter(radii[-4], np.inf), np.nextafter(radii[-3], 0.0)]
+    rng = np.random.default_rng(6)
+    radii = np.concatenate([radii, rng.uniform(0.0, 2.0 * exp, size=64),
+                            [np.nan, np.inf]])
+    angles = np.concatenate([[0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi],
+                             rng.uniform(-np.pi, np.pi, size=12)])
+    with np.errstate(invalid="ignore"):  # infinity times a zero sine
+        x = radii[:, None] * np.sin(angles)
+        y = radii[:, None] * np.cos(angles)
+    norms = np.hypot(x, y)
+    occupied, ambiguous = block_occupancy(x, y, exp)
+    assert np.array_equal(occupied, norms > 0.5 * exp)
+    assert np.array_equal(ambiguous, occupied & (np.abs(norms - exp) > 0.5 * exp))
+
+
+def test_block_codes_round_each_angle_to_the_nearest_codepoint():
+    # the rule decode_blocks applied one block at a time: round(atan2 /
+    # 2pi * M) mod M, with math.atan2 and Python's half-even round
+    n_directions = 7
+    m = subset_count(n_directions)
+    rng = np.random.default_rng(2)
+    angles = np.concatenate([2.0 * np.pi * np.arange(m) / m,
+                             rng.uniform(-np.pi, np.pi, size=200)])
+    x, y = 0.3 * np.sin(angles), 0.3 * np.cos(angles)
+    want = [round(math.atan2(a, b) / (2.0 * math.pi) * m) % m for a, b in zip(x, y)]
+    assert block_codes(x, y, n_directions).tolist() == want
+    assert block_codes(x, y, n_directions)[:m].tolist() == list(range(m))
+
+
+def test_lowest_member_reads_ints_and_arrays_alike():
+    masks = [0, 1, 0b100, 0b0110, 0b1000, full_mask(4)]
+    want = [4, 1, 3, 2, 4, 1]
+    assert [lowest_member(mask, 4) for mask in masks] == want
+    assert lowest_member(np.int64(0b100), 4) == 3
+    got = lowest_member(np.array(masks, dtype=np.int64).reshape(2, 3), 4)
+    assert got.shape == (2, 3) and got.ravel().tolist() == want
+
+
+def test_decode_blocks_names_the_first_ambiguous_block():
+    vec = np.zeros(8)
+    vec[2:4] = vec[6:8] = (0.0, 0.2)
+    vec[4:6] = (0.0, 0.1)
+    with pytest.raises(AmbiguousBlock, match=r"^block 2: norm 2\.000e-01 is not "
+                       r"within 50% of the single-codepoint magnitude 1\.000e-01$"):
+        decode_blocks(vec, 4, 0.1)
 
 
 def test_alpha_gd_picks_lowest_uncovered_direction():

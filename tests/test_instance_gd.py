@@ -1,5 +1,6 @@
 """Full-batch hard instance: parameters, events, losses, reference parity."""
 
+import itertools
 import json
 import math
 import warnings
@@ -10,10 +11,19 @@ import pytest
 from gengap import instance_gd
 from gengap.acceptance import _GD_BIG, _GD_SMOOTH, _GD_TINY, _smooth_gd_setup
 from gengap.codebook import Codebook, generate_codebook
-from gengap.encoding import circle_point, margin_eps, mask_members
+from gengap.encoding import (
+    alpha_gd,
+    circle_point,
+    decode_blocks,
+    encode_gd,
+    margin_eps,
+    mask_members,
+)
 from gengap.errors import (
+    AmbiguousBlock,
     EventViolated,
     InvalidClosedForm,
+    OracleDomain,
     OutOfRange,
     ReferenceTooLarge,
 )
@@ -21,7 +31,6 @@ from gengap.instance_gd import (
     GdDataset,
     GdParams,
     _READ_ROWS,
-    _decode_training_set,
     _l3_gd,
     _reference_groups_gd,
     _sample_free_gd,
@@ -67,6 +76,37 @@ def _reference_rows(params):
     return psi, np.repeat(alphas, np.diff(np.append(starts, len(psi))))
 
 
+def _decode_row(w0, params):
+    """The oracle decode of one encoding subspace, the per-row reference
+    the stack decode is held to: (psi, alpha), the training set that
+    decode_blocks reads, re-encoded slot by slot, and its uncovered
+    direction; zeros and 1 for an empty subspace; OracleDomain for an
+    ambiguous block or an occupied-slot count other than 0 or n."""
+    try:
+        pairs = decode_blocks(w0, params.n_directions, params.codepoint_magnitude)
+    except AmbiguousBlock as exc:
+        raise OracleDomain(f"encoding subspace not decodable: {exc}") from exc
+    if not pairs:
+        return np.zeros_like(w0), 1
+    if len(pairs) != params.n:
+        raise OracleDomain(
+            f"decoded {len(pairs)} occupied slots, expected 0 or {params.n}")
+    acc = np.zeros_like(w0)
+    for slot, mask in pairs:
+        acc += encode_gd(mask, slot, params.n, params.n_directions)
+    return acc / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
+
+
+def _read_row(w, params, codebook):
+    """Term 3's oracle read-out at one point before the floor, one vector
+    product per piece: (read, psi, alpha)."""
+    lay = params.layout
+    w0, w1 = lay.encoding(w), lay.block(w, 1)
+    psi, alpha = _decode_row(w0, params)
+    read = float(w0 @ psi) - params.beta * float(codebook.vectors[alpha - 1] @ w1)
+    return read, psi, alpha
+
+
 def _four_term_loss(w, sample, params, codebook, mode):
     """One sample's loss as its four terms summed in order, each from its
     own products: the reference the loss kernel is held to."""
@@ -100,17 +140,16 @@ def _four_term_grad(w, sample, params, codebook, mode):
                 lay.block(g, k)[:] += (h[k - 2] / norm) * codebook.vectors[star]
     lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_point(
         mask, params.n_directions)
-    w0, w1 = lay.encoding(w), lay.block(w, 1)
     if mode == "reference":
+        w0, w1 = lay.encoding(w), lay.block(w, 1)
         psi, alpha_idx = _reference_rows(params)
         u_alpha = codebook.vectors[alpha_idx - 1]
         vals = psi @ w0 - params.beta * (u_alpha @ w1)
         best = int(np.argmax(vals))
         read, psi_star, u_read = vals[best], psi[best], u_alpha[best]
     else:
-        psi_star, alpha_idx = _decode_training_set(w0, params)
+        read, psi_star, alpha_idx = _read_row(w, params, codebook)
         u_read = codebook.vectors[alpha_idx - 1]
-        read = float(w0 @ psi_star) - params.beta * float(u_read @ w1)
     if read > params.delta1:
         lay.encoding(g)[:] += psi_star
         lay.block(g, 1)[:] -= params.beta * u_read
@@ -366,14 +405,125 @@ def test_the_step_reads_out_and_ratchets_once(small, monkeypatch):
     params, codebook, dataset = small
     w = run_gd(codebook, dataset, params).iterate(5)
     calls = []
-    for name in ("_decode_training_set", "_sample_free_gd"):
+    for name in ("_decoded_training_sets", "_sample_free_gd"):
         def counted(*args, _name=name, _fn=getattr(instance_gd, name)):
-            calls.append(_name)
+            calls.append((_name, len(args[0])))
             return _fn(*args)
         monkeypatch.setattr(instance_gd, name, counted)
     grad_gd_batch(w, dataset, params, codebook)
     assert dataset.n > 1
-    assert sorted(calls) == ["_decode_training_set", "_sample_free_gd"]
+    assert sorted(calls) == [("_decoded_training_sets", 1), ("_sample_free_gd", 1)]
+
+
+def _stack_matches_rows(points, params, codebook):
+    """Whether every point of the stack decodes: then _l3_gd's oracle
+    read-out of the stack equals _read_row of each point bitwise (read,
+    psi and alpha); otherwise the stack raises the first undecodable
+    point's message."""
+    rows = []
+    for w in points:
+        try:
+            rows.append(_read_row(w, params, codebook))
+        except OracleDomain as exc:
+            with pytest.raises(OracleDomain) as got:
+                _l3_gd(points, params, codebook, "oracle")
+            assert str(got.value) == str(exc)
+            return False
+    read, psi, alpha = _l3_gd(points, params, codebook, "oracle")
+    assert read.tobytes() == np.maximum(params.delta1, [r[0] for r in rows]).tobytes()
+    assert psi.tobytes() == np.array([r[1] for r in rows]).tobytes()
+    assert alpha.tolist() == [r[2] for r in rows]
+    return True
+
+
+_ORACLE_PINNED = pytest.mark.parametrize(
+    "pinned", [_GD_TINY, _GD_SMOOTH, _GD_BIG], ids=["tiny", "smoothing", "headline"])
+
+
+@_ORACLE_PINNED
+def test_the_stack_decode_is_the_per_row_decode_on_trajectories_and_ball_draws(pinned):
+    params, codebook, dataset = pinned.build()
+    traj = run_gd(codebook, dataset, params)
+    assert _stack_matches_rows(traj.iterates, params, codebook)
+    rng = np.random.default_rng(4)
+    draws = np.concatenate([
+        traj.iterate(t) + params.smoothing_delta * ball_sample(params.dim, rng, size=16)
+        for t in range(2, params.steps + 1)])
+    assert _stack_matches_rows(draws, params, codebook)
+
+
+@_ORACLE_PINNED
+def test_the_stack_decode_is_the_per_row_decode_one_ulp_from_the_thresholds(pinned):
+    # one slot block at a time is set one ulp either side of the occupancy
+    # threshold (half the codepoint magnitude) or the ambiguity threshold
+    # (one and a half), along an axis, where hypot is exact, or at a code
+    params, codebook, dataset = pinned.build()
+    w = run_gd(codebook, dataset, params).iterate(3)
+    mag, lay = params.codepoint_magnitude, params.layout
+    units = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), circle_point(5, params.n_directions)]
+    rows = []
+    for slot in range(1, params.n * params.n + 1):
+        for scale, toward, unit in itertools.product((0.5, 1.5), (0.0, np.inf), units):
+            row = w.copy()
+            lay.encoding(row)[2 * (slot - 1): 2 * slot] = np.nextafter(
+                scale * mag, toward) * np.asarray(unit)
+            rows.append(row)
+    decodable = [row for row in rows if _stack_matches_rows(row[None], params, codebook)]
+    assert 0 < len(decodable) < len(rows)
+    assert _stack_matches_rows(np.array(decodable), params, codebook)
+    assert not _stack_matches_rows(np.array(rows), params, codebook)
+
+
+@pytest.mark.parametrize("pinned", [_GD_SMOOTH, _GD_BIG], ids=["smoothing", "headline"])
+def test_the_stack_decode_is_the_per_row_decode_at_random_points(pinned):
+    # off the trajectory: every row holds 0 or n slot blocks at random
+    # norms inside (0.5, 1.5) codepoint magnitudes and random angles, the
+    # other slot blocks below half of it, and random step blocks
+    params, codebook = pinned.build()[:2]
+    rng = np.random.default_rng(12)
+    mag, n, lay = params.codepoint_magnitude, params.n, params.layout
+    points = rng.normal(scale=0.1, size=(256, params.dim))
+    for row in points:
+        radii = rng.uniform(0.0, 0.49, size=n * n)
+        radii[rng.choice(n * n, size=n * rng.integers(2), replace=False)] += 0.51
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n * n)
+        blocks = np.stack([np.sin(angles), np.cos(angles)], axis=-1)
+        lay.encoding(row)[:] = (mag * radii[:, None] * blocks).ravel()
+    assert _stack_matches_rows(points, params, codebook)
+    # and with random encoding subspaces, which rarely decode
+    assert not _stack_matches_rows(rng.normal(scale=mag, size=(64, params.dim)),
+                                   params, codebook)
+
+
+def test_a_stack_raises_its_first_undecodable_rows_message(small):
+    params, codebook, dataset = small
+    w = run_gd(codebook, dataset, params).iterate(3)
+    mag, n, lay = params.codepoint_magnitude, params.n, params.layout
+
+    def with_block(slot, block):
+        row = w.copy()
+        lay.encoding(row)[2 * (slot - 1): 2 * slot] = block
+        return row
+
+    empty = min(set(range(1, n * n + 1)) - set(dataset.slots))
+    short = with_block(dataset.slots[0], (0.0, 0.0))  # n - 1 slots occupied
+    over = with_block(dataset.slots[0], (0.0, 2.0 * mag))  # n, one ambiguous
+    both = with_block(empty, (2.0 * mag, 0.0))  # n + 1, one ambiguous
+    count = f"decoded {n - 1} occupied slots, expected 0 or {n}"
+
+    def ambiguous(slot):
+        return (f"encoding subspace not decodable: block {slot}: norm "
+                f"{2.0 * mag:.3e} is not within 50% of the single-codepoint "
+                f"magnitude {mag:.3e}")
+
+    for stack, message in [([w, short, over], count),
+                           ([w, over, short], ambiguous(dataset.slots[0])),
+                           ([both, short], ambiguous(empty)),
+                           ([short], count)]:
+        with pytest.raises(OracleDomain) as got:
+            _l3_gd(np.array(stack), params, codebook, "oracle")
+        assert str(got.value) == message
+        assert not _stack_matches_rows(np.array(stack), params, codebook)
 
 
 def test_argmax_ties_go_to_the_lowest_direction_then_the_lowest_block():

@@ -83,30 +83,28 @@ SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
 SMOOTHING_SAMPLES = {"smallstep": "30000"}
 
 # smoothed_grads on the three pinned smoothing instances at their
-# preservation steps, antithetic and plain, over one full chunk and a
-# partial one of 1501 pairs (blocks of 751 and 750 rows; antithetic, an
-# odd trailing draw)
+# preservation steps over one full chunk and a partial one of 1501 pairs
+# (blocks of 751 and 750 rows, and an odd trailing draw).  Each tree reads
+# its own smoothing table: a loss-mode column, where the table has one,
+# names the read-out each family smooths, and the oracle's otherwise
 GRAD_FINGERPRINT = """
 import hashlib
 from gengap import acceptance
 from gengap.smoothing import CHUNK, SmoothingConfig, smoothed_grads
 
 pairs = CHUNK + 1501
-for family, (build, steps, mode) in acceptance._SMOOTH_FAMILIES.items():
+for family, (build, steps, *mode) in acceptance._SMOOTH_FAMILIES.items():
+    mode = mode[0] if mode else "oracle"
     params, codebook, dataset = build()[:3]
     jobs = [(params.step_loss(t, dataset, codebook, mode),
              params.expected_iterate(t, dataset, codebook)) for t in steps]
-    for antithetic in (True, False):
-        cfg = SmoothingConfig(params.smoothing_delta,
-                              2 * pairs + 1 if antithetic else pairs,
-                              seed=acceptance._SMOOTH_SEEDS[family],
-                              antithetic=antithetic)
-        digest = hashlib.sha256()
-        for est, stderr in smoothed_grads(jobs, cfg):
-            digest.update(est.tobytes())
-            digest.update(stderr.tobytes())
-        print(family, "antithetic" if antithetic else "plain",
-              digest.hexdigest())
+    cfg = SmoothingConfig(params.smoothing_delta, 2 * pairs + 1,
+                          seed=acceptance._SMOOTH_SEEDS[family])
+    digest = hashlib.sha256()
+    for est, stderr in smoothed_grads(jobs, cfg):
+        digest.update(est.tobytes())
+        digest.update(stderr.tobytes())
+    print(family, digest.hexdigest())
 """
 
 _TIMING = re.compile(r"\d+\.\d+s\b")

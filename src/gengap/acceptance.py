@@ -30,7 +30,7 @@ from .instance_sgd import (
     loss_sgd,
 )
 from .instance_smallstep import SmallstepParams, grad_smallstep, loss_smallstep
-from .optim import run_gd, run_sgd, run_smallstep, suffix_average
+from .optim import _run, run_gd, run_sgd, run_smallstep, suffix_average
 from .risk import (
     empirical_risk,
     gap_report,
@@ -398,50 +398,47 @@ def suite_sgd_risk():
     return checks
 
 
-# each smoothing setup's loss is the step loss at the horizon, the
-# training risk (one-pass: the last sample's loss) that preservation descends
-def _smooth_gd_setup():
-    params, codebook, dataset = _GD_SMOOTH.build()
-    traj = run_gd(codebook, dataset, params, mode="reference")
-    loss = params.step_loss(params.horizon, dataset, codebook, "reference")
-    points = [traj.iterate(t) for t in range(1, 9)]
-    points += [suffix_average(traj, m) for m in (2, 3)]
+def _smooth_setup(pinned, suffixes):
+    """(params, codebook, dataset, loss, points, lipschitz) of a pinned
+    smoothing instance: its loss is the step loss at the horizon, the
+    training risk (one-pass: the last sample's loss) that preservation
+    descends, and its points are every iterate of the run and the given
+    suffix averages."""
+    params, codebook, dataset = pinned.build()
+    traj = _run(params, dataset, codebook, "oracle", projected=False)
+    loss = params.step_loss(params.horizon, dataset, codebook, "oracle")
+    points = [traj.iterate(t) for t in range(1, params.horizon + 1)]
+    points += [suffix_average(traj, m) for m in suffixes]
     return params, codebook, dataset, loss, points, params.lipschitz
+
+
+def _smooth_gd_setup():
+    return _smooth_setup(_GD_SMOOTH, (2, 3))
 
 
 def _smooth_sgd_setup():
-    params, codebook, dataset = _SGD_SMOOTH.build()
-    traj = run_sgd(codebook, dataset, params)
-    loss = params.step_loss(params.horizon, dataset, codebook, "oracle")
     # the 2-suffix average sits exactly on the decode-occupancy boundary of
     # its last prefix groups, so the loss is not Lipschitz across the ball
     # there; every other point keeps a full occupancy margin
-    points = [traj.iterate(t) for t in range(1, 7)]
-    points += [suffix_average(traj, m) for m in (3, 4, 5, 6)]
-    return params, codebook, dataset, loss, points, params.lipschitz
+    return _smooth_setup(_SGD_SMOOTH, (3, 4, 5, 6))
 
 
 def _smooth_smallstep_setup():
-    params, _, _ = _SMALLSTEP_SMOOTH.build()
-    traj = run_smallstep(params)
-    loss = params.step_loss(params.horizon, None, None, "oracle")
-    points = [traj.iterate(t) for t in range(1, 11)]
-    return params, None, None, loss, points, params.lipschitz
+    return _smooth_setup(_SMALLSTEP_SMOOTH, ())
 
 
-# family: (setup, preservation steps, loss mode); the full-batch instance is
-# small enough for the exhaustive reference read-out
+# family: (setup, preservation steps)
 _SMOOTH_FAMILIES = {
-    "gd": (_smooth_gd_setup, range(2, 7), "reference"),
-    "sgd": (_smooth_sgd_setup, range(2, 7), "oracle"),
-    "smallstep": (_smooth_smallstep_setup, range(1, 6), "oracle"),
+    "gd": (_smooth_gd_setup, range(2, 7)),
+    "sgd": (_smooth_sgd_setup, range(2, 7)),
+    "smallstep": (_smooth_smallstep_setup, range(1, 6)),
 }
 
 
 def suite_smoothing():
     """Ball-average values hug the loss; smoothed gradients preserve steps."""
     checks = []
-    for family, (build, preserve_steps, mode) in _SMOOTH_FAMILIES.items():
+    for family, (build, preserve_steps) in _SMOOTH_FAMILIES.items():
         params, codebook, dataset, loss, points, lipschitz = build()
         cfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES, seed=0)
         slacks = [abs(val - plain) - bound for val, _, plain, bound in
@@ -454,8 +451,8 @@ def suite_smoothing():
         )
         pcfg = SmoothingConfig(params.smoothing_delta, _SMOOTH_SAMPLES,
                                seed=_SMOOTH_SEEDS[family])
-        rep = verify_trajectory_preservation(
-            codebook, dataset, params, pcfg, steps=preserve_steps, mode=mode)
+        rep = verify_trajectory_preservation(codebook, dataset, params, pcfg,
+                                             steps=preserve_steps)
         worst = max(r.max_sigma for r in rep.steps)
         checks.append(
             Check(f"{family}: every coordinate of the smoothed gradient is "

@@ -58,12 +58,6 @@ class Codebook:
     def n_vectors(self):
         return self.vectors.shape[0]
 
-    def direction(self, index):
-        """Return direction by 1-based index."""
-        if not 1 <= index <= self.n_vectors:
-            raise OutOfRange(f"direction index {index} not in [1, {self.n_vectors}]")
-        return self.vectors[index - 1]
-
 
 def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=100_000):
     """Generate a codebook by seeded rejection sampling.

@@ -70,9 +70,11 @@ from .smoothing import row_blocks
 REFERENCE_BUDGET = 100_000
 MAX_DATASET_DRAWS = 100_000  # reject-until-E gives up after this many draws
 
-# rows per block of the batched reference read-out: on 8192-row smoothing
-# chunks, blocks of 64 to 128 rows ran about 3x faster than one unblocked
-# product (the (rows, |Psi|) temporary stays in cache); each block takes one
+# rows per block of the batched reference read-out.  Its callers at scale
+# are `--mode reference` runs and reference-mode preservation checks, whose
+# loss sees blocks of up to smoothing.BLOCK_ROWS (1,024) rows; blocks of 64
+# to 128 rows ran about 3x faster than one unblocked product and bound the
+# (rows, |Psi|) temporary, which stays in cache.  Each block takes one
 # product per uncovered-direction group, and 128 rows halve those calls
 _READ_ROWS = 128
 

@@ -45,16 +45,6 @@ class Trajectory:
             raise OutOfRange(f"iterate {t} not in [1, {self.steps}]")
         return self.iterates[t - 1]
 
-    def suffix_average(self, m):
-        return suffix_average(self, m)
-
-    def save(self, basepath):
-        save_trajectory(self, basepath)
-
-    @classmethod
-    def load(cls, basepath):
-        return load_trajectory(basepath)
-
 
 def suffix_average(trajectory, m):
     """Mean of the last m iterates; m = 1 returns w_T bitwise."""

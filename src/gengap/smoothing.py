@@ -4,15 +4,16 @@ The smoothed loss is the average of f over a delta-ball around w.  Both the
 value and the gradient are estimated by Monte Carlo:
 
     value: mean of f(w + delta*v), v uniform in the unit ball;
-    grad:  (dim/delta) * mean of f(w + delta*a) * a, a uniform on the sphere,
+    grad:  (dim/delta) * mean of (f(w + delta*a) - f(w - delta*a))/2 * a,
+           a uniform on the sphere,
 
-the latter optionally with antithetic pairs (a, -a), which cancels the
-constant part of f exactly and, for locally linear f, leaves a per-pair
-contribution whose mean is the exact gradient.  Each family's params object
-carries the radius its guarantees tolerate (smoothing_delta); when the
-radius stays below every argmax margin, the smoothed gradient agrees with
-the subgradient the optimizer uses, which is what
-verify_trajectory_preservation spot-checks statistically.
+the latter over antithetic pairs (a, -a), which cancel the constant part of
+f exactly and, for locally linear f, leave a per-pair contribution whose
+mean is the exact gradient (Nesterov & Spokoiny's two-point form).  Each
+family's params object carries the radius its guarantees tolerate
+(smoothing_delta); when the radius stays below every argmax margin, the
+smoothed gradient agrees with the subgradient the optimizer uses, which is
+what verify_trajectory_preservation spot-checks statistically.
 
 mc_chunks lays out the draws of every such number here and in
 risk.population_risk_mc (per-chunk seeds spawned from the config seed make
@@ -113,12 +114,14 @@ def held_once(build):
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Radius, sample count, seed, and pairing mode for the estimators."""
+    """Radius, sample count and seed for the estimators."""
 
     delta: float
     samples: int
     seed: int = 0
-    antithetic: bool = True
+    # gradients always pair draws (a, -a): a class constant, not a field,
+    # for code that counts a config's pairs (perfbench's tracer)
+    antithetic = True
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -341,8 +344,7 @@ def smoothed_grads(jobs, cfg):
     """Zeroth-order gradient estimates for each (loss, w) job: a list of
     (vector estimate, per-coordinate stderr).
 
-    Averages (dim/delta) * loss(w + delta*a) * a over sphere draws.  With
-    antithetic pairing each pair (a, -a) contributes
+    Each antithetic pair of sphere draws (a, -a) contributes
     (dim/delta) * (loss(w+delta*a) - loss(w-delta*a))/2 * a, so the sample
     count covers samples//2 pairs (an odd trailing draw is dropped) and
     must give at least two.  The sphere draws are shared by every job and
@@ -352,8 +354,8 @@ def smoothed_grads(jobs, cfg):
     (1 + BLOCK_ROWS, d) array, whose row 0 carries the chunk's sums
     (_carry).
     """
-    count = cfg.samples // 2 if cfg.antithetic else cfg.samples
-    if cfg.antithetic and count < 2:
+    count = cfg.samples // 2
+    if count < 2:
         raise OutOfRange(f"an antithetic gradient needs at least 2 pairs; "
                          f"samples={cfg.samples} gives {count}")
     points, dim = _points(jobs)
@@ -373,17 +375,14 @@ def smoothed_grads(jobs, cfg):
                 n = rows.stop - rows.start
                 x = block[1:1 + n]
                 # w + fl(delta * a); its losses are copied, as x is refilled
-                # with w - fl(delta * a) or c * a next
+                # with w - fl(delta * a) next
                 np.multiply(a[rows], cfg.delta, out=x)
                 x += w
                 f_plus = np.array(loss(x), dtype=np.float64)
-                if cfg.antithetic:
-                    np.multiply(a[rows], cfg.delta, out=x)
-                    np.subtract(w, x, out=x)
-                    f_minus = np.asarray(loss(x), dtype=np.float64)
-                    coef = 0.5 * scale * (f_plus - f_minus)
-                else:
-                    coef = scale * f_plus
+                np.multiply(a[rows], cfg.delta, out=x)
+                np.subtract(w, x, out=x)
+                f_minus = np.asarray(loss(x), dtype=np.float64)
+                coef = 0.5 * scale * (f_plus - f_minus)
                 np.multiply(coef[:, None], a[rows], out=x)
                 total = _carry(block, n, total)
                 np.multiply(x, x, out=x)

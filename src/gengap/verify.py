@@ -30,6 +30,8 @@ WILSON_Z = 1.959963984540054
 
 TOL_MAIN = 1e-9
 TOL_STRICT = 1e-15
+# the largest convexity, Lipschitz or subgradient violation a probe forgives
+PROPERTY_SLACK = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +79,13 @@ class TrajectoryReport:
     ok: bool
 
 
-def check_trajectory(traj, params, dataset, codebook,
-                     tol_main=TOL_MAIN, tol_strict=TOL_STRICT):
+def check_trajectory(traj, params, dataset, codebook):
     """Compare recorded iterates with the closed forms at split tolerances.
 
     The closed forms are checked from the family's first_checked_step (the
     first update, or w_1 for the deterministic family) up to its horizon.
     Coordinates the closed form leaves at exactly zero, and the family's
-    strict_blocks, are held to tol_strict; everything else to tol_main.
+    strict_blocks, are held to TOL_STRICT; everything else to TOL_MAIN.
     Both are absolute.  A trajectory of another length than the horizon
     raises OutOfRange (require_horizon).
     """
@@ -104,13 +105,13 @@ def check_trajectory(traj, params, dataset, codebook,
                 step=t,
                 max_main=max_main,
                 max_strict=max_strict,
-                ok=bool(max_main <= tol_main and max_strict <= tol_strict),
+                ok=bool(max_main <= TOL_MAIN and max_strict <= TOL_STRICT),
             )
         )
     return TrajectoryReport(
         steps=tuple(records),
-        tol_main=tol_main,
-        tol_strict=tol_strict,
+        tol_main=TOL_MAIN,
+        tol_strict=TOL_STRICT,
         ok=all(r.ok for r in records),
     )
 
@@ -133,10 +134,11 @@ def check_norm_bound(traj):
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(successes, trials, z=WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, trials):
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise OutOfRange("trials must be positive")
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -213,10 +215,10 @@ class PropertyReport:
     ok: bool
 
 
-def check_loss_properties(loss, grad, sampler, lipschitz_bound, trials, seed,
-                          slack=1e-10):
+def check_loss_properties(loss, grad, sampler, lipschitz_bound, trials, seed):
     """Probe convexity, the Lipschitz bound, and the subgradient inequality
-    at random point pairs; reports the worst violation of each.
+    at random point pairs; reports the worst violation of each, each held
+    to PROPERTY_SLACK.
 
     sampler(rng) must return one probe point.  grad may be None to skip the
     subgradient probe (e.g. for losses without an implemented oracle).
@@ -242,6 +244,7 @@ def check_loss_properties(loss, grad, sampler, lipschitz_bound, trials, seed,
         lipschitz_violation=lip,
         subgradient_violation=sub,
         trials=trials,
-        slack=slack,
-        ok=bool(conv <= slack and lip <= slack and sub <= slack),
+        slack=PROPERTY_SLACK,
+        ok=bool(conv <= PROPERTY_SLACK and lip <= PROPERTY_SLACK
+                and sub <= PROPERTY_SLACK),
     )

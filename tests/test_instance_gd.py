@@ -44,8 +44,8 @@ from gengap.instance_gd import (
     theorem_step_size,
 )
 from gengap.instance_sgd import SgdDataset
-from gengap.optim import run_gd
-from gengap.smoothing import CHUNK, ball_sample
+from gengap.optim import run_gd, suffix_average
+from gengap.smoothing import CHUNK, ball_sample, sphere_sample
 from gengap.verify import expected_gd_iterate
 
 
@@ -334,7 +334,7 @@ def test_kernel_losses_are_within_four_spacings_of_the_four_terms(pinned, mode):
     traj = run_gd(codebook, dataset, params)
     rng = np.random.default_rng(7)
     points = [traj.iterate(t) for t in range(1, params.steps + 1)]
-    points += [traj.suffix_average(m) for m in (2, 3)]
+    points += [suffix_average(traj, m) for m in (2, 3)]
     points += list(points[-1] + params.smoothing_delta * ball_sample(
         params.dim, rng, size=20))
     masks = np.concatenate([dataset.masks, rng.integers(
@@ -587,6 +587,28 @@ def test_oracle_and_reference_modes_agree_on_trajectory(small):
         ga = grad_gd(w, sample, params, codebook, mode="oracle")
         gb = grad_gd(w, sample, params, codebook, mode="reference")
         assert np.abs(ga - gb).max() <= 1e-12
+
+
+def test_smoothing_reads_the_same_loss_and_step_in_both_modes():
+    # gd smoothing reads the oracle's step loss: on a chunk of delta-ball
+    # draws and of antithetic sphere pairs around each of the ten smoothing
+    # points it is the reference's bitwise, and so is the step the
+    # preservation check compares against at iterates 2-6
+    params, codebook, dataset, _, points, _ = _smooth_gd_setup()
+    assert len(points) == 10
+    oracle, reference = (params.step_loss(params.horizon, dataset, codebook, mode)
+                         for mode in ("oracle", "reference"))
+    rng = np.random.default_rng(12)
+    delta = params.smoothing_delta
+    for w in points:
+        a = delta * sphere_sample(params.dim, rng, size=CHUNK)
+        for batch in (w + delta * ball_sample(params.dim, rng, size=CHUNK),
+                      w + a, w - a):
+            assert oracle(batch).tobytes() == reference(batch).tobytes()
+    for t in range(2, 7):
+        w = params.expected_iterate(t, dataset, codebook)
+        assert grad_gd_batch(w, dataset, params, codebook, "oracle").tobytes() \
+            == grad_gd_batch(w, dataset, params, codebook, "reference").tobytes()
 
 
 def test_reference_mode_refuses_huge_enumerations():

@@ -445,7 +445,7 @@ def test_kernel_losses_are_within_four_spacings_of_the_three_terms(pinned, mode)
     traj = run_sgd(codebook, dataset, params)
     rng = np.random.default_rng(7)
     points = [traj.iterate(t) for t in range(1, params.n + 1)]
-    points += [traj.suffix_average(m) for m in (2, 3)]
+    points += [suffix_average(traj, m) for m in (2, 3)]
     points += list(points[-1] + params.smoothing_delta * ball_sample(
         params.dim, rng, size=20))
     points = np.array(points)

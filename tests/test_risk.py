@@ -17,7 +17,7 @@ from gengap.instance_sgd import (
     loss_sgd_samples,
 )
 from gengap.instance_smallstep import SmallstepParams, loss_smallstep
-from gengap.optim import run_gd, run_sgd, run_smallstep
+from gengap.optim import run_gd, run_sgd, run_smallstep, suffix_average
 from gengap.risk import (
     RiskReport,
     ThresholdRecord,
@@ -286,7 +286,7 @@ def test_gap_report_equals_a_per_suffix_loop_field_for_field(family_run):
     base_pop = params.baseline_population(base_emp)
     want = []
     for m in suffixes:  # one population estimate per suffix average
-        w = traj.suffix_average(m)
+        w = suffix_average(traj, m)
         emp = _training_mean(w, dataset, params, codebook)
         pop, stderr = population_risk_mc(w, params, codebook, n_samples=n,
                                          seed=9)
@@ -315,7 +315,7 @@ def test_population_mc_of_a_stack_equals_one_point_calls(family_run):
     params, codebook, _, traj, suffixes = family_run
     # the zero vector too: every smallstep suffix average has the same loss
     points = np.stack([np.zeros(traj.dim)]
-                      + [traj.suffix_average(m) for m in suffixes])
+                      + [suffix_average(traj, m) for m in suffixes])
     n = 2 * CHUNK + 5
     est, stderr = population_risk_mc(points, params, codebook, n_samples=n,
                                      seed=9)
@@ -355,7 +355,7 @@ def test_a_report_reads_each_point_out_once(monkeypatch):
 def test_empirical_risk_of_a_stack_equals_one_point_calls(family_run):
     params, codebook, dataset, traj, suffixes = family_run
     points = np.stack([np.zeros(traj.dim)]
-                      + [traj.suffix_average(m) for m in suffixes])
+                      + [suffix_average(traj, m) for m in suffixes])
     got = empirical_risk(points, dataset, params, codebook)
     assert got.shape == (len(points),)
     singles = [empirical_risk(w, dataset, params, codebook) for w in points]
@@ -374,7 +374,7 @@ def test_gap_report_of_no_suffix_is_empty_and_draws_nothing(family_run,
 
 def test_sgd_sample_losses_of_a_stack_equal_its_rows():
     params, codebook, _, traj = _sgd_setup()
-    points = np.stack([traj.suffix_average(m) for m in (1, 2, 3, 4)])
+    points = np.stack([suffix_average(traj, m) for m in (1, 2, 3, 4)])
     masks = params.draw_samples(np.random.default_rng(5), 3000)
     got = loss_sgd_samples(points, masks, params, codebook)
     assert got.shape == (len(points), len(masks))
@@ -391,7 +391,7 @@ def test_sgd_sample_losses_of_a_stack_equal_its_rows():
 def test_a_held_sample_gives_the_fresh_results_bitwise(gd_setup, family):
     params, codebook, dataset, traj = (gd_setup if family == "gd"
                                        else _sgd_setup())
-    points = np.stack([traj.suffix_average(m) for m in (1, 2)])
+    points = np.stack([suffix_average(traj, m) for m in (1, 2)])
     n = 2 * CHUNK + 5
 
     def results():
@@ -419,7 +419,7 @@ def _arrays(prepared):
 @pytest.mark.parametrize("family", ["gd", "sgd"])
 def test_the_memo_holds_one_read_only_sample(gd_setup, family):
     params, codebook, _, traj = gd_setup if family == "gd" else _sgd_setup()
-    w = traj.suffix_average(1)
+    w = suffix_average(traj, 1)
     risk._population_sample.cache_clear()
     for seed in (3, 4):
         population_risk_mc(w, params, codebook, n_samples=2 * CHUNK + 5,
@@ -435,7 +435,7 @@ def test_the_memo_holds_one_read_only_sample(gd_setup, family):
 
 def test_a_sample_above_the_held_size_streams(gd_setup):
     params, codebook, _, traj = gd_setup
-    w = traj.suffix_average(1)
+    w = suffix_average(traj, 1)
     n = risk.MAX_HELD_SAMPLES + 1
     risk._population_sample.cache_clear()
     assert population_risk_mc(w, params, codebook, n_samples=n, seed=2) \
@@ -470,7 +470,7 @@ def test_every_training_risk_is_empirical_risk_bitwise(gd_setup):
                 (_sgd_headline_setup(), loss_sgd)]
     for (params, codebook, dataset, traj), loss in families:
         for m in range(1, params.horizon + 1):
-            w = traj.suffix_average(m)
+            w = suffix_average(traj, m)
             got = empirical_risk(w, dataset, params, codebook)
             samples = (dataset.masks if params.family == "sgd"
                        else zip(dataset.masks, dataset.slots))
@@ -484,7 +484,7 @@ def test_every_training_risk_is_empirical_risk_bitwise(gd_setup):
     params = SmallstepParams(eta=0.02, steps=100)
     traj = run_smallstep(params)
     for m in range(1, params.horizon + 1):
-        w = traj.suffix_average(m)
+        w = suffix_average(traj, m)
         got = empirical_risk(w, None, params)
         assert got == float(loss_smallstep(w, params))
         assert got == params.step_loss(m, None, None, "oracle")(w)

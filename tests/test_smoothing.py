@@ -147,10 +147,9 @@ def test_an_antithetic_gradient_needs_two_pairs():
     loss = lambda v: np.abs(v).sum(axis=-1)
     with pytest.raises(OutOfRange, match="at least 2 pairs; samples=3 gives 1"):
         smoothed_grad(loss, np.zeros(2), SmoothingConfig(0.1, 3))
-    # four samples are two pairs; without pairing three samples are three
-    for cfg in (SmoothingConfig(0.1, 4), SmoothingConfig(0.1, 3, antithetic=False)):
-        est, stderr = smoothed_grad(loss, np.ones(2), cfg)
-        assert est.shape == stderr.shape == (2,)
+    # four samples are two pairs
+    est, stderr = smoothed_grad(loss, np.ones(2), SmoothingConfig(0.1, 4))
+    assert est.shape == stderr.shape == (2,)
 
 
 def test_estimates_are_reproducible_per_seed():
@@ -188,7 +187,7 @@ def _one_point_value(loss, w, cfg):
 
 
 def _one_point_grad(loss, w, cfg):
-    count = cfg.samples // 2 if cfg.antithetic else cfg.samples
+    count = cfg.samples // 2
     seeds = np.random.SeedSequence(cfg.seed).spawn(-(-count // CHUNK))
     scale = w.size / cfg.delta
     total = np.zeros(w.size)
@@ -197,12 +196,9 @@ def _one_point_grad(loss, w, cfg):
     for seed in seeds:
         b = min(CHUNK, count - done)
         a = sphere_sample(w.size, np.random.default_rng(seed), size=b)
-        if cfg.antithetic:
-            f_plus = loss(w[None, :] + cfg.delta * a)
-            f_minus = loss(w[None, :] - cfg.delta * a)
-            contrib = (0.5 * scale * (f_plus - f_minus))[:, None] * a
-        else:
-            contrib = (scale * loss(w[None, :] + cfg.delta * a))[:, None] * a
+        f_plus = loss(w[None, :] + cfg.delta * a)
+        f_minus = loss(w[None, :] - cfg.delta * a)
+        contrib = (0.5 * scale * (f_plus - f_minus))[:, None] * a
         total += contrib.sum(axis=0)
         total_sq += (contrib * contrib).sum(axis=0)
         done += b
@@ -211,10 +207,11 @@ def _one_point_grad(loss, w, cfg):
     return est, np.sqrt(var / count)
 
 
-@pytest.mark.parametrize("antithetic", [True, False])
-def test_shared_draws_give_each_point_its_one_point_estimate(antithetic):
-    # three points, each with its own loss, over two full chunks and a
-    # partial third (and an odd trailing draw in antithetic mode)
+@pytest.mark.parametrize("odd", [True, False])
+def test_shared_draws_give_each_point_its_one_point_estimate(odd):
+    # three points, each with its own loss, over two full chunks of pairs
+    # and a partial third (with or without an odd trailing draw, which the
+    # gradient drops and the value reads)
     rng = np.random.default_rng(8)
     points = [rng.normal(size=5) for _ in range(3)]
     losses = [lambda v: np.abs(v).sum(axis=-1),
@@ -222,8 +219,7 @@ def test_shared_draws_give_each_point_its_one_point_estimate(antithetic):
               lambda v: (v * v).sum(axis=-1)]
     jobs = list(zip(losses, points))
     pairs = 2 * CHUNK + 100
-    cfg = SmoothingConfig(0.1, 2 * pairs + 1 if antithetic else pairs,
-                          seed=3, antithetic=antithetic)
+    cfg = SmoothingConfig(0.1, 2 * pairs + odd, seed=3)
     for (loss, w), got in zip(jobs, smoothed_values(jobs, cfg)):
         assert got == _one_point_value(loss, w, cfg)
         assert got == smoothed_value(loss, w, cfg)
@@ -237,16 +233,15 @@ def test_shared_draws_give_each_point_its_one_point_estimate(antithetic):
 @pytest.mark.parametrize("pairs", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                    CHUNK, 2 * CHUNK + 100])
 @pytest.mark.parametrize("held", [True, False])
-@pytest.mark.parametrize("antithetic", [True, False])
-def test_row_blocks_give_the_one_array_estimates(monkeypatch, antithetic, held,
+@pytest.mark.parametrize("odd", [True, False])
+def test_row_blocks_give_the_one_array_estimates(monkeypatch, odd, held,
                                                  pairs, dim):
     # _one_point_value and _one_point_grad evaluate each chunk in one
     # array; the estimators go one row block at a time (a chunk at dim 1)
     rng = np.random.default_rng(pairs)
     jobs = [(lambda v: np.abs(v).sum(axis=-1), rng.normal(size=dim)),
             (lambda v: np.maximum(0.0, v.max(axis=-1)), rng.normal(size=dim))]
-    cfg = SmoothingConfig(0.1, 2 * pairs + 1 if antithetic else pairs,
-                          seed=5, antithetic=antithetic)
+    cfg = SmoothingConfig(0.1, 2 * pairs + odd, seed=5)
     smoothing._held_draws.cache_clear()
     if not held:
         monkeypatch.setattr(smoothing, "MAX_HELD_FLOATS", 0)
@@ -376,18 +371,16 @@ def test_a_seedless_config_draws_fresh_entropy_per_call(monkeypatch):
     assert smoothing._held_draws.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("antithetic", [True, False])
-def test_held_and_streamed_draws_give_the_same_estimates(monkeypatch,
-                                                         antithetic):
-    # two full chunks and a partial third (and an odd trailing draw in
-    # antithetic mode)
+@pytest.mark.parametrize("odd", [True, False])
+def test_held_and_streamed_draws_give_the_same_estimates(monkeypatch, odd):
+    # two full chunks of pairs and a partial third (with or without an odd
+    # trailing draw)
     rng = np.random.default_rng(11)
     points = [rng.normal(size=5) for _ in range(2)]
     jobs = [(lambda v: np.abs(v).sum(axis=-1), points[0]),
             (lambda v: np.maximum(0.0, v.max(axis=-1)), points[1])]
     pairs = 2 * CHUNK + 100
-    cfg = SmoothingConfig(0.1, 2 * pairs + 1 if antithetic else pairs,
-                          seed=6, antithetic=antithetic)
+    cfg = SmoothingConfig(0.1, 2 * pairs + odd, seed=6)
 
     def estimates():
         return (smoothed_values(jobs, cfg),

@@ -10,12 +10,15 @@ Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved, and prints a smoothed-gradient
 fingerprint (GRAD_FINGERPRINT: a sha256 of full-precision estimates and
 stderrs, which the acceptance output rounds to two decimals).  JSON files
-are compared without their ``elapsed_seconds`` and ``out`` keys, other files
-byte for byte, stdout and stderr with timings and paths masked, and exit
-codes as they are.  Prints each difference and exits 1 if there is any:
-every differing JSON value and CSV cell, each number with its difference in
-units of ``math.ulp`` of the old tree's value, so a last-bit move reads as
-a few ulps and a real change as many.
+are compared twice: parsed, without their ``elapsed_seconds`` and ``out``
+keys, and as text with the ``elapsed_seconds`` values masked, so a change of
+indent, separators, key order or number format shows too.  Other files are
+compared byte for byte, stdout and stderr with timings and paths masked,
+and exit codes as they are.  Prints each difference and exits 1 if there
+is any: every differing JSON value and CSV cell, each number with its
+difference in units of ``math.ulp`` of the old tree's value, so a last-bit
+move reads as a few ulps and a real change as many, and each JSON text's
+first differing line.
 Standard library only; a full sweep takes about a minute per tree on two
 cores, most of it the acceptance suites.
 """
@@ -23,6 +26,7 @@ cores, most of it the acceptance suites.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -108,6 +112,7 @@ for family, (build, steps, *mode) in acceptance._SMOOTH_FAMILIES.items():
 """
 
 _TIMING = re.compile(r"\d+\.\d+s\b")
+_ELAPSED = re.compile(r'("elapsed_seconds": )[^,\n}]+')
 _DROPPED_KEYS = ("elapsed_seconds", "out")
 
 
@@ -133,7 +138,7 @@ def _mask(text, tree, workdir):
 
 def sweep(tree, workdir):
     """Run every command on one tree; returns {output name: (kind, value)}
-    where kind is "json", "bytes" or "text"."""
+    where kind is "json", "json text", "bytes" or "text"."""
     outputs = {}
 
     def call(name, argv, run=_gengap):
@@ -169,7 +174,10 @@ def sweep(tree, workdir):
         if path.is_file():
             key = str(path.relative_to(workdir))
             if path.suffix == ".json":
-                outputs[key] = ("json", _strip(json.loads(path.read_text())))
+                text = path.read_text()
+                outputs[key] = ("json", _strip(json.loads(text)))
+                outputs[f"{key} text"] = ("json text",
+                                          _ELAPSED.sub(r"\1<t>", text))
             else:
                 outputs[key] = ("bytes", path.read_bytes())
     return outputs
@@ -255,6 +263,12 @@ def compare(old, new):
                 size = "" if ulps is None else f" ({ulps:+.4g} ulp)"
                 found[key].append(f"{key}: differs at {where or '/'}: "
                                   f"{x!r} != {y!r}{size}")
+        elif kind == "json text":
+            lines = itertools.zip_longest(a.split("\n"), b.split("\n"))
+            i, (x, y) = next((i, xy) for i, xy in enumerate(lines, start=1)
+                             if xy[0] != xy[1])
+            found[key] = [f"{key}: first differs at line {i}:\n"
+                          f"  old: {x!r}\n  new: {y!r}"]
         elif kind == "text":
             found[key] = [f"{key}:\n  old: {a!r}\n  new: {b!r}"]
         else:

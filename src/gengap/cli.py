@@ -51,20 +51,14 @@ FAMILIES = tuple(_PARAMS)
 POLICIES = tuple(dict.fromkeys(p for cls in _PARAMS.values() for p in cls.policies))
 
 
-def _jsonable(obj):
-    """Recursively convert reports/configs into plain JSON types."""
+def _json_default(obj):
+    """json.dumps' hook for what it cannot write itself: a report dataclass
+    as its fields, a numpy value or array as Python numbers."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _default_out():
@@ -168,7 +162,7 @@ class ExperimentConfig:
 
     def resolved(self, params):
         """Plain dict with defaults filled in, for artifact provenance."""
-        d = _jsonable(self)
+        d = dataclasses.asdict(self)
         for key in ("eta", "dim", "dprime"):
             d[key] = getattr(params, key, d[key])
         return d
@@ -299,7 +293,7 @@ def _verify_text(cfg, params, seed, rejections, payload):
     """One seed's verify artifact: config, seed and draw, then the checks."""
     return json.dumps({"config": cfg.resolved(params), "seed": seed,
                        "policy": cfg.policy, "rejections": rejections,
-                       **payload}, indent=2)
+                       **payload}, indent=2, default=_json_default)
 
 
 def _verify_one(cfg, params, codebook, dataset, traj, event):
@@ -310,17 +304,16 @@ def _verify_one(cfg, params, codebook, dataset, traj, event):
     checks — the designed dynamics are conditional on the event — and the
     report says so rather than failing the run.
     """
-    payload = {"event": _jsonable(event)}
+    payload = {"event": event}
     passed = True
     if event is None or event:
         rep = check_trajectory(traj, params, dataset, codebook)
         margins = check_margins(traj, params, dataset, codebook)
-        payload["trajectory"], payload["margins"] = _jsonable(rep), _jsonable(margins)
+        payload["trajectory"], payload["margins"] = rep, margins
         passed = rep.ok and margins.ok
     else:
         payload["trajectory"] = payload["margins"] = "skipped: dataset is off-event"
-    norms = check_norm_bound(traj)
-    payload["norms"] = _jsonable(norms)
+    payload["norms"] = norms = check_norm_bound(traj)
     payload["passed"] = passed = bool(passed and norms.ok)
     return payload, passed
 
@@ -385,7 +378,7 @@ def cmd_run(args):
                 {**dataset.to_json(), "rejections": rejections}))
         skipped = isinstance(traj, OracleDomain)
         if skipped:
-            verify_payload = {"event": _jsonable(event), "passed": True,
+            verify_payload = {"event": event, "passed": True,
                               "skipped": f"off-event oracle run: {traj}"}
             passed, reports = True, []
         else:
@@ -403,7 +396,7 @@ def cmd_run(args):
             "policy": cfg.policy,
             "rejections": rejections,
             "verify": verify_payload,
-            "risk": _jsonable(reports),
+            "risk": reports,
             "elapsed_seconds": time.perf_counter() - t0,
         }
         if cfg.smoothing and not skipped:
@@ -428,7 +421,7 @@ def cmd_run(args):
     summary = {"config": cfg.resolved(params), "results": per_seed,
                "passed": bool(all_passed)}
     (outdir / f"{cfg.family}-run-summary.json").write_text(
-        json.dumps(summary, indent=2))
+        json.dumps(summary, indent=2, default=_json_default))
     print(f"artifacts in {outdir}; overall: {'pass' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
 
@@ -496,9 +489,10 @@ def cmd_acceptance(args):
             "passed": r.passed,
             "elapsed_seconds": r.elapsed,
             "budget_seconds": _acceptance.BUDGET_SECONDS[r.name],
-            "checks": _jsonable(r.checks),
+            "checks": r.checks,
         } for r in results]
-        Path(args.json).write_text(json.dumps(payload, indent=2))
+        Path(args.json).write_text(json.dumps(payload, indent=2,
+                                              default=_json_default))
         print(f"wrote {args.json}")
     priced = all(r.passed and r.elapsed <= _acceptance.BUDGET_SECONDS[r.name]
                  for r in results)

@@ -230,8 +230,6 @@ class SgdParams:
         inputs, (rows,) = self.prepare_samples([masks])
         couplings = _sample_reads(parts, inputs, self)[np.arange(len(points)), rows, 1:]
         thr = self.eta * self.eps / (16.0 * n * n)
-        # each (mask, position) codepoint is encoded once per stack
-        code = lru_cache(maxsize=None)(lambda m, pos: encode_sgd(m, pos, n, nd))
         steps = []
         for t, (table, mask) in enumerate(zip(_l2_table(parts, couplings), masks),
                                           start=1):
@@ -245,16 +243,14 @@ class SgdParams:
                 w, proj = points[t - 1], parts.proj[t - 1]
                 gk, gk1 = self.group(w, k), self.group(w, k + 1)
                 read = (gk1[2 * k: 2 * k + 2] @ circle_point(mask, nd)) / (4.0 * n * n)
-                codes = [code(int(m), pos) for pos, m in enumerate(prefix, start=1)]
-                # a candidate swaps in one shifted codepoint and sums them in
-                # position order, as the prefix encodes
+                psi = _prefix_psi(prefix, self)
+                # a candidate swaps one shifted codepoint into block pos; the
+                # blocks are disjoint, so that is the shifted prefix's psi bitwise
                 for pos, delta in itertools.product(range(k), (-1, 1)):
                     shifted = [int(m) for m in prefix]
                     shifted[pos] = (shifted[pos] + delta) % subset_count(nd)
-                    acc = np.zeros(2 * n)
-                    for i, c in enumerate(codes):
-                        acc += code(shifted[pos], pos + 1) if i == pos else c
-                    psi_adj = acc / n
+                    psi_adj = psi.copy()
+                    psi_adj[2 * pos: 2 * pos + 2] = circle_point(shifted[pos], nd) / n
                     val = (0.375 * proj[k - 1, u_star]
                            - 0.5 * proj[k, alpha_sgd(shifted, nd) - 1]
                            + (gk @ psi_adj - gk1 @ psi_adj) / (4.0 * n) - read)

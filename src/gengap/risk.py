@@ -35,8 +35,7 @@ Gap reports record the designed excess-risk targets next to the measured
 numbers; they never assert them.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,9 +150,6 @@ class RiskReport:
                    "population_stderr", "baseline_population",
                    "excess_population", "excess_empirical")
     CSV_HEADER = ",".join(CSV_COLUMNS)
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2)
 
     def to_csv_row(self):
         return ",".join(str(getattr(self, col)) for col in self.CSV_COLUMNS)

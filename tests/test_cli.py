@@ -425,6 +425,31 @@ def test_acceptance_command_reports_a_suite(tmp_path, capsys):
     assert payload[0]["elapsed_seconds"] <= payload[0]["budget_seconds"]
 
 
+def test_acceptance_json_writes_numpy_check_flags_as_booleans(tmp_path):
+    # gd-risk compares against a numpy closed form, so its flags are numpy
+    # bools until the JSON hook writes them
+    out = tmp_path / "acceptance.json"
+    assert main(["acceptance", "gd-risk", "--json", str(out)]) == 0
+    [suite] = json.loads(out.read_text())
+    assert suite["checks"]
+    assert all(check["passed"] is True for check in suite["checks"])
+
+
+@pytest.mark.parametrize("family", [
+    [*_GD_TINY, "--policy", "reject-until-E"],
+    [*_SGD_TINY, "--policy", "force"],
+], ids=["gd", "sgd"])
+def test_run_json_artifacts_are_their_payload_dumps(tmp_path, family):
+    out = tmp_path / "out"
+    assert main(["run", *family, "--seeds", "0..2", "--suffix", "1,2",
+                 "--out", str(out)]) == 0
+    paths = sorted(out.glob("*-verify.json")) + sorted(out.glob("*-run-summary.json"))
+    assert len(paths) == 3
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2)
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--seeds", "x"], "--seeds"),
     (["--seeds", "1,x"], "--seeds"),

@@ -1,7 +1,6 @@
 """One-pass hard instance: events, forcing, losses, closed-form dynamics."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ import pytest
 from gengap import instance_sgd
 from gengap.acceptance import _SGD_BIG, _SGD_SMOOTH, _SGD_TINY, _smooth_sgd_setup
 from gengap.codebook import Codebook, generate_codebook
-from gengap.encoding import TWO_PI, circle_point, margin_eps, mask_members, \
-    subset_count
+from gengap.encoding import TWO_PI, alpha_sgd, circle_point, margin_eps, \
+    mask_members, subset_count
 from gengap.errors import InfeasibleForcing, InvalidClosedForm, OutOfRange
 from gengap.instance_gd import mask_inputs
 from gengap.instance_sgd import (
@@ -467,25 +466,58 @@ def test_blocked_sample_draws_equal_one_draw():
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_margins_encode_each_codepoint_once():
-    # the adjacency candidates reuse the decoded prefix's codepoints: a
-    # (mask, position) codepoint is encoded at most once per stack, however
-    # many candidates and iterates share it
-    params = SgdParams(8, 16)
-    codebook = generate_codebook(16, params.dprime, seed=3)
-    dataset = force_good_event_sgd(params, 21)
+def _adjacent_second_best(points, params, dataset, codebook):
+    """Per step of a stack, the margin check's second-best term-2 value and
+    the length of the decoded argmax prefix (0 for the fallback), with each
+    adjacent candidate's psi encoded afresh from its whole shifted prefix."""
+    n, nd = params.n, params.n_directions
+    parts = instance_sgd._sample_free_sgd(points, params, codebook, "oracle")
+    masks = [params.step_sample(t, dataset) for t in range(1, len(points) + 1)]
+    inputs, (rows,) = params.prepare_samples([masks])
+    couplings = instance_sgd._sample_reads(parts, inputs, params)[
+        np.arange(len(points)), rows, 1:]
+    steps = []
+    for t, (table, mask) in enumerate(
+            zip(instance_sgd._l2_table(parts, couplings), masks), start=1):
+        _, second = instance_sgd._second_excluding_argmax(table)
+        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
+        k = k_star + 1
+        prefix = [int(m) for m in parts.prefix[t - 1, k_star, :k]]
+        if prefix[0] < 0:
+            steps.append((second, 0))
+            continue
+        w, proj = points[t - 1], parts.proj[t - 1]
+        gk, gk1 = params.group(w, k), params.group(w, k + 1)
+        read = (gk1[2 * k: 2 * k + 2] @ circle_point(mask, nd)) / (4.0 * n * n)
+        for pos in range(k):
+            for delta in (-1, 1):
+                shifted = list(prefix)
+                shifted[pos] = (shifted[pos] + delta) % subset_count(nd)
+                psi = instance_sgd._prefix_psi(shifted, params)
+                val = (0.375 * proj[k - 1, u_star]
+                       - 0.5 * proj[k, alpha_sgd(shifted, nd) - 1]
+                       + (gk @ psi - gk1 @ psi) / (4.0 * n) - read)
+                second = max(second, float(val))
+        steps.append((second, k))
+    return steps
+
+
+@pytest.mark.parametrize("build", [
+    _SGD_BIG.build,
+    # prefixes of eight or more codes, whose inner products numpy sums pairwise
+    lambda: (SgdParams(10, 12, dprime=16), generate_codebook(12, 16, seed=2),
+             force_good_event_sgd(SgdParams(10, 12, dprime=16), 4)),
+], ids=["headline", "n10"])
+def test_margins_adjacent_candidates_equal_a_fresh_encoding(build):
+    # the check swaps one shifted codepoint into the decoded prefix's psi;
+    # the positions' blocks are disjoint, so that is the shifted prefix's
+    # own encoding bitwise
+    params, codebook, dataset = build()
     traj = run_sgd(codebook, dataset, params)
-    calls = []
-    encode = instance_sgd.encode_sgd
-
-    def counted(*args):
-        calls.append(args)
-        return encode(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instance_sgd, "encode_sgd", counted)
-        params.margins(traj.iterates, dataset, codebook)
-    assert calls and max(Counter(calls).values()) == 1
+    steps = params.margins(traj.iterates, dataset, codebook)
+    want = _adjacent_second_best(traj.iterates, params, dataset, codebook)
+    assert [s.second_best for s in steps] == [second for second, _ in want]
+    assert want[-1][1] == params.n - 1  # the last step decodes n-1 codes
 
 
 def test_argmax_ties_go_to_the_lowest_direction_then_the_lowest_block():

@@ -1,6 +1,5 @@
 """Risk estimators: direct means, Monte-Carlo statistics, closed forms."""
 
-import json
 import math
 
 import numpy as np
@@ -209,9 +208,6 @@ def test_risk_report_serialization(gd_setup):
     params, codebook, dataset, traj = gd_setup
     (rep,) = gap_report(traj, dataset, params, codebook, suffix_lengths=(1,),
                         n_samples=500, seed=0)
-    payload = json.loads(rep.to_json())
-    assert payload["family"] == "gd"
-    assert payload["suffix_length"] == 1
     row = rep.to_csv_row()
     fields = row.split(",")
     assert fields[0] == "gd"

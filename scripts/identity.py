@@ -4,9 +4,10 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and ten ``gengap run`` sweeps (each with the smoothed-risk
-check and several suffix lengths, whose population risks share one
-Monte-Carlo draw), then ``gengap verify`` and ``gengap risk`` on every
+gen-codebook`` and eleven ``gengap run`` sweeps (each with the smoothed-risk
+check, most with several suffix lengths, whose population risks share one
+Monte-Carlo draw, and one whose every seed skips, so its risk table has no
+row), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved, and prints a smoothed-gradient
 fingerprint (GRAD_FINGERPRINT: a sha256 of full-precision estimates and
 stderrs, which the acceptance output rounds to two decimals).  JSON files
@@ -38,6 +39,8 @@ from pathlib import Path
 
 _GD = ["--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
        "--dprime", "8", "--suffix", "1,4,8"]
+_GD_N4 = ["--family", "gd", "--n", "4", "--directions", "4", "--steps", "8",
+          "--dprime", "8", "--suffix", "1", "--policy", "unconditioned"]
 
 # name -> the config flags shared by the sweep's run, verify and risk calls
 SWEEPS = {
@@ -51,10 +54,9 @@ SWEEPS = {
                                          "--mode", "reference"],
     # n=4 off-event seeds skip with both oracle messages: an occupied-slot
     # count (seed 0) and ambiguous blocks at two-digit indices (4, 6, 11)
-    "gd-unconditioned-oracle-n4": ["--family", "gd", "--n", "4",
-                                   "--directions", "4", "--steps", "8",
-                                   "--dprime", "8", "--suffix", "1",
-                                   "--policy", "unconditioned"],
+    "gd-unconditioned-oracle-n4": _GD_N4,
+    # seed 0 alone skips, so the run's risk table has no row
+    "gd-unconditioned-oracle-n4-all-skipped": _GD_N4,
     # each full-batch step sums eight per-sample subgradients
     "gd-n8-reject-oracle": ["--family", "gd", "--n", "8", "--directions", "4",
                             "--steps", "16", "--dprime", "16",
@@ -78,6 +80,7 @@ SWEEPS = {
 }
 SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
          "gd-unconditioned-oracle-n4": "0..12",
+         "gd-unconditioned-oracle-n4-all-skipped": "0..1",
          "gd-unconditioned-reference": "0..8"}
 # smoothed-risk draws of samples x dim float64 up to
 # gengap.smoothing.MAX_HELD_FLOATS are held and shared by a run's seeds;

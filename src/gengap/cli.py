@@ -260,9 +260,7 @@ def _seed_inputs(cfg, args, params, codebook, seed):
     may leave its domain: that seed's trajectory is then the OracleDomain it
     raised."""
     if getattr(args, "dataset", None):
-        dataset = params.load_dataset(args.dataset)
-        # run records its count; a file without one reports null
-        rejections = json.loads(Path(args.dataset).read_text()).get("rejections")
+        dataset, rejections = params.load_dataset(args.dataset)
     else:
         dataset, rejections = params.draw_dataset(seed, cfg.policy)
     event = params.good_event(dataset)
@@ -316,6 +314,14 @@ def _verify_one(cfg, params, codebook, dataset, traj, event):
     payload["norms"] = norms = check_norm_bound(traj)
     payload["passed"] = passed = bool(passed and norms.ok)
     return payload, passed
+
+
+def _risk_table(rows):
+    """The risk CSV of (seed, RiskReport) rows: the header, then a line per
+    row, each line ending in a newline."""
+    lines = ["seed," + RiskReport.CSV_HEADER]
+    lines += [f"{seed},{r.to_csv_row()}" for seed, r in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def _smoothing_check(cfg, params, codebook, dataset, traj):
@@ -374,8 +380,7 @@ def cmd_run(args):
             cfg, args, params, codebook, seed)
         stem = f"{cfg.family}-s{seed}"
         if dataset is not None:
-            (outdir / f"{stem}-dataset.json").write_text(json.dumps(
-                {**dataset.to_json(), "rejections": rejections}))
+            dataset.save(outdir / f"{stem}-dataset.json", rejections)
         skipped = isinstance(traj, OracleDomain)
         if skipped:
             verify_payload = {"event": event, "passed": True,
@@ -389,7 +394,7 @@ def cmd_run(args):
                                  suffix_lengths=cfg.suffix,
                                  n_samples=cfg.mc_samples, seed=cfg.mc_seed,
                                  mode=cfg.mode)
-        risk_rows += [f"{seed},{r.to_csv_row()}" for r in reports]
+        risk_rows += [(seed, r) for r in reports]
 
         seed_result = {
             "seed": seed,
@@ -416,8 +421,7 @@ def cmd_run(args):
         outcome = "skipped" if skipped else "pass" if passed else "FAIL"
         print(f"seed {seed}: {outcome} ({seed_result['elapsed_seconds']:.1f}s)")
 
-    (outdir / f"{cfg.family}-risk.csv").write_text(
-        "seed," + RiskReport.CSV_HEADER + "\n" + "\n".join(risk_rows) + "\n")
+    (outdir / f"{cfg.family}-risk.csv").write_text(_risk_table(risk_rows))
     summary = {"config": cfg.resolved(params), "results": per_seed,
                "passed": bool(all_passed)}
     (outdir / f"{cfg.family}-run-summary.json").write_text(
@@ -462,9 +466,7 @@ def cmd_risk(args):
     reports = gap_report(traj, dataset, params, codebook,
                          suffix_lengths=cfg.suffix, n_samples=cfg.mc_samples,
                          seed=cfg.mc_seed, mode=cfg.mode)
-    lines = ["seed," + RiskReport.CSV_HEADER]
-    lines += [f"{cfg.seeds[0]},{r.to_csv_row()}" for r in reports]
-    text = "\n".join(lines) + "\n"
+    text = _risk_table((cfg.seeds[0], r) for r in reports)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")

@@ -232,9 +232,26 @@ class GdParams:
     def point_losses(self, points, codebook, mode):
         """The family's one loss kernel: losses(prepared) yields, for each
         chunk that prepare_samples made ready, each sample's loss at each
-        point of a stack (P, d), shape (P, B); the sample-free terms are
-        built once here."""
-        return _point_losses_gd(points, self, codebook, mode)
+        point of a stack (P, d), shape (P, B).  Built once here: the
+        sample-free parts (_sample_free_gd), whose read-out and ratchet are
+        terms 3 and 4.  Per chunk, each mask's hinge and each sample's slot
+        read; each sample's loss sums its terms in order 1 to 4, terms 3
+        and 4 summed first."""
+        part = _sample_free_gd(points, self, codebook, mode)
+        consts = (part.read + np.maximum(self.delta2,
+                                         part.ratchet.max(axis=(1, 2))))[:, None]
+        slot_blocks = self.layout.encoding(points).reshape(-1, self.n * self.n, 2)
+
+        def chunk_losses(inputs, slot_rows):
+            sin, cos, member = inputs
+            out = hinge_terms(part.proj, member, self)
+            # term 2: minus the slot block read off at each sample's codepoint
+            sel = slot_blocks[:, slot_rows]  # (P, B, 2)
+            out += -(sin * sel[..., 0] + cos * sel[..., 1])
+            out += consts
+            return out
+
+        return lambda prepared: (chunk_losses(*chunk) for chunk in prepared)
 
     def step_grad(self, w, t, dataset, codebook, mode):
         """The full-batch step's gradient (the same at every step t)."""
@@ -270,29 +287,34 @@ class GdParams:
         return good_event_gd(dataset, self)
 
     def load_dataset(self, path):
-        """A saved training set, refused unless it fits this instance."""
-        dataset = _check_dataset(GdDataset.load(path), self)
+        """A saved training set, refused unless it fits this instance, and
+        its recorded rejections: (dataset, rejections)."""
+        dataset, rejections = GdDataset.load(path)
+        _check_dataset(dataset, self)
         if not all(1 <= s <= self.n * self.n for s in dataset.slots):
             raise OutOfRange(f"dataset slots must lie in [1, {self.n * self.n}]")
-        return dataset
+        return dataset, rejections
 
 
 class _Dataset:
     """What both sample-based training sets share: the sample count n and
-    the JSON file round trip of to_json/from_json."""
+    the one dataset file, to_json's payload plus the count of draws
+    rejected before the set."""
 
     @property
     def n(self):
         return len(self.masks)
 
-    def save(self, path):
+    def save(self, path, rejections=None):
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json()))
+            fh.write(json.dumps({**self.to_json(), "rejections": rejections}))
 
     @classmethod
     def load(cls, path):
+        """(dataset, rejections); a file without a count gives None."""
         with reading(path, "dataset file"), open(path) as fh:
-            return cls.from_json(json.load(fh))
+            payload = json.load(fh)
+            return cls.from_json(payload), payload.get("rejections")
 
 
 @dataclass(frozen=True)
@@ -657,29 +679,6 @@ def loss_gd_samples(w, masks, slots, params, codebook, mode="oracle"):
     [out] = params.point_losses(w.reshape(-1, w.shape[-1]), codebook, mode)(
         params.prepare_samples([(masks, slots)]))
     return out[0] if w.ndim == 1 else out
-
-
-def _point_losses_gd(points, params, codebook, mode):
-    """GdParams.point_losses.  Built once per stack: the sample-free parts
-    (_sample_free_gd), whose read-out and ratchet are terms 3 and 4.  Per
-    chunk, each mask's hinge and each sample's slot read, as one (P, B)
-    array; each sample's loss sums its terms in order 1 to 4, terms 3 and 4
-    summed first."""
-    part = _sample_free_gd(points, params, codebook, mode)
-    consts = (part.read + np.maximum(params.delta2,
-                                     part.ratchet.max(axis=(1, 2))))[:, None]
-    slot_blocks = params.layout.encoding(points).reshape(-1, params.n * params.n, 2)
-
-    def chunk_losses(inputs, slot_rows):
-        sin, cos, member = inputs
-        out = hinge_terms(part.proj, member, params)
-        # term 2: minus the slot block read off at each sample's codepoint
-        sel = slot_blocks[:, slot_rows]  # (P, B, 2)
-        out += -(sin * sel[..., 0] + cos * sel[..., 1])
-        out += consts
-        return out
-
-    return lambda prepared: (chunk_losses(*chunk) for chunk in prepared)
 
 
 def training_risks(losses, dataset, params):

@@ -55,7 +55,6 @@ from .encoding import (
     subset_count,
 )
 from .errors import (
-    AttemptsExhausted,
     EventViolated,
     InfeasibleForcing,
     InvalidClosedForm,
@@ -76,8 +75,6 @@ from .instance_gd import (
     mask_inputs,
 )
 from .smoothing import BLOCK_ROWS
-
-MAX_FORCING_TRIES = 1000  # force_good_event_sgd gives up after this many
 
 
 @dataclass(frozen=True)
@@ -197,8 +194,16 @@ class SgdParams:
         """The family's one loss kernel: losses(prepared) yields, for each
         chunk that prepare_samples made ready, each sample's loss at each
         point of a stack (P, d), shape (P, B); the read-out is built once
-        here."""
-        return _point_losses_sgd(points, self, codebook, mode)
+        here.  Each call sums, in order 1 to 3, the terms of the distinct
+        masks of its prepared samples once, then gathers each chunk back
+        into sample order."""
+        terms = _loss_terms_sgd(points, self, codebook, mode)
+
+        def losses(prepared):
+            table = sum(terms(prepared[0]))
+            return (np.take(table, inverse, axis=1) for inverse in prepared[1])
+
+        return losses
 
     def step_sample(self, t, dataset):
         """The mask step t consumes; the final iterate, which consumes none,
@@ -285,8 +290,10 @@ class SgdParams:
         return good_event_sgd(dataset, self)
 
     def load_dataset(self, path):
-        """A saved training set, refused unless it fits this instance."""
-        return _check_dataset(SgdDataset.load(path), self)
+        """A saved training set, refused unless it fits this instance, and
+        its recorded rejections: (dataset, rejections)."""
+        dataset, rejections = SgdDataset.load(path)
+        return _check_dataset(dataset, self), rejections
 
 
 @dataclass(frozen=True)
@@ -326,7 +333,8 @@ def force_good_event_sgd(params, seed):
     (the step-1 clause) and the remaining free directions are sprinkled with
     the distribution's own inclusion probability into sets 2..n only, which
     cannot disturb the forced pattern.  The result is re-checked with
-    good_event_sgd before being returned.
+    good_event_sgd; a failed re-check is a fault of the construction,
+    raised as EventViolated rather than hidden by drawing again.
     """
     n, nd = params.n, params.n_directions
     if nd < n + 1:
@@ -335,27 +343,26 @@ def force_good_event_sgd(params, seed):
         )
     rng = np.random.default_rng(seed)
     p = params.inclusion_probability
-    for _ in range(MAX_FORCING_TRIES):
-        anchors = np.sort(rng.choice(np.arange(2, nd + 1), size=n - 1, replace=False))
-        taken = set(int(a) for a in anchors)
-        free = [r for r in range(2, nd + 1) if r not in taken]
-        masks = []
-        for i in range(1, n + 1):  # set index
-            mask = 0
-            for t, c in zip(range(2, n + 1), anchors):  # v_c in V_i iff i < t
-                if i < t:
-                    mask |= 1 << (int(c) - 1)
-            if i >= 2:
-                for r in free:
-                    if rng.random() < p:
-                        mask |= 1 << (r - 1)
-            masks.append(mask)
-        ds = SgdDataset(masks=tuple(masks), seed=int(seed))
-        if good_event_sgd(ds, params):
-            return ds
-    raise AttemptsExhausted(
-        f"forcing failed to produce the good event in {MAX_FORCING_TRIES} tries"
-    )
+    anchors = np.sort(rng.choice(np.arange(2, nd + 1), size=n - 1, replace=False))
+    taken = set(int(a) for a in anchors)
+    free = [r for r in range(2, nd + 1) if r not in taken]
+    masks = []
+    for i in range(1, n + 1):  # set index
+        mask = 0
+        for t, c in zip(range(2, n + 1), anchors):  # v_c in V_i iff i < t
+            if i < t:
+                mask |= 1 << (int(c) - 1)
+        if i >= 2:
+            for r in free:
+                if rng.random() < p:
+                    mask |= 1 << (r - 1)
+        masks.append(mask)
+    ds = SgdDataset(masks=tuple(masks), seed=int(seed))
+    report = good_event_sgd(ds, params)
+    if not report:
+        raise EventViolated(f"forced dataset (seed {seed}) misses the good "
+                            f"event: {report.reason}")
+    return ds
 
 
 @dataclass(frozen=True)
@@ -618,19 +625,6 @@ def _loss_terms_sgd(points, params, codebook, mode):
             reads[..., 0] - u1_read
 
     return terms
-
-
-def _point_losses_sgd(points, params, codebook, mode):
-    """SgdParams.point_losses: each call sums, in order 1 to 3, the terms of
-    the distinct masks of its prepared samples (SgdParams.prepare_samples)
-    once, then gathers each chunk back into sample order."""
-    terms = _loss_terms_sgd(points, params, codebook, mode)
-
-    def losses(prepared):
-        table = sum(terms(prepared[0]))
-        return (np.take(table, inverse, axis=1) for inverse in prepared[1])
-
-    return losses
 
 
 def grad_sgd(w, mask, params, codebook, mode="oracle"):

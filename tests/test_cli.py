@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gengap import risk
+from gengap import instance_gd, risk
 from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
@@ -160,9 +160,13 @@ def test_gd_rejection_run_draws_the_library_dataset(tmp_path):
     code = main(["run", *_GD_TINY, "--policy", "reject-until-E",
                  "--seeds", "0", "--mc-samples", "200", "--out", str(tmp_path)])
     assert code == 0
-    assert GdDataset.load(tmp_path / "gd-s0-dataset.json") == want
+    saved = tmp_path / "gd-s0-dataset.json"
+    assert GdDataset.load(saved) == (want, rejections)
     report = json.loads((tmp_path / "gd-s0-verify.json").read_text())
     assert report["rejections"] == rejections
+    # the run writes its dataset file through the library's one writer
+    want.save(tmp_path / "library.json", rejections)
+    assert saved.read_text() == (tmp_path / "library.json").read_text()
 
 
 def test_sgd_force_run_draws_the_library_dataset(tmp_path):
@@ -170,7 +174,36 @@ def test_sgd_force_run_draws_the_library_dataset(tmp_path):
     code = main(["run", *_SGD_TINY, "--policy", "force", "--seeds", "5",
                  "--mc-samples", "200", "--out", str(tmp_path)])
     assert code == 0
-    assert SgdDataset.load(tmp_path / "sgd-s5-dataset.json") == want
+    saved = tmp_path / "sgd-s5-dataset.json"
+    assert SgdDataset.load(saved) == (want, 0)
+    want.save(tmp_path / "library.json", 0)
+    assert saved.read_text() == (tmp_path / "library.json").read_text()
+
+
+def test_a_run_that_skips_every_seed_writes_the_risk_header_alone(tmp_path):
+    # seed 0's n=4 dataset is off-event and the oracle cannot decode it
+    code = main(["run", "--family", "gd", "--n", "4", "--directions", "4",
+                 "--steps", "8", "--dprime", "8", "--suffix", "1",
+                 "--policy", "unconditioned", "--seeds", "0",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "gd-run-summary.json").read_text())
+    assert "skipped" in summary["results"][0]["verify"]
+    # the header line alone: no empty line, which csv would read as a row
+    assert (tmp_path / "gd-risk.csv").read_text() == \
+        "seed," + risk.RiskReport.CSV_HEADER + "\n"
+
+
+def test_a_reject_until_e_run_out_of_draws_is_an_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # seed 1 is accepted after 2 rejections, so a 2-draw budget runs out
+    monkeypatch.setattr(instance_gd, "MAX_DATASET_DRAWS", 2)
+    code = main(["run", *_GD_TINY, "--policy", "reject-until-E", "--seeds", "1",
+                 "--mc-samples", "200", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: no dataset satisfied the good event in 2 draws\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["codebook.json"]
 
 
 def test_a_one_sample_pass_is_a_configuration_error(tmp_path, capsys):

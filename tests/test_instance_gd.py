@@ -21,6 +21,7 @@ from gengap.encoding import (
 )
 from gengap.errors import (
     AmbiguousBlock,
+    AttemptsExhausted,
     EventViolated,
     InvalidClosedForm,
     OracleDomain,
@@ -634,14 +635,35 @@ def test_dataset_json_roundtrip(tmp_path, small):
     _, _, dataset = small
     path = tmp_path / "ds.json"
     dataset.save(path)
-    back = GdDataset.load(path)
-    assert back.masks == dataset.masks and back.slots == dataset.slots
+    assert GdDataset.load(path) == (dataset, None)
+    dataset.save(path, 7)
+    assert GdDataset.load(path) == (dataset, 7)
 
 
 def test_saved_datasets_are_their_payload_dumps(tmp_path, small):
-    # both families' datasets share _Dataset.save
+    # both families' datasets share _Dataset.save: the payload, then the
+    # count of rejected draws
     sgd = SgdDataset(masks=(3, 0, 5), seed=2)
     for dataset in (small[2], sgd):
         path = tmp_path / "ds.json"
-        dataset.save(path)
-        assert path.read_text() == json.dumps(dataset.to_json())
+        for rejections in (None, 7):
+            dataset.save(path, rejections)
+            assert path.read_text() == json.dumps(
+                {**dataset.to_json(), "rejections": rejections})
+
+
+def test_a_dataset_file_without_a_count_loads_with_none(tmp_path, small):
+    sgd = SgdDataset(masks=(3, 0, 5), seed=2)
+    for dataset in (small[2], sgd):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(dataset.to_json()))
+        assert type(dataset).load(path) == (dataset, None)
+
+
+def test_reject_until_e_raises_once_its_draws_run_out(monkeypatch):
+    params = GdParams(2, 4, 8, dprime=8)
+    assert params.draw_dataset(1, "reject-until-E")[1] == 2
+    monkeypatch.setattr(instance_gd, "MAX_DATASET_DRAWS", 2)
+    with pytest.raises(AttemptsExhausted,
+                       match="no dataset satisfied the good event in 2 draws"):
+        params.draw_dataset(1, "reject-until-E")

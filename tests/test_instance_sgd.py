@@ -10,8 +10,9 @@ from gengap.acceptance import _SGD_BIG, _SGD_SMOOTH, _SGD_TINY, _smooth_sgd_setu
 from gengap.codebook import Codebook, generate_codebook
 from gengap.encoding import TWO_PI, alpha_sgd, circle_point, margin_eps, \
     mask_members, subset_count
-from gengap.errors import InfeasibleForcing, InvalidClosedForm, OutOfRange
-from gengap.instance_gd import mask_inputs
+from gengap.errors import EventViolated, InfeasibleForcing, \
+    InvalidClosedForm, OutOfRange
+from gengap.instance_gd import EventReport, mask_inputs
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
@@ -84,6 +85,19 @@ def test_forcing_always_lands_on_the_event():
     for seed in range(5):
         ds = force_good_event_sgd(p, seed)
         assert good_event_sgd(ds, p)
+
+
+def test_a_forced_dataset_off_the_event_is_a_fault_not_a_redraw(monkeypatch):
+    calls = []
+
+    def failing(dataset, params):
+        calls.append(dataset)
+        return EventReport(False, "step 2: empty intersection")
+
+    monkeypatch.setattr(instance_sgd, "good_event_sgd", failing)
+    with pytest.raises(EventViolated, match="step 2: empty intersection"):
+        force_good_event_sgd(SgdParams(4, 8, dprime=16), 0)
+    assert len(calls) == 1
 
 
 def test_forcing_needs_a_spare_direction():
@@ -200,8 +214,9 @@ def test_dataset_json_roundtrip(tmp_path, small):
     _, _, dataset = small
     path = tmp_path / "ds.json"
     dataset.save(path)
-    back = SgdDataset.load(path)
-    assert back.masks == dataset.masks
+    assert SgdDataset.load(path) == (dataset, None)
+    dataset.save(path, 7)
+    assert SgdDataset.load(path) == (dataset, 7)
 
 
 def _per_k_l2_values_batch(w2, point, params, codebook):

@@ -18,8 +18,9 @@ compared byte for byte, stdout and stderr with timings and paths masked,
 and exit codes as they are.  Prints each difference and exits 1 if there
 is any: every differing JSON value and CSV cell, each number with its
 difference in units of ``math.ulp`` of the old tree's value, so a last-bit
-move reads as a few ulps and a real change as many, and each JSON text's
-first differing line.
+move reads as a few ulps and a real change as many, a differing row count
+or list length as the two counts, and each JSON text's first differing
+line.
 Standard library only; a full sweep takes about a minute per tree on two
 cores, most of it the acceptance suites.
 """
@@ -91,19 +92,17 @@ SMOOTHING_SAMPLES = {"smallstep": "30000"}
 
 # smoothed_grads on the three pinned smoothing instances at their
 # preservation steps over one full chunk and a partial one of 1501 pairs
-# (blocks of 751 and 750 rows, and an odd trailing draw).  Each tree reads
-# its own smoothing table: a loss-mode column, where the table has one,
-# names the read-out each family smooths, and the oracle's otherwise
+# (blocks of 751 and 750 rows, and an odd trailing draw), each family's
+# oracle step loss at the steps its tree's smoothing table names
 GRAD_FINGERPRINT = """
 import hashlib
 from gengap import acceptance
 from gengap.smoothing import CHUNK, SmoothingConfig, smoothed_grads
 
 pairs = CHUNK + 1501
-for family, (build, steps, *mode) in acceptance._SMOOTH_FAMILIES.items():
-    mode = mode[0] if mode else "oracle"
+for family, (build, steps) in acceptance._SMOOTH_FAMILIES.items():
     params, codebook, dataset = build()[:3]
-    jobs = [(params.step_loss(t, dataset, codebook, mode),
+    jobs = [(params.step_loss(t, dataset, codebook, "oracle"),
              params.expected_iterate(t, dataset, codebook)) for t in steps]
     cfg = SmoothingConfig(params.smoothing_delta, 2 * pairs + 1,
                           seed=acceptance._SMOOTH_SEEDS[family])
@@ -204,23 +203,26 @@ def _ulps(a, b):
 
 
 def _differences(a, b, path=""):
-    """(path, old, new) of every place two JSON values differ."""
+    """(path, old, new, ulps) of every place two JSON values differ: ulps
+    is new - old in ulps of old for two numbers, None for a length or any
+    other value."""
     if type(a) is not type(b) and _ulps(a, b) is None:
-        yield path, a, b
+        yield path, a, b, None
     elif isinstance(a, dict):
         for key in sorted(set(a) | set(b), key=str):
             if key not in a or key not in b:
-                yield f"{path}/{key}", a.get(key, "<missing>"), b.get(key, "<missing>")
+                yield (f"{path}/{key}", a.get(key, "<missing>"),
+                       b.get(key, "<missing>"), None)
             else:
                 yield from _differences(a[key], b[key], f"{path}/{key}")
     elif isinstance(a, list):
         if len(a) != len(b):
-            yield f"{path} (length)", len(a), len(b)
+            yield f"{path} (length)", len(a), len(b), None
         else:
             for i, (x, y) in enumerate(zip(a, b)):
                 yield from _differences(x, y, f"{path}[{i}]")
     elif a != b:
-        yield path, a, b
+        yield path, a, b, _ulps(a, b)
 
 
 def _cell(text):
@@ -232,24 +234,28 @@ def _cell(text):
 
 
 def _csv_differences(a, b):
-    """(row:column, old, new) of every differing cell of two CSV texts."""
+    """(row/column, old, new, ulps) of every differing cell of two CSV
+    texts, as _differences gives them; a row count or a row's length
+    differs as a count, with ulps None."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(t.decode()))) for t in (a, b))
     if len(rows_a) != len(rows_b):
-        yield "(rows)", len(rows_a), len(rows_b)
+        yield "(rows)", len(rows_a), len(rows_b), None
         return
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         if len(ra) != len(rb):
-            yield f"row {i} (length)", len(ra), len(rb)
+            yield f"row {i} (length)", len(ra), len(rb), None
             continue
         header = rows_a[0] if len(rows_a[0]) == len(ra) else range(len(ra))
         for name, x, y in zip(header, ra, rb):
             if x != y:
-                yield f"row {i}/{name}", _cell(x), _cell(y)
+                x, y = _cell(x), _cell(y)
+                yield f"row {i}/{name}", x, y, _ulps(x, y)
 
 
 def compare(old, new):
     """Per differing output, its lines: every differing JSON value and CSV
-    cell, numbers with their difference in ulps of the old value."""
+    cell, numbers with their difference in ulps of the old value, and
+    every differing count as it is."""
     found = {}
     for key in sorted(set(old) | set(new)):
         if key not in old or key not in new:
@@ -261,8 +267,7 @@ def compare(old, new):
         if kind == "json" or key.endswith(".csv"):
             diffs = _differences(a, b) if kind == "json" else _csv_differences(a, b)
             found[key] = []
-            for where, x, y in diffs:
-                ulps = _ulps(x, y)
+            for where, x, y, ulps in diffs:
                 size = "" if ulps is None else f" ({ulps:+.4g} ulp)"
                 found[key].append(f"{key}: differs at {where or '/'}: "
                                   f"{x!r} != {y!r}{size}")

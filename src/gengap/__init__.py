@@ -106,6 +106,6 @@ from .verify import (
     expected_suffix,
     wilson_interval,
 )
-from .acceptance import run_all, run_suite
+from .acceptance import run_suite
 
 __version__ = "0.1.0"

@@ -3,12 +3,12 @@
 Nine suites exercise the package at fixed sizes, seeds, and tolerances; the
 test suite and the CLI both run them from here so there is exactly one
 definition of "the package works".  Each suite returns a list of Check
-records; run_suite wraps one with timing, run_all runs every suite in
-order.
+records; SUITES names each suite with its wall-clock budget, and
+run_suite times one against that budget.
 
-Suites never loosen a tolerance to pass: every bound below is the designed
-one (trajectory deviations, argmax margins, Monte-Carlo agreement at three
-standard errors, runtime budgets).
+Suites never loosen a tolerance to pass: every bound is the designed one,
+read from the module that defines it (trajectory deviations, argmax margins,
+Monte-Carlo agreement at SIGMAS standard errors, coherence, budgets).
 """
 
 import math
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import coherence, generate_codebook
-from .encoding import alpha_gd, circle_point
+from .codebook import COHERENCE_BOUND, DEFAULT_ATTEMPTS, coherence, \
+    generate_codebook
+from .encoding import alpha_gd
 from .errors import OutOfRange
-from .instance_gd import GdParams, loss_gd, grad_gd
+from .instance_gd import GdParams, loss_gd, grad_gd, mask_inputs
 from .instance_sgd import (
     SgdDataset,
     SgdParams,
@@ -30,16 +31,18 @@ from .instance_sgd import (
     loss_sgd,
 )
 from .instance_smallstep import SmallstepParams, grad_smallstep, loss_smallstep
-from .optim import _run, run_gd, run_sgd, run_smallstep, suffix_average
+from .optim import _run, run_gd, run_smallstep, suffix_average
 from .risk import (
     empirical_risk,
     gap_report,
     population_risk_closed_gd,
     population_risk_mc,
 )
-from .smoothing import SIGMAS, SmoothingConfig, smoothed_grad, \
-    smoothed_value_checks, verify_trajectory_preservation, z_scores
+from .smoothing import SIGMAS, SmoothingConfig, chunk_means, chunk_sums, \
+    smoothed_grad, smoothed_value_checks, verify_trajectory_preservation, \
+    z_scores
 from .verify import (
+    TOL_MAIN,
     check_event_probability_gd,
     check_loss_properties,
     check_margins,
@@ -63,7 +66,7 @@ class _Pinned:
     cls: type
     fields: dict
     cb_seed: int = None
-    cb_attempts: int = 100_000
+    cb_attempts: int = DEFAULT_ATTEMPTS
     ds_seed: int = None
     policy: str = None
     dataset: object = None
@@ -78,6 +81,12 @@ class _Pinned:
         dataset = self.dataset if self.ds_seed is None else \
             params.draw_dataset(self.ds_seed, self.policy)[0]
         return params, codebook, dataset
+
+    def run(self):
+        """build()'s three and their unprojected oracle trajectory."""
+        params, codebook, dataset = self.build()
+        traj = _run(params, dataset, codebook, "oracle", projected=False)
+        return params, codebook, dataset, traj
 
 
 # the headline full-batch run: n=4, N=16, T=32, eta = 1/(5*sqrt(32))
@@ -115,18 +124,6 @@ _L2_SEED = 6
 _EVENT_TRIALS = 2_000
 _EVENT_SEED = 77
 
-BUDGET_SECONDS = {
-    "smallstep-exact": 1.0,
-    "gd-trajectory": 30.0,
-    "gd-suffix": 30.0,
-    "gd-risk": 60.0,
-    "gd-event": 10.0,
-    "sgd-trajectory": 30.0,
-    "sgd-risk": 10.0,
-    "smoothing": 300.0,
-    "properties": 60.0,
-}
-
 
 @dataclass(frozen=True)
 class Check:
@@ -140,10 +137,16 @@ class SuiteResult:
     name: str
     checks: tuple
     elapsed: float
+    budget: float
 
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
+
+    @property
+    def within_budget(self):
+        """The one budget rule: strictly less time than the budget."""
+        return self.elapsed < self.budget
 
     def summary(self):
         head = "PASS" if self.passed else "FAIL"
@@ -199,8 +202,7 @@ def suite_smallstep_exact():
 
 def suite_gd_trajectory():
     """Full-batch run matches its closed form step by step."""
-    params, codebook, dataset = _GD_BIG.build()
-    traj = run_gd(codebook, dataset, params)
+    params, codebook, dataset, traj = _GD_BIG.run()
     rep = check_trajectory(traj, params, dataset, codebook)
     worst_main = max(r.max_main for r in rep.steps)
     worst_strict = max(r.max_strict for r in rep.steps)
@@ -239,8 +241,7 @@ def _gd_suffix_coefficient(k, m, params):
 
 def suite_gd_suffix():
     """Suffix averages follow the piecewise per-block formula."""
-    params, codebook, dataset = _GD_BIG.build()
-    traj = run_gd(codebook, dataset, params)
+    params, codebook, dataset, traj = _GD_BIG.run()
     u0 = codebook.vectors[alpha_gd(dataset.masks, params.n_directions) - 1]
     checks = []
     for m in (1, 4, 16, 32):
@@ -253,48 +254,45 @@ def suite_gd_suffix():
         checks.append(
             Check(f"m={m}: step blocks 2..T match the piecewise coefficients "
                   "times the pinned direction within 1e-9",
-                  worst <= 1e-9, f"worst {worst:.2e}")
+                  worst <= TOL_MAIN, f"worst {worst:.2e}")
         )
         dev = float(np.abs(s - expected_suffix(m, params, dataset, codebook)).max())
         checks.append(
             Check(f"m={m}: full vector (block 1 and encoding included) matches "
                   "the closed-form window mean within 1e-9",
-                  dev <= 1e-9, f"worst {dev:.2e}")
+                  dev <= TOL_MAIN, f"worst {dev:.2e}")
         )
     return checks
 
 
 def suite_gd_risk():
     """Monte-Carlo population risk agrees with the exact two-branch value."""
-    params, codebook, dataset = _GD_BIG.build()
-    traj = run_gd(codebook, dataset, params)
+    params, codebook, dataset, traj = _GD_BIG.run()
     w = traj.iterate(params.steps)
 
-    est, stderr = population_risk_mc(
-        w, params, codebook, n_samples=_MC_SAMPLES, seed=_RISK_SEED
-    )
+    est, stderr = population_risk_mc(w, params, codebook,
+                                     n_samples=_MC_SAMPLES, seed=_RISK_SEED)
     closed = population_risk_closed_gd(params.steps, params)
     baseline = population_risk_closed_gd(0, params)
     checks = [
         Check("three standard errors stay below 1% of the estimate",
-              3.0 * stderr < 0.01 * est,
-              f"3se/est = {3*stderr/est:.2%}"),
+              SIGMAS * stderr < 0.01 * est,
+              f"3se/est = {SIGMAS*stderr/est:.2%}"),
         Check("estimate agrees with the closed form within three standard errors",
-              abs(est - closed) <= 3.0 * stderr,
-              f"diff {abs(est-closed):.2e} vs 3se {3*stderr:.2e}"),
+              abs(est - closed) <= SIGMAS * stderr,
+              f"diff {abs(est-closed):.2e} vs 3se {SIGMAS*stderr:.2e}"),
     ]
 
     # the read-in term alone averages to zero over fresh samples
     rng = np.random.default_rng(_L2_SEED)
     masks, slots = params.draw_samples(rng, _MC_SAMPLES)
-    w0 = params.layout.encoding(w).reshape(params.n * params.n, 2)
-    points = np.stack([circle_point(int(mk), params.n_directions) for mk in masks])
-    vals = -(points * w0[slots - 1]).sum(axis=1)
-    mean = float(vals.mean())
-    se2 = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    w0 = params.layout.encoding(w).reshape(params.n * params.n, 2)[slots - 1]
+    inputs = mask_inputs(masks, params.n_directions)
+    vals = -(inputs.sin * w0[:, 0] + inputs.cos * w0[:, 1])
+    [(mean, se2)] = chunk_means(vals.size, [vals], [chunk_sums])
     checks.append(
         Check("the read-in term's sample mean is within three standard errors of 0",
-              abs(mean) <= 3.0 * se2, f"mean {mean:.2e} vs 3se {3*se2:.2e}")
+              abs(mean) <= SIGMAS * se2, f"mean {mean:.2e} vs 3se {SIGMAS*se2:.2e}")
     )
 
     excess = est - baseline
@@ -304,7 +302,7 @@ def suite_gd_risk():
     checks.append(
         Check("measured excess matches the closed-form excess within three "
               "standard errors",
-              abs(excess - closed_excess) <= 3.0 * stderr,
+              abs(excess - closed_excess) <= SIGMAS * stderr,
               f"diff {abs(excess-closed_excess):.2e}")
     )
     return checks
@@ -323,8 +321,7 @@ def suite_gd_event():
 
 def suite_sgd_trajectory():
     """One-pass run matches its closed form and decodes its own prefix."""
-    params, codebook, dataset = _SGD_BIG.build()
-    traj = run_sgd(codebook, dataset, params)
+    params, codebook, dataset, traj = _SGD_BIG.run()
     rep = check_trajectory(traj, params, dataset, codebook)
     checks = [
         Check("all steps 2..n are checked", len(rep.steps) == params.n - 1),
@@ -360,8 +357,7 @@ def suite_sgd_trajectory():
 
 def suite_sgd_risk():
     """Training risk of every suffix average equals the closed-form value."""
-    params, codebook, dataset = _SGD_BIG.build()
-    traj = run_sgd(codebook, dataset, params)
+    params, codebook, dataset, traj = _SGD_BIG.run()
     # the gap report holds each suffix average's training risk and excess
     reports = gap_report(traj, dataset, params, codebook,
                          suffix_lengths=tuple(range(1, params.n + 1)),
@@ -375,7 +371,7 @@ def suite_sgd_risk():
     return [
         Check("training risk of each suffix average matches the value at the "
               "closed-form suffix within 1e-9 (m = 1..8)",
-              worst <= 1e-9, f"worst {worst:.2e}"),
+              worst <= TOL_MAIN, f"worst {worst:.2e}"),
         Check("every suffix average carries a positive training-risk excess "
               "over the zero vector",
               all(r.excess_empirical > 0.0 for r in reports)),
@@ -393,8 +389,7 @@ def _smooth_setup(pinned, suffixes):
     training risk (one-pass: the last sample's loss) that preservation
     descends, and its points are every iterate of the run and the given
     suffix averages."""
-    params, codebook, dataset = pinned.build()
-    traj = _run(params, dataset, codebook, "oracle", projected=False)
+    params, codebook, dataset, traj = pinned.run()
     loss = params.step_loss(params.horizon, dataset, codebook, "oracle")
     points = [traj.iterate(t) for t in range(1, params.horizon + 1)]
     points += [suffix_average(traj, m) for m in suffixes]
@@ -464,8 +459,8 @@ def suite_smoothing():
 
 def suite_properties():
     """Coherence, convexity, Lipschitz bounds, and oracle-reference parity."""
-    gd_params, gd_cb, gd_ds = _GD_TINY.build()
-    sgd_params, sgd_cb, sgd_ds = _SGD_TINY.build()
+    gd_params, gd_cb, gd_ds, gd_traj = _GD_TINY.run()
+    sgd_params, sgd_cb, sgd_ds, sgd_traj = _SGD_TINY.run()
     checks = []
     for label, codebook in (("headline", _GD_BIG.build()[1]),
                             ("smoothing-gd", _GD_SMOOTH.build()[1]),
@@ -474,7 +469,7 @@ def suite_properties():
         worst = coherence(codebook)
         checks.append(
             Check(f"{label} codebook: every pairwise coherence is at most 1/8",
-                  worst <= 0.125 + 1e-15, f"worst {worst:.4f}")
+                  worst <= COHERENCE_BOUND + 1e-15, f"worst {worst:.4f}")
         )
 
     gd_sample = (0b101, 2)
@@ -508,9 +503,9 @@ def suite_properties():
     # prefix-group occupancy below the decode threshold, where the oracle is
     # documented to fall back, so they are out of domain)
     for name, params, codebook, traj, samples, suffixes, loss, grad in (
-        ("full-batch", gd_params, gd_cb, run_gd(gd_cb, gd_ds, gd_params),
+        ("full-batch", gd_params, gd_cb, gd_traj,
          list(zip(gd_ds.masks, gd_ds.slots)), (1, 2, 3, 4), loss_gd, grad_gd),
-        ("one-pass", sgd_params, sgd_cb, run_sgd(sgd_cb, sgd_ds, sgd_params),
+        ("one-pass", sgd_params, sgd_cb, sgd_traj,
          sgd_ds.masks, (1,), loss_sgd, grad_sgd),
     ):
         points = [traj.iterate(t) for t in range(1, params.horizon + 1)]
@@ -533,16 +528,17 @@ def suite_properties():
     return checks
 
 
+# name: (suite, wall-clock budget in seconds), in run order
 SUITES = {
-    "smallstep-exact": suite_smallstep_exact,
-    "gd-trajectory": suite_gd_trajectory,
-    "gd-suffix": suite_gd_suffix,
-    "gd-risk": suite_gd_risk,
-    "gd-event": suite_gd_event,
-    "sgd-trajectory": suite_sgd_trajectory,
-    "sgd-risk": suite_sgd_risk,
-    "smoothing": suite_smoothing,
-    "properties": suite_properties,
+    "smallstep-exact": (suite_smallstep_exact, 1.0),
+    "gd-trajectory": (suite_gd_trajectory, 30.0),
+    "gd-suffix": (suite_gd_suffix, 30.0),
+    "gd-risk": (suite_gd_risk, 60.0),
+    "gd-event": (suite_gd_event, 10.0),
+    "sgd-trajectory": (suite_sgd_trajectory, 30.0),
+    "sgd-risk": (suite_sgd_risk, 10.0),
+    "smoothing": (suite_smoothing, 300.0),
+    "properties": (suite_properties, 60.0),
 }
 
 
@@ -550,12 +546,8 @@ def run_suite(name):
     """Run one named suite and return its timed SuiteResult."""
     if name not in SUITES:
         raise OutOfRange(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    suite, budget = SUITES[name]
     start = time.perf_counter()
-    checks = SUITES[name]()
+    checks = suite()
     return SuiteResult(name=name, checks=tuple(checks),
-                       elapsed=time.perf_counter() - start)
-
-
-def run_all():
-    """Run every suite in order; returns the list of SuiteResults."""
-    return [run_suite(name) for name in SUITES]
+                       elapsed=time.perf_counter() - start, budget=budget)

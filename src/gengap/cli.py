@@ -30,14 +30,14 @@ import numpy as np
 import yaml
 
 from . import acceptance as _acceptance
-from .codebook import coherence, generate_codebook, load_codebook, \
-    save_codebook
+from .codebook import DEFAULT_ATTEMPTS, coherence, generate_codebook, \
+    load_codebook, save_codebook
 from .errors import GengapError, OracleDomain, OutOfRange, reading
 from .instance_gd import GdParams, check_reference_budget, theorem_step_size
 from .instance_sgd import SgdParams
 from .instance_smallstep import SmallstepParams
 from .optim import load_trajectory, run_gd, run_sgd, run_smallstep, save_trajectory
-from .risk import RiskReport, empirical_risk, gap_report
+from .risk import DEFAULT_SAMPLES, RiskReport, empirical_risk, gap_report
 from .smoothing import SmoothingConfig, smoothed_value_checks
 from .verify import check_margins, check_norm_bound, check_trajectory, \
     require_horizon
@@ -59,6 +59,11 @@ def _json_default(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _artifact_json(obj):
+    """The text of a JSON artifact: obj at indent 2, through _json_default."""
+    return json.dumps(obj, indent=2, default=_json_default)
 
 
 def _default_out():
@@ -91,7 +96,7 @@ class ExperimentConfig:
     policy: str = None
     projected: bool = False
     suffix: tuple = (1,)
-    mc_samples: int = 20_000
+    mc_samples: int = DEFAULT_SAMPLES
     mc_seed: int = 0
     mode: str = "oracle"
     smoothing: bool = False
@@ -289,9 +294,9 @@ def _seed_inputs(cfg, args, params, codebook, seed):
 
 def _verify_text(cfg, params, seed, rejections, payload):
     """One seed's verify artifact: config, seed and draw, then the checks."""
-    return json.dumps({"config": cfg.resolved(params), "seed": seed,
-                       "policy": cfg.policy, "rejections": rejections,
-                       **payload}, indent=2, default=_json_default)
+    return _artifact_json({"config": cfg.resolved(params), "seed": seed,
+                           "policy": cfg.policy, "rejections": rejections,
+                           **payload})
 
 
 def _verify_one(cfg, params, codebook, dataset, traj, event):
@@ -425,7 +430,7 @@ def cmd_run(args):
     summary = {"config": cfg.resolved(params), "results": per_seed,
                "passed": bool(all_passed)}
     (outdir / f"{cfg.family}-run-summary.json").write_text(
-        json.dumps(summary, indent=2, default=_json_default))
+        _artifact_json(summary))
     print(f"artifacts in {outdir}; overall: {'pass' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
 
@@ -482,22 +487,19 @@ def cmd_acceptance(args):
         res = _acceptance.run_suite(name)
         results.append(res)
         print(res.summary())
-        budget = _acceptance.BUDGET_SECONDS[name]
-        if res.elapsed > budget:
-            print(f"  note: exceeded the {budget:.0f}s budget")
+        if not res.within_budget:
+            print(f"  note: exceeded the {res.budget:.0f}s budget")
     if args.json:
         payload = [{
             "suite": r.name,
             "passed": r.passed,
             "elapsed_seconds": r.elapsed,
-            "budget_seconds": _acceptance.BUDGET_SECONDS[r.name],
+            "budget_seconds": r.budget,
             "checks": r.checks,
         } for r in results]
-        Path(args.json).write_text(json.dumps(payload, indent=2,
-                                              default=_json_default))
+        Path(args.json).write_text(_artifact_json(payload))
         print(f"wrote {args.json}")
-    priced = all(r.passed and r.elapsed <= _acceptance.BUDGET_SECONDS[r.name]
-                 for r in results)
+    priced = all(r.passed and r.within_budget for r in results)
     return 0 if priced else 1
 
 
@@ -548,7 +550,7 @@ def build_parser():
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-attempts", dest="max_attempts", type=int,
-                   default=100_000)
+                   default=DEFAULT_ATTEMPTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_codebook)
 

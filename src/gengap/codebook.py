@@ -22,6 +22,7 @@ MAX_DIRECTIONS = 40
 WARN_DIRECTIONS = 16
 
 COHERENCE_BOUND = 1.0 / 8.0
+DEFAULT_ATTEMPTS = 100_000  # candidate draws before generation gives up
 
 
 def default_dim(n_vectors):
@@ -59,7 +60,7 @@ class Codebook:
         return self.vectors.shape[0]
 
 
-def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=100_000):
+def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=DEFAULT_ATTEMPTS):
     """Generate a codebook by seeded rejection sampling.
 
     Draws sign vectors one at a time and accepts a candidate only if its

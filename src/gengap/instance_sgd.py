@@ -396,18 +396,22 @@ def event_state_sgd(masks, n_directions):
         p &= masks[t - 1]
     return out
 
+
 def good_event_sgd(dataset, params):
     """Check the SGD good event: for every t, P_t is nonempty and no set
     from step t on contains J_t.  The report's reason lists failing steps."""
+    return _event_report(event_state_sgd(dataset.masks, params.n_directions))
+
+
+def _event_report(states):
+    """good_event_sgd's report from the event states of a dataset."""
     bad = []
-    for st in event_state_sgd(dataset.masks, params.n_directions):
+    for st in states:
         if st.p_mask == 0:
             bad.append(f"step {st.step}: empty intersection")
         elif not st.s_mask >> (st.j - 1) & 1:
             bad.append(f"step {st.step}: direction {st.j} reappears later")
-    if bad:
-        return EventReport(False, "; ".join(bad))
-    return EventReport(True)
+    return EventReport(not bad, "; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +689,13 @@ def expected_sgd_iterate(t, params, dataset, codebook):
     """
     if not 2 <= t <= params.n:
         raise InvalidClosedForm(f"iterate {t} outside closed-form range [2, {params.n}]")
-    report = good_event_sgd(dataset, params)
+    states = event_state_sgd(dataset.masks, params.n_directions)
+    report = _event_report(states)
     if not report:
         raise EventViolated(f"good event fails: {report.reason}")
 
     n = params.n
     lay = params.layout
-    states = event_state_sgd(dataset.masks, params.n_directions)
     w = np.zeros(params.dim)
 
     scale = 4.0 * n * n

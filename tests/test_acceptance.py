@@ -5,7 +5,7 @@ configuration (sizes, seeds, tolerances all live there), reports any failing
 check labels verbatim, and enforces the suite's wall-clock budget.
 """
 
-from gengap.acceptance import BUDGET_SECONDS, run_suite
+from gengap.acceptance import SuiteResult, run_suite
 
 
 def _gate(name):
@@ -13,9 +13,14 @@ def _gate(name):
     failing = [f"{c.label} [{c.info}]" if c.info else c.label
                for c in res.checks if not c.passed]
     assert res.passed, f"{name}: {len(failing)} failing checks: {failing}"
-    assert res.elapsed < BUDGET_SECONDS[name], (
-        f"{name}: took {res.elapsed:.1f}s, budget {BUDGET_SECONDS[name]}s"
+    assert res.within_budget, (
+        f"{name}: took {res.elapsed:.1f}s, budget {res.budget}s"
     )
+
+
+def test_a_suite_at_exactly_its_budget_is_over_it():
+    assert not SuiteResult("x", (), elapsed=1.0, budget=1.0).within_budget
+    assert SuiteResult("x", (), elapsed=0.999, budget=1.0).within_budget
 
 
 def test_small_increment_suffix_value_stays_above_threshold():

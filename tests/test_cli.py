@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gengap import instance_gd, risk
+from gengap import acceptance, instance_gd, risk
 from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
@@ -455,7 +455,18 @@ def test_acceptance_command_reports_a_suite(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload[0]["suite"] == "gd-event"
     assert payload[0]["passed"] is True
-    assert payload[0]["elapsed_seconds"] <= payload[0]["budget_seconds"]
+    assert payload[0]["budget_seconds"] == acceptance.SUITES["gd-event"][1]
+    assert payload[0]["elapsed_seconds"] < payload[0]["budget_seconds"]
+
+
+def test_a_suite_over_its_budget_fails_the_acceptance_command(
+        monkeypatch, capsys):
+    suite, _ = acceptance.SUITES["gd-event"]
+    monkeypatch.setitem(acceptance.SUITES, "gd-event", (suite, 0.0))
+    assert main(["acceptance", "gd-event"]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] gd-event" in out
+    assert "note: exceeded the 0s budget" in out
 
 
 def test_acceptance_json_writes_numpy_check_flags_as_booleans(tmp_path):

@@ -210,6 +210,26 @@ def test_closed_form_rejects_out_of_range_steps(small):
         expected_sgd_iterate(params.n + 1, params, dataset, codebook)
 
 
+def test_closed_form_reads_the_event_states_once(monkeypatch, small):
+    params, codebook, dataset = small
+    calls = []
+
+    def counted(masks, n_directions):
+        calls.append(masks)
+        return event_state_sgd(masks, n_directions)
+
+    monkeypatch.setattr(instance_sgd, "event_state_sgd", counted)
+    expected_sgd_iterate(params.n, params, dataset, codebook)
+    assert len(calls) == 1
+
+
+def test_closed_form_refuses_an_off_event_dataset(small):
+    params, codebook, _ = small
+    off = SgdDataset(masks=(0b0001, 0b0010, 0b0100, 0b1000))
+    with pytest.raises(EventViolated, match="good event fails: step 1: "):
+        expected_sgd_iterate(2, params, off, codebook)
+
+
 def test_dataset_json_roundtrip(tmp_path, small):
     _, _, dataset = small
     path = tmp_path / "ds.json"

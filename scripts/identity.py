@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and eleven ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and thirteen ``gengap run`` sweeps (each with the smoothed-risk
 check, most with several suffix lengths, whose population risks share one
 Monte-Carlo draw, and one whose every seed skips, so its risk table has no
 row), then ``gengap verify`` and ``gengap risk`` on every
@@ -78,6 +78,12 @@ SWEEPS = {
                                     "--mode", "reference", "--suffix", "1,3"],
     "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100",
                   "--suffix", "1,10,100"],
+    # N = 20: codepoint angles off the N <= 16 grid every other sweep uses
+    "sgd-force-n20": ["--family", "sgd", "--n", "4", "--directions", "20",
+                      "--policy", "force", "--suffix", "1,2,4"],
+    "gd-reject-n20": ["--family", "gd", "--n", "2", "--directions", "20",
+                      "--steps", "8", "--policy", "reject-until-E",
+                      "--suffix", "1,4,8"],
 }
 SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
          "gd-unconditioned-oracle-n4": "0..12",

@@ -23,8 +23,6 @@ from .encoding import (
     alpha_sgd,
     circle_point,
     decode_blocks,
-    encode_gd,
-    encode_sgd,
     margin_eps,
     subset_count,
 )

@@ -33,7 +33,12 @@ from . import acceptance as _acceptance
 from .codebook import DEFAULT_ATTEMPTS, coherence, generate_codebook, \
     load_codebook, save_codebook
 from .errors import GengapError, OracleDomain, OutOfRange, reading
-from .instance_gd import GdParams, check_reference_budget, theorem_step_size
+from .instance_gd import (
+    GdParams,
+    above_theorem_step,
+    check_reference_budget,
+    theorem_step_size,
+)
 from .instance_sgd import SgdParams
 from .instance_smallstep import SmallstepParams
 from .optim import load_trajectory, run_gd, run_sgd, run_smallstep, save_trajectory
@@ -145,13 +150,13 @@ class ExperimentConfig:
         if self.smoothing and self.smoothing_samples < 2:
             raise OutOfRange(f"--smoothing-samples must be at least 2 for a "
                              f"variance estimate; got {self.smoothing_samples}")
-        if capped and self.eta is not None and self.theorem_mode:
+        if (capped and self.eta is not None and self.theorem_mode
+                and above_theorem_step(self.eta, params.horizon)):
             cap = theorem_step_size(params.horizon)
-            if self.eta > cap * (1.0 + 1e-12):
-                raise OutOfRange(
-                    f"theorem mode caps eta at 1/(5*sqrt({params.horizon})) = {cap:.6g}; "
-                    f"got {self.eta}; pass theorem_mode: false to override"
-                )
+            raise OutOfRange(
+                f"theorem mode caps eta at 1/(5*sqrt({params.horizon})) = {cap:.6g}; "
+                f"got {self.eta}; pass theorem_mode: false to override"
+            )
 
     def build_params(self):
         """The family's params class, filled from the same-named fields; a

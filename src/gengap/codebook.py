@@ -9,17 +9,18 @@ codebook directions.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AttemptsExhausted, OutOfRange, reading
 
-# Above this many directions the required dimension (and every exhaustive
-# subset enumeration downstream) stops being desk-scale.
+# The oracle decodes a block by rounding its float64 angle to the nearest of
+# 2^N codepoints; the cap keeps neighbours thousands of ulps apart (at N = 40,
+# 2*pi/2^40 is about 6,400 ulps of an angle near 2*pi).  Nothing in oracle
+# mode enumerates the 2^N subsets; the reference read-out does, and
+# instance_gd.REFERENCE_BUDGET refuses it beyond N = 16.
 MAX_DIRECTIONS = 40
-WARN_DIRECTIONS = 16
 
 COHERENCE_BOUND = 1.0 / 8.0
 DEFAULT_ATTEMPTS = 100_000  # candidate draws before generation gives up
@@ -70,8 +71,9 @@ def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=DEFAULT_ATTEMPTS
     Parameters
     ----------
     n_vectors : int
-        Number of directions N.  Values above 16 emit a warning (downstream
-        subset enumerations scale as 2^N); values above 40 are refused.
+        Number of directions N, at most MAX_DIRECTIONS = 40, set by the
+        float64 code resolution the oracle decode relies on.  The reference
+        read-out's own limit is instance_gd.REFERENCE_BUDGET.
     dim : int, optional
         Ambient dimension.  Defaults to ``default_dim(n_vectors)``.
     seed : int
@@ -96,13 +98,8 @@ def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=DEFAULT_ATTEMPTS
     if n_vectors > MAX_DIRECTIONS:
         raise OutOfRange(
             f"n_vectors={n_vectors} exceeds the supported maximum of "
-            f"{MAX_DIRECTIONS}; subset enumerations grow as 2^N"
-        )
-    if n_vectors > WARN_DIRECTIONS:
-        warnings.warn(
-            f"n_vectors={n_vectors} > {WARN_DIRECTIONS}: subset-space "
-            f"enumerations downstream grow as 2^N and may be slow",
-            stacklevel=2,
+            f"{MAX_DIRECTIONS}, which keeps the oracle decode's 2^N "
+            f"codepoints thousands of float64 ulps apart"
         )
     if dim is None:
         dim = default_dim(n_vectors)

@@ -11,10 +11,11 @@ Adjacent codepoints are separated by an inner-product gap of
 1 - cos(2*pi/M), which is what makes "which subset is stored here?" a
 max-margin question downstream.
 
-Two encoders place codepoints inside a larger encoding subspace:
-
-- encode_gd: one 2-dim block per slot j in [n^2]  -> vector in R^{2 n^2}
-- encode_sgd: one 2-dim block per position t in [n] -> vector in R^{2 n}
+circle_points is the one place a codepoint is evaluated, for a whole
+array of masks at once.  A training set is stored by writing its
+codepoints into their own 2-dim blocks of the encoding subspace: slot j in
+[n^2] for the full-batch family, position t in [n] of a group for the
+one-pass family.
 
 Decoding has three rules, each defined once here over blocks of any
 leading shape, so both oracle read-outs decode a whole stack of points:
@@ -51,17 +52,23 @@ def mask_members(mask, n_directions):
     return [r for r in range(1, n_directions + 1) if mask >> (r - 1) & 1]
 
 
-def circle_point(mask, n_directions):
-    """Unit codepoint (sin, cos) for a subset mask.
+def circle_points(masks, n_directions):
+    """The codepoints of subset masks (an int or an int array) as the pair
+    (sin, cos) of arrays in the masks' shape: angle 2*pi*mask/M.
 
     The empty set (mask 0) maps to (0, 1); increasing masks walk the circle
     counter-clockwise in steps of 2*pi/M.
     """
+    angle = TWO_PI * (np.asarray(masks) / subset_count(n_directions))
+    return np.sin(angle), np.cos(angle)
+
+
+def circle_point(mask, n_directions):
+    """Unit codepoint [sin, cos] of one subset mask (circle_points)."""
     m = subset_count(n_directions)
     if not 0 <= mask < m:
         raise OutOfRange(f"mask {mask} not in [0, {m})")
-    angle = TWO_PI * (mask / m)
-    return np.array([math.sin(angle), math.cos(angle)])
+    return np.array(circle_points(mask, n_directions))
 
 
 def margin_eps(n, n_directions):
@@ -74,41 +81,6 @@ def margin_eps(n, n_directions):
     m = subset_count(n_directions)
     s = math.sin(math.pi / m)
     return 2.0 * s * s / (n * n)
-
-
-def encode_gd(mask, slot, n, n_directions):
-    """Place the subset codepoint in 2-dim block `slot` of n^2 blocks.
-
-    Parameters
-    ----------
-    mask : int
-        Subset bitmask.
-    slot : int
-        1-based block index in [1, n^2].
-    n : int
-        Sample count; the encoding space has n^2 blocks (2*n^2 dims).
-    n_directions : int
-        Codebook size N (fixes the circle resolution M = 2^N).
-    """
-    blocks = n * n
-    if not 1 <= slot <= blocks:
-        raise OutOfRange(f"slot {slot} not in [1, {blocks}]")
-    out = np.zeros(2 * blocks)
-    out[2 * (slot - 1): 2 * slot] = circle_point(mask, n_directions)
-    return out
-
-
-def encode_sgd(mask, position, n, n_directions):
-    """Place the subset codepoint in 2-dim block `position` of n blocks.
-
-    Same idea as encode_gd but the block index is a sample position t in
-    [1, n] and the output lives in R^{2n}.
-    """
-    if not 1 <= position <= n:
-        raise OutOfRange(f"position {position} not in [1, {n}]")
-    out = np.zeros(2 * n)
-    out[2 * (position - 1): 2 * position] = circle_point(mask, n_directions)
-    return out
 
 
 def block_occupancy(x, y, expected_magnitude):

@@ -42,14 +42,12 @@ import numpy as np
 
 from .codebook import default_dim
 from .encoding import (
-    TWO_PI,
     EncodingLayout,
     alpha_gd,
     block_codes,
     block_occupancy,
-    circle_point,
+    circle_points,
     decode_blocks,
-    encode_gd,
     full_mask,
     lowest_member,
     margin_eps,
@@ -86,13 +84,19 @@ def theorem_step_size(horizon):
     return 1.0 / (5.0 * math.sqrt(horizon))
 
 
+def above_theorem_step(eta, horizon):
+    """Whether eta exceeds theorem_step_size(horizon) by more than a
+    relative 1e-12, which lets the cap through when written out in full."""
+    return eta > theorem_step_size(horizon) * (1 + 1e-12)
+
+
 def _fill_defaults(params):
     """Default eta to theorem_step_size(horizon), warning when a given eta
     exceeds it, and dprime to default_dim(n_directions)."""
     cap = theorem_step_size(params.horizon)
     if params.eta is None:
         object.__setattr__(params, "eta", cap)
-    elif params.eta > cap * (1 + 1e-12):
+    elif above_theorem_step(params.eta, params.horizon):
         warnings.warn(
             f"eta={params.eta:.4g} exceeds 1/(5*sqrt({params.horizon}))={cap:.4g}; "
             "closed-form trajectory guarantees need the smaller step",
@@ -478,9 +482,8 @@ class MaskInputs(NamedTuple):
 
 def mask_inputs(masks, n_directions):
     """MaskInputs of an int64 mask array (B,)."""
-    angle = TWO_PI * (masks / subset_count(n_directions))
     member = (masks[:, None] >> np.arange(n_directions)[None, :] & 1).astype(bool)
-    return MaskInputs(np.sin(angle), np.cos(angle), member)
+    return MaskInputs(*circle_points(masks, n_directions), member)
 
 
 def _hinge_blocks(proj, member, params):
@@ -545,27 +548,24 @@ def _reference_groups_gd(params):
     by uncovered direction.
 
     Each candidate training set (n distinct slots, any subsets) has one row
-    of Psi, (1/n) * the sum of its slot codepoints.  There are
-    params.reference_count of them, so this exists only for tiny instances.
-    Returns (Psi, starts, alphas): the rows stably sorted by their 1-based
-    uncovered-direction index (enumeration order within a group), the first
-    row of each group, and each group's index.
+    of Psi, (1/n) times its codepoints written into their slot blocks, the
+    other blocks zero.  There are params.reference_count of them, so this
+    exists only for tiny instances.  They are enumerated slot sets
+    (itertools.combinations) outer, subset tuples (itertools.product)
+    inner.  Returns (Psi, starts, alphas): the rows stably sorted by their
+    1-based uncovered-direction index (enumeration order within a group),
+    the first row of each group, and each group's index.
     """
     check_reference_budget(params)
-    n, n_directions = params.n, params.n_directions
-    n_slots = n * n
-    psi_rows = np.zeros((params.reference_count, 2 * n_slots))
-    alpha_idx = np.zeros(params.reference_count, dtype=np.int64)
-    r = 0
-    for slot_combo in itertools.combinations(range(1, n_slots + 1), n):
-        for masks in itertools.product(range(subset_count(n_directions)),
-                                       repeat=n):
-            acc = np.zeros(2 * n_slots)
-            for mask, slot in zip(masks, slot_combo):
-                acc += encode_gd(mask, slot, n, n_directions)
-            psi_rows[r] = acc / n
-            alpha_idx[r] = alpha_gd(masks, n_directions)
-            r += 1
+    n, nd = params.n, params.n_directions
+    slots = np.array(list(itertools.combinations(range(n * n), n)))  # (C, n)
+    masks = np.array(list(itertools.product(range(subset_count(nd)), repeat=n)))
+    psi_rows = np.zeros((len(slots), len(masks), n * n, 2))
+    psi_rows[np.arange(len(slots))[:, None, None], np.arange(len(masks))[:, None],
+             slots[:, None]] = np.stack(circle_points(masks, nd), axis=-1) / n
+    psi_rows = psi_rows.reshape(params.reference_count, -1)
+    uncovered = lowest_member(full_mask(nd) & ~np.bitwise_or.reduce(masks, axis=1), nd)
+    alpha_idx = np.tile(uncovered.astype(np.int64), len(slots))
     order = np.argsort(alpha_idx, kind="stable")
     alphas, starts = np.unique(alpha_idx[order], return_index=True)
     return psi_rows[order], starts, alphas
@@ -589,10 +589,8 @@ def _decoded_training_sets(w0, params):
             raise OracleDomain(f"encoding subspace not decodable: {exc}") from exc
         raise OracleDomain(f"decoded {len(pairs)} occupied slots, expected 0 or {n}")
     codes = block_codes(x[occupied], y[occupied], nd)
-    kinds, at = np.unique(codes, return_inverse=True)
-    points = np.array([circle_point(int(c), nd) for c in kinds]).reshape(-1, 2)
     psi = np.zeros(x.shape + (2,))
-    psi[occupied] = points[at] / n
+    psi[occupied] = np.stack(circle_points(codes, nd), axis=-1) / n
     union = np.zeros(len(w0), dtype=np.int64)
     np.bitwise_or.at(union, np.nonzero(occupied)[0], codes)
     return psi.reshape(w0.shape), lowest_member(full_mask(nd) & ~union, nd)
@@ -746,17 +744,16 @@ def grad_gd_batch(w, dataset, params, codebook, mode="oracle"):
         lay.block(shared, k_star + 1)[:] += 0.375 * codebook.vectors[u_star]
         lay.block(shared, k_star + 2)[:] -= 0.5 * codebook.vectors[u_star]
 
-    member = mask_inputs(np.asarray(dataset.masks, dtype=np.int64),
-                         params.n_directions).member
+    inputs = mask_inputs(np.asarray(dataset.masks, dtype=np.int64),
+                         params.n_directions)
     g = np.zeros_like(w)
-    for (on, hinge), mask, slot in zip(
-            _hinge_grads(part.proj[0], member, params, codebook),
-            dataset.masks, dataset.slots):
+    for (on, hinge), sin, cos, slot in zip(
+            _hinge_grads(part.proj[0], inputs.member, params, codebook),
+            inputs.sin, inputs.cos, dataset.slots):
         g_i = shared.copy()
         lay.step_blocks(g_i)[1:][on] += hinge  # term 1
         # term 2: linear
-        lay.encoding(g_i)[2 * (slot - 1): 2 * slot] -= circle_point(
-            mask, params.n_directions)
+        lay.encoding(g_i)[2 * (slot - 1): 2 * slot] -= sin, cos
         g += g_i
     return g / dataset.n
 
@@ -783,10 +780,11 @@ def _gd_block_coefficients(t, params):
 def expected_gd_iterate(t, params, dataset, codebook):
     """Exact full-batch iterate w_t under the good event.
 
-    w^(0) is eta/n times the summed training-set encoding; every step block
-    is a scalar times the direction the training set misses.  The general
-    per-step table needs T >= 8 to keep its warm-up and steady-state ranges
-    from overlapping, so smaller horizons are refused outright.
+    w^(0) is eta/n times the training set's codepoints, each in its slot
+    block; every step block is a scalar times the direction the training
+    set misses.  The general per-step table needs T >= 8 to keep its
+    warm-up and steady-state ranges from overlapping, so smaller horizons
+    are refused outright.
 
     Raises
     ------
@@ -807,10 +805,10 @@ def expected_gd_iterate(t, params, dataset, codebook):
 
     lay = params.layout
     w = np.zeros(params.dim)
-    enc = np.zeros(lay.encoding_dim)
-    for mask, slot in zip(dataset.masks, dataset.slots):
-        enc += encode_gd(mask, slot, params.n, params.n_directions)
-    lay.encoding(w)[:] = (params.eta / params.n) * enc
+    # the good event's slots are distinct: each codepoint has its own block
+    enc = lay.encoding(w).reshape(-1, 2)
+    enc[np.asarray(dataset.slots) - 1] = (params.eta / params.n) * np.stack(
+        circle_points(np.asarray(dataset.masks), params.n_directions), axis=-1)
 
     u0 = codebook.vectors[alpha_gd(dataset.masks, params.n_directions) - 1]
     coef = _gd_block_coefficients(t, params)

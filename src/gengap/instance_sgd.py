@@ -44,12 +44,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import (
-    TWO_PI,
     alpha_sgd,
     block_codes,
     block_occupancy,
-    circle_point,
-    encode_sgd,
+    circle_points,
     full_mask,
     lowest_member,
     subset_count,
@@ -234,10 +232,11 @@ class SgdParams:
         masks = [self.step_sample(t, dataset) for t in range(1, len(points) + 1)]
         inputs, (rows,) = self.prepare_samples([masks])
         couplings = _sample_reads(parts, inputs, self)[np.arange(len(points)), rows, 1:]
+        codepoints = np.stack((inputs.sin, inputs.cos), axis=-1)[rows]
         thr = self.eta * self.eps / (16.0 * n * n)
         steps = []
-        for t, (table, mask) in enumerate(zip(_l2_table(parts, couplings), masks),
-                                          start=1):
+        for t, (table, point) in enumerate(zip(_l2_table(parts, couplings),
+                                               codepoints), start=1):
             best, second = _second_excluding_argmax(table)
             u_star, k_star = divmod(int(np.argmax(table)), n - 1)
             k = k_star + 1
@@ -247,15 +246,17 @@ class SgdParams:
             if prefix[0] >= 0:
                 w, proj = points[t - 1], parts.proj[t - 1]
                 gk, gk1 = self.group(w, k), self.group(w, k + 1)
-                read = (gk1[2 * k: 2 * k + 2] @ circle_point(mask, nd)) / (4.0 * n * n)
+                read = (gk1[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
                 psi = _prefix_psi(prefix, self)
                 # a candidate swaps one shifted codepoint into block pos; the
                 # blocks are disjoint, so that is the shifted prefix's psi bitwise
-                for pos, delta in itertools.product(range(k), (-1, 1)):
+                moved = (prefix[:, None] + np.array([-1, 1])) % subset_count(nd)
+                moved_points = np.stack(circle_points(moved, nd), axis=-1) / n
+                for pos, side in itertools.product(range(k), (0, 1)):
                     shifted = [int(m) for m in prefix]
-                    shifted[pos] = (shifted[pos] + delta) % subset_count(nd)
+                    shifted[pos] = int(moved[pos, side])
                     psi_adj = psi.copy()
-                    psi_adj[2 * pos: 2 * pos + 2] = circle_point(shifted[pos], nd) / n
+                    psi_adj[2 * pos: 2 * pos + 2] = moved_points[pos, side]
                     val = (0.375 * proj[k - 1, u_star]
                            - 0.5 * proj[k, alpha_sgd(shifted, nd) - 1]
                            + (gk @ psi_adj - gk1 @ psi_adj) / (4.0 * n) - read)
@@ -428,12 +429,14 @@ def _event_report(states):
 
 
 def _prefix_psi(masks, params):
-    """(1/n) times the encoding of a prefix of masks at positions 1, 2, ...,
-    summed in position order (zeros for the empty prefix)."""
-    acc = np.zeros(2 * params.n)
-    for pos, m in enumerate(masks, start=1):
-        acc += encode_sgd(m, pos, params.n, params.n_directions)
-    return acc / params.n
+    """(1/n) times the encoding of a prefix of masks: the codepoint of the
+    mask at position p written into block p = 1, 2, ... of a group's 2n
+    dims, the other blocks zero (all zeros for the empty prefix)."""
+    psi = np.zeros((params.n, 2))
+    psi[:len(masks)] = np.stack(
+        circle_points(np.asarray(masks, dtype=np.int64), params.n_directions),
+        axis=-1) / params.n
+    return psi.reshape(-1)
 
 
 def _l2_readout(w2, proj, params):
@@ -454,8 +457,7 @@ def _l2_readout(w2, proj, params):
     m_mod = subset_count(nd)
     table = None  # sin and cos of the codepoints, unless they outnumber the codes
     if m_mod <= w2.shape[0] * n * (n - 1) // 2:
-        theta = TWO_PI * (np.arange(m_mod) / m_mod)
-        table = np.sin(theta), np.cos(theta)
+        table = circle_points(np.arange(m_mod), nd)
     enc = params.layout.encoding(w2).reshape(-1, n, n, 2)  # (row, group, position)
     x, y = (np.ascontiguousarray(enc[..., c].T) for c in (0, 1))  # (pos, group, row)
     occupied, ambiguous = block_occupancy(x, y, exp)
@@ -473,8 +475,7 @@ def _l2_readout(w2, proj, params):
         inter[p:] &= codes
         prefix[p:, p] = codes
         if table is None:
-            theta = TWO_PI * (codes / m_mod)
-            sin, cos = np.sin(theta), np.cos(theta)
+            sin, cos = circle_points(codes, nd)
         else:
             sin, cos = table[0][codes], table[1][codes]
         terms[0, p, p:] = xs * sin + ys * cos
@@ -646,6 +647,7 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
     lay = params.layout
     parts = _sample_free_sgd(w[None], params, codebook, mode)
     inputs = mask_inputs(np.array([mask], dtype=np.int64), nd)
+    point = np.array([inputs.sin[0], inputs.cos[0]])  # the sample's codepoint
     g = np.zeros_like(w)
 
     # term 1
@@ -663,11 +665,10 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
         lay.block(g, k + 1)[:] -= 0.5 * codebook.vectors[parts.alpha[0, k_star] - 1]
         params.group(g, k)[:] += psi / (4.0 * n)
         params.group(g, k + 1)[:] -= psi / (4.0 * n)
-        params.group(g, k + 1)[2 * k: 2 * k + 2] -= circle_point(mask, nd) / (
-            4.0 * n * n)
+        params.group(g, k + 1)[2 * k: 2 * k + 2] -= point / (4.0 * n * n)
 
     # term 3 (constant)
-    lay.encoding(g)[0:2] -= circle_point(mask, nd) / (4.0 * n * n)
+    lay.encoding(g)[0:2] -= point / (4.0 * n * n)
     lay.block(g, 1)[:] -= codebook.vectors[0] / n**3
     return g
 
@@ -699,13 +700,12 @@ def expected_sgd_iterate(t, params, dataset, codebook):
     w = np.zeros(params.dim)
 
     scale = 4.0 * n * n
-    for i in range(1, t):  # prefix group: samples 1..t-1 at their positions
-        enc = encode_sgd(dataset.masks[i - 1], i, n, params.n_directions)
-        params.group(w, t - 1)[:] += params.eta * (enc / scale)
-    if t >= 3:
-        for i in range(2, t):  # group 1 keeps collecting position-1 writes
-            enc = encode_sgd(dataset.masks[i - 1], 1, n, params.n_directions)
-            params.group(w, 1)[:] += params.eta * (enc / scale)
+    points = np.stack(circle_points(np.asarray(dataset.masks[:t - 1]),
+                                    params.n_directions), axis=-1) / scale
+    # prefix group: samples 1..t-1, each in its own position block
+    params.group(w, t - 1).reshape(-1, 2)[:t - 1] = params.eta * points
+    for point in points[1:]:  # group 1 keeps collecting position-1 writes
+        params.group(w, 1)[0:2] += params.eta * point
 
     c1 = (t - 1) * (params.eta / n**3)
     if t >= 3:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ def test_theorem_mode_rejects_an_oversized_step(tmp_path, capsys):
     # the override flag lets an oversized step through validation
     with pytest.warns(UserWarning):
         assert main([*base, "--eta", "0.9", "--no-theorem-mode"]) == 0
+    # the cap itself passes silently; a relative 1e-11 above it does not
+    cap = instance_gd.theorem_step_size(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*base, "--eta", repr(cap)]) == 0
+    over = repr(cap * (1 + 1e-11))
+    assert main([*base, "--eta", over]) == 2
+    with pytest.warns(UserWarning):
+        assert main([*base, "--eta", over, "--no-theorem-mode"]) == 0
 
 
 def test_generated_codebook_roundtrips(tmp_path, capsys):

@@ -73,11 +73,10 @@ def test_impossible_dimension_exhausts_attempts():
         generate_codebook(8, 4, seed=0, max_attempts=2000)
 
 
-def test_large_codebooks_warn_then_refuse():
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        generate_codebook(17, 4096, seed=0)
-    assert any("17" in str(w.message) for w in rec)
+def test_large_codebooks_pass_silently_up_to_the_cap():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert generate_codebook(17, 4096, seed=0).n_vectors == 17
     with pytest.raises(OutOfRange):
         generate_codebook(41, seed=0)
 

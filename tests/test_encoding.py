@@ -12,9 +12,8 @@ from gengap.encoding import (
     block_codes,
     block_occupancy,
     circle_point,
+    circle_points,
     decode_blocks,
-    encode_gd,
-    encode_sgd,
     full_mask,
     lowest_member,
     margin_eps,
@@ -55,36 +54,21 @@ def test_circle_point_zero_mask_is_deterministic_anchor():
     assert np.allclose(circle_point(0, 4), [0.0, 1.0])
 
 
+def test_circle_points_keep_the_masks_shape_and_match_circle_point():
+    masks = np.array([[0, 5, 31], [17, 1, 30]])
+    sin, cos = circle_points(masks, 5)
+    assert sin.shape == cos.shape == masks.shape
+    for mask, s, c in zip(masks.flat, sin.flat, cos.flat):
+        assert circle_point(int(mask), 5).tolist() == [s, c]
+    with pytest.raises(OutOfRange):
+        circle_point(-1, 5)
+    with pytest.raises(OutOfRange):
+        circle_point(32, 5)
+
+
 def test_margin_eps_positive_and_shrinks_with_size():
     assert margin_eps(2, 4) > margin_eps(2, 6) > 0.0
     assert margin_eps(2, 4) > margin_eps(3, 4) > 0.0
-
-
-def test_encode_gd_occupies_exactly_the_slot_block():
-    n, n_directions = 3, 4
-    vec = encode_gd(0b0110, 5, n, n_directions)
-    assert vec.shape == (2 * n * n,)
-    assert math.isclose(np.linalg.norm(vec), 1.0, rel_tol=1e-12)
-    nz = np.nonzero(vec)[0]
-    assert set(nz) <= {8, 9}  # slot 5 -> zero-based block 4 -> coords 8, 9
-    assert np.allclose(vec[8:10], circle_point(0b0110, n_directions))
-
-
-def test_encode_sgd_occupies_exactly_the_position_block():
-    n, n_directions = 4, 5
-    vec = encode_sgd(0b10011, 3, n, n_directions)
-    assert vec.shape == (2 * n,)
-    assert np.allclose(vec[4:6], circle_point(0b10011, n_directions))
-    assert not vec[:4].any() and not vec[6:].any()
-
-
-def test_encode_rejects_out_of_range_slots():
-    with pytest.raises(OutOfRange):
-        encode_gd(0b01, 0, 2, 4)
-    with pytest.raises(OutOfRange):
-        encode_gd(0b01, 5, 2, 4)
-    with pytest.raises(OutOfRange):
-        encode_sgd(0b01, 3, 2, 4)
 
 
 def test_decode_blocks_roundtrips_scaled_codepoints():

@@ -15,7 +15,6 @@ from gengap.encoding import (
     alpha_gd,
     circle_point,
     decode_blocks,
-    encode_gd,
     margin_eps,
     mask_members,
 )
@@ -44,7 +43,7 @@ from gengap.instance_gd import (
     loss_gd_samples,
     theorem_step_size,
 )
-from gengap.instance_sgd import SgdDataset
+from gengap.instance_sgd import SgdDataset, SgdParams
 from gengap.optim import run_gd, suffix_average
 from gengap.smoothing import CHUNK, ball_sample, sphere_sample
 from gengap.verify import expected_gd_iterate
@@ -92,10 +91,10 @@ def _decode_row(w0, params):
     if len(pairs) != params.n:
         raise OracleDomain(
             f"decoded {len(pairs)} occupied slots, expected 0 or {params.n}")
-    acc = np.zeros_like(w0)
+    psi = np.zeros_like(w0)
     for slot, mask in pairs:
-        acc += encode_gd(mask, slot, params.n, params.n_directions)
-    return acc / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
+        psi[2 * (slot - 1): 2 * slot] = circle_point(mask, params.n_directions)
+    return psi / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
 
 
 def _read_row(w, params, codebook):
@@ -577,6 +576,15 @@ def test_run_matches_closed_form_on_event(small):
         assert np.abs(traj.iterate(t) - want).max() < 1e-12
 
 
+def test_first_step_encoding_is_the_closed_form_bitwise():
+    # w_2's encoding subspace is one step's written codepoints, placed by
+    # the closed form as the step writes them
+    params, codebook, dataset, traj = _GD_BIG.run()
+    enc = params.layout.encoding
+    want = expected_gd_iterate(2, params, dataset, codebook)
+    assert enc(traj.iterate(2)).tobytes() == enc(want).tobytes()
+
+
 def test_oracle_and_reference_modes_agree_on_trajectory(small):
     params, codebook, dataset = small
     traj = run_gd(codebook, dataset, params)
@@ -617,6 +625,10 @@ def test_reference_mode_refuses_huge_enumerations():
     cb = generate_codebook(16, p.dprime, seed=0)
     with pytest.raises(ReferenceTooLarge):
         loss_gd(np.zeros(p.dim), (0, 1), p, cb, mode="reference")
+    # past 16 directions no instance of either family fits the budget
+    for params in (GdParams(1, 17, 2), SgdParams(2, 17)):
+        with pytest.raises(ReferenceTooLarge):
+            instance_gd.check_reference_budget(params)
 
 
 def test_closed_form_requires_event_and_horizon():

@@ -202,6 +202,16 @@ def test_run_matches_closed_form_on_event(small):
         assert np.abs(traj.iterate(t) - want).max() < 1e-12
 
 
+def test_run_encoding_is_the_closed_form_bitwise_at_a_power_of_two():
+    # at n = 8 the closed form's groups are the run's per-sample products
+    # bit for bit, at every step
+    params, codebook, dataset, traj = _SGD_BIG.run()
+    enc = params.layout.encoding
+    for t in range(2, params.n + 1):
+        want = expected_sgd_iterate(t, params, dataset, codebook)
+        assert enc(traj.iterate(t)).tobytes() == enc(want).tobytes()
+
+
 def test_closed_form_rejects_out_of_range_steps(small):
     params, codebook, dataset = small
     with pytest.raises(InvalidClosedForm):

@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and thirteen ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and fourteen ``gengap run`` sweeps (each with the smoothed-risk
 check, most with several suffix lengths, whose population risks share one
 Monte-Carlo draw, and one whose every seed skips, so its risk table has no
 row), then ``gengap verify`` and ``gengap risk`` on every
@@ -76,6 +76,12 @@ SWEEPS = {
                                     "--directions", "3",
                                     "--policy", "unconditioned",
                                     "--mode", "reference", "--suffix", "1,3"],
+    # 4,160 enumerated prefixes at the default dprime (461)
+    "sgd-unconditioned-reference-n3": ["--family", "sgd", "--n", "3",
+                                       "--directions", "6",
+                                       "--policy", "unconditioned",
+                                       "--mode", "reference",
+                                       "--suffix", "1,2,3"],
     "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100",
                   "--suffix", "1,10,100"],
     # N = 20: codepoint angles off the N <= 16 grid every other sweep uses

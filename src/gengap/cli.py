@@ -118,6 +118,12 @@ class ExperimentConfig:
             raise OutOfRange(f"mode must be 'oracle' or 'reference', got {self.mode!r}")
         if not self.seeds:
             raise OutOfRange("seeds must be non-empty")
+        seeds = {"--seeds": min(self.seeds), "--mc-seed": self.mc_seed,
+                 "--smoothing-seed": self.smoothing_seed,
+                 "--codebook-seed": self.codebook_seed}
+        negative = [flag for flag, seed in seeds.items() if seed < 0]
+        if negative:
+            raise OutOfRange(f"{' and '.join(negative)} must be at least 0")
         cls = _PARAMS[self.family]
         takes = {_CONFIG_KEY.get(f.name, f.name) for f in dataclasses.fields(cls)}
         takes |= {"policy"} if cls.policies else set()
@@ -179,14 +185,18 @@ class ExperimentConfig:
 
 
 def load_config(path):
+    """A YAML config's values, each of its ExperimentConfig field's type
+    (_typed); a null keeps the field's default, so it is left out."""
     with reading(path, "config file", (yaml.YAMLError,)), open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise OutOfRange(f"config {path} must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    kinds = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise OutOfRange(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    return {key: _typed(key, value, kinds[key])
+            for key, value in raw.items() if value is not None}
 
 
 def _int(value):
@@ -195,6 +205,24 @@ def _int(value):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _typed(key, value, kind):
+    """A config value as its field's type kind: an int by _int's rule, a
+    float from an int or a float, a bool or a str as itself.  The integer
+    lists (tuple fields) are left to _parse_ints."""
+    if kind is tuple:
+        return value
+    if kind is int:
+        try:
+            return _int(value)
+        except (TypeError, ValueError) as exc:
+            raise OutOfRange(f"config key {key} takes an integer; "
+                             f"got {value!r}") from exc
+    takes = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, takes):
+        raise OutOfRange(f"config key {key} takes a {kind.__name__}; got {value!r}")
+    return value
 
 
 def _parse_ints(value, key):
@@ -232,9 +260,8 @@ def config_from_args(args):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    for key in ("seeds", "suffix"):  # a YAML null keeps the default
-        value = merged[key]
-        merged[key] = _parse_ints(defaults[key] if value is None else value, key)
+    for key in ("seeds", "suffix"):
+        merged[key] = _parse_ints(merged[key], key)
     cfg = ExperimentConfig(**merged)
     cfg.validate()
     return cfg
@@ -360,6 +387,8 @@ def _smoothing_check(cfg, params, codebook, dataset, traj):
 
 
 def cmd_gen_codebook(args):
+    if args.seed < 0:
+        raise OutOfRange(f"--seed must be at least 0; got {args.seed}")
     out = Path(args.out) if args.out else _default_out() / (
         f"codebook-N{args.directions}-s{args.seed}.json"
     )

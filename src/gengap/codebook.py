@@ -153,7 +153,13 @@ def save_codebook(codebook, path):
 
 
 def load_codebook(path):
-    """Inverse of save_codebook; reconstructs +-1/sqrt(dim) float rows."""
+    """Inverse of save_codebook; reconstructs +-1/sqrt(dim) float rows.
+
+    A file whose entries are not all +-1, or with a pair of rows above
+    COHERENCE_BOUND, is not a codebook and is refused.  The coherence is
+    checked on the integer sign Gram matrix, exact in float64, against
+    dim/8, so every codebook generate_codebook accepts loads.
+    """
     with reading(path, "codebook file"):
         with open(path) as fh:
             payload = json.load(fh)
@@ -162,9 +168,16 @@ def load_codebook(path):
         seed = int(payload["seed"])
     if signs.ndim != 2 or signs.shape[1] != dim:
         raise OutOfRange(
-            f"codebook file is inconsistent: vectors shape {signs.shape} "
+            f"codebook file {path} is inconsistent: vectors shape {signs.shape} "
             f"does not match dim={dim}"
         )
+    if not (np.abs(signs) == 1).all():
+        raise OutOfRange(f"codebook file {path} holds entries other than +-1")
+    gram = np.abs(signs @ signs.T)
+    np.fill_diagonal(gram, 0)
+    if (gram > dim * COHERENCE_BOUND).any():
+        raise OutOfRange(f"codebook file {path} has a pair of directions with "
+                         f"coherence above {COHERENCE_BOUND}")
     vectors = signs * (1.0 / math.sqrt(dim))
     return Codebook(vectors=vectors, dim=dim, seed=seed)
 

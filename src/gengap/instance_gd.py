@@ -68,12 +68,13 @@ from .smoothing import row_blocks
 REFERENCE_BUDGET = 100_000
 MAX_DATASET_DRAWS = 100_000  # reject-until-E gives up after this many draws
 
-# rows per block of the batched reference read-out.  Its callers at scale
-# are `--mode reference` runs and reference-mode preservation checks, whose
-# loss sees blocks of up to smoothing.BLOCK_ROWS (1,024) rows; blocks of 64
-# to 128 rows ran about 3x faster than one unblocked product and bound the
-# (rows, |Psi|) temporary, which stays in cache.  Each block takes one
-# product per uncovered-direction group, and 128 rows halve those calls
+# points per block of the batched reference read-out, which both sample-based
+# families take through _grouped_max.  Its callers at scale are `--mode
+# reference` runs and reference-mode preservation checks, whose loss sees
+# blocks of up to smoothing.BLOCK_ROWS (1,024) points; blocks of 64 to 128
+# points ran about 3x faster than one unblocked product and bound the
+# (points, |group|) temporary, which stays in cache.  Each block takes one
+# product per group of the table, and 128 points halve those calls
 _READ_ROWS = 128
 
 L1_FLOOR_COEF = 3.0 / 32.0  # the per-block hinge floor is (3/32) * eta
@@ -91,9 +92,12 @@ def above_theorem_step(eta, horizon):
 
 
 def _fill_defaults(params):
-    """Default eta to theorem_step_size(horizon), warning when a given eta
-    exceeds it, and dprime to default_dim(n_directions)."""
+    """Default eta to theorem_step_size(horizon), refusing a given eta that
+    is not positive and warning when it exceeds the default, and dprime to
+    default_dim(n_directions)."""
     cap = theorem_step_size(params.horizon)
+    if params.eta is not None and not params.eta > 0:
+        raise OutOfRange(f"need eta > 0; got eta={params.eta}")
     if params.eta is None:
         object.__setattr__(params, "eta", cap)
     elif above_theorem_step(params.eta, params.horizon):
@@ -552,9 +556,8 @@ def _reference_groups_gd(params):
     other blocks zero.  There are params.reference_count of them, so this
     exists only for tiny instances.  They are enumerated slot sets
     (itertools.combinations) outer, subset tuples (itertools.product)
-    inner.  Returns (Psi, starts, alphas): the rows stably sorted by their
-    1-based uncovered-direction index (enumeration order within a group),
-    the first row of each group, and each group's index.
+    inner.  Returns (Psi, starts, alphas), grouped by 1-based uncovered
+    direction (_by_alpha).
     """
     check_reference_budget(params)
     n, nd = params.n, params.n_directions
@@ -565,10 +568,38 @@ def _reference_groups_gd(params):
              slots[:, None]] = np.stack(circle_points(masks, nd), axis=-1) / n
     psi_rows = psi_rows.reshape(params.reference_count, -1)
     uncovered = lowest_member(full_mask(nd) & ~np.bitwise_or.reduce(masks, axis=1), nd)
-    alpha_idx = np.tile(uncovered.astype(np.int64), len(slots))
+    return _by_alpha(np.tile(uncovered.astype(np.int64), len(slots)), psi_rows)
+
+
+def _by_alpha(alpha_idx, *tables):
+    """The one layout of a reference table: each of tables' rows stably
+    sorted by their 1-based alpha_idx (a group keeps enumeration order),
+    then each group's first row (starts) and its index (alphas)."""
     order = np.argsort(alpha_idx, kind="stable")
     alphas, starts = np.unique(alpha_idx[order], return_index=True)
-    return psi_rows[order], starts, alphas
+    return (*(table[order] for table in tables), starts, alphas)
+
+
+def _grouped_max(x, rows, starts):
+    """The one reference read-out: each group's largest x @ row at each point
+    of a stack x (P, D), shape (P, G), and the first row attaining it, in
+    equal blocks of at most _READ_ROWS points, never a one-point block of a
+    larger stack (BLAS would round it as a vector product)."""
+    reads = np.empty((len(x), starts.size))
+    attained = np.empty(reads.shape, dtype=np.int64)
+    stops = np.append(starts[1:], len(rows))
+    n_blocks = max(1, -(-len(x) // _READ_ROWS))
+    size, extra = divmod(len(x), n_blocks)
+    for b in range(n_blocks):  # np.array_split's blocks: the first extra longer
+        lo = b * size + min(b, extra)
+        hi = lo + size + (b < extra)
+        block, each = x[lo:hi], np.arange(hi - lo)
+        for g, (start, stop) in enumerate(zip(starts, stops)):
+            prod = block @ rows[start:stop].T
+            at = prod.argmax(axis=-1)
+            reads[lo:hi, g] = prod[each, at]
+            attained[lo:hi, g] = start + at
+    return reads, attained
 
 
 def _decoded_training_sets(w0, params):
@@ -615,28 +646,14 @@ def _l3_gd(points, params, codebook, mode):
     if mode != "reference":
         raise OutOfRange(f"unknown loss mode {mode!r}")
     psi, starts, alphas = _reference_groups_gd(params)
-    # each group's best row first, by its own product, then the group's
-    # shared movement term subtracted: rounding is monotone, so this equals
-    # the max of the per-row differences bitwise.  Equal blocks of at most
-    # _READ_ROWS rows keep the (rows, |group|) products in cache.  A stack
-    # of two or more rows never gets a one-row block, which BLAS would round
-    # as a vector product, so each row's reads equal one product's bitwise
-    reads = np.empty((len(points), starts.size))
-    attained = np.empty(reads.shape, dtype=np.int64)
-    n_blocks = max(1, -(-len(points) // _READ_ROWS))
-    groups = np.split(psi, starts[1:])
-    for out, at, rows in zip(*(np.array_split(a, n_blocks)
-                               for a in (reads, attained, w0))):
-        each = np.arange(len(rows))
-        for g, group in enumerate(groups):
-            prod = rows @ group.T
-            at[:, g] = prod.argmax(axis=-1)
-            out[:, g] = prod[each, at[:, g]]
+    # each group's best row, then its shared movement term: rounding is
+    # monotone, so this is the max of the per-row differences bitwise
+    reads, attained = _grouped_max(w0, psi, starts)
     reads -= params.beta * (w1 @ codebook.vectors[alphas - 1].T)  # (P, G)
     best = reads.argmax(axis=-1)
     pick = np.arange(len(points)), best
-    return (np.maximum(params.delta1, reads[pick]),
-            psi[starts[best] + attained[pick]], alphas[best])
+    return (np.maximum(params.delta1, reads[pick]), psi[attained[pick]],
+            alphas[best])
 
 
 class GdParts(NamedTuple):

@@ -63,8 +63,10 @@ from .instance_gd import (
     GdParams,
     MarginStep,
     _check_dataset,
+    _by_alpha,
     _Dataset,
     _fill_defaults,
+    _grouped_max,
     _hinge_grads,
     _second_excluding_argmax,
     check_reference_budget,
@@ -429,14 +431,15 @@ def _event_report(states):
 
 
 def _prefix_psi(masks, params):
-    """(1/n) times the encoding of a prefix of masks: the codepoint of the
-    mask at position p written into block p = 1, 2, ... of a group's 2n
-    dims, the other blocks zero (all zeros for the empty prefix)."""
-    psi = np.zeros((params.n, 2))
-    psi[:len(masks)] = np.stack(
-        circle_points(np.asarray(masks, dtype=np.int64), params.n_directions),
-        axis=-1) / params.n
-    return psi.reshape(-1)
+    """(1/n) times the encoding of a prefix of masks, or of each of a stack
+    (..., k): the codepoint of the mask at position p written into block p
+    of a group's 2n dims, the others zero (all zeros for the empty prefix);
+    the step's, the margin check's and the reference table's."""
+    masks = np.asarray(masks, dtype=np.int64)
+    psi = np.zeros(masks.shape[:-1] + (params.n, 2))
+    psi[..., :masks.shape[-1], :] = np.stack(
+        circle_points(masks, params.n_directions), axis=-1) / params.n
+    return psi.reshape(masks.shape[:-1] + (-1,))
 
 
 def _l2_readout(w2, proj, params):
@@ -494,19 +497,16 @@ def _l2_readout(w2, proj, params):
 
 @lru_cache(maxsize=8)
 def _reference_tables_sgd(params):
-    """Exhaustive prefix-encoding tables: for each k, all M^k candidates
-    (params.reference_count in all), in itertools.product order.
-
-    Returns a list indexed by k-1 of (Psi rows (M^k, 2n), alpha indices).
-    """
+    """Exhaustive prefix-encoding tables: for each k, all M^k prefixes
+    (params.reference_count in all) in itertools.product order, grouped by
+    common direction (alpha_sgd) as _by_alpha lays tables out.  Returns a
+    list indexed by k-1 of (masks (M^k, k), psi rows, starts, alphas)."""
     check_reference_budget(params)
-    m = subset_count(params.n_directions)
-    tables = []
+    m, tables = subset_count(params.n_directions), []
     for k in range(1, params.n):
-        prefixes = list(itertools.product(range(m), repeat=k))
-        tables.append((np.array([_prefix_psi(masks, params) for masks in prefixes]),
-                       np.array([alpha_sgd(masks, params.n_directions)
-                                 for masks in prefixes], dtype=np.int64)))
+        masks = np.array(list(itertools.product(range(m), repeat=k)))
+        tables.append(_by_alpha(alpha_sgd(masks.T, params.n_directions), masks,
+                                _prefix_psi(masks, params)))
     return tables
 
 
@@ -514,26 +514,22 @@ def _l2_reference_rows(w, params, codebook):
     """The enumerated prefix reads of a stack (P, d) without the sample
     coupling: per k, the max over the prefix rows psi of <psi, w^(0,k) -
     w^(0,k+1)>/(4n) - 0.5 <u_alpha, w^(k+1)>, as the one addend (P, n-1) of
-    _l2_readout's form, and the argmax it reads: each k's attaining row
-    (the first in enumeration order on ties) as its alpha (P, n-1) and its
-    masks (P, n-1, n-1)."""
-    n, m = params.n, subset_count(params.n_directions)
+    _l2_readout's form, and the argmax it reads, each k's alpha (P, n-1) and
+    masks (P, n-1, n-1): each group's best read first (_grouped_max), so ties
+    go to the lowest alpha, then to the first prefix enumerated."""
+    n, each = params.n, np.arange(len(w))
     best = np.empty((len(w), n - 1))
     alpha = np.empty(best.shape, dtype=np.int64)
     prefix = np.full((len(w), n - 1, n - 1), -1)
-    for k, (rows, alphas) in enumerate(_reference_tables_sgd(params), start=1):
-        gk = params.group(w, k)
-        gk1 = params.group(w, k + 1)
-        u_alpha = codebook.vectors[alphas - 1]  # (R, dprime)
-        wk1 = params.layout.block(w, k + 1)
-        row_vals = (
-            (gk - gk1) @ rows.T / (4.0 * n)
-            - 0.5 * (wk1 @ u_alpha.T)
-        )  # (P, R)
-        row = row_vals.argmax(axis=-1)
-        best[:, k - 1] = np.take_along_axis(row_vals, row[:, None], axis=-1)[:, 0]
-        alpha[:, k - 1] = alphas[row]
-        prefix[:, k - 1, :k] = np.stack(np.unravel_index(row, (m,) * k), axis=-1)
+    for k, (masks, psi, starts, alphas) in enumerate(_reference_tables_sgd(params), 1):
+        gk, gk1 = params.group(w, k), params.group(w, k + 1)
+        reads, attained = _grouped_max(gk - gk1, psi, starts)
+        reads = reads / (4.0 * n) - 0.5 * (params.layout.block(w, k + 1)
+                                           @ codebook.vectors[alphas - 1].T)
+        g = reads.argmax(axis=-1)
+        best[:, k - 1] = reads[each, g]
+        alpha[:, k - 1] = alphas[g]
+        prefix[:, k - 1, :k] = masks[attained[each, g]]
     return (best,), alpha, prefix
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from gengap import acceptance, instance_gd, risk
 from gengap.cli import ExperimentConfig, build_parser, main
@@ -551,6 +552,8 @@ def test_verify_and_risk_refuse_more_than_one_seed(tmp_path, capsys, command):
 
 
 _SMALLSTEP_YAML = "family: smallstep\neta: 0.02\nsteps: 100\n"
+_GD_YAML = ("family: gd\nn: 2\ndirections: 4\nsteps: 8\ndprime: 8\n"
+            "policy: reject-until-E\n")
 
 
 @pytest.mark.parametrize("line, named", [
@@ -560,25 +563,60 @@ _SMALLSTEP_YAML = "family: smallstep\neta: 0.02\nsteps: 100\n"
     ("seeds: 1.0", "--seeds"),
     ("suffix: {start: 1.5, stop: 3}", "--suffix"),
     ("seeds: {start: 0, stop: 2.0}", "--seeds"),
+    # every other key takes its field's type as well
+    ("mc_samples: 20000.5", "key mc_samples takes an integer"),
+    ("n: 4.0", "key n takes an integer"),
+    ("projected: 'no'", "key projected takes a bool"),
+    ("eta: '0.05'", "key eta takes a float"),
+    # a null keeps the default, theorem mode on, which caps eta
+    ("{theorem_mode: null, eta: 0.5}", "theorem mode caps eta"),
 ])
 def test_yaml_int_lists_refuse_floats_and_booleans(tmp_path, capsys, line,
                                                    named):
-    cfg = tmp_path / "risk.yaml"
-    cfg.write_text(_SMALLSTEP_YAML + line + "\n")
-    out = tmp_path / "risk.csv"
-    assert main(["risk", "--config", str(cfg), "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
+    # the line's keys replace the base config's
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({**yaml.safe_load(_GD_YAML),
+                                   **yaml.safe_load(line)}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
     assert not out.exists()
 
 
 def test_yaml_int_lists_take_integer_strings(tmp_path):
     cfg = tmp_path / "risk.yaml"
-    cfg.write_text(_SMALLSTEP_YAML + "seeds: ['3']\nsuffix: ['1', 10]\n")
+    cfg.write_text(_SMALLSTEP_YAML.replace("100", "'100'")
+                   + "seeds: ['3']\nsuffix: ['1', 10]\n")
     out = tmp_path / "risk.csv"
     assert main(["risk", "--config", str(cfg), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert [row.split(",")[:3] for row in rows] == [
         ["3", "smallstep", "1"], ["3", "smallstep", "10"]]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", *_SGD_TINY, "--policy", "force", "--seeds=-1"], "--seeds"),
+    (["run", *_SGD_TINY, "--policy", "force", "--seeds=-1..2"], "--seeds"),
+    (["run", *_SGD_TINY, "--policy", "force", "--mc-seed", "-1"], "--mc-seed"),
+    (["run", *_SGD_TINY, "--policy", "force", "--smoothing",
+      "--smoothing-seed", "-1"], "--smoothing-seed"),
+    (["run", *_SGD_TINY, "--policy", "force", "--codebook-seed", "-1"],
+     "--codebook-seed"),
+    (["run", *_SGD_TINY, "--policy", "force", "--eta", "0",
+      "--no-theorem-mode"], "eta > 0"),
+    (["run", *_GD_TINY, "--policy", "reject-until-E", "--eta", "-0.1",
+      "--no-theorem-mode"], "eta > 0"),
+    (["gen-codebook", "--directions", "4", "--seed", "-1"], "--seed"),
+], ids=["seeds", "seed-range", "mc-seed", "smoothing-seed", "codebook-seed",
+        "sgd-eta-0", "gd-eta-negative", "gen-codebook-seed"])
+def test_negative_seeds_and_steps_are_refused_before_any_artifact(
+        tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -82,12 +82,15 @@ def test_large_codebooks_pass_silently_up_to_the_cap():
 
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path):
-    cb = generate_codebook(9, 64, seed=11)
+    # the loader's integer coherence check admits whatever the generator's
+    # float check accepted; the first three hold pairs at exactly dim/8
     path = tmp_path / "cb.json"
-    save_codebook(cb, path)
-    back = load_codebook(path)
-    assert np.array_equal(cb.vectors, back.vectors)
-    assert back.dim == cb.dim and back.seed == cb.seed
+    for n_vectors, dim, seed in ((9, 64, 11), (16, 64, 0), (12, 32, 2), (40, 948, 3)):
+        cb = generate_codebook(n_vectors, dim, seed=seed)
+        save_codebook(cb, path)
+        back = load_codebook(path)
+        assert np.array_equal(cb.vectors, back.vectors)
+        assert back.dim == cb.dim and back.seed == cb.seed
 
 
 def test_saved_codebook_bytes_are_its_payload_dumps(tmp_path):
@@ -105,9 +108,17 @@ def test_saved_codebook_bytes_are_its_payload_dumps(tmp_path):
 
 def test_load_rejects_inconsistent_file(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"dim": 8, "seed": 0, "vectors": [[1, -1, 1]]}')
-    with pytest.raises(OutOfRange):
-        load_codebook(path)
+    good = np.sign(generate_codebook(3, 16, seed=1).vectors).astype(int)
+    for rows in (
+        [[1, -1, 1]],  # rows shorter than dim
+        good[[0, 1, 1]],  # a duplicated row: coherence 1
+        np.where(np.arange(16) == 3, 0, good),  # a 0 entry
+        np.where(np.arange(16) == 3, 7, good),  # a 7 entry
+    ):
+        path.write_text(json.dumps({"dim": 16, "seed": 0,
+                                    "vectors": np.asarray(rows).tolist()}))
+        with pytest.raises(OutOfRange, match="bad.json"):
+            load_codebook(path)
 
 
 def test_rows_are_one_based_direction_indices():

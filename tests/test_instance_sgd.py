@@ -1,6 +1,8 @@
 """One-pass hard instance: events, forcing, losses, closed-form dynamics."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from gengap.encoding import TWO_PI, alpha_sgd, circle_point, margin_eps, \
     mask_members, subset_count
 from gengap.errors import EventViolated, InfeasibleForcing, \
     InvalidClosedForm, OutOfRange
-from gengap.instance_gd import EventReport, mask_inputs
+from gengap.instance_gd import _READ_ROWS, EventReport, mask_inputs
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
@@ -27,7 +29,7 @@ from gengap.instance_sgd import (
 )
 from gengap.optim import run_sgd
 from gengap.risk import suffix_average
-from gengap.smoothing import CHUNK, ball_sample
+from gengap.smoothing import BLOCK_ROWS, CHUNK, ball_sample
 from gengap.verify import expected_sgd_iterate
 
 
@@ -465,9 +467,10 @@ def _three_term_losses(w2, mask, params, codebook, mode):
     else:
         l2 = np.full(len(w2), params.delta1)
         proj = params.layout.step_blocks(w2) @ codebook.vectors.T  # (P, n, N)
-        for k, (rows, alphas) in enumerate(
+        for k, (masks, rows, _, _) in enumerate(
                 instance_sgd._reference_tables_sgd(params), start=1):
             gk, gk1 = params.group(w2, k), params.group(w2, k + 1)
+            alphas = np.array([alpha_sgd(m, params.n_directions) for m in masks])
             moves = params.layout.block(w2, k + 1) @ codebook.vectors[alphas - 1].T
             reads = (gk - gk1) @ rows.T / (4.0 * n) - 0.5 * moves  # (P, R)
             coupling = (gk1[:, 2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
@@ -499,6 +502,89 @@ def test_kernel_losses_are_within_four_spacings_of_the_three_terms(pinned, mode)
     want = np.stack([_three_term_losses(points, int(m), params, codebook, mode)
                      for m in masks], axis=1)
     assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_reference_tables_group_every_prefix_by_its_common_direction():
+    # each k's table holds every prefix once, with its own encoding and
+    # common direction, grouped by that direction in enumeration order
+    params = SgdParams(3, 3, dprime=8)
+    m, nd = subset_count(params.n_directions), params.n_directions
+    for k, (masks, rows, starts, alphas) in enumerate(
+            instance_sgd._reference_tables_sgd(params), start=1):
+        prefixes = list(itertools.product(range(m), repeat=k))
+        want = np.array([alpha_sgd(p, nd) for p in prefixes])
+        order = np.argsort(want, kind="stable")
+        assert np.array_equal(masks, np.array(prefixes)[order])
+        assert np.array_equal(rows, np.array([instance_sgd._prefix_psi(p, params)
+                                              for p in prefixes])[order])
+        assert np.array_equal(alphas, np.unique(want))
+        assert np.array_equal(want[order][starts], alphas)
+
+
+@pytest.mark.parametrize("build", [
+    _SGD_TINY.build,
+    lambda: (SgdParams(2, 8), generate_codebook(8, seed=3),
+             force_good_event_sgd(SgdParams(2, 8), 2)),
+], ids=["tiny", "n2-default-dprime"])
+def test_blocked_reference_readout_equals_the_per_row_max(build):
+    # the read-out takes each group's best prefix row in blocks of points,
+    # then the group's one movement product; against every row's value at
+    # once, with that same movement product per group, it is bitwise equal
+    params, codebook, dataset = build()
+    n = params.n
+    iterates = run_sgd(codebook, dataset, params, mode="reference").iterates
+    tables = instance_sgd._reference_tables_sgd(params)
+    rng = np.random.default_rng(8)
+    for size in (2, _READ_ROWS - 1, _READ_ROWS, _READ_ROWS + 1, BLOCK_ROWS):
+        w = iterates[rng.integers(0, n, size=size)] + params.smoothing_delta * \
+            ball_sample(params.dim, rng, size=size)
+        (best,), alpha, prefix = instance_sgd._l2_reference_rows(w, params, codebook)
+        each = np.arange(size)
+        for k, (masks, rows, starts, alphas) in enumerate(tables, start=1):
+            group = np.repeat(np.arange(alphas.size),
+                              np.diff(np.append(starts, len(rows))))
+            moves = params.layout.block(w, k + 1) @ codebook.vectors[alphas - 1].T
+            vals = ((params.group(w, k) - params.group(w, k + 1)) @ rows.T
+                    / (4.0 * n) - 0.5 * moves[:, group])  # (P, R)
+            assert np.array_equal(best[:, k - 1], vals.max(axis=-1))
+            # the prefix read is a row that attains the max, with its alpha
+            shape = (subset_count(params.n_directions),) * k
+            row_of = np.empty(len(rows), dtype=np.int64)
+            row_of[np.ravel_multi_index(masks.T, shape)] = np.arange(len(rows))
+            row = row_of[np.ravel_multi_index(prefix[:, k - 1, :k].T, shape)]
+            assert np.array_equal(vals[each, row], best[:, k - 1])
+            assert np.array_equal(alphas[group[row]], alpha[:, k - 1])
+            assert (prefix[:, k - 1, k:] == -1).all()
+
+
+def test_reference_ties_go_to_the_lowest_common_direction():
+    # at the origin every prefix reads 0: the tie goes to the lowest common
+    # direction, then to the first such prefix in enumeration order
+    params, codebook, _ = _SGD_TINY.build()
+    for size in (1, 2):
+        (best,), alpha, prefix = instance_sgd._l2_reference_rows(
+            np.zeros((size, params.dim)), params, codebook)
+        assert not best.any() and (alpha == 1).all()
+        for k in range(1, params.n):
+            assert (prefix[:, k - 1, :k] == 1).all()
+
+
+def test_a_reference_loss_block_stays_small():
+    # 65,536 one-mask prefixes: the read-out takes (points, |group|)
+    # products in blocks of _READ_ROWS points, with no (points, prefixes)
+    # temporary and no codebook row gathered per prefix
+    params = SgdParams(2, 16)
+    codebook = generate_codebook(16, params.dprime, seed=0)
+    instance_sgd._reference_tables_sgd(params)  # built and cached outside
+    w = 1e-3 * np.random.default_rng(0).normal(size=(BLOCK_ROWS, params.dim))
+    for points, mib in ((w[0], 16), (w, 128)):
+        tracemalloc.start()
+        try:
+            loss_sgd(points, 5, params, codebook, mode="reference")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 def test_blocked_sample_draws_equal_one_draw():

@@ -4,7 +4,7 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and fourteen ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` and sixteen ``gengap run`` sweeps (each with the smoothed-risk
 check, most with several suffix lengths, whose population risks share one
 Monte-Carlo draw, and one whose every seed skips, so its risk table has no
 row), then ``gengap verify`` and ``gengap risk`` on every
@@ -64,6 +64,13 @@ SWEEPS = {
                             "--policy", "reject-until-E", "--suffix", "1,8,16"],
     "sgd-force": ["--family", "sgd", "--n", "6", "--directions", "9",
                   "--policy", "force", "--suffix", "1,2,3,6"],
+    # the benchmark's sgd-sweep shape, over its 16 seeds
+    "sgd-force-n8": ["--family", "sgd", "--n", "8", "--directions", "16",
+                     "--policy", "force", "--suffix", "1,2,3,4,5,6,7,8"],
+    # off-event datasets: every step reads the psi = 0 fallback
+    "sgd-unconditioned-oracle": ["--family", "sgd", "--n", "6",
+                                 "--directions", "9",
+                                 "--policy", "unconditioned"],
     # n=10 decodes prefixes of eight or more codes, which numpy sums pairwise
     "sgd-force-n10": ["--family", "sgd", "--n", "10", "--directions", "12",
                       "--policy", "force", "--suffix", "1,5,10"],
@@ -92,6 +99,7 @@ SWEEPS = {
                       "--suffix", "1,4,8"],
 }
 SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
+         "sgd-force-n8": "0..16", "sgd-unconditioned-oracle": "0..4",
          "gd-unconditioned-oracle-n4": "0..12",
          "gd-unconditioned-oracle-n4-all-skipped": "0..1",
          "gd-unconditioned-reference": "0..8"}

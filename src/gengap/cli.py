@@ -20,10 +20,12 @@ configuration or usage.
 
 import argparse
 import dataclasses
-import json
+import functools
+import itertools
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +61,103 @@ POLICIES = tuple(dict.fromkeys(p for cls in _PARAMS.values() for p in cls.polici
 def _json_default(obj):
     """json.dumps' hook for what it cannot write itself: a report dataclass
     as its fields, a numpy value or array as Python numbers."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+@functools.lru_cache(maxsize=None)
+def _field_names(cls):
+    """A dataclass's field names in order; None for any other class."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return None
+
+
+# json's text of a scalar of exactly one of these types, the float's names
+# of its non-finite values then renamed as json names them (_NONFINITE)
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(obj):
+    """json's text of a scalar, a subclass of str, int or float included;
+    None for anything else."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is None:
+        if not isinstance(obj, (str, int, float)):
+            return None
+        text = _SCALAR_TEXT[next(cls for cls in (str, int, float)
+                                 if isinstance(obj, cls))]
+    text = text(obj)
+    return _NONFINITE.get(text, text)
+
+
+def _key_text(key):
+    """json's text of a dict key: a string, or a float, int, bool or None
+    written as one."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if not isinstance(key, (float, int)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return encode_basestring_ascii(_scalar_text(key))
+
+
+def _write_json(obj, out, newline):
+    """Append the pieces of obj's JSON text to out, as json.dumps writes
+    them at indent 2 with _json_default; newline is the line break and
+    indent before obj's closing bracket."""
+    # no type is both a container and a scalar, so the order of the tests
+    # does not matter
+    while not isinstance(obj, (list, tuple, dict)):
+        text = _scalar_text(obj)
+        if text is not None:
+            out.append(text)
+            return
+        obj = _json_default(obj)
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        close, heads = "}", [inner + (encode_basestring_ascii(key) if type(key) is str
+                                      else _key_text(key)) + ": " for key in obj]
+        obj, sep = obj.values(), "{"
+    else:
+        close, heads, sep = "]", itertools.repeat(inner), "["
+    for head, value in zip(heads, obj):
+        text = _SCALAR_TEXT.get(type(value))
+        if text is None:
+            out.append(sep + head)
+            _write_json(value, out, inner)
+        else:
+            text = text(value)
+            out.append(sep + head + _NONFINITE.get(text, text))
+        sep = ","
+    out.append(newline + close)
+
+
 def _artifact_json(obj):
-    """The text of a JSON artifact: obj at indent 2, through _json_default."""
-    return json.dumps(obj, indent=2, default=_json_default)
+    """The text of a JSON artifact: json.dumps(obj, indent=2,
+    default=_json_default), byte for byte.  With an indent, json writes in
+    pure Python, one generator per container; this writer appends the same
+    pieces to one list, each scalar through json's own primitives and each
+    dataclass through its cached field list.  An object that contains
+    itself, which json refuses with ValueError, exhausts the recursion
+    limit here instead."""
+    out = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
 
 
 def _default_out():
@@ -324,10 +413,11 @@ def _seed_inputs(cfg, args, params, codebook, seed):
     return dataset, event, rejections, traj
 
 
-def _verify_text(cfg, params, seed, rejections, payload):
-    """One seed's verify artifact: config, seed and draw, then the checks."""
-    return _artifact_json({"config": cfg.resolved(params), "seed": seed,
-                           "policy": cfg.policy, "rejections": rejections,
+def _verify_text(config, seed, rejections, payload):
+    """One seed's verify artifact: the resolved config (ExperimentConfig.
+    resolved), seed and draw, then the checks."""
+    return _artifact_json({"config": config, "seed": seed,
+                           "policy": config["policy"], "rejections": rejections,
                            **payload})
 
 
@@ -410,6 +500,7 @@ def cmd_run(args):
     if codebook is not None:
         save_codebook(codebook, outdir / "codebook.json")
 
+    config = cfg.resolved(params)  # every artifact's provenance
     all_passed = True
     per_seed = []
     risk_rows = []
@@ -453,7 +544,7 @@ def cmd_run(args):
         per_seed.append(seed_result)
 
         (outdir / f"{stem}-verify.json").write_text(
-            _verify_text(cfg, params, seed, rejections, verify_payload))
+            _verify_text(config, seed, rejections, verify_payload))
         if rejections:
             print(f"seed {seed}: {rejections} dataset draws rejected before "
                   "the good event")
@@ -461,7 +552,7 @@ def cmd_run(args):
         print(f"seed {seed}: {outcome} ({seed_result['elapsed_seconds']:.1f}s)")
 
     (outdir / f"{cfg.family}-risk.csv").write_text(_risk_table(risk_rows))
-    summary = {"config": cfg.resolved(params), "results": per_seed,
+    summary = {"config": config, "results": per_seed,
                "passed": bool(all_passed)}
     (outdir / f"{cfg.family}-run-summary.json").write_text(
         _artifact_json(summary))
@@ -489,7 +580,7 @@ def cmd_verify(args):
     codebook, dataset, event, rejections, traj = _load_inputs_for_check(
         cfg, args, params)
     payload, passed = _verify_one(cfg, params, codebook, dataset, traj, event)
-    text = _verify_text(cfg, params, cfg.seeds[0], rejections, payload)
+    text = _verify_text(cfg.resolved(params), cfg.seeds[0], rejections, payload)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}: {'pass' if passed else 'FAIL'}")

@@ -96,9 +96,10 @@ def block_occupancy(x, y, expected_magnitude):
     lo, hi = (0.5 * exp) ** 2, (1.5 * exp) ** 2
     occupied, ambiguous = sq > lo, sq > hi
     near = ~((np.abs(sq - lo) > 1e-9 * lo) & (np.abs(sq - hi) > 1e-9 * hi))
-    norms = np.hypot(x[near], y[near])
-    occupied[near] = norms > 0.5 * exp
-    ambiguous[near] = occupied[near] & (np.abs(norms - exp) > 0.5 * exp)
+    if near.any():
+        norms = np.hypot(x[near], y[near])
+        occupied[near] = norms > 0.5 * exp
+        ambiguous[near] = occupied[near] & (np.abs(norms - exp) > 0.5 * exp)
     return occupied, ambiguous
 
 

@@ -35,7 +35,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -157,7 +157,7 @@ class GdParams:
         """Iterate count of the step-size rule and the closed forms: T."""
         return self.steps
 
-    @property
+    @cached_property
     def layout(self):
         return EncodingLayout(
             encoding_dim=2 * self.n * self.n,
@@ -520,11 +520,14 @@ def _hinge_grads(proj, member, params, codebook):
     direction (ties go to the lowest codebook index) weighted by the block's
     share h_k / ||h|| of the norm, shape (blocks, dprime)."""
     h = _hinge_blocks(proj[None], member, params)[0]  # (B, T-1)
+    above = h > params.l1_floor
+    if not above.any():  # every block at its floor: no mask adds anything
+        return [(on, np.empty((0, codebook.dim))) for on in above]
     weight = h / np.sqrt((h * h).sum(axis=-1))[:, None]
     # a block above its floor holds one member's projection exactly
     star = (member[:, None] & (proj[1:] == h[..., None])).argmax(axis=-1)
     return [(on, weight[b, on, None] * codebook.vectors[star[b, on]])
-            for b, on in enumerate(h > params.l1_floor)]
+            for b, on in enumerate(above)]
 
 
 def _ratchet_table(proj):
@@ -706,12 +709,16 @@ def training_risks(losses, dataset, params):
 
 def empirical_risk(w, dataset, params, codebook=None, mode="oracle"):
     """training_risks at a point w (d,), a float, or at each point of a
-    stack (P, d), each bitwise its one-point value.  The stack is read out
-    in its row_blocks (smoothing's blocks of at most BLOCK_ROWS points, in
-    which the smoothing estimators call this on their chunks), each
-    block's loss kernel built and reduced before the next one's, which
-    bounds the kernel's temporaries (its codebook projection among them).
-    The deterministic family takes dataset None."""
+    stack (P, d).  In oracle mode each row is bitwise its one-point value.
+    In reference mode a row may differ from it in the last bits: the
+    enumerated read-out's matrix products go through BLAS, which picks its
+    kernel, and so its rounding, by the shape of the stack (a one-point
+    stack takes the vector-product path).  The stack is read out in its
+    row_blocks (smoothing's blocks of at most BLOCK_ROWS points, in which
+    the smoothing estimators call this on their chunks), each block's loss
+    kernel built and reduced before the next one's, which bounds the
+    kernel's temporaries (its codebook projection among them).  The
+    deterministic family takes dataset None."""
     w = np.asarray(w, dtype=np.float64)
     points = w.reshape(-1, w.shape[-1])
     risks = np.concatenate([

@@ -68,7 +68,6 @@ from .instance_gd import (
     _fill_defaults,
     _grouped_max,
     _hinge_grads,
-    _second_excluding_argmax,
     check_reference_budget,
     empirical_risk,
     hinge_terms,
@@ -228,50 +227,35 @@ class SgdParams:
     def margins(self, points, dataset, codebook):
         """Term 2's argmax at each iterate w_1, w_2, ... of a stack, for the
         sample step t consumes, read from the loss kernel's decoded table
-        (_l2_table), against the floor delta1 with slack eta*eps/(16 n^2)."""
-        n, nd = self.n, self.n_directions
+        (_l2_table), against the floor delta1 with slack eta*eps/(16 n^2).
+        The second best also ranges over the candidates one codepoint step
+        away from the decoded argmax prefix (_adjacent_reads).  The tables
+        and the candidates of every step are arrays over the stack: the best
+        and second-best entries come from one pass over the tables."""
+        n, each = self.n, np.arange(len(points))
         parts = _sample_free_sgd(points, self, codebook, "oracle")
         masks = [self.step_sample(t, dataset) for t in range(1, len(points) + 1)]
         inputs, (rows,) = self.prepare_samples([masks])
-        couplings = _sample_reads(parts, inputs, self)[np.arange(len(points)), rows, 1:]
+        couplings = _sample_reads(parts, inputs, self)[each, rows, 1:]
+        tables = _l2_table(parts, couplings).reshape(len(points), -1)
+        top = tables.argmax(axis=-1)  # ties go to the lowest direction, then k
+        best = tables[each, top]
+        tables[each, top] = -np.inf
         codepoints = np.stack((inputs.sin, inputs.cos), axis=-1)[rows]
-        thr = self.eta * self.eps / (16.0 * n * n)
-        steps = []
-        for t, (table, point) in enumerate(zip(_l2_table(parts, couplings),
-                                               codepoints), start=1):
-            best, second = _second_excluding_argmax(table)
-            u_star, k_star = divmod(int(np.argmax(table)), n - 1)
-            k = k_star + 1
-            prefix = parts.prefix[t - 1, k_star, :k]
-            # candidates one codepoint step away from the decoded prefix: the
-            # decode margin the construction promises is exactly eta*eps/(16 n^2)
-            if prefix[0] >= 0:
-                w, proj = points[t - 1], parts.proj[t - 1]
-                gk, gk1 = self.group(w, k), self.group(w, k + 1)
-                read = (gk1[2 * k: 2 * k + 2] @ point) / (4.0 * n * n)
-                psi = _prefix_psi(prefix, self)
-                # a candidate swaps one shifted codepoint into block pos; the
-                # blocks are disjoint, so that is the shifted prefix's psi bitwise
-                moved = (prefix[:, None] + np.array([-1, 1])) % subset_count(nd)
-                moved_points = np.stack(circle_points(moved, nd), axis=-1) / n
-                for pos, side in itertools.product(range(k), (0, 1)):
-                    shifted = [int(m) for m in prefix]
-                    shifted[pos] = int(moved[pos, side])
-                    psi_adj = psi.copy()
-                    psi_adj[2 * pos: 2 * pos + 2] = moved_points[pos, side]
-                    val = (0.375 * proj[k - 1, u_star]
-                           - 0.5 * proj[k, alpha_sgd(shifted, nd) - 1]
-                           + (gk @ psi_adj - gk1 @ psi_adj) / (4.0 * n) - read)
-                    second = max(second, float(val))
+        second = np.maximum(tables.max(axis=-1), _adjacent_reads(
+            points, parts, np.divmod(top, n - 1), codepoints, self))
 
-            # the adjacent-codepoint gap meets thr with equality by
-            # construction, so allow rounding slack at the scale of the
-            # cancelled candidates
-            slack = thr - 64.0 * np.finfo(float).eps * abs(best)
+        # the adjacent-codepoint gap meets thr with equality by
+        # construction, so allow rounding slack at the scale of the
+        # cancelled candidates
+        thr = self.eta * self.eps / (16.0 * n * n)
+        slack = thr - 64.0 * np.finfo(float).eps * np.abs(best)
+        steps = []
+        for t, (b, s, sl) in enumerate(zip(best.tolist(), second.tolist(),
+                                           slack.tolist()), start=1):
             applicable = t >= 2
-            ok = (not applicable) or (best - second >= slack
-                                      and best - self.delta1 >= slack)
-            steps.append(MarginStep(step=t, best=best, second_best=second,
+            ok = (not applicable) or (b - s >= sl and b - self.delta1 >= sl)
+            steps.append(MarginStep(step=t, best=b, second_best=s,
                                     floor=self.delta1, threshold=thr,
                                     applicable=applicable, ok=bool(ok)))
         return steps
@@ -383,8 +367,15 @@ def event_state_sgd(masks, n_directions):
 
     P_t intersects the sets before step t (P_1 is the full universe), S_t
     intersects the complements from step t on, and J_t is the lowest-index
-    member of P_t.
+    member of P_t.  The states of a training set are built once and kept
+    for the few most recent sets: the closed form reads them at every step.
     """
+    return list(_event_states(tuple(masks), n_directions))
+
+
+@lru_cache(maxsize=16)
+def _event_states(masks, n_directions):
+    """event_state_sgd's states of a tuple of masks, as a tuple."""
     n = len(masks)
     univ = full_mask(n_directions)
     out = []
@@ -397,7 +388,7 @@ def event_state_sgd(masks, n_directions):
         j = lowest_member(p, n_directions) if p else 0
         out.append(EventStep(step=t, p_mask=p, s_mask=s_suffix[t], j=j))
         p &= masks[t - 1]
-    return out
+    return tuple(out)
 
 
 def good_event_sgd(dataset, params):
@@ -437,9 +428,18 @@ def _prefix_psi(masks, params):
     the step's, the margin check's and the reference table's."""
     masks = np.asarray(masks, dtype=np.int64)
     psi = np.zeros(masks.shape[:-1] + (params.n, 2))
-    psi[..., :masks.shape[-1], :] = np.stack(
-        circle_points(masks, params.n_directions), axis=-1) / params.n
+    for c, coord in enumerate(circle_points(masks, params.n_directions)):
+        psi[..., :masks.shape[-1], c] = coord / params.n
     return psi.reshape(masks.shape[:-1] + (-1,))
+
+
+@lru_cache(maxsize=None)
+def _clean_blocks(n):
+    """The position blocks a clean prefix occupies, (position, group): group
+    k-1 holds positions 1..k and no other; read-only."""
+    want = np.arange(n)[:, None] <= np.arange(n)
+    want.flags.writeable = False
+    return want
 
 
 def _l2_readout(w2, proj, params):
@@ -450,49 +450,50 @@ def _l2_readout(w2, proj, params):
     argmax they read: each k's common direction alpha (P, n-1), and its
     decoded prefix (P, n-1, n-1), the masks of positions 1..k, all -1 where
     group k holds no clean prefix (the fallback psi = 0, alpha = 1).  The
-    decode is encoding's, as decode_blocks applies it to one vector: every
-    block's occupancy (block_occupancy), the codes (block_codes) of only the
-    blocks a prefix reads, position p of groups p..n-2, and each prefix's
-    lowest common member (lowest_member).  Prefix products add up in
-    position order, numpy's order for fewer than eight terms; longer
-    prefixes are summed again numpy's way, pairwise."""
-    n, nd, exp = params.n, params.n_directions, params.group_codepoint_magnitude
-    m_mod = subset_count(nd)
-    table = None  # sin and cos of the codepoints, unless they outnumber the codes
-    if m_mod <= w2.shape[0] * n * (n - 1) // 2:
-        table = circle_points(np.arange(m_mod), nd)
+    decode is encoding's, as decode_blocks applies it to one vector: the
+    occupancy (block_occupancy) of the blocks of groups 1..n-1, then, for
+    the groups that hold a clean prefix only, the codes (block_codes) of
+    the blocks it reads, position p of group k for p <= k, and each
+    prefix's lowest common member (lowest_member).  The blocks are picked
+    out of the stack with one boolean mask, so one block_codes call and one
+    circle_points call serve the whole stack, and none is made when no
+    group is clean.  Prefix products add up in position order, numpy's
+    order for fewer than eight terms; longer prefixes are summed again
+    numpy's way, pairwise.  Arrays run over (position, group, row), so
+    each operation is one pass over the stack's rows."""
+    n, nd = params.n, params.n_directions
     enc = params.layout.encoding(w2).reshape(-1, n, n, 2)  # (row, group, position)
     x, y = (np.ascontiguousarray(enc[..., c].T) for c in (0, 1))  # (pos, group, row)
-    occupied, ambiguous = block_occupancy(x, y, exp)
-    want = np.arange(n)[:, None] <= np.arange(n)  # group k-1 holds positions 1..k
-    clean = ~((occupied != want[..., None]) | ambiguous).any(axis=0)[:-1]
+    want = _clean_blocks(n)[:, :-1]  # groups 1..n-1
+    occupied, ambiguous = block_occupancy(x[:, :-1], y[:, :-1],
+                                          params.group_codepoint_magnitude)
+    clean = ~((occupied != want[..., None]) | ambiguous).any(axis=0)  # (k-1, row)
 
-    # position p of each prefix k > p, read from group k-1 and from group k
-    terms = np.zeros((2, n - 1, n - 1, x.shape[-1]))
-    dots = np.zeros((2, n - 1, x.shape[-1]))
-    inter = np.full((n - 1, x.shape[-1]), m_mod - 1)
-    prefix = np.full((n - 1, n - 1, x.shape[-1]), -1)  # (k, position, row)
-    for p in range(n - 1):
-        xs, ys = x[p, p:-1], y[p, p:-1]
-        codes = block_codes(xs, ys, nd)
-        inter[p:] &= codes
-        prefix[p:, p] = codes
-        if table is None:
-            sin, cos = circle_points(codes, nd)
-        else:
-            sin, cos = table[0][codes], table[1][codes]
-        terms[0, p, p:] = xs * sin + ys * cos
-        terms[1, p, p:] = x[p, p + 1:] * sin + y[p, p + 1:] * cos
-        dots[:, p:] += terms[:, p, p:]
-    for k in range(8, n):
-        dots[:, k - 1] = terms[:, :k, k - 1].transpose(0, 2, 1).copy().sum(axis=-1)
-    psi_term = np.where(clean, (dots[0] / n - dots[1] / n) / (4.0 * n), 0.0)
-    prefix = np.where(clean[:, None], prefix, -1).transpose(2, 0, 1)
+    # position p of each clean prefix k > p, read from group k-1 and group k;
+    # -1 (every bit set) is the code of a block no prefix reads
+    read = want[:-1, :, None] & clean  # (pos, k-1, row)
+    prefix = np.full(read.shape, -1)
+    dots = np.zeros((2,) + clean.shape)
+    used = np.flatnonzero(clean.any(axis=-1))  # the k-1 of clean prefixes
+    if used.size:
+        xs, ys = x[:-1, :-1][read], y[:-1, :-1][read]
+        prefix[read] = codes = block_codes(xs, ys, nd)
+        sin, cos = circle_points(codes, nd)
+        terms = np.zeros((2,) + read.shape)
+        terms[0][read] = xs * sin + ys * cos
+        terms[1][read] = x[:-1, 1:][read] * sin + y[:-1, 1:][read] * cos
+        for p in range(used[-1] + 1):
+            dots[:, p:] += terms[:, p, p:]
+        for k in range(8, used[-1] + 2):
+            dots[:, k - 1] = terms[:, :k, k - 1].transpose(0, 2, 1).copy().sum(axis=-1)
+    psi_term = np.where(clean, (dots[0] / n - dots[1] / n) / (4.0 * n), 0.0).T
+    clean, prefix = clean.T, prefix.transpose(2, 1, 0)  # (row, k-1[, position])
 
-    alpha = np.where(clean, lowest_member(inter, nd), 1).T  # lowest common
-    alpha_term = -0.5 * np.take_along_axis(proj[:, 1:], alpha[..., None] - 1,
-                                           axis=-1)[..., 0]
-    return (alpha_term, psi_term.T), alpha, prefix
+    # lowest common member; -1 is the identity of the running intersection
+    alpha = np.where(clean, lowest_member(np.bitwise_and.reduce(prefix, axis=-1),
+                                          nd), 1)
+    alpha_term = -0.5 * proj[np.arange(len(proj))[:, None], np.arange(1, n), alpha - 1]
+    return (alpha_term, psi_term), alpha, prefix
 
 
 @lru_cache(maxsize=8)
@@ -590,6 +591,48 @@ def _l2_table(parts, couplings):
     return np.swapaxes(table, 1, 2)
 
 
+def _adjacent_reads(points, parts, argmax, codepoints, params):
+    """The largest term-2 candidate one codepoint step away from each
+    point's decoded argmax prefix, shape (P,), -inf where the argmax k
+    falls back to psi = 0: for the argmax (u, k) (argmax, a pair of (P,)
+    arrays) and each position of the prefix, the prefix with that position's
+    mask moved one step either way round the circle, read as _l2_table
+    reads a candidate, with the sample coupling of codepoints (P, 2).  A
+    candidate swaps one shifted codepoint into block pos of the prefix's
+    psi; the blocks are disjoint, so that is the shifted prefix's psi
+    bitwise, and its common direction is the lowest member of the other
+    positions' intersection and the moved mask.  Inner products are numpy's
+    one-vector products (np.vecdot), so each candidate is bitwise its own
+    one-point read."""
+    n, nd = params.n, params.n_directions
+    each = np.arange(len(points))
+    u_star, k = argmax[0], argmax[1] + 1
+    prefix = parts.prefix[each, k - 1]  # (P, n-1): -1 off the decoded positions
+    live = prefix >= 0
+    psi = _prefix_psi(prefix, params).reshape(-1, n, 2)
+    psi[:, :-1][~live] = 0.0  # zero past the decoded prefix
+    moved = (prefix[..., None] + np.array([-1, 1])) % subset_count(nd)  # (P, pos, side)
+    moved_points = np.stack(circle_points(moved, nd), axis=-1) / n
+    at = np.eye(n - 1, n, dtype=bool)[:, None, :, None]  # (pos, 1, block, 1)
+    psi_adj = np.where(at, moved_points[..., None, :], psi[:, None, None])
+    psi_adj = psi_adj.reshape(psi_adj.shape[:3] + (2 * n,))  # (P, pos, side, 2n)
+
+    groups = params.layout.encoding(points).reshape(-1, n, 2 * n)
+    gk, gk1 = groups[each, k - 1, None, None], groups[each, k, None, None]
+    # -1 is the identity of the intersection
+    others = np.bitwise_and.reduce(
+        np.where(np.eye(n - 1, dtype=bool), -1, prefix[:, None]), axis=-1)
+    alpha = lowest_member(others[..., None] & moved, nd)
+    # k's coupling reads the sample off position k+1 of group k+1
+    block = groups.reshape(-1, n, n, 2)[each, k, k]
+    read = np.vecdot(block, codepoints) / (4.0 * n * n)
+    vals = (0.375 * parts.proj[each, k - 1, u_star][:, None, None]
+            - 0.5 * parts.proj[each[:, None, None], k[:, None, None], alpha - 1]
+            + (np.vecdot(gk, psi_adj) - np.vecdot(gk1, psi_adj)) / (4.0 * n)
+            - read[:, None, None])
+    return np.where(live[..., None], vals, -np.inf).max(axis=(1, 2))
+
+
 def loss_sgd(w, mask, params, codebook, mode="oracle"):
     """Loss of one sample (a subset mask) at w, the training risk of a
     one-sample set; w may be a stack of points (P, d)."""
@@ -631,7 +674,8 @@ def _loss_terms_sgd(points, params, codebook, mode):
 def grad_sgd(w, mask, params, codebook, mode="oracle"):
     """Subgradient of one sample's loss at w (single point only): the
     gradients of the pieces that the loss kernel's argmaxes name
-    (_sample_free_sgd of the one-point stack, _l2_table).
+    (_sample_free_sgd of the one-point stack, _l2_table), written into the
+    step blocks and encoding groups of one zero vector.
 
     Ties go to the lowest direction, then the lowest block, so
     trajectories are bitwise reproducible.
@@ -639,16 +683,19 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise OutOfRange("grad_sgd expects a single point, not a batch")
-    n, nd = params.n, params.n_directions
-    lay = params.layout
+    n, vectors = params.n, codebook.vectors
     parts = _sample_free_sgd(w[None], params, codebook, mode)
-    inputs = mask_inputs(np.array([mask], dtype=np.int64), nd)
-    point = np.array([inputs.sin[0], inputs.cos[0]])  # the sample's codepoint
+    inputs = mask_inputs(np.array([mask], dtype=np.int64), params.n_directions)
+    # the sample's codepoint, as term 3 and k's coupling write it
+    point = np.concatenate((inputs.sin, inputs.cos)) / (4.0 * n * n)
     g = np.zeros_like(w)
+    groups = params.layout.encoding(g).reshape(n, 2 * n)  # group r is row r-1
+    blocks = params.layout.step_blocks(g)  # block k is row k-1
 
     # term 1
     [(on, hinge)] = _hinge_grads(parts.proj[0], inputs.member, params, codebook)
-    lay.step_blocks(g)[1:][on] += hinge
+    if len(hinge):
+        blocks[1:][on] += hinge
 
     # term 2: the candidate (u, k) with its prefix psi and common direction
     table = _l2_table(parts, _sample_reads(parts, inputs, params)[:, 0, 1:])[0]
@@ -656,16 +703,16 @@ def grad_sgd(w, mask, params, codebook, mode="oracle"):
     if table[u_star, k_star] > params.delta1:
         k = k_star + 1
         prefix = parts.prefix[0, k_star, :k]
-        psi = _prefix_psi(prefix if prefix[0] >= 0 else (), params)
-        lay.block(g, k)[:] += 0.375 * codebook.vectors[u_star]
-        lay.block(g, k + 1)[:] -= 0.5 * codebook.vectors[parts.alpha[0, k_star] - 1]
-        params.group(g, k)[:] += psi / (4.0 * n)
-        params.group(g, k + 1)[:] -= psi / (4.0 * n)
-        params.group(g, k + 1)[2 * k: 2 * k + 2] -= point / (4.0 * n * n)
+        psi = _prefix_psi(prefix if prefix[0] >= 0 else (), params) / (4.0 * n)
+        blocks[k - 1] += 0.375 * vectors[u_star]
+        blocks[k] -= 0.5 * vectors[parts.alpha[0, k_star] - 1]
+        groups[k - 1] += psi
+        groups[k] -= psi
+        groups[k, 2 * k: 2 * k + 2] -= point
 
     # term 3 (constant)
-    lay.encoding(g)[0:2] -= point / (4.0 * n * n)
-    lay.block(g, 1)[:] -= codebook.vectors[0] / n**3
+    groups[0, 0:2] -= point
+    blocks[0] -= vectors[0] / n**3
     return g
 
 
@@ -691,26 +738,27 @@ def expected_sgd_iterate(t, params, dataset, codebook):
     if not report:
         raise EventViolated(f"good event fails: {report.reason}")
 
-    n = params.n
-    lay = params.layout
+    n, eta = params.n, params.eta
     w = np.zeros(params.dim)
+    groups = params.layout.encoding(w).reshape(n, n, 2)  # (group, position)
+    blocks = params.layout.step_blocks(w)  # block k is row k-1
 
     scale = 4.0 * n * n
     points = np.stack(circle_points(np.asarray(dataset.masks[:t - 1]),
                                     params.n_directions), axis=-1) / scale
+    writes = eta * points
     # prefix group: samples 1..t-1, each in its own position block
-    params.group(w, t - 1).reshape(-1, 2)[:t - 1] = params.eta * points
-    for point in points[1:]:  # group 1 keeps collecting position-1 writes
-        params.group(w, 1)[0:2] += params.eta * point
+    groups[t - 2, :t - 1] = writes
+    for write in writes[1:]:  # group 1 keeps collecting position-1 writes
+        groups[0, 0] += write
 
-    c1 = (t - 1) * (params.eta / n**3)
+    c1 = (t - 1) * (eta / n**3)
     if t >= 3:
-        c1 -= 0.375 * params.eta
-    lay.block(w, 1)[:] = c1 * codebook.vectors[0]
+        c1 -= 0.375 * eta
+    blocks[0] = c1 * codebook.vectors[0]
     if t >= 3:
-        u_last = codebook.vectors[states[t - 2].j - 1]  # J_{t-1}
-        lay.block(w, t - 1)[:] = 0.5 * params.eta * u_last
-    for k in range(2, t - 1):
-        u_k = codebook.vectors[states[k - 1].j - 1]  # J_k
-        lay.block(w, k)[:] = (params.eta / 8.0) * u_k
+        blocks[t - 2] = 0.5 * eta * codebook.vectors[states[t - 2].j - 1]  # J_{t-1}
+    # J_k for k = 2 .. t-2
+    js = np.array([st.j for st in states[1:t - 2]], dtype=np.int64)
+    blocks[1:t - 2] = (eta / 8.0) * codebook.vectors[js - 1]
     return w

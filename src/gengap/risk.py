@@ -63,33 +63,36 @@ def _population_sample(params, n_samples, seed):
 
 def _population(losses, count, params, n_samples, seed):
     """(estimates, stderrs) of the first count points of a stack, shape
-    (count,) each, from the stack's point_losses read-out."""
+    (count,) each, from the stack's point_losses read-out.  Each chunk's
+    centered sums of all count points are one (count, rows) operation, each
+    row summed as it would be alone."""
     if params.draw_samples is None:
         [vals] = losses(None)
         return vals[:count, 0], np.zeros(count)
-    bases = []
+    if not count:  # an estimate without points draws nothing
+        return np.zeros(0), np.zeros(0)
+    bases = []  # each point's first draw, (count, 1)
 
     def streamed():
         for chunk in mc_chunks(seed, n_samples, params.draw_samples):
             yield from losses(params.prepare_samples([chunk]))
 
     def chunk_losses():
-        # read lazily, so an estimate without points draws nothing
         chunks = (losses(_population_sample(params, n_samples, seed))
                   if n_samples <= MAX_HELD_SAMPLES else streamed())
         for vals in chunks:
             if not bases:
-                bases.extend(vals[:, 0])
+                bases.append(vals[:count, :1].copy())
             yield vals
             del vals  # free this chunk's losses before the next is computed
 
-    def centered(i):
-        return lambda vals: chunk_sums(vals[i] - bases[i])
+    def centered(vals):
+        # in place: each chunk's losses are read by this term alone, and a
+        # (count, rows) temporary would cost a fresh allocation per chunk
+        return chunk_sums(np.subtract(vals[:count], bases[0], out=vals[:count]))
 
-    means = chunk_means(n_samples, chunk_losses(),
-                        [centered(i) for i in range(count)])
-    return (np.array([base + mean for base, (mean, _) in zip(bases, means)]),
-            np.array([se for _, se in means]))
+    [(means, stderrs)] = chunk_means(n_samples, chunk_losses(), [centered])
+    return bases[0][:, 0] + means, stderrs
 
 
 def population_risk_mc(w, params, codebook=None, n_samples=DEFAULT_SAMPLES,

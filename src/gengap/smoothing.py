@@ -209,9 +209,11 @@ def mc_chunks(seed, count, draw):
 
 def chunk_sums(vals):
     """A term's (sum, squared sum) of one chunk's centered values vals,
-    shape (rows,): numpy's sums over axis 0 of vals and of its squares,
-    which overwrite vals."""
-    return vals.sum(axis=0), np.multiply(vals, vals, out=vals).sum(axis=0)
+    shape (rows,), or of each row of a stack of them (..., rows): numpy's
+    sums over the last axis of vals and of its squares, which overwrite
+    vals.  numpy sums each row of a C-contiguous stack as it sums that row
+    alone, pairwise."""
+    return vals.sum(axis=-1), np.multiply(vals, vals, out=vals).sum(axis=-1)
 
 
 def _carry(block, n, running):

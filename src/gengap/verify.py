@@ -97,9 +97,10 @@ def check_trajectory(traj, params, dataset, codebook):
         strict_mask = expected == 0.0
         for k in params.strict_blocks:
             params.layout.block(strict_mask, k)[:] = True
-        max_strict = float(dev[strict_mask].max()) if strict_mask.any() else 0.0
-        main_mask = ~strict_mask
-        max_main = float(dev[main_mask].max()) if main_mask.any() else 0.0
+        # deviations are at least 0.0, so zeroing the other coordinates
+        # leaves each maximum, and 0.0 where a class is empty
+        max_strict = float(np.where(strict_mask, dev, 0.0).max())
+        max_main = float(np.where(strict_mask, 0.0, dev).max())
         records.append(
             StepDeviation(
                 step=t,

@@ -7,13 +7,17 @@ import warnings
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from gengap import acceptance, instance_gd, risk
-from gengap.cli import ExperimentConfig, build_parser, main
+from gengap.cli import ExperimentConfig, _artifact_json, _json_default, \
+    build_parser, main
 from gengap.codebook import load_codebook
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
 from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
 from gengap.optim import Trajectory, save_trajectory
+from gengap.verify import MarginReport, NormReport, StepDeviation, \
+    TrajectoryReport
 
 _GD_TINY = [
     "--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
@@ -503,6 +507,57 @@ def test_run_json_artifacts_are_their_payload_dumps(tmp_path, family):
     for path in paths:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2)
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 0.0, float("nan"), float("inf"), -float("inf")])
+# any text, non-ASCII and control characters included
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=6)
+_NUMPY = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    _FLOATS.map(np.float64),
+    _FLOATS.map(np.array),  # 0-d
+    st.lists(_FLOATS, max_size=3).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+)
+_NUMBERS = _FLOATS | _NUMPY
+_STEP = st.builds(StepDeviation, st.integers(), _NUMBERS, _NUMBERS, st.booleans())
+_REPORTS = st.one_of(
+    _STEP,
+    st.builds(TrajectoryReport, st.lists(_STEP, max_size=3).map(tuple),
+              _FLOATS, _FLOATS, st.booleans()),
+    st.builds(MarginReport, st.lists(st.builds(
+        instance_gd.MarginStep, st.integers(), _FLOATS, _FLOATS, _FLOATS,
+        _FLOATS, st.booleans(), st.booleans()), max_size=2).map(tuple),
+              st.booleans()),
+    st.builds(NormReport, _NUMBERS, st.booleans()),
+    st.builds(instance_gd.EventReport, st.booleans(), st.text(max_size=6)),
+    st.builds(risk.ThresholdRecord, st.text(max_size=6), _FLOATS, _FLOATS,
+              st.booleans()),
+)
+_KEYS = st.text(max_size=6) | st.integers() | _FLOATS | st.booleans() | st.none()
+_ARTIFACTS = st.recursive(
+    _SCALARS | _NUMPY | _REPORTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24)
+
+
+@given(_ARTIFACTS)
+@settings(derandomize=True, max_examples=150)
+def test_artifact_json_is_json_dumps_at_indent_two(obj):
+    assert _artifact_json(obj) == json.dumps(obj, indent=2, default=_json_default)
+
+
+def test_artifact_json_refuses_what_json_dumps_refuses():
+    for obj in ({(1, 2): 0}, {np.int64(1): 0}, object(), [1, {"a": {2j}}]):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, default=_json_default)
+        with pytest.raises(TypeError) as got:
+            _artifact_json(obj)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -495,6 +495,24 @@ def test_the_stack_decode_is_the_per_row_decode_at_random_points(pinned):
                                    params, codebook)
 
 
+@pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 1024])
+def test_oracle_training_risk_of_a_stack_is_each_rows_one_point_value(size):
+    # in oracle mode every row of a stack reads as it would alone, across
+    # the reference read-out's block edges (_READ_ROWS) and a smoothing row
+    # block; the reference read-out does not promise this, since BLAS
+    # rounds its matrix products by the stack's shape
+    params, codebook, dataset = _GD_SMOOTH.build()
+    traj = run_gd(codebook, dataset, params)
+    rng = np.random.default_rng(size)
+    steps = rng.integers(2, params.steps + 1, size=size)
+    points = traj.iterates[steps - 1] + params.smoothing_delta * ball_sample(
+        params.dim, rng, size=size)
+    stack = empirical_risk(points, dataset, params, codebook, mode="oracle")
+    rows = [empirical_risk(w, dataset, params, codebook, mode="oracle")
+            for w in points]
+    assert stack.tobytes() == np.array(rows).tobytes()
+
+
 def test_a_stack_raises_its_first_undecodable_rows_message(small):
     params, codebook, dataset = small
     w = run_gd(codebook, dataset, params).iterate(3)

@@ -14,7 +14,8 @@ from gengap.encoding import TWO_PI, alpha_sgd, circle_point, margin_eps, \
     mask_members, subset_count
 from gengap.errors import EventViolated, InfeasibleForcing, \
     InvalidClosedForm, OutOfRange
-from gengap.instance_gd import _READ_ROWS, EventReport, mask_inputs
+from gengap.instance_gd import _READ_ROWS, EventReport, \
+    _second_excluding_argmax, mask_inputs
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
@@ -251,16 +252,18 @@ def test_dataset_json_roundtrip(tmp_path, small):
     assert SgdDataset.load(path) == (dataset, 7)
 
 
-def _per_k_l2_values_batch(w2, point, params, codebook):
-    """The prefix-shift term of a batch decoded one k at a time, for a
-    sample codepoint point = (sin, cos): the reference the loss kernel's
-    term 2 must equal bitwise."""
+def _per_k_read_out(w2, params, codebook):
+    """The decoded read-out of a batch one k at a time: the stack's
+    projection, then per k the addends -0.5 <u_alpha, w^(k+1)> and
+    <psi, w^(0,k) - w^(0,k+1)>/(4n) and the common direction alpha, each
+    (B, n-1), and the prefix masks (B, n-1, n-1), -1 past position k and
+    where group k holds no clean prefix: the reference _l2_readout must
+    equal bitwise, signs of zeros included."""
     n, nd = params.n, params.n_directions
     b = w2.shape[0]
     m_mod = subset_count(nd)
     exp = params.group_codepoint_magnitude
-    blocks = params.layout.step_blocks(w2)
-    proj = blocks @ codebook.vectors.T  # (B, n, N)
+    proj = params.layout.step_blocks(w2) @ codebook.vectors.T  # (B, n, N)
     groups = params.layout.encoding(w2).reshape(b, n, n, 2)
     norms = np.hypot(groups[..., 0], groups[..., 1])  # (B, group, position)
     occupied = norms > 0.5 * exp
@@ -268,7 +271,9 @@ def _per_k_l2_values_batch(w2, point, params, codebook):
     angles = np.arctan2(groups[..., 0], groups[..., 1])
     codes = np.round(angles / TWO_PI * m_mod).astype(np.int64) % m_mod
 
-    best = np.full(b, -np.inf)
+    alpha_terms, psi_terms = np.empty((b, n - 1)), np.empty((b, n - 1))
+    alphas = np.empty((b, n - 1), dtype=np.int64)
+    prefixes = np.full((b, n - 1, n - 1), -1)
     for k in range(1, n):
         gk = groups[:, k - 1]
         gk1 = groups[:, k]
@@ -282,7 +287,7 @@ def _per_k_l2_values_batch(w2, point, params, codebook):
         sin, cos = np.sin(theta), np.cos(theta)
         dot_k = (gk[:, :k, 0] * sin + gk[:, :k, 1] * cos).sum(axis=1) / n
         dot_k1 = (gk1[:, :k, 0] * sin + gk1[:, :k, 1] * cos).sum(axis=1) / n
-        psi_term = np.where(clean, (dot_k - dot_k1) / (4.0 * n), 0.0)
+        psi_terms[:, k - 1] = np.where(clean, (dot_k - dot_k1) / (4.0 * n), 0.0)
         inter = np.bitwise_and.reduce(masks_k, axis=1)
         low = inter & -inter
         alpha = np.where(
@@ -290,26 +295,83 @@ def _per_k_l2_values_batch(w2, point, params, codebook):
             np.round(np.log2(np.maximum(low, 1))).astype(np.int64) + 1,
             nd,
         )
-        alpha = np.where(clean, alpha, 1)
-        alpha_term = -0.5 * np.take_along_axis(proj[:, k], alpha[:, None] - 1, axis=1)[
-            :, 0
-        ]
+        alphas[:, k - 1] = alpha = np.where(clean, alpha, 1)
+        alpha_terms[:, k - 1] = -0.5 * np.take_along_axis(
+            proj[:, k], alpha[:, None] - 1, axis=1)[:, 0]
+        prefixes[:, k - 1, :k] = np.where(clean[:, None], masks_k, -1)
+    return proj, alpha_terms, psi_terms, alphas, prefixes
+
+
+def _per_k_l2_values_batch(w2, point, params, codebook):
+    """The prefix-shift term of a batch decoded one k at a time, for a
+    sample codepoint point = (sin, cos): the reference the loss kernel's
+    term 2 must equal bitwise."""
+    n = params.n
+    proj, alpha_terms, psi_terms, _, _ = _per_k_read_out(w2, params, codebook)
+    groups = params.layout.encoding(w2).reshape(w2.shape[0], n, n, 2)
+    best = np.full(w2.shape[0], -np.inf)
+    for k in range(1, n):
+        gk1 = groups[:, k]
         phi_term = -(gk1[:, k, 0] * point[0] + gk1[:, k, 1] * point[1]) / (
             4.0 * n * n
         )
-        k_best = 0.375 * proj[:, k - 1, :].max(axis=1) + alpha_term + psi_term + phi_term
+        k_best = (0.375 * proj[:, k - 1, :].max(axis=1) + alpha_terms[:, k - 1]
+                  + psi_terms[:, k - 1] + phi_term)
         best = np.maximum(best, k_best)
     return np.maximum(params.delta1, best)
 
 
 def _assert_batch_l2_is_per_k(rows, masks, params, codebook):
+    # the read-out's addends, bitwise (signs of zeros included), and the
+    # argmaxes it reads: each k's common direction and decoded prefix
+    proj, *want = _per_k_read_out(rows, params, codebook)
+    (alpha_term, psi_term), alpha, prefix = instance_sgd._l2_readout(
+        rows, proj, params)
+    for got, ref in zip((alpha_term, psi_term), want[:2]):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert np.array_equal(alpha, want[2]) and np.array_equal(prefix, want[3])
     # term 2 of the loss kernel, with each mask's codepoint as the kernel
     # computes it
     inputs = mask_inputs(np.asarray(masks, dtype=np.int64), params.n_directions)
     _, l2, _ = instance_sgd._loss_terms_sgd(rows, params, codebook, "oracle")(inputs)
     for got, point in zip(l2.T, zip(inputs.sin, inputs.cos)):
         want = _per_k_l2_values_batch(rows, point, params, codebook)
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batch_read_out_equals_per_k_decode_on_the_headline_trajectory():
+    # the benchmark's shape: every iterate as a one-point stack, then the
+    # whole trajectory as one 8-row stack
+    params, codebook, dataset, traj = _SGD_BIG.run()
+    for t in range(1, params.n + 1):
+        _assert_batch_l2_is_per_k(traj.iterates[t - 1:t], dataset.masks, params,
+                                  codebook)
+    _assert_batch_l2_is_per_k(traj.iterates, dataset.masks, params, codebook)
+
+
+def test_read_out_decodes_only_clean_groups_in_one_call(monkeypatch):
+    # one block_codes and one circle_points call per stack, on exactly the
+    # blocks the clean prefixes read (k blocks for a clean group k), and
+    # none at all when no group holds a clean prefix
+    params, codebook, _, traj = _SGD_BIG.run()
+    calls = {"block_codes": [], "circle_points": []}
+    for name, sizes in calls.items():
+        real = getattr(instance_sgd, name)
+
+        def counted(masks_or_x, *args, real=real, sizes=sizes):
+            sizes.append(np.size(masks_or_x))
+            return real(masks_or_x, *args)
+
+        monkeypatch.setattr(instance_sgd, name, counted)
+    for rows in (traj.iterates, traj.iterates[4:5], np.zeros((3, params.dim))):
+        for sizes in calls.values():
+            sizes.clear()
+        proj = params.layout.step_blocks(rows) @ codebook.vectors.T
+        _, _, prefix = instance_sgd._l2_readout(rows, proj, params)
+        read = int((prefix >= 0).sum())
+        want = [read] if read else []
+        assert calls == {"block_codes": want, "circle_points": want}
+    assert read == 0  # the origin holds no prefix
 
 
 @pytest.fixture(scope="module")
@@ -610,7 +672,7 @@ def _adjacent_second_best(points, params, dataset, codebook):
     steps = []
     for t, (table, mask) in enumerate(
             zip(instance_sgd._l2_table(parts, couplings), masks), start=1):
-        _, second = instance_sgd._second_excluding_argmax(table)
+        _, second = _second_excluding_argmax(table)
         u_star, k_star = divmod(int(np.argmax(table)), n - 1)
         k = k_star + 1
         prefix = [int(m) for m in parts.prefix[t - 1, k_star, :k]]

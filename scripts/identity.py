@@ -21,6 +21,11 @@ difference in units of ``math.ulp`` of the old tree's value, so a last-bit
 move reads as a few ulps and a real change as many, a differing row count
 or list length as the two counts, and each JSON text's first differing
 line.
+``gengap run`` spreads its seeds over the usable CPUs, so on two or more
+CPUs the multi-seed sweeps (``sgd-force-n8`` over seeds 0..16,
+``gd-unconditioned-oracle-n4`` over 0..12 and the others) also compare a
+tree that runs its seeds in one process against one that runs them in
+forked shards; ``taskset -c 0`` makes both trees serial.
 Standard library only; a full sweep takes about a minute per tree on two
 cores, most of it the acceptance suites.
 """

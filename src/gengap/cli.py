@@ -12,7 +12,9 @@ Configs are YAML files whose keys mirror the `run` flags; a flag given on
 the command line overrides the file.  Every JSON artifact embeds the fully
 resolved config so a report is reproducible from the file alone.  The
 default output directory is $GENGAP_OUT, falling back to the working
-directory.
+directory.  `run` spreads its seeds over the usable CPUs in forked workers
+and writes its output in seed order, as one process running them in turn
+writes it.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed, 2 bad
 configuration or usage.
@@ -23,7 +25,9 @@ import dataclasses
 import functools
 import itertools
 import os
+import pickle
 import sys
+import threading
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -491,6 +495,155 @@ def cmd_gen_codebook(args):
     return 0
 
 
+def _run_seed(cfg, args, params, codebook, config, outdir, seed):
+    """One seed of `run`: its inputs, optimizer run, checks and risk table.
+    Writes the seed's dataset, trajectory and verify artifact, and returns
+    (result, outcome): the seed's entry of the run summary and its progress
+    word, skipped, pass or FAIL."""
+    t0 = time.perf_counter()
+    dataset, event, rejections, traj = _seed_inputs(
+        cfg, args, params, codebook, seed)
+    stem = f"{cfg.family}-s{seed}"
+    if dataset is not None:
+        dataset.save(outdir / f"{stem}-dataset.json", rejections)
+    skipped = isinstance(traj, OracleDomain)
+    if skipped:
+        verify_payload = {"event": event, "passed": True,
+                          "skipped": f"off-event oracle run: {traj}"}
+        passed, reports = True, []
+    else:
+        save_trajectory(traj, outdir / f"{stem}-trajectory")
+        verify_payload, passed = _verify_one(
+            cfg, params, codebook, dataset, traj, event)
+        reports = gap_report(traj, dataset, params, codebook,
+                             suffix_lengths=cfg.suffix,
+                             n_samples=cfg.mc_samples, seed=cfg.mc_seed,
+                             mode=cfg.mode)
+    result = {
+        "seed": seed,
+        "policy": cfg.policy,
+        "rejections": rejections,
+        "verify": verify_payload,
+        "risk": reports,
+        "elapsed_seconds": time.perf_counter() - t0,
+    }
+    if cfg.smoothing and not skipped:
+        smooth_payload, smooth_ok = _smoothing_check(
+            cfg, params, codebook, dataset, traj)
+        result["smoothing"] = smooth_payload
+        passed &= smooth_ok
+    result["passed"] = bool(passed)
+    (outdir / f"{stem}-verify.json").write_text(
+        _verify_text(config, seed, rejections, verify_payload))
+    outcome = "skipped" if skipped else "pass" if passed else "FAIL"
+    return result, outcome
+
+
+def _workers(count):
+    """How many processes run count seeds: one per usable CPU, at most one
+    per seed.  One where fork is missing, or where another thread runs,
+    since a child forked from a threaded process can deadlock on a lock
+    that thread held."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _shard(job, seeds, first, step):
+    """job(seed) of seeds[first::step] up to the first seed that raises:
+    (the results, then that failure as (its index in seeds, exception) or
+    None)."""
+    results = []
+    for index in range(first, len(seeds), step):
+        try:
+            results.append(job(seeds[index]))
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
+
+
+def _fork_shard(job, seeds, first, step):
+    """Run _shard in a forked child, which writes its pickle to a pipe and
+    leaves through os._exit (no cleanup, no buffered output of the
+    parent's).  A failure that does not survive pickling is sent as its
+    formatted traceback.  Returns (the child's pid, the pipe's read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        results, failure = _shard(job, seeds, first, step)
+        if failure is not None:
+            try:
+                pickle.loads(pickle.dumps(failure))
+            except Exception:
+                import traceback  # loaded on this path only
+                failure = failure[0], "".join(
+                    traceback.format_exception(failure[1]))
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps((results, failure)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_seed_order(job, seeds, workers):
+    """Yield job(seed) for each seed, in order.  With two or more workers
+    the seeds split into interleaved shards seeds[i::workers]: this process
+    runs shard 0, a forked child each other one, and the results are
+    yielded once every child is reaped.  Each shard stops at its first
+    failing seed; the lowest failing seed's exception is raised in its
+    place, after the results of the seeds before it, as one process
+    running the seeds in turn raises it."""
+    if workers < 2:
+        yield from map(job, seeds)
+        return
+    children = {}  # shard -> (pid, read end), until reaped
+    try:
+        for first in range(1, workers):
+            children[first] = _fork_shard(job, seeds, first, workers)
+        shards = [_shard(job, seeds, 0, workers)]
+        for first in range(1, workers):
+            pid, pipe = children[first]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[first]
+            if status or not data:
+                raise RuntimeError(
+                    f"the worker running seeds "
+                    f"{', '.join(map(str, seeds[first::workers]))} exited "
+                    f"without a result (wait status {status})")
+            shards.append(pickle.loads(data))
+    finally:
+        if children:  # interrupted, or the worker above failed
+            import signal  # loaded on this path only
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results = {}
+    for first, (done, _) in enumerate(shards):
+        results.update(zip(range(first, len(seeds), workers), done))
+    stop, exc = min((failure for _, failure in shards if failure is not None),
+                    default=(len(seeds), None))
+    for index in range(stop):
+        yield results[index]
+    if isinstance(exc, str):
+        raise RuntimeError(f"seed {seeds[stop]} failed in a worker:\n{exc}")
+    if exc is not None:
+        raise exc
+
+
 def cmd_run(args):
     cfg = config_from_args(args)
     params = cfg.build_params()
@@ -501,55 +654,21 @@ def cmd_run(args):
         save_codebook(codebook, outdir / "codebook.json")
 
     config = cfg.resolved(params)  # every artifact's provenance
+    job = functools.partial(_run_seed, cfg, args, params, codebook, config,
+                            outdir)
     all_passed = True
     per_seed = []
     risk_rows = []
-    for seed in cfg.seeds:
-        t0 = time.perf_counter()
-        dataset, event, rejections, traj = _seed_inputs(
-            cfg, args, params, codebook, seed)
-        stem = f"{cfg.family}-s{seed}"
-        if dataset is not None:
-            dataset.save(outdir / f"{stem}-dataset.json", rejections)
-        skipped = isinstance(traj, OracleDomain)
-        if skipped:
-            verify_payload = {"event": event, "passed": True,
-                              "skipped": f"off-event oracle run: {traj}"}
-            passed, reports = True, []
-        else:
-            save_trajectory(traj, outdir / f"{stem}-trajectory")
-            verify_payload, passed = _verify_one(
-                cfg, params, codebook, dataset, traj, event)
-            reports = gap_report(traj, dataset, params, codebook,
-                                 suffix_lengths=cfg.suffix,
-                                 n_samples=cfg.mc_samples, seed=cfg.mc_seed,
-                                 mode=cfg.mode)
-        risk_rows += [(seed, r) for r in reports]
-
-        seed_result = {
-            "seed": seed,
-            "policy": cfg.policy,
-            "rejections": rejections,
-            "verify": verify_payload,
-            "risk": reports,
-            "elapsed_seconds": time.perf_counter() - t0,
-        }
-        if cfg.smoothing and not skipped:
-            smooth_payload, smooth_ok = _smoothing_check(
-                cfg, params, codebook, dataset, traj)
-            seed_result["smoothing"] = smooth_payload
-            passed &= smooth_ok
-        seed_result["passed"] = bool(passed)
-        all_passed &= passed
-        per_seed.append(seed_result)
-
-        (outdir / f"{stem}-verify.json").write_text(
-            _verify_text(config, seed, rejections, verify_payload))
-        if rejections:
-            print(f"seed {seed}: {rejections} dataset draws rejected before "
-                  "the good event")
-        outcome = "skipped" if skipped else "pass" if passed else "FAIL"
-        print(f"seed {seed}: {outcome} ({seed_result['elapsed_seconds']:.1f}s)")
+    for result, outcome in _in_seed_order(job, cfg.seeds,
+                                          _workers(len(cfg.seeds))):
+        seed = result["seed"]
+        risk_rows += [(seed, r) for r in result["risk"]]
+        all_passed &= result["passed"]
+        per_seed.append(result)
+        if result["rejections"]:
+            print(f"seed {seed}: {result['rejections']} dataset draws "
+                  "rejected before the good event")
+        print(f"seed {seed}: {outcome} ({result['elapsed_seconds']:.1f}s)")
 
     (outdir / f"{cfg.family}-risk.csv").write_text(_risk_table(risk_rows))
     summary = {"config": config, "results": per_seed,
@@ -663,7 +782,10 @@ def _add_config_flags(p):
     p.add_argument("--out", help="output directory (default $GENGAP_OUT or .)")
 
 
+@functools.cache
 def build_parser():
+    """The one argparse parser of a process: built on first use, then
+    reused by every main call (its build costs milliseconds)."""
     parser = argparse.ArgumentParser(
         prog="gengap",
         description="Hard-instance optimization runs with closed-form checks",

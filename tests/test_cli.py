@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import re
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,10 +13,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from gengap import acceptance, instance_gd, risk
+from gengap import acceptance, cli, instance_gd, risk
 from gengap.cli import ExperimentConfig, _artifact_json, _json_default, \
     build_parser, main
 from gengap.codebook import load_codebook
+from gengap.errors import OutOfRange
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
 from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
 from gengap.optim import Trajectory, save_trajectory
@@ -703,3 +708,190 @@ def test_a_multi_seed_run_equals_single_seed_runs(tmp_path, argv):
     assert summary["results"] == [r for _, s in singles for r in s["results"]]
     assert summary["passed"] is all(s["passed"] for _, s in singles)
     assert len(summary["results"]) == 5
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    build_parser.cache_clear()
+    argv = ["gen-codebook", "--directions", "4", "--out",
+            str(tmp_path / "codebook.json")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert build_parser.cache_info().misses == 1
+    first, second = (build_parser().parse_args(argv) for _ in range(2))
+    assert first is not second and vars(first) == vars(second)
+
+
+_FORK = os.fork
+
+
+def _usable_cpus(monkeypatch, count):
+    """Give `run` count usable CPUs; returns the list of its forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return _FORK()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_ELAPSED = re.compile(r'("elapsed_seconds": )[^,\n}]+')
+_PROGRESS_TIME = re.compile(r"\(\d+\.\d+s\)")
+
+
+def _masked_run(argv, out, capsys):
+    """main(run argv) at out: (exit code, stdout, stderr, {file: bytes}),
+    with out's path and the timings masked."""
+    code = main(["run", *argv, "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = _ELAPSED.sub(r"\1<t>", data.decode().replace(str(out), "<out>"))
+        files[path.name] = data
+    stdout = _PROGRESS_TIME.sub("(<t>)", stdout.replace(str(out), "<out>"))
+    return code, stdout, stderr, files
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    ([*_SGD_TINY, "--policy", "force", "--seeds", "0..5", "--suffix", "1,2",
+      "--mc-samples", "500"], []),
+    # seeds 0, 4, 6 and 11 are off-event and the oracle cannot decode them
+    (["--family", "gd", "--n", "4", "--directions", "4", "--steps", "8",
+      "--dprime", "8", "--suffix", "1", "--policy", "unconditioned",
+      "--seeds", "0..12", "--mc-samples", "500", "--smoothing",
+      "--smoothing-samples", "2000"], [0, 4, 6, 11]),
+], ids=["sgd-uneven-shards", "gd-skipped-seeds"])
+def test_sharded_seeds_write_what_serial_seeds_write(tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     skipped):
+    runs = {}
+    for workers in (1, 2, 3):
+        forks = _usable_cpus(monkeypatch, workers)
+        runs[workers] = _masked_run(argv, tmp_path / f"w{workers}", capsys)
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
+    code, stdout, stderr, files = runs[1]
+    assert code == 0 and stderr == ""
+    assert [int(line.split()[1][:-1]) for line in stdout.splitlines()
+            if "skipped" in line] == skipped
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def _failing_sgd_run(monkeypatch, fail):
+    """Make cli.run_sgd call fail(dataset seed) before each run."""
+    run_sgd = cli.run_sgd
+
+    def run(codebook, dataset, params, **kwargs):
+        fail(dataset.seed)
+        return run_sgd(codebook, dataset, params, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sgd", run)
+
+
+_SGD_FIVE = [*_SGD_TINY, "--policy", "force", "--seeds", "0..5",
+             "--mc-samples", "200"]
+
+
+# with two workers this process runs seeds 0, 2 and 4, a child 1 and 3
+@pytest.mark.parametrize("failing", [{3}, {3, 4}, {1, 2}],
+                         ids=["child", "child-before-parent", "child-first"])
+def test_a_failing_seed_fails_a_sharded_run_as_a_serial_one(tmp_path, capsys,
+                                                            monkeypatch,
+                                                            failing):
+    def fail(seed):
+        if seed in failing:
+            raise OutOfRange(f"seed {seed} fails")
+
+    _failing_sgd_run(monkeypatch, fail)
+    runs = {}
+    for workers in (1, 2):
+        forks = _usable_cpus(monkeypatch, workers)
+        runs[workers] = _masked_run(_SGD_FIVE, tmp_path / f"w{workers}",
+                                    capsys)[:3]
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
+    first = min(failing)
+    assert runs[1] == (2, "".join(f"seed {seed}: pass (<t>)\n"
+                                  for seed in range(first)),
+                       f"error: seed {first} fails\n")
+    assert runs[2] == runs[1]
+
+
+def test_a_worker_that_dies_fails_the_run_naming_its_seeds(tmp_path,
+                                                           monkeypatch):
+    parent = os.getpid()
+
+    def die(seed):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _failing_sgd_run(monkeypatch, die)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"seeds 1, 3 exited without a "
+                                           r"result \(wait status 768\)"):
+        main(["run", *_SGD_FIVE, "--out", str(tmp_path)])
+    _assert_no_child_left()
+
+
+def test_an_exception_that_cannot_be_pickled_comes_back_as_its_traceback(
+        tmp_path, monkeypatch):
+    class LocalError(Exception):
+        """Local, so pickle cannot find it by name."""
+
+    def fail(seed):
+        if seed == 1:
+            raise LocalError("seed 1 fails")
+
+    _failing_sgd_run(monkeypatch, fail)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="seed 1 failed in a worker") as info:
+        main(["run", *_SGD_FIVE, "--out", str(tmp_path)])
+    assert "LocalError: seed 1 fails" in str(info.value)
+    _assert_no_child_left()
+
+
+def test_an_interrupted_sharded_run_leaves_no_child(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def interrupt(seed):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child is still running when the parent stops
+
+    _failing_sgd_run(monkeypatch, interrupt)
+    _usable_cpus(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", *_SGD_FIVE, "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 30  # killed, not waited for
+    _assert_no_child_left()
+
+
+def test_a_threaded_or_forkless_process_runs_its_seeds_serially(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        assert main(["run", *_SGD_FIVE, "--out", str(tmp_path / "a")]) == 0
+    finally:
+        stop.set()
+        helper.join()
+    monkeypatch.delattr(os, "fork")
+    assert main(["run", *_SGD_FIVE, "--out", str(tmp_path / "b")]) == 0

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import COHERENCE_BOUND, DEFAULT_ATTEMPTS, coherence, \
-    generate_codebook
+from .codebook import COHERENCE_BOUND, coherence, generate_codebook
 from .encoding import alpha_gd
 from .errors import OutOfRange
 from .instance_gd import GdParams, loss_gd, grad_gd, mask_inputs
@@ -59,14 +58,12 @@ from .verify import (
 @dataclass(frozen=True)
 class _Pinned:
     """One pinned instance: the params class and its fields, the codebook's
-    seed and attempt budget (none for a family without directions), and the
-    training set, drawn by params.draw_dataset from a seed and policy or
-    given by hand."""
+    seed (none for a family without directions), and the training set,
+    drawn by params.draw_dataset from a seed and policy or given by hand."""
 
     cls: type
     fields: dict
     cb_seed: int = None
-    cb_attempts: int = DEFAULT_ATTEMPTS
     ds_seed: int = None
     policy: str = None
     dataset: object = None
@@ -76,8 +73,7 @@ class _Pinned:
         never at import."""
         params = self.cls(**self.fields)
         codebook = None if self.cb_seed is None else generate_codebook(
-            params.n_directions, params.dprime, seed=self.cb_seed,
-            max_attempts=self.cb_attempts)
+            params.n_directions, params.dprime, seed=self.cb_seed)
         dataset = self.dataset if self.ds_seed is None else \
             params.draw_dataset(self.ds_seed, self.policy)[0]
         return params, codebook, dataset
@@ -101,8 +97,7 @@ _SGD_BIG = _Pinned(SgdParams, dict(n=8, n_directions=16), cb_seed=7,
 _GD_SMOOTH = _Pinned(GdParams, dict(n=2, n_directions=4, steps=8, dprime=8),
                      cb_seed=3, ds_seed=11, policy="reject-until-E")
 _SGD_SMOOTH = _Pinned(SgdParams, dict(n=6, n_directions=7, dprime=16),
-                      cb_seed=5, cb_attempts=2_000_000, ds_seed=21,
-                      policy="force")
+                      cb_seed=5, ds_seed=21, policy="force")
 _SMALLSTEP_SMOOTH = _Pinned(SmallstepParams, dict(eta=0.1, steps=10))
 
 # per-family smoothing seeds pinned so that every coordinate of every

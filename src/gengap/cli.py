@@ -10,11 +10,13 @@ acceptance     pinned acceptance suites ("all" or one by name)
 
 Configs are YAML files whose keys mirror the `run` flags; a flag given on
 the command line overrides the file.  Every JSON artifact embeds the fully
-resolved config so a report is reproducible from the file alone.  The
-default output directory is $GENGAP_OUT, falling back to the working
-directory.  `run` spreads its seeds over the usable CPUs in forked workers
-and writes its output in seed order, as one process running them in turn
-writes it.
+resolved config so a report is reproducible from the file alone, and
+json.dumps writes each of them (_artifact_json).  A seed's verify artifact
+holds its checks in full; the run summary keeps only their verdicts and
+names that file.  The default output directory is $GENGAP_OUT, falling
+back to the working directory.  `run` spreads its seeds over the usable
+CPUs in forked workers and writes its output in seed order, as one process
+running them in turn writes it.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed, 2 bad
 configuration or usage.
@@ -23,21 +25,18 @@ configuration or usage.
 import argparse
 import dataclasses
 import functools
-import itertools
+import json
 import os
 import pickle
 import sys
 import threading
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import acceptance as _acceptance
-from .codebook import DEFAULT_ATTEMPTS, coherence, generate_codebook, \
-    load_codebook, save_codebook
+from .codebook import coherence, generate_codebook, load_codebook, save_codebook
 from .errors import GengapError, OracleDomain, OutOfRange, reading
 from .instance_gd import (
     GdParams,
@@ -65,103 +64,17 @@ POLICIES = tuple(dict.fromkeys(p for cls in _PARAMS.values() for p in cls.polici
 def _json_default(obj):
     """json.dumps' hook for what it cannot write itself: a report dataclass
     as its fields, a numpy value or array as Python numbers."""
-    names = _field_names(type(obj))
-    if names is not None:
-        return {name: getattr(obj, name) for name in names}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-@functools.lru_cache(maxsize=None)
-def _field_names(cls):
-    """A dataclass's field names in order; None for any other class."""
-    if dataclasses.is_dataclass(cls):
-        return tuple(f.name for f in dataclasses.fields(cls))
-    return None
-
-
-# json's text of a scalar of exactly one of these types, the float's names
-# of its non-finite values then renamed as json names them (_NONFINITE)
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar_text(obj):
-    """json's text of a scalar, a subclass of str, int or float included;
-    None for anything else."""
-    text = _SCALAR_TEXT.get(type(obj))
-    if text is None:
-        if not isinstance(obj, (str, int, float)):
-            return None
-        text = _SCALAR_TEXT[next(cls for cls in (str, int, float)
-                                 if isinstance(obj, cls))]
-    text = text(obj)
-    return _NONFINITE.get(text, text)
-
-
-def _key_text(key):
-    """json's text of a dict key: a string, or a float, int, bool or None
-    written as one."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if not isinstance(key, (float, int)) and key is not None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return encode_basestring_ascii(_scalar_text(key))
-
-
-def _write_json(obj, out, newline):
-    """Append the pieces of obj's JSON text to out, as json.dumps writes
-    them at indent 2 with _json_default; newline is the line break and
-    indent before obj's closing bracket."""
-    # no type is both a container and a scalar, so the order of the tests
-    # does not matter
-    while not isinstance(obj, (list, tuple, dict)):
-        text = _scalar_text(obj)
-        if text is not None:
-            out.append(text)
-            return
-        obj = _json_default(obj)
-    if not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        close, heads = "}", [inner + (encode_basestring_ascii(key) if type(key) is str
-                                      else _key_text(key)) + ": " for key in obj]
-        obj, sep = obj.values(), "{"
-    else:
-        close, heads, sep = "]", itertools.repeat(inner), "["
-    for head, value in zip(heads, obj):
-        text = _SCALAR_TEXT.get(type(value))
-        if text is None:
-            out.append(sep + head)
-            _write_json(value, out, inner)
-        else:
-            text = text(value)
-            out.append(sep + head + _NONFINITE.get(text, text))
-        sep = ","
-    out.append(newline + close)
-
-
 def _artifact_json(obj):
-    """The text of a JSON artifact: json.dumps(obj, indent=2,
-    default=_json_default), byte for byte.  With an indent, json writes in
-    pure Python, one generator per container; this writer appends the same
-    pieces to one list, each scalar through json's own primitives and each
-    dataclass through its cached field list.  An object that contains
-    itself, which json refuses with ValueError, exhausts the recursion
-    limit here instead."""
-    out = []
-    _write_json(obj, out, "\n")
-    return "".join(out)
+    """The text of a JSON artifact: indent 2, reports and numpy values
+    through _json_default."""
+    return json.dumps(obj, indent=2, default=_json_default)
 
 
 def _default_out():
@@ -280,6 +193,7 @@ class ExperimentConfig:
 def load_config(path):
     """A YAML config's values, each of its ExperimentConfig field's type
     (_typed); a null keeps the field's default, so it is left out."""
+    import yaml  # loaded on this path only
     with reading(path, "config file", (yaml.YAMLError,)), open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
@@ -486,8 +400,7 @@ def cmd_gen_codebook(args):
     out = Path(args.out) if args.out else _default_out() / (
         f"codebook-N{args.directions}-s{args.seed}.json"
     )
-    cb = generate_codebook(args.directions, args.dim, seed=args.seed,
-                           max_attempts=args.max_attempts)
+    cb = generate_codebook(args.directions, args.dim, seed=args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_codebook(cb, out)
     print(f"wrote {out}: {cb.n_vectors} directions, dim {cb.dim}, "
@@ -495,11 +408,20 @@ def cmd_gen_codebook(args):
     return 0
 
 
+def _verdicts(payload):
+    """A verify payload as the run summary holds it: each report (anything
+    with an ok field) as {"ok": its ok}; passed, skip strings and null as
+    they are."""
+    return {key: {"ok": value.ok} if hasattr(value, "ok") else value
+            for key, value in payload.items()}
+
+
 def _run_seed(cfg, args, params, codebook, config, outdir, seed):
     """One seed of `run`: its inputs, optimizer run, checks and risk table.
     Writes the seed's dataset, trajectory and verify artifact, and returns
-    (result, outcome): the seed's entry of the run summary and its progress
-    word, skipped, pass or FAIL."""
+    (result, outcome): the seed's entry of the run summary, which keeps the
+    verify artifact's verdicts and names its file, and its progress word,
+    skipped, pass or FAIL."""
     t0 = time.perf_counter()
     dataset, event, rejections, traj = _seed_inputs(
         cfg, args, params, codebook, seed)
@@ -519,22 +441,26 @@ def _run_seed(cfg, args, params, codebook, config, outdir, seed):
                              suffix_lengths=cfg.suffix,
                              n_samples=cfg.mc_samples, seed=cfg.mc_seed,
                              mode=cfg.mode)
+    smoothing = None
+    if cfg.smoothing and not skipped:
+        smoothing, smooth_ok = _smoothing_check(
+            cfg, params, codebook, dataset, traj)
+        passed &= smooth_ok
+    verify_file = f"{stem}-verify.json"
+    (outdir / verify_file).write_text(
+        _verify_text(config, seed, rejections, verify_payload))
     result = {
         "seed": seed,
         "policy": cfg.policy,
         "rejections": rejections,
-        "verify": verify_payload,
+        "verify": _verdicts(verify_payload),
+        "verify_file": verify_file,
         "risk": reports,
         "elapsed_seconds": time.perf_counter() - t0,
     }
-    if cfg.smoothing and not skipped:
-        smooth_payload, smooth_ok = _smoothing_check(
-            cfg, params, codebook, dataset, traj)
-        result["smoothing"] = smooth_payload
-        passed &= smooth_ok
+    if smoothing is not None:
+        result["smoothing"] = smoothing
     result["passed"] = bool(passed)
-    (outdir / f"{stem}-verify.json").write_text(
-        _verify_text(config, seed, rejections, verify_payload))
     outcome = "skipped" if skipped else "pass" if passed else "FAIL"
     return result, outcome
 
@@ -796,8 +722,6 @@ def build_parser():
     p.add_argument("--directions", type=int, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-attempts", dest="max_attempts", type=int,
-                   default=DEFAULT_ATTEMPTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_codebook)
 

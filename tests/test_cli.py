@@ -11,18 +11,14 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
 
 from gengap import acceptance, cli, instance_gd, risk
-from gengap.cli import ExperimentConfig, _artifact_json, _json_default, \
-    build_parser, main
+from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.errors import OutOfRange
 from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
 from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
 from gengap.optim import Trajectory, save_trajectory
-from gengap.verify import MarginReport, NormReport, StepDeviation, \
-    TrajectoryReport
 
 _GD_TINY = [
     "--family", "gd", "--n", "2", "--directions", "4", "--steps", "8",
@@ -207,8 +203,11 @@ def test_a_run_that_skips_every_seed_writes_the_risk_header_alone(tmp_path):
                  "--policy", "unconditioned", "--seeds", "0",
                  "--out", str(tmp_path)])
     assert code == 0
-    summary = json.loads((tmp_path / "gd-run-summary.json").read_text())
-    assert "skipped" in summary["results"][0]["verify"]
+    (result,) = json.loads((tmp_path / "gd-run-summary.json").read_text())["results"]
+    report = json.loads((tmp_path / result["verify_file"]).read_text())
+    assert report["skipped"].startswith("off-event oracle run: ")
+    assert result["verify"] == {"event": {"ok": False}, "passed": True,
+                                "skipped": report["skipped"]}
     # the header line alone: no empty line, which csv would read as a row
     assert (tmp_path / "gd-risk.csv").read_text() == \
         "seed," + risk.RiskReport.CSV_HEADER + "\n"
@@ -265,12 +264,14 @@ def test_an_off_event_oracle_seed_is_skipped_not_fatal(tmp_path, capsys):
         report = json.loads((tmp_path / f"gd-s{seed}-verify.json").read_text())
         assert report["event"]["ok"] is False
         assert "iterate 2" in report["skipped"]
-        assert results[seed]["verify"] == {
-            k: v for k, v in report.items()
-            if k not in ("config", "seed", "policy", "rejections")}
+        assert results[seed]["verify_file"] == f"gd-s{seed}-verify.json"
+        assert results[seed]["verify"] == {"event": {"ok": False},
+                                           "passed": True,
+                                           "skipped": report["skipped"]}
         assert results[seed]["risk"] == []
         assert not (tmp_path / f"gd-s{seed}-trajectory.bin").exists()
-    assert "skipped" not in results[0]["verify"]
+    report = json.loads((tmp_path / "gd-s0-verify.json").read_text())
+    assert "skipped" not in report
     rows = (tmp_path / "gd-risk.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "2", "4"]
     assert "seed 1: skipped" in capsys.readouterr().out
@@ -514,57 +515,6 @@ def test_run_json_artifacts_are_their_payload_dumps(tmp_path, family):
         assert text == json.dumps(json.loads(text), indent=2)
 
 
-_FLOATS = st.floats() | st.sampled_from(
-    [-0.0, 0.0, float("nan"), float("inf"), -float("inf")])
-# any text, non-ASCII and control characters included
-_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=6)
-_NUMPY = st.one_of(
-    st.booleans().map(np.bool_),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    _FLOATS.map(np.float64),
-    _FLOATS.map(np.array),  # 0-d
-    st.lists(_FLOATS, max_size=3).map(np.array),
-    st.lists(st.integers(-9, 9), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
-)
-_NUMBERS = _FLOATS | _NUMPY
-_STEP = st.builds(StepDeviation, st.integers(), _NUMBERS, _NUMBERS, st.booleans())
-_REPORTS = st.one_of(
-    _STEP,
-    st.builds(TrajectoryReport, st.lists(_STEP, max_size=3).map(tuple),
-              _FLOATS, _FLOATS, st.booleans()),
-    st.builds(MarginReport, st.lists(st.builds(
-        instance_gd.MarginStep, st.integers(), _FLOATS, _FLOATS, _FLOATS,
-        _FLOATS, st.booleans(), st.booleans()), max_size=2).map(tuple),
-              st.booleans()),
-    st.builds(NormReport, _NUMBERS, st.booleans()),
-    st.builds(instance_gd.EventReport, st.booleans(), st.text(max_size=6)),
-    st.builds(risk.ThresholdRecord, st.text(max_size=6), _FLOATS, _FLOATS,
-              st.booleans()),
-)
-_KEYS = st.text(max_size=6) | st.integers() | _FLOATS | st.booleans() | st.none()
-_ARTIFACTS = st.recursive(
-    _SCALARS | _NUMPY | _REPORTS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_KEYS, inner, max_size=4),
-    max_leaves=24)
-
-
-@given(_ARTIFACTS)
-@settings(derandomize=True, max_examples=150)
-def test_artifact_json_is_json_dumps_at_indent_two(obj):
-    assert _artifact_json(obj) == json.dumps(obj, indent=2, default=_json_default)
-
-
-def test_artifact_json_refuses_what_json_dumps_refuses():
-    for obj in ({(1, 2): 0}, {np.int64(1): 0}, object(), [1, {"a": {2j}}]):
-        with pytest.raises(TypeError) as want:
-            json.dumps(obj, indent=2, default=_json_default)
-        with pytest.raises(TypeError) as got:
-            _artifact_json(obj)
-        assert str(got.value) == str(want.value)
-
-
 @pytest.mark.parametrize("flags, named", [
     (["--seeds", "x"], "--seeds"),
     (["--seeds", "1,x"], "--seeds"),
@@ -785,6 +735,52 @@ def test_sharded_seeds_write_what_serial_seeds_write(tmp_path, capsys,
             if "skipped" in line] == skipped
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
+
+
+def _keys(obj):
+    """Every dict key anywhere in a JSON value."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
+
+
+def test_the_run_summary_keeps_each_seeds_verdicts(tmp_path, monkeypatch):
+    # perfbench's sgd-sweep reads these flags of every entry from the summary
+    _usable_cpus(monkeypatch, 2)
+    assert main(["run", *_SGD_TINY, "--policy", "force", "--seeds", "0..3",
+                 "--suffix", "1,2", "--mc-samples", "200",
+                 "--out", str(tmp_path)]) == 0
+    _assert_no_child_left()
+    summary = json.loads((tmp_path / "sgd-run-summary.json").read_text())
+    assert [r["seed"] for r in summary["results"]] == [0, 1, 2]
+    for result in summary["results"]:
+        assert result["verify_file"] == f"sgd-s{result['seed']}-verify.json"
+        report = json.loads((tmp_path / result["verify_file"]).read_text())
+        assert report["trajectory"]["steps"]
+        assert result["verify"] == {
+            "event": {"ok": report["event"]["ok"]},
+            **{name: {"ok": report[name]["ok"]}
+               for name in ("trajectory", "margins", "norms")},
+            "passed": report["passed"]}
+        assert result["verify"]["passed"] is True
+    assert "steps" not in _keys(summary["results"])
+
+
+def test_elapsed_seconds_counts_the_smoothing_check(tmp_path, monkeypatch):
+    check = cli._smoothing_check
+
+    def slow(*args):
+        time.sleep(0.3)
+        return check(*args)
+
+    monkeypatch.setattr(cli, "_smoothing_check", slow)
+    assert main(["run", "--family", "smallstep", "--eta", "0.1", "--steps",
+                 "10", "--smoothing", "--smoothing-samples", "200",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "smallstep-run-summary.json").read_text())
+    assert summary["results"][0]["elapsed_seconds"] >= 0.3
 
 
 def _failing_sgd_run(monkeypatch, fail):

@@ -45,3 +45,11 @@ def test_differing_values_still_read_in_ulps(identity):
     assert identity.compare(old, new) == {
         "r.json": [f"r.json: differs at /v: {x!r} != {y!r} (+3 ulp)"],
         "t.csv": [f"t.csv: differs at row 1/a: {x!r} != {y!r} (+3 ulp)"]}
+
+
+def test_a_json_key_in_one_tree_only_reads_as_missing(identity):
+    old = {"r.json": ("json", {"v": {"ok": True, "steps": [1.0]}})}
+    new = {"r.json": ("json", {"v": {"ok": True}, "file": "r-verify.json"})}
+    assert identity.compare(old, new) == {"r.json": [
+        "r.json: differs at /file: '<missing>' != 'r-verify.json'",
+        "r.json: differs at /v/steps: [1.0] != '<missing>'"]}

@@ -4,7 +4,8 @@ and report every output that differs.
     python scripts/identity.py OLD_TREE NEW_TREE
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
-gen-codebook`` and sixteen ``gengap run`` sweeps (each with the smoothed-risk
+gen-codebook`` (whose file the sgd-force-n8 sweep reads through
+``--codebook``) and sixteen ``gengap run`` sweeps (each with the smoothed-risk
 check, most with several suffix lengths, whose population risks share one
 Monte-Carlo draw, and one whose every seed skips, so its risk table has no
 row), then ``gengap verify`` and ``gengap risk`` on every
@@ -20,7 +21,8 @@ is any: every differing JSON value and CSV cell, each number with its
 difference in units of ``math.ulp`` of the old tree's value, so a last-bit
 move reads as a few ulps and a real change as many, a differing row count
 or list length as the two counts, and each JSON text's first differing
-line.
+line.  It also prints each tree's ``src/gengap/*.py`` line count, for
+information: the counts are not compared.
 ``gengap run`` spreads its seeds over the usable CPUs, so on two or more
 CPUs the multi-seed sweeps (``sgd-force-n8`` over seeds 0..16,
 ``gd-unconditioned-oracle-n4`` over 0..12 and the others) also compare a
@@ -69,7 +71,8 @@ SWEEPS = {
                             "--policy", "reject-until-E", "--suffix", "1,8,16"],
     "sgd-force": ["--family", "sgd", "--n", "6", "--directions", "9",
                   "--policy", "force", "--suffix", "1,2,3,6"],
-    # the benchmark's sgd-sweep shape, over its 16 seeds
+    # the benchmark's sgd-sweep shape, over its 16 seeds, on a saved
+    # codebook (CODEBOOKS)
     "sgd-force-n8": ["--family", "sgd", "--n", "8", "--directions", "16",
                      "--policy", "force", "--suffix", "1,2,3,4,5,6,7,8"],
     # off-event datasets: every step reads the psi = 0 fallback
@@ -108,6 +111,9 @@ SEEDS = {"gd-reject-reference": "0..4", "gd-unconditioned-oracle": "0..6",
          "gd-unconditioned-oracle-n4": "0..12",
          "gd-unconditioned-oracle-n4-all-skipped": "0..1",
          "gd-unconditioned-reference": "0..8"}
+# sweep -> the gen-codebook output its calls read through --codebook, as
+# the benchmark's sgd-sweep reads a saved codebook
+CODEBOOKS = {"sgd-force-n8": "codebook-N16-s7.json"}
 # smoothed-risk draws of samples x dim float64 up to
 # gengap.smoothing.MAX_HELD_FLOATS are held and shared by a run's seeds;
 # larger ones stream.  At 3000 samples the full-batch (dim 72) and
@@ -179,6 +185,8 @@ def sweep(tree, workdir):
     call("gen-codebook", ["gen-codebook", "--directions", "16", "--seed", "7",
                           "--out", str(workdir / "codebook-N16-s7.json")])
     for name, flags in SWEEPS.items():
+        if name in CODEBOOKS:
+            flags = [*flags, "--codebook", str(workdir / CODEBOOKS[name])]
         out = workdir / name
         seeds = ["--seeds", SEEDS.get(name, "0..2")]
         smooth = ["--smoothing", "--smoothing-samples",
@@ -309,6 +317,12 @@ def compare(old, new):
     return found
 
 
+def source_lines(tree):
+    """The line count of the tree's src/gengap/*.py, as wc -l counts it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(tree) / "src" / "gengap").glob("*.py"))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_tree")
@@ -326,6 +340,8 @@ def main(argv=None):
     for lines in found.values():
         for line in lines:
             print(line)
+    for label, tree in (("old", args.old_tree), ("new", args.new_tree)):
+        print(f"{label} tree: {source_lines(tree)} lines in src/gengap/*.py")
     print(f"{len(results[0])} outputs compared; {len(found)} differ")
     return 1 if found else 0
 

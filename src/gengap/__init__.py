@@ -21,7 +21,6 @@ from .encoding import (
     EncodingLayout,
     alpha_gd,
     alpha_sgd,
-    circle_point,
     decode_blocks,
     margin_eps,
     subset_count,
@@ -41,7 +40,6 @@ from .errors import (
 from .instance_gd import (
     GdDataset,
     GdParams,
-    draw_gd_dataset,
     expected_gd_iterate,
     good_event_gd,
     grad_gd,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import acceptance as _acceptance
 from .codebook import coherence, generate_codebook, load_codebook, save_codebook
-from .errors import GengapError, OracleDomain, OutOfRange, reading
+from .errors import GengapError, OracleDomain, OutOfRange, as_int, reading
 from .instance_gd import (
     GdParams,
     above_theorem_step,
@@ -206,23 +206,15 @@ def load_config(path):
             for key, value in raw.items() if value is not None}
 
 
-def _int(value):
-    """An integer or an integer string as an int; a float or a bool (which
-    int() would truncate or read as 0/1) is a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _typed(key, value, kind):
-    """A config value as its field's type kind: an int by _int's rule, a
+    """A config value as its field's type kind: an int by as_int's rule, a
     float from an int or a float, a bool or a str as itself.  The integer
     lists (tuple fields) are left to _parse_ints."""
     if kind is tuple:
         return value
     if kind is int:
         try:
-            return _int(value)
+            return as_int(value)
         except (TypeError, ValueError) as exc:
             raise OutOfRange(f"config key {key} takes an integer; "
                              f"got {value!r}") from exc
@@ -238,16 +230,16 @@ def _parse_ints(value, key):
     is a configuration error."""
     try:
         if isinstance(value, dict):
-            ints = range(_int(value["start"]), _int(value["stop"]))
+            ints = range(as_int(value["start"]), as_int(value["stop"]))
         elif isinstance(value, str) and ".." in value:
             lo, hi = value.split("..", 1)
             ints = range(int(lo), int(hi))
         elif isinstance(value, str):
             ints = [int(v) for v in value.split(",")]
         elif isinstance(value, (list, tuple)):
-            ints = [_int(v) for v in value]
+            ints = [as_int(v) for v in value]
         else:
-            ints = [_int(value)]
+            ints = [as_int(value)]
     except (KeyError, TypeError, ValueError) as exc:
         raise OutOfRange(f"--{key} takes integers, '1,2,3' or '0..8'; "
                          f"got {value!r}") from exc
@@ -296,20 +288,21 @@ def _get_codebook(cfg, params):
     return cb
 
 
-def _seed_inputs(cfg, args, params, codebook, seed):
+def _seed_inputs(cfg, params, codebook, seed, dataset_path=None,
+                 trajectory_path=None):
     """One seed's (dataset, event, rejections, trajectory): drawn and run,
-    or read from --dataset and --trajectory.  A checkpoint must match the
-    instance's dimension and hold its horizon of iterates.  The oracle
-    read-out is defined only on the designed trajectory, so an off-event run
-    may leave its domain: that seed's trajectory is then the OracleDomain it
-    raised."""
-    if getattr(args, "dataset", None):
-        dataset, rejections = params.load_dataset(args.dataset)
+    or read from the files verify and risk take (--dataset, --trajectory).
+    A checkpoint must match the instance's dimension and hold its horizon
+    of iterates.  The oracle read-out is defined only on the designed
+    trajectory, so an off-event run may leave its domain: that seed's
+    trajectory is then the OracleDomain it raised."""
+    if dataset_path:
+        dataset, rejections = params.load_dataset(dataset_path)
     else:
         dataset, rejections = params.draw_dataset(seed, cfg.policy)
     event = params.good_event(dataset)
-    if getattr(args, "trajectory", None):
-        traj = load_trajectory(args.trajectory)
+    if trajectory_path:
+        traj = load_trajectory(trajectory_path)
         if traj.dim != params.dim:
             raise OutOfRange(
                 f"checkpoint dimension {traj.dim} does not match the "
@@ -416,15 +409,15 @@ def _verdicts(payload):
             for key, value in payload.items()}
 
 
-def _run_seed(cfg, args, params, codebook, config, outdir, seed):
+def _run_seed(cfg, params, codebook, config, outdir, seed):
     """One seed of `run`: its inputs, optimizer run, checks and risk table.
     Writes the seed's dataset, trajectory and verify artifact, and returns
     (result, outcome): the seed's entry of the run summary, which keeps the
     verify artifact's verdicts and names its file, and its progress word,
     skipped, pass or FAIL."""
     t0 = time.perf_counter()
-    dataset, event, rejections, traj = _seed_inputs(
-        cfg, args, params, codebook, seed)
+    dataset, event, rejections, traj = _seed_inputs(cfg, params, codebook,
+                                                    seed)
     stem = f"{cfg.family}-s{seed}"
     if dataset is not None:
         dataset.save(outdir / f"{stem}-dataset.json", rejections)
@@ -580,8 +573,7 @@ def cmd_run(args):
         save_codebook(codebook, outdir / "codebook.json")
 
     config = cfg.resolved(params)  # every artifact's provenance
-    job = functools.partial(_run_seed, cfg, args, params, codebook, config,
-                            outdir)
+    job = functools.partial(_run_seed, cfg, params, codebook, config, outdir)
     all_passed = True
     per_seed = []
     risk_rows = []
@@ -613,7 +605,7 @@ def _load_inputs_for_check(cfg, args, params):
                          f"{list(cfg.seeds)}")
     codebook = _get_codebook(cfg, params)
     dataset, event, rejections, traj = _seed_inputs(
-        cfg, args, params, codebook, cfg.seeds[0])
+        cfg, params, codebook, cfg.seeds[0], args.dataset, args.trajectory)
     if isinstance(traj, OracleDomain):
         raise traj
     return codebook, dataset, event, rejections, traj

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttemptsExhausted, OutOfRange, reading
+from .errors import AttemptsExhausted, OutOfRange, as_int, reading
 
 # The oracle decodes a block by rounding its float64 angle to the nearest of
 # 2^N codepoints; the cap keeps neighbours thousands of ulps apart (at N = 40,
@@ -61,12 +61,27 @@ class Codebook:
         return self.vectors.shape[0]
 
 
-def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=DEFAULT_ATTEMPTS):
+def _check_size(n_vectors, dim):
+    """The one size rule of a codebook, generated or loaded: 1 <= n_vectors
+    <= MAX_DIRECTIONS and dim >= 1, else OutOfRange."""
+    if n_vectors < 1:
+        raise OutOfRange(f"n_vectors must be >= 1, got {n_vectors}")
+    if n_vectors > MAX_DIRECTIONS:
+        raise OutOfRange(
+            f"n_vectors={n_vectors} exceeds the supported maximum of "
+            f"{MAX_DIRECTIONS}, which keeps the oracle decode's 2^N "
+            f"codepoints thousands of float64 ulps apart"
+        )
+    if dim < 1:
+        raise OutOfRange(f"dim must be >= 1, got {dim}")
+
+
+def generate_codebook(n_vectors, dim=None, seed=0):
     """Generate a codebook by seeded rejection sampling.
 
     Draws sign vectors one at a time and accepts a candidate only if its
     inner product with every previously accepted vector has magnitude at
-    most 1/8.
+    most 1/8, giving up after DEFAULT_ATTEMPTS draws (read at each call).
 
     Parameters
     ----------
@@ -78,8 +93,6 @@ def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=DEFAULT_ATTEMPTS
         Ambient dimension.  Defaults to ``default_dim(n_vectors)``.
     seed : int
         RNG seed; generation is deterministic given (n_vectors, dim, seed).
-    max_attempts : int
-        Total candidate-draw budget before giving up.
 
     Returns
     -------
@@ -88,34 +101,23 @@ def generate_codebook(n_vectors, dim=None, seed=0, max_attempts=DEFAULT_ATTEMPTS
     Raises
     ------
     OutOfRange
-        If n_vectors exceeds 40 or is < 1.
+        If the size breaks _check_size's rule.
     AttemptsExhausted
         If the attempt budget runs out (e.g. dim too small for N).
     """
     n_vectors = int(n_vectors)
-    if n_vectors < 1:
-        raise OutOfRange(f"n_vectors must be >= 1, got {n_vectors}")
-    if n_vectors > MAX_DIRECTIONS:
-        raise OutOfRange(
-            f"n_vectors={n_vectors} exceeds the supported maximum of "
-            f"{MAX_DIRECTIONS}, which keeps the oracle decode's 2^N "
-            f"codepoints thousands of float64 ulps apart"
-        )
-    if dim is None:
-        dim = default_dim(n_vectors)
-    dim = int(dim)
-    if dim < 1:
-        raise OutOfRange(f"dim must be >= 1, got {dim}")
+    dim = default_dim(n_vectors) if dim is None else int(dim)
+    _check_size(n_vectors, dim)
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(dim)
     accepted = []
     attempts = 0
     while len(accepted) < n_vectors:
-        if attempts >= max_attempts:
+        if attempts >= DEFAULT_ATTEMPTS:
             raise AttemptsExhausted(
                 f"found only {len(accepted)}/{n_vectors} directions in "
-                f"{max_attempts} attempts (dim={dim}); increase dim or budget"
+                f"{DEFAULT_ATTEMPTS} attempts (dim={dim}); increase dim or budget"
             )
         attempts += 1
         cand = (rng.integers(0, 2, size=dim) * 2 - 1).astype(np.float64) * scale
@@ -155,22 +157,28 @@ def save_codebook(codebook, path):
 def load_codebook(path):
     """Inverse of save_codebook; reconstructs +-1/sqrt(dim) float rows.
 
-    A file whose entries are not all +-1, or with a pair of rows above
-    COHERENCE_BOUND, is not a codebook and is refused.  The coherence is
-    checked on the integer sign Gram matrix, exact in float64, against
-    dim/8, so every codebook generate_codebook accepts loads.
+    A file whose dim and seed are not integers (as_int), whose size
+    breaks _check_size's rule, whose entries are not all +-1, or with a
+    pair of rows above COHERENCE_BOUND, is not a codebook and is refused.
+    The coherence is checked on the integer sign Gram matrix, exact in
+    float64, against dim/8, so every codebook generate_codebook accepts
+    loads.
     """
     with reading(path, "codebook file"):
         with open(path) as fh:
             payload = json.load(fh)
-        dim = int(payload["dim"])
+        dim = as_int(payload["dim"])
         signs = np.asarray(payload["vectors"], dtype=np.float64)
-        seed = int(payload["seed"])
+        seed = as_int(payload["seed"])
     if signs.ndim != 2 or signs.shape[1] != dim:
         raise OutOfRange(
             f"codebook file {path} is inconsistent: vectors shape {signs.shape} "
             f"does not match dim={dim}"
         )
+    try:
+        _check_size(len(signs), dim)
+    except OutOfRange as exc:
+        raise OutOfRange(f"codebook file {path}: {exc}") from None
     if not (np.abs(signs) == 1).all():
         raise OutOfRange(f"codebook file {path} holds entries other than +-1")
     gram = np.abs(signs @ signs.T)

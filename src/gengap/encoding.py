@@ -11,11 +11,13 @@ Adjacent codepoints are separated by an inner-product gap of
 1 - cos(2*pi/M), which is what makes "which subset is stored here?" a
 max-margin question downstream.
 
-circle_points is the one place a codepoint is evaluated, for a whole
-array of masks at once.  A training set is stored by writing its
-codepoints into their own 2-dim blocks of the encoding subspace: slot j in
-[n^2] for the full-batch family, position t in [n] of a group for the
-one-pass family.
+circle_points is the one place a codepoint is evaluated, for one mask or
+a whole array of masks at once; the one membership rule, a (masks, N)
+bool matrix of their bits, is instance_gd.mask_inputs, which pairs it with
+the masks' codepoints.  A training set is stored by writing its codepoints
+into their own 2-dim blocks of the encoding subspace: slot j in [n^2] for
+the full-batch family, position t in [n] of a group for the one-pass
+family.
 
 Decoding has three rules, each defined once here over blocks of any
 leading shape, so both oracle read-outs decode a whole stack of points:
@@ -47,11 +49,6 @@ def full_mask(n_directions):
     return (1 << int(n_directions)) - 1
 
 
-def mask_members(mask, n_directions):
-    """1-based direction indices present in the mask, ascending."""
-    return [r for r in range(1, n_directions + 1) if mask >> (r - 1) & 1]
-
-
 def circle_points(masks, n_directions):
     """The codepoints of subset masks (an int or an int array) as the pair
     (sin, cos) of arrays in the masks' shape: angle 2*pi*mask/M.
@@ -61,14 +58,6 @@ def circle_points(masks, n_directions):
     """
     angle = TWO_PI * (np.asarray(masks) / subset_count(n_directions))
     return np.sin(angle), np.cos(angle)
-
-
-def circle_point(mask, n_directions):
-    """Unit codepoint [sin, cos] of one subset mask (circle_points)."""
-    m = subset_count(n_directions)
-    if not 0 <= mask < m:
-        raise OutOfRange(f"mask {mask} not in [0, {m})")
-    return np.array(circle_points(mask, n_directions))
 
 
 def margin_eps(n, n_directions):

@@ -65,3 +65,12 @@ def reading(path, what, parse_errors=()):
             *parse_errors) as exc:
         detail = f"no {exc} field" if isinstance(exc, KeyError) else exc
         raise OutOfRange(f"cannot read {what} {path}: {detail}") from exc
+
+
+def as_int(value):
+    """An integer or an integer string as an int; a float or a bool (which
+    int() would truncate or read as 0/1) is a TypeError, which reading
+    turns into OutOfRange naming the file."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)

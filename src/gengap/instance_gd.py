@@ -61,6 +61,7 @@ from .errors import (
     OracleDomain,
     OutOfRange,
     ReferenceTooLarge,
+    as_int,
     reading,
 )
 from .smoothing import row_blocks
@@ -288,8 +289,25 @@ class GdParams:
         return population_risk_closed_gd(0, self)
 
     def draw_dataset(self, seed, policy):
-        """A training set under one of the policies: (dataset, rejections)."""
-        return draw_gd_dataset(self, seed, policy)
+        """A training set under one of the policies: (dataset, rejections).
+
+        The samples follow draw_samples.  With policy="reject-until-E"
+        whole datasets are redrawn from the same stream until the good
+        event holds (the union of the subsets misses at least one direction
+        and all slots are distinct); rejections counts the discarded draws.
+        """
+        if policy not in self.policies:
+            raise OutOfRange(f"unknown sampling policy {policy!r}")
+        rng = np.random.default_rng(seed)
+        for rejections in range(MAX_DATASET_DRAWS):
+            masks, slots = self.draw_samples(rng, self.n)
+            ds = GdDataset(masks=tuple(int(v) for v in masks),
+                           slots=tuple(int(s) for s in slots), seed=int(seed))
+            if policy == "unconditioned" or good_event_gd(ds, self):
+                return ds, rejections
+        raise AttemptsExhausted(
+            f"no dataset satisfied the good event in {MAX_DATASET_DRAWS} draws"
+        )
 
     def good_event(self, dataset):
         return good_event_gd(dataset, self)
@@ -319,10 +337,17 @@ class _Dataset:
 
     @classmethod
     def load(cls, path):
-        """(dataset, rejections); a file without a count gives None."""
+        """(dataset, rejections); a file without a count gives None.  Its
+        masks, slots, seed and count must be integers (as_int)."""
         with reading(path, "dataset file"), open(path) as fh:
             payload = json.load(fh)
-            return cls.from_json(payload), payload.get("rejections")
+            return cls.from_json(payload), _optional_int(payload, "rejections")
+
+
+def _optional_int(payload, key):
+    """A payload's integer field: None when null or missing, else as_int's."""
+    value = payload.get(key)
+    return None if value is None else as_int(value)
 
 
 @dataclass(frozen=True)
@@ -353,33 +378,10 @@ class GdDataset(_Dataset):
     def from_json(cls, payload):
         samples = payload["samples"]
         return cls(
-            masks=tuple(int(s["mask"]) for s in samples),
-            slots=tuple(int(s["slot"]) for s in samples),
-            seed=payload.get("seed"),
+            masks=tuple(as_int(s["mask"]) for s in samples),
+            slots=tuple(as_int(s["slot"]) for s in samples),
+            seed=_optional_int(payload, "seed"),
         )
-
-
-def draw_gd_dataset(params, seed, policy="unconditioned"):
-    """Draw a training set from the GD hard distribution: (dataset, rejections).
-
-    The samples follow GdParams.draw_samples.  With
-    policy="reject-until-E" whole datasets are redrawn from the same stream
-    until the good event holds (union of the subsets misses at least one
-    direction AND all slots are distinct); rejections counts the discarded
-    draws.
-    """
-    if policy not in params.policies:
-        raise OutOfRange(f"unknown sampling policy {policy!r}")
-    rng = np.random.default_rng(seed)
-    for rejections in range(MAX_DATASET_DRAWS):
-        masks, slots = params.draw_samples(rng, params.n)
-        ds = GdDataset(masks=tuple(int(v) for v in masks),
-                       slots=tuple(int(s) for s in slots), seed=int(seed))
-        if policy == "unconditioned" or good_event_gd(ds, params):
-            return ds, rejections
-    raise AttemptsExhausted(
-        f"no dataset satisfied the good event in {MAX_DATASET_DRAWS} draws"
-    )
 
 
 def _check_dataset(dataset, params):
@@ -586,22 +588,19 @@ def _by_alpha(alpha_idx, *tables):
 def _grouped_max(x, rows, starts):
     """The one reference read-out: each group's largest x @ row at each point
     of a stack x (P, D), shape (P, G), and the first row attaining it, in
-    equal blocks of at most _READ_ROWS points, never a one-point block of a
-    larger stack (BLAS would round it as a vector product)."""
+    near-equal blocks of at most _READ_ROWS points (row_blocks), never a
+    one-point block of a larger stack (BLAS would round it as a vector
+    product)."""
     reads = np.empty((len(x), starts.size))
     attained = np.empty(reads.shape, dtype=np.int64)
     stops = np.append(starts[1:], len(rows))
-    n_blocks = max(1, -(-len(x) // _READ_ROWS))
-    size, extra = divmod(len(x), n_blocks)
-    for b in range(n_blocks):  # np.array_split's blocks: the first extra longer
-        lo = b * size + min(b, extra)
-        hi = lo + size + (b < extra)
-        block, each = x[lo:hi], np.arange(hi - lo)
+    for span in row_blocks(len(x), _READ_ROWS):
+        block, each = x[span], np.arange(span.stop - span.start)
         for g, (start, stop) in enumerate(zip(starts, stops)):
             prod = block @ rows[start:stop].T
             at = prod.argmax(axis=-1)
-            reads[lo:hi, g] = prod[each, at]
-            attained[lo:hi, g] = start + at
+            reads[span, g] = prod[each, at]
+            attained[span, g] = start + at
     return reads, attained
 
 

@@ -57,6 +57,7 @@ from .errors import (
     InfeasibleForcing,
     InvalidClosedForm,
     OutOfRange,
+    as_int,
 )
 from .instance_gd import (
     EventReport,
@@ -68,12 +69,13 @@ from .instance_gd import (
     _fill_defaults,
     _grouped_max,
     _hinge_grads,
+    _optional_int,
     check_reference_budget,
     empirical_risk,
     hinge_terms,
     mask_inputs,
 )
-from .smoothing import BLOCK_ROWS
+from .smoothing import row_blocks
 
 
 @dataclass(frozen=True)
@@ -166,15 +168,14 @@ class SgdParams:
 
     def draw_samples(self, rng, count):
         """The sampling law: int64 masks of count independent subsets, each
-        direction included with probability 1/(4 n^2).  Blocks of BLOCK_ROWS
-        rows of uniforms continue one stream, so the masks do not depend on
-        the block size."""
+        direction included with probability 1/(4 n^2).  The row_blocks of
+        uniforms continue one stream, so the masks do not depend on the
+        blocking."""
         weights = np.int64(1) << np.arange(self.n_directions, dtype=np.int64)
         masks = np.empty(count, dtype=np.int64)
-        for lo in range(0, count, BLOCK_ROWS):
-            rows = masks[lo: lo + BLOCK_ROWS]
-            rows[...] = (rng.random((rows.size, self.n_directions))
-                         < self.inclusion_probability) @ weights
+        for rows in row_blocks(count):
+            uniforms = rng.random((rows.stop - rows.start, self.n_directions))
+            masks[rows] = (uniforms < self.inclusion_probability) @ weights
         return masks
 
     def prepare_samples(self, chunks):
@@ -300,7 +301,8 @@ class SgdDataset(_Dataset):
 
     @classmethod
     def from_json(cls, payload):
-        return cls(masks=tuple(int(m) for m in payload["masks"]), seed=payload.get("seed"))
+        return cls(masks=tuple(as_int(m) for m in payload["masks"]),
+                   seed=_optional_int(payload, "seed"))
 
 
 def sample_sgd_dataset(params, seed):
@@ -319,7 +321,8 @@ def force_good_event_sgd(params, seed):
     minimum c_t no later set contains.  Direction 1 is kept out of every set
     (the step-1 clause) and the remaining free directions are sprinkled with
     the distribution's own inclusion probability into sets 2..n only, which
-    cannot disturb the forced pattern.  The result is re-checked with
+    cannot disturb the forced pattern: one (n-1, free) draw of uniforms,
+    set-major, after the anchors.  The result is re-checked with
     good_event_sgd; a failed re-check is a fault of the construction,
     raised as EventViolated rather than hidden by drawing again.
     """
@@ -331,20 +334,13 @@ def force_good_event_sgd(params, seed):
     rng = np.random.default_rng(seed)
     p = params.inclusion_probability
     anchors = np.sort(rng.choice(np.arange(2, nd + 1), size=n - 1, replace=False))
-    taken = set(int(a) for a in anchors)
-    free = [r for r in range(2, nd + 1) if r not in taken]
-    masks = []
-    for i in range(1, n + 1):  # set index
-        mask = 0
-        for t, c in zip(range(2, n + 1), anchors):  # v_c in V_i iff i < t
-            if i < t:
-                mask |= 1 << (int(c) - 1)
-        if i >= 2:
-            for r in free:
-                if rng.random() < p:
-                    mask |= 1 << (r - 1)
-        masks.append(mask)
-    ds = SgdDataset(masks=tuple(masks), seed=int(seed))
+    free = np.setdiff1d(np.arange(2, nd + 1), anchors)
+    member = np.zeros((n, nd), dtype=bool)  # row i-1 is V_i, column r-1 is v_r
+    # v_{c_t} (anchors[t-2]) in V_i iff i < t
+    member[:, anchors - 1] = np.arange(n)[:, None] < np.arange(1, n)
+    member[1:, free - 1] = rng.random((n - 1, free.size)) < p
+    masks = member @ (np.int64(1) << np.arange(nd, dtype=np.int64))
+    ds = SgdDataset(masks=tuple(int(m) for m in masks), seed=int(seed))
     report = good_event_sgd(ds, params)
     if not report:
         raise EventViolated(f"forced dataset (seed {seed}) misses the good "

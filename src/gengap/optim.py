@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OracleDomain, OutOfRange, reading
+from .errors import OracleDomain, OutOfRange, as_int, reading
 
 
 def project_ball(w):
@@ -43,7 +43,9 @@ class Trajectory:
         """Iterate w_t (1-based); read-only view."""
         if not 1 <= t <= self.steps:
             raise OutOfRange(f"iterate {t} not in [1, {self.steps}]")
-        return self.iterates[t - 1]
+        view = self.iterates[t - 1]
+        view.flags.writeable = False
+        return view
 
 
 def suffix_average(trajectory, m):
@@ -120,13 +122,14 @@ def save_trajectory(trajectory, basepath):
 
 def load_trajectory(basepath):
     """Inverse of save_trajectory.  A sidecar or .bin that cannot be read,
-    or a .bin whose size does not match the sidecar's shape, is OutOfRange
-    naming the file."""
+    a shape of other than integers (as_int), or a .bin whose size does not
+    match the sidecar's shape, is OutOfRange naming the file."""
     base = Path(basepath)
     sidecar, data = base.with_suffix(".json"), base.with_suffix(".bin")
     with reading(sidecar, "checkpoint sidecar"):
         meta = json.loads(sidecar.read_text())
-        layout, shape = (meta.get("dtype"), meta.get("order")), meta["shape"]
+        layout = meta.get("dtype"), meta.get("order")
+        shape = tuple(as_int(size) for size in meta["shape"])
     if layout != ("<f8", "C"):
         raise OutOfRange(f"unsupported checkpoint layout: {meta}")
     with reading(data, "checkpoint"):

@@ -130,11 +130,10 @@ class SmoothingConfig:
             raise OutOfRange(f"need at least 2 samples; got {self.samples}")
 
 
-def row_blocks(count):
-    """The row slices of count rows in max(1, ceil(count / BLOCK_ROWS))
-    blocks of near-equal size, the larger ones first: np.array_split's
-    parts."""
-    parts = max(1, -(-count // BLOCK_ROWS))
+def row_blocks(count, rows=BLOCK_ROWS):
+    """The row slices of count rows in max(1, ceil(count / rows)) blocks
+    of near-equal size, the larger ones first: np.array_split's parts."""
+    parts = max(1, -(-count // rows))
     size, extra = divmod(count, parts)
     lo = 0
     for i in range(parts):

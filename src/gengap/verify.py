@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import OutOfRange
 # the family iterate generators stay importable from this module
-from .instance_gd import expected_gd_iterate, good_event_gd
+from .instance_gd import expected_gd_iterate
 from .instance_sgd import expected_sgd_iterate
 
 # two-sided 95% normal quantile, frozen to full double precision
@@ -167,7 +167,7 @@ def check_event_probability_gd(params, trials, seed):
     hits = 0
     for s in child_seeds:
         ds = params.draw_dataset(int(s), "unconditioned")[0]
-        if good_event_gd(ds, params):
+        if params.good_event(ds):
             hits += 1
     lo, hi = wilson_interval(hits, trials)
     return EventFrequencyReport(

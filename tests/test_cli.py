@@ -16,7 +16,7 @@ from gengap import acceptance, cli, instance_gd, risk
 from gengap.cli import ExperimentConfig, build_parser, main
 from gengap.codebook import load_codebook
 from gengap.errors import OutOfRange
-from gengap.instance_gd import GdDataset, GdParams, draw_gd_dataset
+from gengap.instance_gd import GdDataset, GdParams
 from gengap.instance_sgd import SgdDataset, SgdParams, force_good_event_sgd
 from gengap.optim import Trajectory, save_trajectory
 
@@ -74,6 +74,30 @@ def test_a_codebook_file_must_hold_exactly_the_run_directions(tmp_path,
                  "--codebook", str(path), "--out", str(out)]) == 2
     assert "holds 12 directions of dim 16; the run needs 8" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, flags, message", [
+    # the size is refused before the rows (test_codebook loads orthogonal
+    # files of these sizes)
+    ({"dim": 128, "seed": 0, "vectors": [[1] * 128] * 63},
+     ["--directions", "63", "--dprime", "128"], "n_vectors=63 exceeds"),
+    ({"dim": 64, "seed": 0, "vectors": [[1] * 64] * 41},
+     ["--directions", "41", "--dprime", "64"], "n_vectors=41 exceeds"),
+    ({"dim": 0, "seed": 0, "vectors": [[], []]}, ["--directions", "5"],
+     "dim must be >= 1, got 0"),
+], ids=["63-rows", "41-rows", "dim-0"])
+def test_a_codebook_file_beyond_the_size_rule_is_refused(tmp_path, capsys,
+                                                         payload, flags,
+                                                         message):
+    path = tmp_path / "cb.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["run", "--family", "sgd", "--n", "4", "--policy", "force",
+                 *flags, "--codebook", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: codebook file {path}: ")
+    assert message in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -170,8 +194,8 @@ def test_a_checkpoint_with_the_wrong_iterate_count_is_refused(
 
 def test_gd_rejection_run_draws_the_library_dataset(tmp_path):
     # seed 0 of this instance is rejected three times before the event holds
-    want, rejections = draw_gd_dataset(GdParams(2, 4, 8, dprime=8), 0,
-                                       policy="reject-until-E")
+    want, rejections = GdParams(2, 4, 8, dprime=8).draw_dataset(
+        0, "reject-until-E")
     assert rejections > 0
     code = main(["run", *_GD_TINY, "--policy", "reject-until-E",
                  "--seeds", "0", "--mc-samples", "200", "--out", str(tmp_path)])
@@ -348,6 +372,17 @@ def test_a_dataset_file_must_fit_the_instance(tmp_path, capsys):
         assert main(["verify", *gd3, "--dataset", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    # a file integer is an integer: int() would read 3.7 as 3 and true as 1
+    for key, value in (("mask", 3.7), ("mask", True), ("slot", 2.9)):
+        bad = json.loads(dataset.read_text())
+        bad["samples"][0][key] = value
+        path = tmp_path / "bad-value.json"
+        path.write_text(json.dumps(bad))
+        assert main(["verify", *gd3, "--dataset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read dataset file {path}: "
+                       f"{value!r} is not an integer\n")
+
     # the smallstep family has no training set, so a file is refused
     assert main(["verify", "--family", "smallstep", "--eta", "0.1",
                  "--steps", "10", "--dataset", str(dataset)]) == 2
@@ -380,7 +415,7 @@ def _unreadable_input(case, tmp_path):
         path.write_text("[1, 2]")
         return [*verify, "--dataset", str(path)], path
     if case == "codebook-is-a-dataset":
-        draw_gd_dataset(GdParams(2, 4, 8, dprime=8), 0)[0].save(path)
+        GdParams(2, 4, 8, dprime=8).draw_dataset(0, "unconditioned")[0].save(path)
         return [*verify, "--codebook", str(path)], path
     if case == "config-is-not-yaml":
         path.write_text("family: [gd\n")

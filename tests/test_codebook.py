@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from gengap import codebook
 from gengap.codebook import (
+    MAX_DIRECTIONS,
     coherence,
     default_dim,
     generate_codebook,
@@ -67,10 +69,12 @@ def test_default_dim_is_used_when_dim_omitted():
     assert cb.dim == default_dim(4)
 
 
-def test_impossible_dimension_exhausts_attempts():
-    # 8 nearly-orthogonal sign vectors cannot fit in 4 dims
-    with pytest.raises(AttemptsExhausted):
-        generate_codebook(8, 4, seed=0, max_attempts=2000)
+def test_impossible_dimension_exhausts_attempts(monkeypatch):
+    # 8 nearly-orthogonal sign vectors cannot fit in 4 dims; the budget is
+    # read at each call
+    monkeypatch.setattr(codebook, "DEFAULT_ATTEMPTS", 2000)
+    with pytest.raises(AttemptsExhausted, match="in 2000 attempts"):
+        generate_codebook(8, 4, seed=0)
 
 
 def test_large_codebooks_pass_silently_up_to_the_cap():
@@ -126,3 +130,49 @@ def test_rows_are_one_based_direction_indices():
     # the public convention: direction index r lives at row r-1
     assert np.array_equal(cb.vectors[0], cb.vectors[1 - 1])
     assert cb.vectors[4].shape == (64,)
+
+
+def _hadamard_signs(order):
+    """The Sylvester-Hadamard matrix of an order 2^k: +-1 rows, pairwise
+    orthogonal."""
+    h = np.ones((1, 1), dtype=int)
+    while len(h) < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("payload, message", [
+    # rows 1..63 of H_128: orthogonal, but beyond the oracle's code resolution
+    ({"dim": 128, "seed": 0, "vectors": _hadamard_signs(128)[1:64].tolist()},
+     f"n_vectors=63 exceeds the supported maximum of {MAX_DIRECTIONS}"),
+    ({"dim": 64, "seed": 0, "vectors": _hadamard_signs(64)[1:42].tolist()},
+     f"n_vectors=41 exceeds the supported maximum of {MAX_DIRECTIONS}"),
+    ({"dim": 0, "seed": 0, "vectors": [[], []]}, "dim must be >= 1, got 0"),
+], ids=["63-rows", "41-rows", "dim-0"])
+def test_load_refuses_a_size_generation_refuses(tmp_path, payload, message):
+    path = tmp_path / "cb.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(OutOfRange, match=f"codebook file {path}: {message}"):
+        load_codebook(path)
+    with pytest.raises(OutOfRange, match=message):
+        generate_codebook(len(payload["vectors"]), payload["dim"])
+
+
+def test_load_takes_the_cap_and_one_dimension(tmp_path):
+    path = tmp_path / "cb.json"
+    for dim, rows in ((64, _hadamard_signs(64)[1:41]), (1, [[1]])):
+        path.write_text(json.dumps({"dim": dim, "seed": 0,
+                                    "vectors": np.asarray(rows).tolist()}))
+        assert load_codebook(path).vectors.shape == np.shape(rows)
+
+
+@pytest.mark.parametrize("field, value", [("dim", 8.9), ("dim", True),
+                                          ("seed", 2.5), ("seed", None)])
+def test_load_refuses_a_non_integer_dim_or_seed(tmp_path, field, value):
+    path = tmp_path / "cb.json"
+    payload = {"dim": 8, "seed": 0, "vectors": [[1] * 8, [1, -1] * 4]}
+    path.write_text(json.dumps({**payload, field: value}))
+    with pytest.raises(OutOfRange,
+                       match=f"cannot read codebook file .*cb.json: {value!r} "
+                             "is not an integer"):
+        load_codebook(path)

@@ -11,16 +11,15 @@ from gengap.encoding import (
     alpha_sgd,
     block_codes,
     block_occupancy,
-    circle_point,
     circle_points,
     decode_blocks,
     full_mask,
     lowest_member,
     margin_eps,
-    mask_members,
     subset_count,
 )
 from gengap.errors import AmbiguousBlock, OutOfRange
+from gengap.instance_gd import mask_inputs
 
 
 def test_subset_count_and_full_mask():
@@ -30,16 +29,18 @@ def test_subset_count_and_full_mask():
     assert full_mask(1) == 0b1
 
 
-def test_mask_members_lists_one_based_bits():
-    assert mask_members(0b101, 3) == [1, 3]
-    assert mask_members(0, 5) == []
-    assert mask_members(full_mask(4), 4) == [1, 2, 3, 4]
+def test_mask_inputs_membership_reads_bit_r_minus_1_as_direction_r():
+    member = mask_inputs(np.array([0b101, 0, full_mask(4)]), 4).member
+    assert member.dtype == bool
+    assert member.tolist() == [[True, False, True, False],
+                               [False, False, False, False],
+                               [True, True, True, True]]
 
 
 def test_circle_points_are_unit_and_distinct():
     n_directions = 5
-    pts = np.array([circle_point(m, n_directions)
-                    for m in range(subset_count(n_directions))])
+    pts = np.stack(circle_points(np.arange(subset_count(n_directions)),
+                                 n_directions), axis=-1)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # all codepoints distinct: smallest pairwise distance is the designed one
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
@@ -51,19 +52,15 @@ def test_circle_points_are_unit_and_distinct():
 
 
 def test_circle_point_zero_mask_is_deterministic_anchor():
-    assert np.allclose(circle_point(0, 4), [0.0, 1.0])
+    assert np.allclose(circle_points(0, 4), [0.0, 1.0])
 
 
-def test_circle_points_keep_the_masks_shape_and_match_circle_point():
+def test_circle_points_keep_the_masks_shape_and_match_one_mask_calls():
     masks = np.array([[0, 5, 31], [17, 1, 30]])
     sin, cos = circle_points(masks, 5)
     assert sin.shape == cos.shape == masks.shape
     for mask, s, c in zip(masks.flat, sin.flat, cos.flat):
-        assert circle_point(int(mask), 5).tolist() == [s, c]
-    with pytest.raises(OutOfRange):
-        circle_point(-1, 5)
-    with pytest.raises(OutOfRange):
-        circle_point(32, 5)
+        assert [float(v) for v in circle_points(int(mask), 5)] == [s, c]
 
 
 def test_margin_eps_positive_and_shrinks_with_size():
@@ -75,22 +72,22 @@ def test_decode_blocks_roundtrips_scaled_codepoints():
     n_directions = 6
     mag = 0.05
     vec = np.zeros(8)
-    vec[2:4] = mag * circle_point(17, n_directions)
-    vec[6:8] = mag * circle_point(63, n_directions)
+    vec[2:4] = mag * np.array(circle_points(17, n_directions))
+    vec[6:8] = mag * np.array(circle_points(63, n_directions))
     assert decode_blocks(vec, n_directions, mag) == [(2, 17), (4, 63)]
 
 
 def test_decode_blocks_skips_below_occupancy_threshold():
     n_directions = 4
     vec = np.zeros(4)
-    vec[0:2] = 0.04 * circle_point(3, n_directions)  # below half of 0.1
+    vec[0:2] = 0.04 * np.array(circle_points(3, n_directions))  # below half of 0.1
     assert decode_blocks(vec, n_directions, 0.1) == []
 
 
 def test_decode_blocks_flags_superposed_codepoints():
     n_directions = 4
     vec = np.zeros(2)
-    vec[:] = 0.1 * (circle_point(1, n_directions) + circle_point(2, n_directions))
+    vec[:] = 0.1 * np.sum(circle_points(np.array([1, 2]), n_directions), axis=1)
     with pytest.raises(AmbiguousBlock):
         decode_blocks(vec, n_directions, 0.1)
 

@@ -11,13 +11,7 @@ import pytest
 from gengap import instance_gd
 from gengap.acceptance import _GD_BIG, _GD_SMOOTH, _GD_TINY, _smooth_gd_setup
 from gengap.codebook import Codebook, generate_codebook
-from gengap.encoding import (
-    alpha_gd,
-    circle_point,
-    decode_blocks,
-    margin_eps,
-    mask_members,
-)
+from gengap.encoding import alpha_gd, circle_points, decode_blocks, margin_eps
 from gengap.errors import (
     AmbiguousBlock,
     AttemptsExhausted,
@@ -34,13 +28,13 @@ from gengap.instance_gd import (
     _l3_gd,
     _reference_groups_gd,
     _sample_free_gd,
-    draw_gd_dataset,
     empirical_risk,
     good_event_gd,
     grad_gd,
     grad_gd_batch,
     loss_gd,
     loss_gd_samples,
+    mask_inputs,
     theorem_step_size,
 )
 from gengap.instance_sgd import SgdDataset, SgdParams
@@ -54,8 +48,9 @@ def _hinge_term(w, mask, params, codebook):
     directions: the L2 norm over blocks k >= 2 of max(floor, max over the
     members u of <u, w^(k)>)."""
     blocks = params.layout.step_blocks(w)  # (..., T, dprime)
-    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
-    if rows:
+    rows = np.flatnonzero(
+        mask_inputs(np.array([mask]), params.n_directions).member[0])
+    if rows.size:
         inner = (blocks @ codebook.vectors[rows].T).max(axis=-1)
     else:
         inner = np.full(blocks.shape[:-1], -np.inf)
@@ -93,7 +88,7 @@ def _decode_row(w0, params):
             f"decoded {len(pairs)} occupied slots, expected 0 or {params.n}")
     psi = np.zeros_like(w0)
     for slot, mask in pairs:
-        psi[2 * (slot - 1): 2 * slot] = circle_point(mask, params.n_directions)
+        psi[2 * (slot - 1): 2 * slot] = circle_points(mask, params.n_directions)
     return psi / params.n, alpha_gd([mask for _, mask in pairs], params.n_directions)
 
 
@@ -114,7 +109,7 @@ def _four_term_loss(w, sample, params, codebook, mode):
     slot_block = params.layout.encoding(w)[..., 2 * (slot - 1): 2 * slot]
     ratchet = _ratchet_candidates(w, params, codebook).max()
     return (_hinge_term(w, mask, params, codebook)
-            - (slot_block @ circle_point(mask, params.n_directions))
+            - (slot_block @ circle_points(mask, params.n_directions))
             + _l3_gd(w[None], params, codebook, mode)[0][0]
             + np.maximum(params.delta2, ratchet))
 
@@ -129,8 +124,9 @@ def _four_term_grad(w, sample, params, codebook, mode):
     lay = params.layout
     g = np.zeros_like(w)
     proj = lay.step_blocks(w) @ codebook.vectors.T  # (T, N)
-    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
-    if rows:
+    rows = np.flatnonzero(
+        mask_inputs(np.array([mask]), params.n_directions).member[0])
+    if rows.size:
         inner = proj[:, rows].max(axis=1)
         h = np.maximum(params.l1_floor, inner[1:])
         norm = math.sqrt(float((h * h).sum()))
@@ -138,7 +134,7 @@ def _four_term_grad(w, sample, params, codebook, mode):
             if inner[k - 1] > params.l1_floor:
                 star = rows[int(np.argmax(proj[k - 1, rows]))]
                 lay.block(g, k)[:] += (h[k - 2] / norm) * codebook.vectors[star]
-    lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_point(
+    lay.encoding(g)[2 * (slot - 1): 2 * slot] -= circle_points(
         mask, params.n_directions)
     if mode == "reference":
         w0, w1 = lay.encoding(w), lay.block(w, 1)
@@ -173,7 +169,7 @@ def _per_sample_step(w, dataset, params, codebook, mode):
 def small():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
+    dataset = params.draw_dataset(11, "reject-until-E")[0]
     return params, codebook, dataset
 
 
@@ -199,8 +195,8 @@ def test_oversized_step_size_warns():
 
 def test_sampling_is_deterministic_and_well_formed():
     p = GdParams(2, 4, 8, dprime=8)
-    a = draw_gd_dataset(p, 7)[0]
-    b = draw_gd_dataset(p, 7)[0]
+    a = p.draw_dataset(7, "unconditioned")[0]
+    b = p.draw_dataset(7, "unconditioned")[0]
     assert a.masks == b.masks and a.slots == b.slots
     assert len(a.masks) == p.n
     assert all(0 <= m < 16 for m in a.masks)
@@ -210,10 +206,16 @@ def test_sampling_is_deterministic_and_well_formed():
 def test_rejection_sampling_lands_on_the_event():
     p = GdParams(2, 4, 8, dprime=8)
     for seed in range(5):
-        ds = draw_gd_dataset(p, seed, policy="reject-until-E")[0]
+        ds = p.draw_dataset(seed, "reject-until-E")[0]
         assert good_event_gd(ds, p)
-    with pytest.raises(OutOfRange):
-        draw_gd_dataset(p, 0, policy="nonsense")[0]
+
+
+@pytest.mark.parametrize("params", [GdParams(2, 4, 8, dprime=8),
+                                    SgdParams(4, 8, dprime=16)],
+                         ids=["gd", "sgd"])
+def test_draw_dataset_refuses_an_unknown_policy(params):
+    with pytest.raises(OutOfRange, match="unknown sampling policy 'nonsense'"):
+        params.draw_dataset(0, "nonsense")
 
 
 def test_good_event_reports_the_violated_clause():
@@ -460,7 +462,7 @@ def test_the_stack_decode_is_the_per_row_decode_one_ulp_from_the_thresholds(pinn
     params, codebook, dataset = pinned.build()
     w = run_gd(codebook, dataset, params).iterate(3)
     mag, lay = params.codepoint_magnitude, params.layout
-    units = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), circle_point(5, params.n_directions)]
+    units = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), circle_points(5, params.n_directions)]
     rows = []
     for slot in range(1, params.n * params.n + 1):
         for scale, toward, unit in itertools.product((0.5, 1.5), (0.0, np.inf), units):
@@ -563,7 +565,7 @@ def test_argmax_ties_go_to_the_lowest_direction_then_the_lowest_block():
     want = np.zeros(params.dim)
     lay.block(want, 3)[0], lay.block(want, 4)[0] = 0.375, -0.5
     lay.block(want, 6)[2] = c / math.sqrt(6 * params.l1_floor**2 + c * c)
-    lay.encoding(want)[:4] = -np.tile(circle_point(0b1100, 4), 2) / 2
+    lay.encoding(want)[:4] = -np.tile(circle_points(0b1100, 4), 2) / 2
     np.testing.assert_allclose(g, want, rtol=1e-15, atol=0.0)
     # the margins read the same tied table
     step = params.margins(np.stack([w] * 4), dataset, codebook)[3]
@@ -656,7 +658,7 @@ def test_closed_form_requires_event_and_horizon():
     with pytest.raises(EventViolated):
         expected_gd_iterate(3, p, covered, cb)
     short = GdParams(2, 4, 4, dprime=8)
-    ds = draw_gd_dataset(short, 11, policy="reject-until-E")[0]
+    ds = short.draw_dataset(11, "reject-until-E")[0]
     with pytest.raises(InvalidClosedForm):
         expected_gd_iterate(3, short, ds, cb)
 
@@ -688,6 +690,28 @@ def test_a_dataset_file_without_a_count_loads_with_none(tmp_path, small):
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(dataset.to_json()))
         assert type(dataset).load(path) == (dataset, None)
+
+
+@pytest.mark.parametrize("family, edit", [
+    ("gd", lambda p: p["samples"][0].update(mask=3.7)),
+    ("gd", lambda p: p["samples"][0].update(mask=True)),
+    ("gd", lambda p: p["samples"][1].update(slot=2.9)),
+    ("gd", lambda p: p.update(seed=1.5)),
+    ("gd", lambda p: p.update(rejections=3.7)),
+    ("sgd", lambda p: p["masks"].__setitem__(1, 3.7)),
+    ("sgd", lambda p: p["masks"].__setitem__(0, False)),
+    ("sgd", lambda p: p.update(seed="one")),
+], ids=["gd-mask-float", "gd-mask-bool", "gd-slot-float", "gd-seed-float",
+        "gd-count-float", "sgd-mask-float", "sgd-mask-bool", "sgd-seed-word"])
+def test_a_dataset_file_of_non_integer_fields_is_refused(tmp_path, small,
+                                                         family, edit):
+    dataset = small[2] if family == "gd" else SgdDataset(masks=(3, 0, 5))
+    payload = dataset.to_json()
+    edit(payload)
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(OutOfRange, match="cannot read dataset file .*ds.json"):
+        type(dataset).load(path)
 
 
 def test_reject_until_e_raises_once_its_draws_run_out(monkeypatch):

@@ -10,8 +10,8 @@ import pytest
 from gengap import instance_sgd
 from gengap.acceptance import _SGD_BIG, _SGD_SMOOTH, _SGD_TINY, _smooth_sgd_setup
 from gengap.codebook import Codebook, generate_codebook
-from gengap.encoding import TWO_PI, alpha_sgd, circle_point, margin_eps, \
-    mask_members, subset_count
+from gengap.encoding import TWO_PI, alpha_sgd, circle_points, margin_eps, \
+    subset_count
 from gengap.errors import EventViolated, InfeasibleForcing, \
     InvalidClosedForm, OutOfRange
 from gengap.instance_gd import _READ_ROWS, EventReport, \
@@ -88,6 +88,18 @@ def test_forcing_always_lands_on_the_event():
     for seed in range(5):
         ds = force_good_event_sgd(p, seed)
         assert good_event_sgd(ds, p)
+
+
+@pytest.mark.parametrize("n, n_directions, seed, masks", [
+    (8, 16, 0, (502, 4596, 496, 480, 448, 384, 256, 0)),
+    (8, 16, 1, (12906, 12904, 12896, 12864, 12800, 12288, 8192, 0)),
+    (8, 16, 2, (4572, 4568, 4560, 4544, 4480, 4352, 4096, 0)),
+    (6, 9, 0, (124, 120, 112, 98, 64, 0)),
+])
+def test_forced_datasets_keep_their_masks(n, n_directions, seed, masks):
+    # recorded from the per-(set, direction) draw the array draw replaced:
+    # the free directions' uniforms come in the same order
+    assert force_good_event_sgd(SgdParams(n, n_directions), seed).masks == masks
 
 
 def test_a_forced_dataset_off_the_event_is_a_fault_not_a_redraw(monkeypatch):
@@ -509,8 +521,9 @@ def _hinge_term(w, mask, params, codebook):
     directions: the L2 norm over blocks k >= 2 of max(floor, max over the
     members u of <u, w^(k)>)."""
     blocks = params.layout.step_blocks(w)  # (..., n, dprime)
-    rows = [r - 1 for r in mask_members(mask, params.n_directions)]
-    if rows:
+    rows = np.flatnonzero(
+        mask_inputs(np.array([mask]), params.n_directions).member[0])
+    if rows.size:
         inner = (blocks @ codebook.vectors[rows].T).max(axis=-1)
     else:
         inner = np.full(blocks.shape[:-1], -np.inf)
@@ -523,7 +536,7 @@ def _three_term_losses(w2, mask, params, codebook, mode):
     order, each from its own products: the reference the loss kernel is
     held to.  Term 2 is the per-k decode (oracle) or the max over every
     enumerated prefix of every k (reference)."""
-    n, point = params.n, circle_point(mask, params.n_directions)
+    n, point = params.n, np.array(circle_points(mask, params.n_directions))
     if mode == "oracle":
         l2 = _per_k_l2_values_batch(w2, point, params, codebook)
     else:
@@ -681,7 +694,7 @@ def _adjacent_second_best(points, params, dataset, codebook):
             continue
         w, proj = points[t - 1], parts.proj[t - 1]
         gk, gk1 = params.group(w, k), params.group(w, k + 1)
-        read = (gk1[2 * k: 2 * k + 2] @ circle_point(mask, nd)) / (4.0 * n * n)
+        read = (gk1[2 * k: 2 * k + 2] @ circle_points(mask, nd)) / (4.0 * n * n)
         for pos in range(k):
             for delta in (-1, 1):
                 shifted = list(prefix)

@@ -1,5 +1,6 @@
 """Optimizer loop, projection, trajectory container, and checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from gengap.codebook import generate_codebook
 from gengap.errors import OutOfRange
-from gengap.instance_gd import GdParams, draw_gd_dataset
+from gengap.instance_gd import GdParams
 from gengap.instance_smallstep import SmallstepParams
 from gengap.optim import (
     Trajectory,
@@ -87,6 +88,25 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     assert np.array_equal(back.iterates, traj.iterates)
 
 
+def test_an_iterate_is_a_read_only_view():
+    traj = run_smallstep(SmallstepParams(eta=0.1, steps=10))
+    w = traj.iterate(3)
+    assert np.shares_memory(w, traj.iterates)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    assert traj.iterates.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [[2, 2.0], [True, 4], [2, "x"], 4])
+def test_checkpoint_shape_must_be_integers(tmp_path, shape):
+    base = tmp_path / "bad"
+    (tmp_path / "bad.bin").write_bytes(b"\x00" * 32)
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"dtype": "<f8", "order": "C", "shape": shape}))
+    with pytest.raises(OutOfRange, match="cannot read checkpoint sidecar"):
+        load_trajectory(base)
+
+
 def test_checkpoint_rejects_unknown_layout(tmp_path):
     base = tmp_path / "bad"
     (tmp_path / "bad.bin").write_bytes(b"\x00" * 16)
@@ -98,7 +118,7 @@ def test_checkpoint_rejects_unknown_layout(tmp_path):
 def test_projection_is_a_no_op_on_the_designed_runs():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
+    dataset = params.draw_dataset(11, "reject-until-E")[0]
     plain = run_gd(codebook, dataset, params)
     proj = run_gd(codebook, dataset, params, projected=True)
     assert np.array_equal(plain.iterates, proj.iterates)

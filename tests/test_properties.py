@@ -14,7 +14,7 @@ from gengap.codebook import generate_codebook
 from gengap.encoding import (
     alpha_gd,
     alpha_sgd,
-    circle_point,
+    circle_points,
     decode_blocks,
 )
 from gengap.instance_gd import GdParams, loss_gd
@@ -74,7 +74,7 @@ def point_pair(draw, max_dim=8):
 @settings(max_examples=500)
 def test_codepoints_sit_on_the_unit_circle(case):
     mask, n_directions = case
-    assert abs(np.linalg.norm(circle_point(mask, n_directions)) - 1.0) < 1e-12
+    assert abs(np.hypot(*circle_points(mask, n_directions)) - 1.0) < 1e-12
 
 
 @given(mask_with_directions(), st.integers(min_value=0, max_value=2**10 - 1))
@@ -84,8 +84,8 @@ def test_distinct_masks_get_distinct_codepoints(case, other):
     other %= 2**n_directions
     if mask == other:
         return
-    a = circle_point(mask, n_directions)
-    b = circle_point(other, n_directions)
+    a = np.array(circle_points(mask, n_directions))
+    b = np.array(circle_points(other, n_directions))
     assert np.linalg.norm(a - b) > 1e-9
 
 
@@ -126,7 +126,7 @@ def test_lowest_common_direction(case):
 def test_slot_encoding_roundtrip(case):
     mask, slot, n, n_directions = case
     vec = np.zeros(2 * n * n)
-    vec[2 * (slot - 1): 2 * slot] = circle_point(mask, n_directions)
+    vec[2 * (slot - 1): 2 * slot] = circle_points(mask, n_directions)
     assert decode_blocks(vec, n_directions, 1.0) == [(slot, mask)]
 
 
@@ -135,7 +135,7 @@ def test_slot_encoding_roundtrip(case):
 def test_position_encoding_roundtrip(case):
     mask, position, n, n_directions = case
     vec = np.zeros(2 * n)
-    vec[2 * (position - 1): 2 * position] = circle_point(mask, n_directions)
+    vec[2 * (position - 1): 2 * position] = circle_points(mask, n_directions)
     assert decode_blocks(vec, n_directions, 1.0) == [(position, mask)]
 
 

@@ -8,7 +8,7 @@ import pytest
 from gengap import instance_sgd, risk
 from gengap.codebook import generate_codebook
 from gengap.errors import InvalidClosedForm, OutOfRange
-from gengap.instance_gd import GdParams, draw_gd_dataset, loss_gd
+from gengap.instance_gd import GdParams, loss_gd
 from gengap.instance_sgd import (
     SgdParams,
     force_good_event_sgd,
@@ -32,7 +32,7 @@ from gengap.smoothing import CHUNK
 def gd_setup():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
+    dataset = params.draw_dataset(11, "reject-until-E")[0]
     traj = run_gd(codebook, dataset, params)
     return params, codebook, dataset, traj
 
@@ -452,7 +452,7 @@ def _gd_n8_setup():
     # eight training samples, as in the one-pass headline run
     params = GdParams(8, 4, 16, dprime=16)
     codebook = generate_codebook(4, 16, seed=3)
-    dataset = draw_gd_dataset(params, 0, policy="reject-until-E")[0]
+    dataset = params.draw_dataset(0, "reject-until-E")[0]
     return params, codebook, dataset, run_gd(codebook, dataset, params)
 
 

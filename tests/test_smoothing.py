@@ -61,13 +61,17 @@ def test_in_place_samplers_match_the_copying_forms():
 
 
 def test_row_blocks_are_the_parts_of_array_split():
-    for count in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3000,
-                  CHUNK, CHUNK + 100):
-        rows = np.arange(count)
-        parts = np.array_split(rows, max(1, -(-count // BLOCK_ROWS)))
-        assert [rows[s].tolist() for s in row_blocks(count)] \
-            == [part.tolist() for part in parts]
-        assert max(s.stop - s.start for s in row_blocks(count)) <= BLOCK_ROWS
+    # 128 rows: the reference read-out's blocks (instance_gd._READ_ROWS)
+    for rows in (128, BLOCK_ROWS):
+        for count in (0, 1, 129, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                      3000, CHUNK, CHUNK + 100):
+            items = np.arange(count)
+            parts = np.array_split(items, max(1, -(-count // rows)))
+            assert [items[s].tolist() for s in row_blocks(count, rows)] \
+                == [part.tolist() for part in parts]
+            assert max(s.stop - s.start for s in row_blocks(count, rows)) <= rows
+    assert list(row_blocks(CHUNK + 100)) == list(row_blocks(CHUNK + 100,
+                                                            BLOCK_ROWS))
 
 
 def test_sphere_mean_is_near_zero():

@@ -7,7 +7,7 @@ import pytest
 
 from gengap.codebook import generate_codebook
 from gengap.errors import InvalidClosedForm, OutOfRange
-from gengap.instance_gd import GdParams, draw_gd_dataset
+from gengap.instance_gd import GdParams
 from gengap.instance_smallstep import SmallstepParams
 from gengap.optim import Trajectory, run_gd, run_smallstep
 from gengap.verify import (
@@ -24,7 +24,7 @@ from gengap.verify import (
 def gd_setup():
     params = GdParams(2, 4, 8, dprime=8)
     codebook = generate_codebook(4, 8, seed=3)
-    dataset = draw_gd_dataset(params, 11, policy="reject-until-E")[0]
+    dataset = params.draw_dataset(11, "reject-until-E")[0]
     traj = run_gd(codebook, dataset, params)
     return params, codebook, dataset, traj
 

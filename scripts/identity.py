@@ -5,10 +5,11 @@ and report every output that differs.
 
 Each tree's ``src`` runs ``gengap acceptance --json``, one ``gengap
 gen-codebook`` (whose file the sgd-force-n8 sweep reads through
-``--codebook``) and sixteen ``gengap run`` sweeps (each with the smoothed-risk
-check, most with several suffix lengths, whose population risks share one
-Monte-Carlo draw, and one whose every seed skips, so its risk table has no
-row), then ``gengap verify`` and ``gengap risk`` on every
+``--codebook``) and seventeen ``gengap run`` sweeps (each with the
+smoothed-risk check, most with several suffix lengths, whose population
+risks share one Monte-Carlo draw, one whose every seed skips, so its risk
+table has no row, and one at smallstep d=1, whose margin tables hold one
+candidate each), then ``gengap verify`` and ``gengap risk`` on every
 dataset/trajectory pair a sweep saved, and prints a smoothed-gradient
 fingerprint (GRAD_FINGERPRINT: a sha256 of full-precision estimates and
 stderrs, which the acceptance output rounds to two decimals).  JSON files
@@ -99,6 +100,10 @@ SWEEPS = {
                                        "--suffix", "1,2,3"],
     "smallstep": ["--family", "smallstep", "--eta", "0.02", "--steps", "100",
                   "--suffix", "1,10,100"],
+    # one coordinate: each step's margin table holds one candidate, so its
+    # second best reads -inf
+    "smallstep-d1": ["--family", "smallstep", "--eta", "0.5", "--steps", "2",
+                     "--dim", "1"],
     # N = 20: codepoint angles off the N <= 16 grid every other sweep uses
     "sgd-force-n20": ["--family", "sgd", "--n", "4", "--directions", "20",
                       "--policy", "force", "--suffix", "1,2,4"],

@@ -19,7 +19,7 @@ CPUs in forked workers and writes its output in seed order, as one process
 running them in turn writes it.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed, 2 bad
-configuration or usage.
+configuration or usage, or an output path that cannot be written.
 """
 
 import argparse
@@ -748,6 +748,10 @@ def main(argv=None):
         return args.func(args)
     except GengapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every read raises OutOfRange: this is a write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 2
 
 

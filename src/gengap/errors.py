@@ -44,8 +44,8 @@ class EventViolated(GengapError):
 
 
 class DegenerateDraw(GengapError):
-    """Random direction sampling kept producing vectors with underflowing
-    norm (effectively zero), which cannot be normalized."""
+    """A random direction draw has an underflowing norm (effectively
+    zero), which cannot be normalized."""
 
 
 class InvalidClosedForm(GengapError):

@@ -111,8 +111,67 @@ def _fill_defaults(params):
         object.__setattr__(params, "dprime", default_dim(params.n_directions))
 
 
+class _SampledParams:
+    """What both sample-based families share: the encoding layout (2n^2
+    encoding dims, then horizon step blocks of dprime dims), its dimension,
+    the slot encoding's margin eps, the hinge floor and the first iterate
+    the closed forms check."""
+
+    first_checked_step = 2  # w_1 is the origin for every run
+
+    @cached_property
+    def layout(self):
+        return EncodingLayout(
+            encoding_dim=2 * self.n * self.n,
+            block_dim=self.dprime,
+            n_blocks=self.horizon,
+        )
+
+    @property
+    def dim(self):
+        return self.layout.total_dim
+
+    @property
+    def eps(self):
+        """Scaled adjacent-codepoint margin of the slot encoding."""
+        return margin_eps(self.n, self.n_directions)
+
+    @property
+    def l1_floor(self):
+        """Floor of the per-block hinge term: (3/32) * eta."""
+        return L1_FLOOR_COEF * self.eta
+
+
+class _Dataset:
+    """What both sample-based training sets share: the sample count n and
+    the one dataset file, to_json's payload plus the count of draws
+    rejected before the set."""
+
+    @property
+    def n(self):
+        return len(self.masks)
+
+    def save(self, path, rejections=None):
+        with open(path, "w") as fh:
+            fh.write(json.dumps({**self.to_json(), "rejections": rejections}))
+
+    @classmethod
+    def load(cls, path):
+        """(dataset, rejections); a file without a count gives None.  Its
+        masks, slots, seed and count must be integers (as_int)."""
+        with reading(path, "dataset file"), open(path) as fh:
+            payload = json.load(fh)
+            return cls.from_json(payload), _optional_int(payload, "rejections")
+
+
+def _optional_int(payload, key):
+    """A payload's integer field: None when null or missing, else as_int's."""
+    value = payload.get(key)
+    return None if value is None else as_int(value)
+
+
 @dataclass(frozen=True)
-class GdParams:
+class GdParams(_SampledParams):
     """Shape of one GD hard instance.
 
     Parameters
@@ -140,7 +199,6 @@ class GdParams:
     family = "gd"
     lipschitz = 5.0
     policies = ("unconditioned", "reject-until-E")
-    first_checked_step = 2  # w_1 is the origin for every run
     # block 1's large parts cancel between run and closed form, leaving
     # only correction-scale content, so it is held to the strict tolerance
     strict_blocks = (1,)
@@ -157,23 +215,6 @@ class GdParams:
     def horizon(self):
         """Iterate count of the step-size rule and the closed forms: T."""
         return self.steps
-
-    @cached_property
-    def layout(self):
-        return EncodingLayout(
-            encoding_dim=2 * self.n * self.n,
-            block_dim=self.dprime,
-            n_blocks=self.horizon,
-        )
-
-    @property
-    def dim(self):
-        return self.layout.total_dim
-
-    @property
-    def eps(self):
-        """Scaled adjacent-codepoint margin of the slot encoding."""
-        return margin_eps(self.n, self.n_directions)
 
     @property
     def beta(self):
@@ -194,11 +235,6 @@ class GdParams:
     def smoothing_delta(self):
         """Smoothing radius the guarantees tolerate: eta*beta/32."""
         return self.eta * self.beta / 32.0
-
-    @property
-    def l1_floor(self):
-        """Floor of the per-block hinge term: (3/32) * eta."""
-        return L1_FLOOR_COEF * self.eta
 
     @property
     def codepoint_magnitude(self):
@@ -281,8 +317,9 @@ class GdParams:
         from the loss kernel's table (_ratchet_table), against the floor
         delta2 with slack eta/64; the table has spread from step 4 on."""
         tables = _ratchet_table(self.layout.step_blocks(points) @ codebook.vectors.T)
-        return [_table_margin(t, table, self.delta2, self.eta / 64.0, t >= 4)
-                for t, table in enumerate(tables, start=1)]
+        best, second, _ = _best_and_second(tables)
+        return _margin_steps(best, second, self.delta2, self.eta / 64.0,
+                            np.arange(1, len(points) + 1) >= 4)
 
     def baseline_population(self, baseline_empirical):
         """Population risk of the zero vector: the exact closed form."""
@@ -320,34 +357,6 @@ class GdParams:
         if not all(1 <= s <= self.n * self.n for s in dataset.slots):
             raise OutOfRange(f"dataset slots must lie in [1, {self.n * self.n}]")
         return dataset, rejections
-
-
-class _Dataset:
-    """What both sample-based training sets share: the sample count n and
-    the one dataset file, to_json's payload plus the count of draws
-    rejected before the set."""
-
-    @property
-    def n(self):
-        return len(self.masks)
-
-    def save(self, path, rejections=None):
-        with open(path, "w") as fh:
-            fh.write(json.dumps({**self.to_json(), "rejections": rejections}))
-
-    @classmethod
-    def load(cls, path):
-        """(dataset, rejections); a file without a count gives None.  Its
-        masks, slots, seed and count must be integers (as_int)."""
-        with reading(path, "dataset file"), open(path) as fh:
-            payload = json.load(fh)
-            return cls.from_json(payload), _optional_int(payload, "rejections")
-
-
-def _optional_int(payload, key):
-    """A payload's integer field: None when null or missing, else as_int's."""
-    value = payload.get(key)
-    return None if value is None else as_int(value)
 
 
 @dataclass(frozen=True)
@@ -410,7 +419,8 @@ class EventReport:
 @dataclass(frozen=True)
 class MarginStep:
     """One step's argmax table: the best candidate against the second best
-    and against the floor; the gaps are derived from them."""
+    and against the floor; the gaps are derived from them.  Built by the
+    one margin rule, _margin_steps."""
 
     step: int
     best: float
@@ -427,22 +437,31 @@ class MarginStep:
         object.__setattr__(self, "gap_floor", self.best - self.floor)
 
 
-def _second_excluding_argmax(table):
-    """The largest entry of table and the largest of the others."""
-    flat = table.ravel()
-    top = int(np.argmax(flat))
-    rest = np.delete(flat, top)
-    return float(flat[top]), (float(rest.max()) if rest.size else -np.inf)
+def _best_and_second(tables):
+    """Each table's best entry, the largest of its other entries (-inf for
+    a one-entry table) and the best entry's flat index, of a stack of
+    tables (P, ...), each (P,): a flat argmax per table, so ties go to the
+    lowest index."""
+    flat = tables.reshape(len(tables), -1)
+    top = flat.argmax(axis=-1)
+    best = flat[np.arange(len(flat)), top]
+    others = np.where(np.arange(flat.shape[1]) == top[:, None], -np.inf, flat)
+    return best, others.max(axis=-1), top
 
 
-def _table_margin(step, table, floor, threshold, applicable):
-    """One step's MarginStep of an argmax table: ok when the best entry
-    clears both the second best and the floor by more than threshold, or
-    when the step is not applicable."""
-    best, second = _second_excluding_argmax(table)
-    ok = (not applicable) or (best - second > threshold and best - floor > threshold)
-    return MarginStep(step=step, best=best, second_best=second, floor=floor,
-                      threshold=threshold, applicable=applicable, ok=bool(ok))
+def _margin_steps(best, second, floor, threshold, applicable, allowance=0.0):
+    """The one margin rule: a MarginStep per iterate w_1, w_2, ... of a
+    stack, from each step's best and second-best entries (P,).  A step is
+    ok when it is not applicable (P,) or when the best entry clears both
+    the second best and the floor by more than threshold - allowance, the
+    allowance a rounding slack (0, or an array (P,))."""
+    cut = threshold - allowance
+    ok = ~applicable | ((best - second > cut) & (best - floor > cut))
+    return [MarginStep(step=t, best=b, second_best=s, floor=floor,
+                       threshold=threshold, applicable=a, ok=o)
+            for t, (b, s, a, o) in enumerate(zip(
+                best.tolist(), second.tolist(), applicable.tolist(),
+                ok.tolist()), start=1)]
 
 
 def good_event_gd(dataset, params):
@@ -472,7 +491,9 @@ def good_event_gd(dataset, params):
 # attains the max.  The kernel's parts return those argmaxes too: the
 # hinge's blocks (_hinge_blocks), the read-out (_l3_gd) and the ratchet
 # table (_ratchet_table).  The step (grad_gd_batch, whose one-sample case is
-# grad_gd) and GdParams.margins read them and compute no term of their own.
+# grad_gd) and GdParams.margins read them and compute no term of their own;
+# the margins hand the ratchet table to the one margin rule that every
+# family's table goes through (_best_and_second, then _margin_steps).
 # ---------------------------------------------------------------------------
 
 

@@ -61,15 +61,16 @@ from .errors import (
 )
 from .instance_gd import (
     EventReport,
-    GdParams,
-    MarginStep,
+    _best_and_second,
     _check_dataset,
     _by_alpha,
     _Dataset,
     _fill_defaults,
     _grouped_max,
     _hinge_grads,
+    _margin_steps,
     _optional_int,
+    _SampledParams,
     check_reference_budget,
     empirical_risk,
     hinge_terms,
@@ -79,7 +80,7 @@ from .smoothing import row_blocks
 
 
 @dataclass(frozen=True)
-class SgdParams:
+class SgdParams(_SampledParams):
     """Shape of one SGD hard instance (sample count n doubles as the step count).
 
     Parameters
@@ -103,14 +104,7 @@ class SgdParams:
     family = "sgd"
     lipschitz = 4.0
     policies = ("unconditioned", "force")
-    first_checked_step = 2  # w_1 is the origin for every run
     strict_blocks = ()
-
-    # the encoding layout and the hinge floor are the full-batch family's
-    layout = GdParams.layout
-    dim = GdParams.dim
-    eps = GdParams.eps
-    l1_floor = GdParams.l1_floor
 
     def __post_init__(self):
         # a one-sample pass makes no update
@@ -233,33 +227,22 @@ class SgdParams:
         away from the decoded argmax prefix (_adjacent_reads).  The tables
         and the candidates of every step are arrays over the stack: the best
         and second-best entries come from one pass over the tables."""
-        n, each = self.n, np.arange(len(points))
+        n = self.n
         parts = _sample_free_sgd(points, self, codebook, "oracle")
         masks = [self.step_sample(t, dataset) for t in range(1, len(points) + 1)]
         inputs, (rows,) = self.prepare_samples([masks])
-        couplings = _sample_reads(parts, inputs, self)[each, rows, 1:]
-        tables = _l2_table(parts, couplings).reshape(len(points), -1)
-        top = tables.argmax(axis=-1)  # ties go to the lowest direction, then k
-        best = tables[each, top]
-        tables[each, top] = -np.inf
+        couplings = _sample_reads(parts, inputs, self)[np.arange(len(points)), rows, 1:]
+        best, second, top = _best_and_second(_l2_table(parts, couplings))
         codepoints = np.stack((inputs.sin, inputs.cos), axis=-1)[rows]
-        second = np.maximum(tables.max(axis=-1), _adjacent_reads(
+        second = np.maximum(second, _adjacent_reads(
             points, parts, np.divmod(top, n - 1), codepoints, self))
-
-        # the adjacent-codepoint gap meets thr with equality by
+        # the adjacent-codepoint gap meets the threshold with equality by
         # construction, so allow rounding slack at the scale of the
         # cancelled candidates
-        thr = self.eta * self.eps / (16.0 * n * n)
-        slack = thr - 64.0 * np.finfo(float).eps * np.abs(best)
-        steps = []
-        for t, (b, s, sl) in enumerate(zip(best.tolist(), second.tolist(),
-                                           slack.tolist()), start=1):
-            applicable = t >= 2
-            ok = (not applicable) or (b - s >= sl and b - self.delta1 >= sl)
-            steps.append(MarginStep(step=t, best=b, second_best=s,
-                                    floor=self.delta1, threshold=thr,
-                                    applicable=applicable, ok=bool(ok)))
-        return steps
+        return _margin_steps(best, second, self.delta1,
+                             self.eta * self.eps / (16.0 * n * n),
+                             np.arange(1, len(points) + 1) >= 2,
+                             64.0 * np.finfo(float).eps * np.abs(best))
 
     def baseline_population(self, baseline_empirical):
         """Population risk of the zero vector: its training risk, since the

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidClosedForm, OutOfRange
-from .instance_gd import GdParams, _table_margin
+from .instance_gd import _best_and_second, _margin_steps, empirical_risk
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,10 @@ class SmallstepParams:
         """The step's gradient (full-batch and one-pass steps agree)."""
         return grad_smallstep(w, self)
 
-    # the loss whose subgradient step_grad takes: the training risk, which
-    # for a point mass is the loss itself
-    step_loss = GdParams.step_loss
+    def step_loss(self, t, dataset, codebook, mode):
+        """The loss whose subgradient step_grad takes: the training risk,
+        which for a point mass is the loss itself."""
+        return lambda w: empirical_risk(w, dataset, self, codebook, mode)
 
     def expected_iterate(self, t, dataset, codebook):
         """Closed-form iterate w_t; dataset and codebook are unused."""
@@ -108,9 +109,9 @@ class SmallstepParams:
         """The hinge argmax at each iterate w_1, w_2, ... of a stack against
         the floor 0, with slack eta/(8 d); a one-coordinate hinge has no
         second candidate."""
-        thr = self.eta / (8.0 * self.dim)
-        return [_table_margin(t, vals, 0.0, thr, self.dim >= 2)
-                for t, vals in enumerate(_hinge_values(points, self), start=1)]
+        best, second, _ = _best_and_second(_hinge_values(points, self))
+        return _margin_steps(best, second, 0.0, self.eta / (8.0 * self.dim),
+                             np.full(len(points), self.dim >= 2))
 
     def baseline_population(self, baseline_empirical):
         """Population risk of the zero vector: the loss there, as for every

@@ -67,7 +67,6 @@ SIGMAS = 3.0  # the three-sigma rule: an estimate passes within 3 stderr
 MAX_HELD_FLOATS = 2 ** 21
 
 _MIN_NORM = 1e-150
-_MAX_REDRAWS = 100
 
 MemoInfo = namedtuple("MemoInfo", "misses currsize")
 
@@ -142,43 +141,28 @@ def row_blocks(count, rows=BLOCK_ROWS):
         lo = hi
 
 
-def sphere_sample(dim, rng, size=None):
-    """Uniform unit vectors: normalized standard Gaussians.
-
-    Parameters
-    ----------
-    dim : int
-        Ambient dimension.
-    rng : numpy.random.Generator
-        Source of randomness.
-    size : int, optional
-        When given, returns (size, dim); otherwise a single (dim,) vector.
+def sphere_sample(dim, rng, size):
+    """Uniform unit vectors, shape (size, dim): normalized standard
+    Gaussians.
 
     Raises
     ------
     DegenerateDraw
-        If a Gaussian draw's norm underflows 100 redraws in a row (not
-        observable in practice; guards the normalization).
+        If a Gaussian draw's norm is below _MIN_NORM (not observable in
+        practice; guards the normalization).
     """
     if dim < 1:
         raise OutOfRange(f"dim must be positive; got {dim}")
-    count = 1 if size is None else int(size)
-    x = rng.standard_normal((count, dim))
-    norms = np.empty(count)
-    for rows in row_blocks(count):
+    x = rng.standard_normal((size, dim))
+    norms = np.empty(size)
+    for rows in row_blocks(size):
         # a block at a time: the squares the norm forms take a block, not
         # a draw
         norms[rows] = np.linalg.norm(x[rows], axis=1)
-    for _ in range(_MAX_REDRAWS):
-        bad = norms < _MIN_NORM
-        if not bad.any():
-            break
-        x[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms[bad] = np.linalg.norm(x[bad], axis=1)
-    else:
-        raise DegenerateDraw("sphere draw kept underflowing after 100 redraws")
+    if (norms < _MIN_NORM).any():
+        raise DegenerateDraw(f"a sphere draw's norm underflows {_MIN_NORM}")
     x /= norms[:, None]
-    return x[0] if size is None else x
+    return x
 
 
 def _radii(dim, rng, count):
@@ -187,13 +171,12 @@ def _radii(dim, rng, count):
     return rng.random(count) ** (1.0 / dim)
 
 
-def ball_sample(dim, rng, size=None):
-    """Uniform points in the unit ball: sphere draw times the radial
-    factor U^(1/dim)."""
-    count = 1 if size is None else int(size)
-    y = sphere_sample(dim, rng, size=count)
-    y *= _radii(dim, rng, count)[:, None]
-    return y[0] if size is None else y
+def ball_sample(dim, rng, size):
+    """Uniform points in the unit ball, shape (size, dim): sphere draw times
+    the radial factor U^(1/dim)."""
+    y = sphere_sample(dim, rng, size)
+    y *= _radii(dim, rng, size)[:, None]
+    return y
 
 
 def mc_chunks(seed, count, draw):

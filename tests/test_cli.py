@@ -445,6 +445,35 @@ def test_an_unreadable_input_file_is_a_configuration_error(tmp_path, capsys,
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize("case", [
+    "verify-into-a-missing-directory", "risk-into-a-missing-directory",
+    "acceptance-into-a-missing-directory", "run-into-a-file",
+    "gen-codebook-under-a-file"])
+def test_an_unwritable_output_path_is_a_configuration_error(tmp_path, capsys,
+                                                            case):
+    smallstep = ["--family", "smallstep", "--eta", "0.1", "--steps", "10"]
+    missing, afile = tmp_path / "nodir", tmp_path / "afile"
+    afile.write_text("")
+    argv, path = {
+        "verify-into-a-missing-directory": (
+            ["verify", *smallstep, "--out", str(missing / "v.json")],
+            missing / "v.json"),
+        "risk-into-a-missing-directory": (
+            ["risk", *smallstep, "--out", str(missing / "r.csv")],
+            missing / "r.csv"),
+        "acceptance-into-a-missing-directory": (
+            ["acceptance", "smallstep-exact", "--json", str(missing / "a.json")],
+            missing / "a.json"),
+        "run-into-a-file": (["run", *smallstep, "--out", str(afile)], afile),
+        "gen-codebook-under-a-file": (
+            ["gen-codebook", "--directions", "4", "--out", str(afile / "x.json")],
+            afile),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_every_config_field_has_a_run_flag():
     flags = set(vars(build_parser().parse_args(["run"])))
     flags -= {"command", "func", "config"}

@@ -14,8 +14,7 @@ from gengap.encoding import TWO_PI, alpha_sgd, circle_points, margin_eps, \
     subset_count
 from gengap.errors import EventViolated, InfeasibleForcing, \
     InvalidClosedForm, OutOfRange
-from gengap.instance_gd import _READ_ROWS, EventReport, \
-    _second_excluding_argmax, mask_inputs
+from gengap.instance_gd import _READ_ROWS, EventReport, mask_inputs
 from gengap.instance_sgd import (
     SgdDataset,
     SgdParams,
@@ -685,8 +684,9 @@ def _adjacent_second_best(points, params, dataset, codebook):
     steps = []
     for t, (table, mask) in enumerate(
             zip(instance_sgd._l2_table(parts, couplings), masks), start=1):
-        _, second = _second_excluding_argmax(table)
-        u_star, k_star = divmod(int(np.argmax(table)), n - 1)
+        top = int(np.argmax(table))
+        second = float(np.delete(table.ravel(), top).max())
+        u_star, k_star = divmod(top, n - 1)
         k = k_star + 1
         prefix = [int(m) for m in parts.prefix[t - 1, k_star, :k]]
         if prefix[0] < 0:

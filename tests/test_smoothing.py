@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gengap import smoothing
-from gengap.errors import OutOfRange
+from gengap.errors import DegenerateDraw, OutOfRange
 from gengap.instance_smallstep import SmallstepParams, grad_smallstep, \
     loss_smallstep
 from gengap.acceptance import _smooth_gd_setup, _smooth_sgd_setup
@@ -32,7 +32,21 @@ def test_sphere_samples_have_unit_norm():
     rng = np.random.default_rng(0)
     pts = sphere_sample(7, rng, size=500)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=-1), 1.0, atol=1e-12)
-    assert sphere_sample(7, rng).shape == (7,)
+    assert pts.shape == (500, 7)
+
+
+class _ZeroNormals:
+    """An rng whose standard normals are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_a_zero_norm_draw_raises_degenerate_draw():
+    with pytest.raises(DegenerateDraw):
+        sphere_sample(3, _ZeroNormals(), 4)
+    with pytest.raises(DegenerateDraw):
+        ball_sample(3, _ZeroNormals(), 4)
 
 
 def test_ball_samples_stay_inside_and_fill_the_ball():
@@ -46,18 +60,16 @@ def test_ball_samples_stay_inside_and_fill_the_ball():
 
 def test_in_place_samplers_match_the_copying_forms():
     # sphere_sample takes its norms one row block at a time
-    for size in (None, 1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+    for size in (1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                  CHUNK + 100):
-        count = 1 if size is None else size
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((count, 6))
+        x = rng.standard_normal((size, 6))
         sphere = x / np.linalg.norm(x, axis=1)[:, None]
-        ball = sphere * (rng.random(count) ** (1.0 / 6))[:, None]
-        want = (sphere, ball) if size else (sphere[0], ball[0])
+        ball = sphere * (rng.random(size) ** (1.0 / 6))[:, None]
         assert np.array_equal(sphere_sample(6, np.random.default_rng(9), size),
-                              want[0])
+                              sphere)
         assert np.array_equal(ball_sample(6, np.random.default_rng(9), size),
-                              want[1])
+                              ball)
 
 
 def test_row_blocks_are_the_parts_of_array_split():

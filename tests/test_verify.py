@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from gengap import instance_gd, instance_sgd, instance_smallstep
 from gengap.codebook import generate_codebook
 from gengap.errors import InvalidClosedForm, OutOfRange
-from gengap.instance_gd import GdParams
+from gengap.instance_gd import GdParams, _best_and_second
+from gengap.instance_sgd import SgdDataset, SgdParams
 from gengap.instance_smallstep import SmallstepParams
 from gengap.optim import Trajectory, run_gd, run_smallstep
 from gengap.verify import (
@@ -181,6 +183,63 @@ def test_smallstep_margin_checker_flags_a_shrunken_lead():
     assert not rep.ok
     broken = [s for s in rep.steps if not s.ok]
     assert broken and broken[0].gap_second < broken[0].threshold
+
+
+def _margin_case(family):
+    """(module, params, dataset, codebook, allowance) of a family at a
+    threshold that is a power of two: the instance module whose margins
+    are checked, and the rounding allowance its rule grants a best entry."""
+    if family == "gd":
+        params = GdParams(2, 4, 8, eta=2.0**-4)  # threshold eta/64 = 2^-10
+        return (instance_gd, params, None,
+                generate_codebook(4, params.dprime, seed=3), lambda best: 0.0)
+    if family == "sgd":
+        # eta*eps/(16 n^2) = 2^-14
+        params = SgdParams(2, 3, eta=2.0**-8 / SgdParams(2, 3).eps)
+        return (instance_sgd, params, SgdDataset(masks=(1, 2)),
+                generate_codebook(3, params.dprime, seed=3),
+                lambda best: 64.0 * np.finfo(float).eps * best)
+    params = SmallstepParams(eta=0.25, steps=4, dim=4)  # eta/(8 d) = 2^-7
+    return instance_smallstep, params, None, None, lambda best: 0.0
+
+
+@pytest.mark.parametrize("family", ["gd", "sgd", "smallstep"])
+def test_a_gap_at_the_threshold_less_the_allowance_fails(family, monkeypatch):
+    # the rule is strict: a second-best gap of exactly threshold - allowance
+    # fails, and a second best one ulp lower passes, the floor far below
+    module, params, dataset, codebook, allowance = _margin_case(family)
+    points = np.zeros((params.horizon, params.dim))
+    step = params.margins(points, dataset, codebook)[0]
+    # a power of two: the second best lies in (best/2, best), where each
+    # gap is exact
+    best = 2.0 ** math.ceil(math.log2(4.0 * (step.floor + step.threshold)))
+    cut = step.threshold - allowance(best)
+    at_cut = best - cut
+    assert best - at_cut == cut
+    if family == "sgd":  # no candidate beside the table
+        monkeypatch.setattr(instance_sgd, "_adjacent_reads",
+                            lambda points, *_: np.full(len(points), -np.inf))
+    for second, ok in ((at_cut, False), (np.nextafter(at_cut, -np.inf), True)):
+        gap = best - second
+        monkeypatch.setattr(module, "_best_and_second", lambda tables: (
+            np.full(len(points), best), np.full(len(points), second),
+            np.zeros(len(points), dtype=np.int64)))
+        steps = params.margins(points, dataset, codebook)
+        applicable = [s for s in steps if s.applicable]
+        assert applicable and all(s.ok is ok for s in applicable)
+        assert all(s.gap_second == gap for s in steps) and bool(gap > cut) is ok
+
+
+def test_a_one_entry_table_reads_minus_infinity_as_its_second_best():
+    best, second, top = _best_and_second(np.array([[0.5], [-2.0]]))
+    assert best.tolist() == [0.5, -2.0] and second.tolist() == [-np.inf] * 2
+    assert top.tolist() == [0, 0]
+    # smallstep at d=1: a one-coordinate hinge, every step ok
+    p = SmallstepParams(eta=0.5, steps=2, dim=1)
+    rep = check_margins(run_smallstep(p), p)
+    assert rep.ok and len(rep.steps) == 2
+    assert all(s.second_best == -np.inf and s.gap_second == np.inf
+               for s in rep.steps)
 
 
 @pytest.mark.parametrize("check", [check_trajectory, check_margins])
